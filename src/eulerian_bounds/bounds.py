@@ -182,6 +182,12 @@ def eulerian_diagonal(n: int) -> DiagonalPencil:
 
 
 @lru_cache(maxsize=None)
+def eulerian_x_min(n: int, prec: int) -> AlgebraicBound:
+    """Certified x_min of the Eulerian diagonal pencil, once per (n, prec)."""
+    return psd_interval_left(eulerian_diagonal(n), prec)
+
+
+@lru_cache(maxsize=None)
 def eulerian_guess_quadratics(n: int, kind: str) -> tuple[QuadraticInY, QuadraticInY]:
     return linearized_DN(eulerian_diagonal(n), guess_vector(kind, n))
 
@@ -228,24 +234,8 @@ def paper_y(n: int, kind: str, prec: int = DEFAULT_PREC) -> AlgebraicBound:
     return optimal_y(kind, n, d_old, n_old, prec)
 
 
-def _f2(e: int) -> Fraction:
-    return Fraction(2) ** e
-
-
-def _f3(e: int) -> Fraction:
-    return Fraction(3) ** e
-
-
-def _f4(e: int) -> Fraction:
-    return Fraction(4) ** e
-
-
-def _f6(e: int) -> Fraction:
-    return Fraction(6) ** e
-
-
-def _f8(e: int) -> Fraction:
-    return Fraction(8) ** e
+def _pow(base: int, e: int) -> Fraction:
+    return Fraction(base) ** e
 
 
 def closed_form_DN(kind: str, n: int, y: Rat) -> tuple[Fraction, Fraction]:
@@ -260,40 +250,40 @@ def closed_form_DN(kind: str, n: int, y: Rat) -> tuple[Fraction, Fraction]:
     if kind == "old":
         d = (
             10
-            - _f2(2 + n)
-            + _f2(2 + 2 * n)
-            - 2 * _f3(1 + n)
+            - _pow(2, 2 + n)
+            + _pow(2, 2 + 2 * n)
+            - 2 * _pow(3, 1 + n)
             + n
             + 4 * y
-            - _f2(1 + n) * y
+            - _pow(2, 1 + n) * y
             + n * y
-            + y * (4 - _f2(1 + n) + n + n * y)
+            + y * (4 - _pow(2, 1 + n) + n + n * y)
         )
         nn = (
             -10
-            + _f2(3 + n)
-            - Fraction(1, 3) * _f2(3 + 2 * n)
-            - Fraction(1, 3) * _f2(4 + 2 * n)
-            + Fraction(1, 7) * _f2(4 + 3 * n)
-            + Fraction(1, 7) * _f2(5 + 3 * n)
-            + 2 * _f3(n)
-            - 4 * _f3(1 + n)
-            + 2 * _f3(2 + n)
-            - Fraction(1, 5) * _f2(1 + n) * _f3(3 + n)
-            - _f4(1 + n)
-            + _f4(2 + n)
-            - _f6(2 + n) / 5
-            + _f8(1 + n) / 7
+            + _pow(2, 3 + n)
+            - Fraction(1, 3) * _pow(2, 3 + 2 * n)
+            - Fraction(1, 3) * _pow(2, 4 + 2 * n)
+            + Fraction(1, 7) * _pow(2, 4 + 3 * n)
+            + Fraction(1, 7) * _pow(2, 5 + 3 * n)
+            + 2 * _pow(3, n)
+            - 4 * _pow(3, 1 + n)
+            + 2 * _pow(3, 2 + n)
+            - Fraction(1, 5) * _pow(2, 1 + n) * _pow(3, 3 + n)
+            - _pow(4, 1 + n)
+            + _pow(4, 2 + n)
+            - _pow(6, 2 + n) / 5
+            + _pow(8, 1 + n) / 7
             - n
             - 8 * y
-            - _f2(2 + n) * y
-            + _f2(3 + n) * y
-            - Fraction(1, 3) * _f2(3 + 2 * n) * y
-            - Fraction(1, 3) * _f2(4 + 2 * n) * y
-            + 4 * _f3(1 + n) * y
+            - _pow(2, 2 + n) * y
+            + _pow(2, 3 + n) * y
+            - Fraction(1, 3) * _pow(2, 3 + 2 * n) * y
+            - Fraction(1, 3) * _pow(2, 4 + 2 * n) * y
+            + 4 * _pow(3, 1 + n) * y
             - 2 * n * y
             - 2 * y * y
-            + _f2(1 + n) * y * y
+            + _pow(2, 1 + n) * y * y
             - n * y * y
         )
         return d, nn
@@ -303,127 +293,127 @@ def closed_form_DN(kind: str, n: int, y: Rat) -> tuple[Fraction, Fraction]:
         m = n // 2
         d = (
             -Fraction(1, 12)
-            + _f2(3 * m)
-            + _f2(2 + m)
-            + 5 * _f2(-3 + 2 * m)
-            - 7 * _f2(-1 + 2 * m)
-            + 3 * _f2(1 + 3 * m)
-            - _f2(3 + 3 * m)
-            + Fraction(1, 3) * _f2(2 + 4 * m)
-            + Fraction(1, 3) * _f2(3 + 4 * m)
-            - 2 * _f3(-1 + m)
-            - _f2(4 + m) * _f3(-1 + m)
-            + _f3(m)
-            - _f2(1 + m) * _f3(m)
-            - _f3(1 + m)
-            + _f2(2 + m) * _f3(1 + m)
-            - 2 * _f3(1 + 2 * m)
-            - Fraction(11, 3) * _f4(-2 + m)
+            + _pow(2, 3 * m)
+            + _pow(2, 2 + m)
+            + 5 * _pow(2, -3 + 2 * m)
+            - 7 * _pow(2, -1 + 2 * m)
+            + 3 * _pow(2, 1 + 3 * m)
+            - _pow(2, 3 + 3 * m)
+            + Fraction(1, 3) * _pow(2, 2 + 4 * m)
+            + Fraction(1, 3) * _pow(2, 3 + 4 * m)
+            - 2 * _pow(3, -1 + m)
+            - _pow(2, 4 + m) * _pow(3, -1 + m)
+            + _pow(3, m)
+            - _pow(2, 1 + m) * _pow(3, m)
+            - _pow(3, 1 + m)
+            + _pow(2, 2 + m) * _pow(3, 1 + m)
+            - 2 * _pow(3, 1 + 2 * m)
+            - Fraction(11, 3) * _pow(4, -2 + m)
             + m
-            - _f2(3 * m) * m
-            - 5 * _f2(-4 + 2 * m) * m
-            - _f2(-3 + 2 * m) * m
-            + _f2(-1 + 2 * m) * m
-            + _f4(-2 + m) * m
-            + _f2(-4 + 2 * m) * m * m
+            - _pow(2, 3 * m) * m
+            - 5 * _pow(2, -4 + 2 * m) * m
+            - _pow(2, -3 + 2 * m) * m
+            + _pow(2, -1 + 2 * m) * m
+            + _pow(4, -2 + m) * m
+            + _pow(2, -4 + 2 * m) * m * m
             + (
                 -3
-                + _f2(-1 + m)
-                + _f2(1 + m)
-                - _f2(2 + m)
-                + _f2(2 + 2 * m)
+                + _pow(2, -1 + m)
+                + _pow(2, 1 + m)
+                - _pow(2, 2 + m)
+                + _pow(2, 2 + 2 * m)
                 - 2 * m
-                - _f2(-1 + m) * m
+                - _pow(2, -1 + m) * m
             )
             * y
             + 2 * m * y * y
         )
         nn = (
             Fraction(1, 12)
-            + _f2(2 * m)
-            - _f2(3 * m)
-            + 5 * _f2(4 * m)
-            - _f2(2 + m)
-            + Fraction(11, 3) * _f2(-4 + 2 * m)
-            - 5 * _f2(-3 + 2 * m)
-            - 7 * _f2(-1 + 2 * m)
-            + 3 * _f2(1 + 2 * m)
-            + 9 * _f2(-3 + 3 * m)
-            - 47 * _f2(-2 + 3 * m)
-            + 3 * _f2(-1 + 3 * m)
-            - _f2(2 + 3 * m)
-            - Fraction(1, 7) * _f2(3 + 3 * m)
-            + Fraction(1, 7) * _f2(4 + 3 * m)
-            + Fraction(5, 7) * _f2(5 + 3 * m)
-            - Fraction(27, 5) * _f2(-3 + 4 * m)
-            + 5 * _f2(-1 + 4 * m)
-            - _f2(1 + 4 * m)
-            + _f2(1 + 5 * m)
-            + 3 * _f2(2 + 5 * m)
-            - _f2(4 + 5 * m)
-            + Fraction(1, 7) * _f2(3 + 6 * m)
-            + Fraction(1, 3) * _f2(4 + 6 * m)
-            + Fraction(1, 21) * _f2(5 + 6 * m)
-            + 2 * _f3(-1 + m)
-            - 11 * _f2(2 * m) * _f3(-1 + m)
-            - Fraction(1, 5) * _f2(3 + m) * _f3(-1 + m)
-            + _f2(4 + m) * _f3(-1 + m)
-            + 13 * _f2(2 + 2 * m) * _f3(-1 + m)
-            - _f2(5 + 3 * m) * _f3(-1 + m)
-            - _f3(m)
-            - _f2(-1 + m) * _f3(m)
-            + _f2(1 + m) * _f3(m)
-            + 7 * _f2(-1 + 2 * m) * _f3(m)
-            - _f2(2 + 3 * m) * _f3(m)
-            + _f3(1 + m)
-            - _f2(2 + m) * _f3(1 + m)
-            - _f2(3 + 2 * m) * _f3(1 + m)
-            + _f2(3 + 3 * m) * _f3(1 + m)
-            - _f2(1 + 2 * m) * _f3(2 + m)
-            + _f2(-2 + 2 * m) * _f3(3 + m)
-            + 4 * _f3(1 + 2 * m)
-            - _f2(m) * _f3(1 + 2 * m)
-            - _f2(1 + m) * _f3(1 + 2 * m)
-            + _f2(2 + m) * _f3(1 + 2 * m)
-            - Fraction(1, 5) * _f2(2 + 2 * m) * _f3(1 + 2 * m)
-            + _f6(m)
-            - _f6(1 + m)
-            - Fraction(13, 5) * _f6(1 + 2 * m)
+            + _pow(2, 2 * m)
+            - _pow(2, 3 * m)
+            + 5 * _pow(2, 4 * m)
+            - _pow(2, 2 + m)
+            + Fraction(11, 3) * _pow(2, -4 + 2 * m)
+            - 5 * _pow(2, -3 + 2 * m)
+            - 7 * _pow(2, -1 + 2 * m)
+            + 3 * _pow(2, 1 + 2 * m)
+            + 9 * _pow(2, -3 + 3 * m)
+            - 47 * _pow(2, -2 + 3 * m)
+            + 3 * _pow(2, -1 + 3 * m)
+            - _pow(2, 2 + 3 * m)
+            - Fraction(1, 7) * _pow(2, 3 + 3 * m)
+            + Fraction(1, 7) * _pow(2, 4 + 3 * m)
+            + Fraction(5, 7) * _pow(2, 5 + 3 * m)
+            - Fraction(27, 5) * _pow(2, -3 + 4 * m)
+            + 5 * _pow(2, -1 + 4 * m)
+            - _pow(2, 1 + 4 * m)
+            + _pow(2, 1 + 5 * m)
+            + 3 * _pow(2, 2 + 5 * m)
+            - _pow(2, 4 + 5 * m)
+            + Fraction(1, 7) * _pow(2, 3 + 6 * m)
+            + Fraction(1, 3) * _pow(2, 4 + 6 * m)
+            + Fraction(1, 21) * _pow(2, 5 + 6 * m)
+            + 2 * _pow(3, -1 + m)
+            - 11 * _pow(2, 2 * m) * _pow(3, -1 + m)
+            - Fraction(1, 5) * _pow(2, 3 + m) * _pow(3, -1 + m)
+            + _pow(2, 4 + m) * _pow(3, -1 + m)
+            + 13 * _pow(2, 2 + 2 * m) * _pow(3, -1 + m)
+            - _pow(2, 5 + 3 * m) * _pow(3, -1 + m)
+            - _pow(3, m)
+            - _pow(2, -1 + m) * _pow(3, m)
+            + _pow(2, 1 + m) * _pow(3, m)
+            + 7 * _pow(2, -1 + 2 * m) * _pow(3, m)
+            - _pow(2, 2 + 3 * m) * _pow(3, m)
+            + _pow(3, 1 + m)
+            - _pow(2, 2 + m) * _pow(3, 1 + m)
+            - _pow(2, 3 + 2 * m) * _pow(3, 1 + m)
+            + _pow(2, 3 + 3 * m) * _pow(3, 1 + m)
+            - _pow(2, 1 + 2 * m) * _pow(3, 2 + m)
+            + _pow(2, -2 + 2 * m) * _pow(3, 3 + m)
+            + 4 * _pow(3, 1 + 2 * m)
+            - _pow(2, m) * _pow(3, 1 + 2 * m)
+            - _pow(2, 1 + m) * _pow(3, 1 + 2 * m)
+            + _pow(2, 2 + m) * _pow(3, 1 + 2 * m)
+            - Fraction(1, 5) * _pow(2, 2 + 2 * m) * _pow(3, 1 + 2 * m)
+            + _pow(6, m)
+            - _pow(6, 1 + m)
+            - Fraction(13, 5) * _pow(6, 1 + 2 * m)
             - m
-            - _f2(2 * m) * m
-            + _f2(3 * m) * m
-            + 5 * _f2(-3 + 2 * m) * m
-            + _f2(-2 + 2 * m) * m
-            - 5 * _f2(-2 + 4 * m) * m
-            - _f2(-1 + 4 * m) * m
-            + _f2(1 + 4 * m) * m
-            - _f2(1 + 5 * m) * m
-            + _f2(1 + 2 * m) * _f3(-1 + m) * m
-            + _f2(-2 + 2 * m) * _f3(m) * m
-            - _f2(-1 + 2 * m) * _f3(1 + m) * m
-            + _f2(-1 + m) * _f3(1 + 2 * m) * m
-            - _f2(-4 + 2 * m) * m * m
-            + _f2(-3 + 4 * m) * m * m
+            - _pow(2, 2 * m) * m
+            + _pow(2, 3 * m) * m
+            + 5 * _pow(2, -3 + 2 * m) * m
+            + _pow(2, -2 + 2 * m) * m
+            - 5 * _pow(2, -2 + 4 * m) * m
+            - _pow(2, -1 + 4 * m) * m
+            + _pow(2, 1 + 4 * m) * m
+            - _pow(2, 1 + 5 * m) * m
+            + _pow(2, 1 + 2 * m) * _pow(3, -1 + m) * m
+            + _pow(2, -2 + 2 * m) * _pow(3, m) * m
+            - _pow(2, -1 + 2 * m) * _pow(3, 1 + m) * m
+            + _pow(2, -1 + m) * _pow(3, 1 + 2 * m) * m
+            - _pow(2, -4 + 2 * m) * m * m
+            + _pow(2, -3 + 4 * m) * m * m
             + (
                 3
-                - 3 * _f2(-1 + m)
-                + _f2(m)
-                + 5 * _f2(3 * m)
-                + _f2(1 + m)
-                - _f2(2 + 2 * m)
-                + _f2(1 + 3 * m)
-                - _f2(3 + 3 * m)
-                + _f2(3 + 4 * m)
-                - _f2(4 + m) * _f3(-1 + m)
-                - _f2(1 + m) * _f3(m)
-                + _f2(2 + m) * _f3(1 + m)
-                - 4 * _f3(1 + 2 * m)
+                - 3 * _pow(2, -1 + m)
+                + _pow(2, m)
+                + 5 * _pow(2, 3 * m)
+                + _pow(2, 1 + m)
+                - _pow(2, 2 + 2 * m)
+                + _pow(2, 1 + 3 * m)
+                - _pow(2, 3 + 3 * m)
+                + _pow(2, 3 + 4 * m)
+                - _pow(2, 4 + m) * _pow(3, -1 + m)
+                - _pow(2, 1 + m) * _pow(3, m)
+                + _pow(2, 2 + m) * _pow(3, 1 + m)
+                - 4 * _pow(3, 1 + 2 * m)
                 + 2 * m
-                + _f2(-1 + m) * m
-                - _f2(3 * m) * m
+                + _pow(2, -1 + m) * m
+                - _pow(2, 3 * m) * m
             )
             * y
-            + (-2 + _f2(1 + 2 * m) - 2 * m) * y * y
+            + (-2 + _pow(2, 1 + 2 * m) - 2 * m) * y * y
         )
         return d, nn
     raise ValueError(f"unknown vector kind {kind!r}")
@@ -448,7 +438,7 @@ def univariate_pencil_endpoint(n: int, prec: int = DEFAULT_PREC) -> AlgebraicBou
 
     det(A0 + x A1) is quadratic in x and positive at 0, so the endpoint
     is its larger root, enclosed as a quadratic surd; the degenerate
-    det = 0 case (n = 1) falls back to exact bisection.
+    det = 0 case (n = 1) falls back to ``psd_interval_left``.
     """
     dp, (l1, lx, lx2, lx3) = _univariate_diagonal(n)
     c2 = lx * lx3 - lx2 * lx2
@@ -538,7 +528,7 @@ def bound_report(
     mult = n_val / d_val
     un = univariate_bound(n, prec)
     diff = mult - un
-    x_min = psd_interval_left(eulerian_diagonal(n), prec) if with_endpoint else None
+    x_min = eulerian_x_min(n, prec) if with_endpoint else None
     q_left = q_right = None
     if with_roots:
         q_left, q_right = extreme_roots(univariate_eulerian(n), prec)

@@ -81,26 +81,29 @@ def _parse_enc(d: dict[str, str]) -> AlgebraicBound:
     return AlgebraicBound(Fraction(d["lo"]), Fraction(d["hi"]))
 
 
+# JSON key -> BoundReport field, in output order; the optional fields
+# serialize as null.
+_REPORT_FIELDS = (
+    ("y", "y"), ("D", "d_value"), ("N", "n_value"), ("lin_bound", "lin_bound"),
+    ("mult", "mult"), ("un", "un"), ("diff", "difference"), ("xmin", "x_min"),
+    ("q_left", "q_left"), ("q_right", "q_right"),
+)
+_OPTIONAL_FIELDS = ("x_min", "q_left", "q_right")
+
+
 def bound_report_from_dict(row: dict) -> bounds_mod.BoundReport:
     """Rebuild a BoundReport from its JSON row (the round-trip direction)."""
-    def opt(key):
-        return _parse_enc(row[key]) if row.get(key) is not None else None
-
+    encs = {
+        attr: None if attr in _OPTIONAL_FIELDS and row.get(key) is None
+        else _parse_enc(row[key])
+        for key, attr in _REPORT_FIELDS
+    }
     return bounds_mod.BoundReport(
         n=int(row["n"]),
         kind=row["kind"],
         y_policy=row["y_policy"],
         prec=int(row["prec_bits"]),
-        y=_parse_enc(row["y"]),
-        d_value=_parse_enc(row["D"]),
-        n_value=_parse_enc(row["N"]),
-        lin_bound=_parse_enc(row["lin_bound"]),
-        mult=_parse_enc(row["mult"]),
-        un=_parse_enc(row["un"]),
-        difference=_parse_enc(row["diff"]),
-        x_min=opt("xmin"),
-        q_left=opt("q_left"),
-        q_right=opt("q_right"),
+        **encs,
     )
 
 
@@ -110,10 +113,12 @@ def bound_report_from_dict(row: dict) -> bounds_mod.BoundReport:
 
 def _rows_counts(args) -> tuple[list[str], list[dict]]:
     n = args.n
-    if n > eulerian.BRUTE_FORCE_MAX_N and not args.allow_large:
+    if n < 1:
+        raise CliError("n must be >= 1")
+    if n > eulerian.BRUTE_FORCE_MAX_N:
         raise CliError(
             f"counts needs brute force; n={n} exceeds the cap "
-            f"{eulerian.BRUTE_FORCE_MAX_N} (no --allow-large escape exists here)"
+            f"{eulerian.BRUTE_FORCE_MAX_N}, which --allow-large does not lift"
         )
     header = ["X", "brute_force", "complement", "deletion", "closed_form"]
     rows = []
@@ -196,22 +201,10 @@ def _rows_pencil(args) -> tuple[list[str], list[dict]]:
 
 
 def _report_to_dict(r: bounds_mod.BoundReport) -> dict:
-    row = {
-        "n": r.n,
-        "kind": r.kind,
-        "y_policy": r.y_policy,
-        "prec_bits": r.prec,
-        "y": _enc(r.y),
-        "D": _enc(r.d_value),
-        "N": _enc(r.n_value),
-        "lin_bound": _enc(r.lin_bound),
-        "mult": _enc(r.mult),
-        "un": _enc(r.un),
-        "diff": _enc(r.difference),
-        "xmin": None if r.x_min is None else _enc(r.x_min),
-        "q_left": None if r.q_left is None else _enc(r.q_left),
-        "q_right": None if r.q_right is None else _enc(r.q_right),
-    }
+    row = {"n": r.n, "kind": r.kind, "y_policy": r.y_policy, "prec_bits": r.prec}
+    for key, attr in _REPORT_FIELDS:
+        enc = getattr(r, attr)
+        row[key] = None if enc is None else _enc(enc)
     return row
 
 
@@ -246,22 +239,19 @@ BOUNDS_CSV_COLUMNS = [
 
 def _bounds_row_to_csv(row: dict, prec: int) -> dict:
     flat = {"n": row["n"], "kind": row["kind"], "prec_bits": row["prec_bits"]}
-    flat["y_lo"], flat["y_hi"] = row["y"]["lo"], row["y"]["hi"]
     # D and N are single columns by contract; decimals at declared prec.
     flat["D"] = _dec(_parse_enc(row["D"]), prec)
     flat["N"] = _dec(_parse_enc(row["N"]), prec)
-    for src, dst in (
-        ("lin_bound", "lin_bound"),
-        ("xmin", "xmin"),
-        ("q_right", "q_right"),
-        ("q_left", "q_left"),
-        ("un", "un"),
-        ("diff", "diff"),
-    ):
-        enc = row[src]
-        flat[f"{dst}_lo"] = "" if enc is None else enc["lo"]
-        flat[f"{dst}_hi"] = "" if enc is None else enc["hi"]
+    for key in ("y", "lin_bound", "xmin", "q_right", "q_left", "un", "diff"):
+        enc = row[key]
+        flat[f"{key}_lo"] = "" if enc is None else enc["lo"]
+        flat[f"{key}_hi"] = "" if enc is None else enc["hi"]
     return flat
+
+
+def _pool_size(jobs: int, tasks: int) -> int:
+    """Worker processes for a parallel sweep: never more than tasks or CPUs."""
+    return min(jobs, tasks, os.cpu_count() or 1)
 
 
 def _rows_bounds(args) -> tuple[list[str], list[dict]]:
@@ -283,8 +273,9 @@ def _rows_bounds(args) -> tuple[list[str], list[dict]]:
             tasks.append((n, kind, policy, args.prec))
     if not tasks:
         raise CliError("no (n, kind) pairs in range (new needs even n >= 4)")
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+    workers = _pool_size(args.jobs, len(tasks))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_bounds_worker, tasks))
     else:
         rows = [_bounds_worker(t) for t in tasks]
@@ -386,9 +377,9 @@ def _rows_diff(args) -> tuple[list[str], list[dict]]:
 def eigvec_rows(n_max: int, prec: int) -> list[dict]:
     rows = []
     for n in range(1, n_max + 1):
-        dp = bounds_mod.eulerian_diagonal(n)
-        enc = spectra.psd_interval_left(dp, prec)
-        kv = spectra.boundary_kernel_vector(dp, enc, prec)
+        kv = spectra.boundary_kernel_vector(
+            bounds_mod.eulerian_diagonal(n), bounds_mod.eulerian_x_min(n, prec), prec
+        )
         for idx, entry in enumerate(kv.entries):
             rows.append(
                 {
@@ -647,6 +638,9 @@ def _emit(args, header: list[str], rows: list[dict]) -> str:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    # Each command starts from an empty x_min cache, as a fresh process
+    # does, so its work never depends on what ran before it in-process.
+    bounds_mod.eulerian_x_min.cache_clear()
     try:
         if args.prec < 16:
             raise CliError("prec must be >= 16")

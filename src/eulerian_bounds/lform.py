@@ -176,6 +176,8 @@ def eulerian_lform(n: int, monomial: Monomial) -> Fraction:
 
 def eulerian_lform_table(n: int) -> LFormTable:
     """Total closed-form L table for the n-variable Eulerian polynomial."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
     return LFormTable(
         n=n, values={m: eulerian_lform(n, m) for m in monomials_up_to_3(n)}
     )

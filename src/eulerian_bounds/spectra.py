@@ -2,10 +2,11 @@
 
 Three certified quantities live here:
 
-- the left endpoint of the PSD interval of a diagonal pencil, found by
-  bisection where every step is decided by the exact rational PSD test
-  (entries grow like 8^n, so floating eigensolvers lose certification
-  long before the desk-scale range ends; exact sign tests do not);
+- the left endpoint x_min of the PSD interval of a diagonal pencil, read
+  off the roots of the integer polynomial det(A0 + x A_sum) and certified
+  by two exact rational PSD tests (entries grow like 8^n, so floating
+  eigensolvers lose certification long before the desk-scale range ends;
+  exact sign tests do not);
 - an approximate kernel vector of the pencil at that boundary, computed
   with extended-precision floats;
 - enclosures of the extreme (leftmost / rightmost) real roots of a
@@ -19,6 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath
+from sympy.polys.densebasic import dup_strip
 from sympy.polys.domains import ZZ
 from sympy.polys.rootisolation import dup_isolate_real_roots_sqf
 from sympy.polys.sqfreetools import dup_sqf_part
@@ -35,41 +37,102 @@ __all__ = [
     "DEFAULT_PREC",
 ]
 
-# Doubling the bracket below -2^64 without leaving the PSD region means
-# the pencil is PSD far beyond any Eulerian boundary.
-_UNBOUNDED_GUARD = Fraction(-(2**64))
-
-
 def _is_psd_at(p: DiagonalPencil, x: Fraction) -> bool:
     return psd_certificate(p.at(x)).is_psd
+
+
+def _bareiss_det(a: list[list[int]]) -> int:
+    # Fraction-free elimination (Bareiss 1968): every division is exact,
+    # and a zero pivot swaps in a lower row.  Works in place.
+    sign, prev = 1, 1
+    for k in range(len(a) - 1):
+        swap = next((i for i in range(k, len(a)) if a[i][k]), None)
+        if swap is None:
+            return 0
+        if swap != k:
+            a[k], a[swap], sign = a[swap], a[k], -sign
+        pivot, tail = a[k][k], a[k][k + 1:]
+        for row in a[k + 1:]:
+            f = row[k]
+            row[k + 1:] = [
+                (v * pivot - f * w) // prev for v, w in zip(row[k + 1:], tail)
+            ]
+        prev = pivot
+    return sign * a[-1][-1] if a else 1
+
+
+def _det_polynomial(a0, a_sum) -> list[int]:
+    # Descending integer coefficients of det(a0 + x a_sum) up to a positive
+    # factor, degree <= s: values at x = 0..s, Newton forward differences
+    # (the j-th is divisible by j!), then Horner in the falling factorials.
+    lcm = math.lcm(*(v.denominator for m in (a0, a_sum) for row in m for v in row))
+    a0, a_sum = ([[int(v * lcm) for v in row] for row in m] for m in (a0, a_sum))
+    s, newton = len(a0), []
+    values = [
+        _bareiss_det([[u + k * v for u, v in zip(r0, r1)] for r0, r1 in zip(a0, a_sum)])
+        for k in range(s + 1)
+    ]
+    for j in range(s + 1):
+        newton.append(values[0] // math.factorial(j))
+        values = [b - a for a, b in zip(values, values[1:])]
+    desc = [newton[s]]
+    for j in range(s - 1, -1, -1):
+        desc = [c - j * d for c, d in zip(desc + [0], [0] + desc)]
+        desc[-1] += newton[j]
+    return desc
+
+
+def _range_restriction(a0, a_sum) -> list[list[list[Fraction]]]:
+    # Echelon rows b_1..b_r of [a0; a_sum] span the complement of the
+    # common kernel, which every A0 + x A_sum kills; the congruence
+    # B M B^T therefore keeps the PSD status of each M.
+    rows, basis = [[Fraction(v) for v in row] for row in a0 + a_sum], []
+    for col in range(len(a0)):
+        pivot = next((row for row in rows if row[col]), None)
+        if pivot is not None:
+            basis.append(pivot)
+            rows = [[v - row[col] / pivot[col] * w for v, w in zip(row, pivot)]
+                    for row in rows if row is not pivot]
+    return [[[sum(bi * mij * cj for bi, row in zip(b, m) for mij, cj in zip(row, c))
+              for c in basis] for b in basis] for m in (a0, a_sum)]
+
+
+def _fraction(q) -> Fraction:
+    return Fraction(int(q.numerator), int(q.denominator))
 
 
 def psd_interval_left(p: DiagonalPencil, prec: int = DEFAULT_PREC) -> AlgebraicBound:
     """Enclose x_min = inf{x : A0 + x A_sum is PSD} to width 2**-prec.
 
-    Maintains a bracket [lo, hi] with the pencil not PSD at lo and PSD at
-    hi, so the endpoint lies in (lo, hi]; each midpoint is decided
-    exactly.
+    The PSD set on the line is an interval containing 0 on which, off the
+    common kernel of A0 and A_sum, the pencil is nonsingular except at its
+    ends; so x_min is a nonpositive root of f(x) = det(A0 + x A_sum) taken
+    on that complement.  The roots of f are isolated exactly and walked
+    right to left: the first whose enclosure is not PSD at ``lo`` is
+    x_min.  The answer rests only on the two exact tests, not PSD at
+    ``lo`` and PSD at ``hi``, so x_min lies in (lo, hi].
     """
     if prec < 16:
         raise ValueError("prec must be >= 16")
     if not _is_psd_at(p, Fraction(0)):
         raise ValueError("A0 is not PSD")
-    hi = Fraction(0)
-    lo = Fraction(-1)
-    while _is_psd_at(p, lo):
-        hi = lo
-        lo *= 2
-        if lo < _UNBOUNDED_GUARD:
-            raise ValueError("unbounded below: pencil PSD past the guard bound")
+    a0, a_sum = p.a0.entries, p.a_sum.entries
+    desc = _det_polynomial(a0, a_sum)
+    if not any(desc):
+        desc = _det_polynomial(*_range_restriction(a0, a_sum))
+    if not any(desc):
+        # Still singular everywhere: the PSD set has no interior, so it is {0}.
+        desc = [1, 0]
+    fs = dup_sqf_part(dup_strip([ZZ(c) for c in desc]), ZZ)
+    desc_sqf = [int(c) for c in fs]
     tol = Fraction(1, 2**prec)
-    while hi - lo > tol:
-        mid = (lo + hi) / 2
-        if _is_psd_at(p, mid):
-            hi = mid
-        else:
-            lo = mid
-    return AlgebraicBound(lo, hi)
+    for a, b in reversed(dup_isolate_real_roots_sqf(fs, ZZ, sup=0, fast=True)):
+        enc = _refine_root(desc_sqf, _fraction(a), _fraction(b), tol, exact=False)
+        if not _is_psd_at(p, enc.lo):
+            if not _is_psd_at(p, enc.hi):
+                raise ArithmeticError("x_min enclosure is not PSD at hi")
+            return enc
+    raise ValueError("unbounded below: pencil PSD left of every determinant root")
 
 
 @dataclass(frozen=True)
@@ -92,18 +155,14 @@ class KernelVector:
 def _refine_boundary(
     p: DiagonalPencil, x: AlgebraicBound, width: Fraction
 ) -> AlgebraicBound:
-    lo, hi = x.lo, x.hi
-    if hi - lo <= width:
+    if x.width <= width:
         return x
-    if _is_psd_at(p, lo) or not _is_psd_at(p, hi):
+    if _is_psd_at(p, x.lo) or not _is_psd_at(p, x.hi):
         raise ValueError("x does not bracket the PSD boundary")
-    while hi - lo > width:
-        mid = (lo + hi) / 2
-        if _is_psd_at(p, mid):
-            hi = mid
-        else:
-            lo = mid
-    return AlgebraicBound(lo, hi)
+    # Both brackets hold x_min in (lo, hi], so their intersection does too.
+    bits = (width.denominator // width.numerator).bit_length()
+    fine = psd_interval_left(p, max(16, bits))
+    return AlgebraicBound(max(x.lo, fine.lo), min(x.hi, fine.hi))
 
 
 def boundary_kernel_vector(
@@ -166,11 +225,9 @@ def boundary_kernel_vector(
         )
 
 
-def _descending_integer_coeffs(p: UnivariatePolynomial) -> list[int]:
-    lcm = 1
-    for c in p.coeffs:
-        lcm = lcm * c.denominator // math.gcd(lcm, c.denominator)
-    return [int(c * lcm) for c in reversed(p.coeffs)]
+def _integer_coeffs(coeffs: list[Fraction]) -> list[int]:
+    lcm = math.lcm(*(c.denominator for c in coeffs))
+    return [int(c * lcm) for c in coeffs]
 
 
 def _sign_at(desc: list[int], point: Fraction) -> int:
@@ -193,22 +250,21 @@ def _deflate(desc: list[int], root: Fraction) -> list[int]:
         quot.append(acc)
     if quot.pop() != 0:
         raise ValueError(f"{root} is not a root")
-    lcm = 1
-    for c in quot:
-        lcm = lcm * c.denominator // math.gcd(lcm, c.denominator)
-    return [int(c * lcm) for c in quot]
+    return _integer_coeffs(quot)
 
 
 def _refine_root(
-    desc: list[int], lo: Fraction, hi: Fraction, tol: Fraction
+    desc: list[int], lo: Fraction, hi: Fraction, tol: Fraction, exact: bool = True
 ) -> AlgebraicBound:
     # Bisect a bracket around the single root inside the open isolating
     # interval.  An endpoint may be a *different* root of the polynomial
     # (isolating intervals share endpoints); deflating it restores a
     # clean sign change.  The bisection path is deterministic, so
-    # enclosures at higher precision nest inside earlier ones.
+    # enclosures at higher precision nest inside earlier ones.  With
+    # ``exact`` false a rational root r is never returned as a point: it
+    # stays the hi end of a bracket whose lo is not a root.
     if lo == hi:
-        return AlgebraicBound.exact(lo)
+        return AlgebraicBound.exact(lo) if exact else AlgebraicBound(lo - tol, lo)
     while _sign_at(desc, lo) == 0:
         desc = _deflate(desc, lo)
     while _sign_at(desc, hi) == 0:
@@ -219,7 +275,7 @@ def _refine_root(
     while hi - lo > tol:
         mid = (lo + hi) / 2
         smid = _sign_at(desc, mid)
-        if smid == 0:
+        if smid == 0 and exact:
             return AlgebraicBound.exact(mid)
         if smid == slo:
             lo = mid
@@ -241,7 +297,7 @@ def extreme_roots(
     """
     if p.degree < 1:
         raise ValueError("constant polynomial has no roots")
-    desc = _descending_integer_coeffs(p)
+    desc = _integer_coeffs(list(reversed(p.coeffs)))
     if desc[-1] == 0:
         raise ValueError("roots are not all negative: 0 is a root")
     f = [ZZ(c) for c in desc]
@@ -254,14 +310,10 @@ def extreme_roots(
         )
     desc_sqf = [int(c) for c in fs]
     tol = Fraction(1, 2**prec)
-
-    def to_fraction(q) -> Fraction:
-        return Fraction(int(q.numerator), int(q.denominator))
-
     la, lb = intervals[0]
     ra, rb = intervals[-1]
-    left = _refine_root(desc_sqf, to_fraction(la), to_fraction(lb), tol)
-    right = _refine_root(desc_sqf, to_fraction(ra), to_fraction(rb), tol)
+    left = _refine_root(desc_sqf, _fraction(la), _fraction(lb), tol)
+    right = _refine_root(desc_sqf, _fraction(ra), _fraction(rb), tol)
     if right.hi > 0:
         raise ValueError("roots are not all negative")
     return left, right

@@ -8,7 +8,8 @@ from fractions import Fraction
 import pytest
 
 from eulerian_bounds import bound_report
-from eulerian_bounds.cli import bound_report_from_dict, emit_plot, main
+from eulerian_bounds import bounds as bounds_mod
+from eulerian_bounds.cli import _pool_size, bound_report_from_dict, emit_plot, main
 
 
 def run_cli(capsys, args):
@@ -116,6 +117,18 @@ class TestBounds:
         _, serial, _ = run_cli(capsys, args)
         _, parallel, _ = run_cli(capsys, args + ["--jobs", "2"])
         assert serial == parallel
+
+    def test_both_kinds_share_one_x_min(self, capsys, monkeypatch):
+        calls = []
+        real = bounds_mod.psd_interval_left
+        monkeypatch.setattr(
+            bounds_mod, "psd_interval_left", lambda *a: calls.append(a) or real(*a)
+        )
+        for _ in range(2):
+            code, _, _ = run_cli(capsys, ["bounds", "--n-min", "4", "--n-max", "4"])
+            assert code == 0
+        # Once per command: the second command starts from an empty cache.
+        assert [dp.size for dp, _ in calls] == [5, 5]
 
     def test_range_cap(self, capsys):
         code, out, err = run_cli(
@@ -231,6 +244,34 @@ class TestErrors:
         code, _, err = run_cli(capsys, ["counts", "--n", "12"])
         assert code == 2
         assert "brute force" in json.loads(err)["error"]
+
+    def one_line_error(self, capsys, args):
+        code, out, err = run_cli(capsys, args)
+        assert code == 2 and out == "" and err.count("\n") == 1
+        return json.loads(err)["error"]
+
+    @pytest.mark.parametrize("n", ("0", "-3"))
+    def test_pencil_nonpositive_n(self, capsys, n):
+        assert self.one_line_error(capsys, ["pencil", "--n", n]) == "n must be >= 1"
+
+    @pytest.mark.parametrize("n", ("0", "-1"))
+    def test_counts_nonpositive_n(self, capsys, n):
+        assert self.one_line_error(capsys, ["counts", "--n", n]) == "n must be >= 1"
+
+    def test_counts_cap_ignores_allow_large(self, capsys):
+        plain = self.one_line_error(capsys, ["counts", "--n", "10"])
+        lifted = self.one_line_error(capsys, ["counts", "--n", "10", "--allow-large"])
+        assert plain == lifted
+        assert "brute force" in plain and "does not lift" in plain
+
+    def test_pool_size_clamp(self, monkeypatch):
+        monkeypatch.setattr("os.cpu_count", lambda: 2)
+        assert _pool_size(8, 5) == 2
+        assert _pool_size(8, 1) == 1
+        assert _pool_size(1, 5) == 1
+        assert _pool_size(0, 5) == 0
+        monkeypatch.setattr("os.cpu_count", lambda: None)
+        assert _pool_size(4, 5) == 1
 
     def test_empty_plot_rejected(self):
         with pytest.raises(Exception, match="empty data"):

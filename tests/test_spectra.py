@@ -4,13 +4,16 @@ from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from eulerian_bounds.enclosure import sqrt_enclosure
+from eulerian_bounds.enclosure import AlgebraicBound, sqrt_enclosure
 from eulerian_bounds.eulerian import polynomialize, univariate_eulerian
 from eulerian_bounds.pencil import (
     DiagonalPencil,
     SymmetricRationalMatrix,
     eulerian_diagonal_pencil,
+    psd_certificate,
 )
 from eulerian_bounds.spectra import (
     boundary_kernel_vector,
@@ -28,6 +31,61 @@ def diag_pencil(a0_rows, sum_rows) -> DiagonalPencil:
 
 def overlaps(a, b) -> bool:
     return a.lo <= b.hi and b.lo <= a.hi
+
+
+def is_psd_at(p: DiagonalPencil, x) -> bool:
+    return psd_certificate(p.at(x)).is_psd
+
+
+def bisection_x_min(p: DiagonalPencil, prec: int) -> AlgebraicBound:
+    """Independent oracle: bisect with an exact PSD decision at every step.
+
+    Keeps the pencil not PSD at lo and PSD at hi; doubling the bracket
+    past -2^64 without leaving the PSD region counts as unbounded.
+    """
+    if not is_psd_at(p, 0):
+        raise ValueError("A0 is not PSD")
+    hi, lo = Fraction(0), Fraction(-1)
+    while is_psd_at(p, lo):
+        hi, lo = lo, 2 * lo
+        if lo < -(2**64):
+            raise ValueError("unbounded below")
+    while hi - lo > Fraction(1, 2**prec):
+        mid = (lo + hi) / 2
+        if is_psd_at(p, mid):
+            hi = mid
+        else:
+            lo = mid
+    return AlgebraicBound(lo, hi)
+
+
+def certified_boundary(p: DiagonalPencil, enc: AlgebraicBound) -> bool:
+    return is_psd_at(p, enc.hi) and not is_psd_at(p, enc.lo)
+
+
+def transpose_product(a, b):
+    return [[sum(a[k][i] * b[k][j] for k in range(len(a))) for j in range(len(b[0]))]
+            for i in range(len(a[0]))]
+
+
+@st.composite
+def psd_pencils(draw) -> DiagonalPencil:
+    """Integer pencils of size <= 4 with A0 = G^T G PSD, often singular.
+
+    A congruence by a square C that may be singular gives the two
+    matrices a common kernel.
+    """
+    s = draw(st.integers(1, 4))
+    row = st.lists(st.integers(-3, 3), min_size=s, max_size=s)
+    g = draw(st.lists(row, min_size=1, max_size=s))
+    a0 = transpose_product(g, g)
+    upper = draw(st.lists(st.integers(-4, 4), min_size=s * s, max_size=s * s))
+    a_sum = [[upper[min(i, j) * s + max(i, j)] for j in range(s)] for i in range(s)]
+    if draw(st.booleans()):
+        c = draw(st.lists(row, min_size=s, max_size=s))
+        a0 = transpose_product(c, transpose_product(a0, c))
+        a_sum = transpose_product(c, transpose_product(a_sum, c))
+    return diag_pencil(a0, a_sum)
 
 
 class TestPsdIntervalLeft:
@@ -70,6 +128,54 @@ class TestPsdIntervalLeft:
         wide = psd_interval_left(dp, 64)
         tight = psd_interval_left(dp, 128)
         assert wide.encloses(tight)
+
+    def test_n1_identically_zero_determinant(self):
+        # A0 = A_sum = [[1, 1], [1, 1]]: det(A0 + x A_sum) vanishes for
+        # every x, and the common kernel (1, -1) has to be split off.
+        dp = eulerian_diagonal_pencil(1)
+        assert all(dp.at(x).entries == ((1 + x, 1 + x), (1 + x, 1 + x)) for x in (0, 3))
+        enc = psd_interval_left(dp, 64)
+        assert enc == AlgebraicBound(-1 - Fraction(1, 2**64), Fraction(-1))
+        assert certified_boundary(dp, enc)
+
+    def test_exact_dyadic_root_keeps_a_non_psd_lo(self):
+        dp = diag_pencil([[1, 0], [0, 1]], [[1, 0], [0, 2]])
+        for prec in (16, 64):
+            enc = psd_interval_left(dp, prec)
+            assert enc.hi == Fraction(-1, 2) and 0 < enc.width <= Fraction(1, 2**prec)
+            assert certified_boundary(dp, enc)
+
+    def test_psd_set_is_a_single_point(self):
+        # PSD only at x = 0: det = -x^2, a double root at the origin.
+        dp = diag_pencil([[1, 0], [0, 0]], [[0, 1], [1, 0]])
+        enc = psd_interval_left(dp, 32)
+        assert enc.hi == 0 and certified_boundary(dp, enc)
+
+    @pytest.mark.parametrize("n", range(4, 13))
+    def test_lo_not_psd_hi_psd(self, n):
+        dp = eulerian_diagonal_pencil(n)
+        enc = psd_interval_left(dp, 128)
+        assert enc.width <= Fraction(1, 2**128)
+        assert certified_boundary(dp, enc)
+
+    @pytest.mark.parametrize("n", (2, 7))
+    def test_matches_bisection_oracle(self, n):
+        dp = eulerian_diagonal_pencil(n)
+        assert overlaps(psd_interval_left(dp, 96), bisection_x_min(dp, 96))
+
+    @settings(max_examples=150, deadline=None)
+    @given(psd_pencils())
+    def test_property_matches_bisection_oracle(self, dp):
+        try:
+            oracle = bisection_x_min(dp, 32)
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=str(exc)):
+                psd_interval_left(dp, 32)
+            return
+        enc = psd_interval_left(dp, 32)
+        assert overlaps(enc, oracle)
+        assert enc.width <= Fraction(1, 2**32)
+        assert certified_boundary(dp, enc)
 
 
 class TestKernelVector:
