@@ -13,8 +13,6 @@ from .bounds import (
     QuadraticInY,
     RatioDiagnostic,
     bound_report,
-    closed_form_DN,
-    eulerian_diagonal,
     eulerian_guess_quadratics,
     guess_vector,
     linearized_DN,
@@ -88,14 +86,12 @@ __all__ = [
     "bound_report",
     "boundary_kernel_vector",
     "build_pencil",
-    "closed_form_DN",
     "closed_form_R",
     "count_exact_bruteforce",
     "count_formula",
     "descent_top_counts",
     "descent_top_set",
     "diagonal_pencil",
-    "eulerian_diagonal",
     "eulerian_diagonal_pencil",
     "eulerian_guess_quadratics",
     "eulerian_lform",

@@ -12,10 +12,7 @@ vectors are built in, both with a free first entry y:
 D(y) and N(y) are exact quadratics in y.  The optimal y is a quadratic
 surd; the new family deliberately reuses the optimum derived from the
 old family's quadratics (with the opposite sign), which is the choice
-that makes its D and N positive.  ``closed_form_DN`` carries a second,
-fully expanded entry of the same quantities; its exact agreement with
-the pencil quadratics is a tested invariant, and the quadratic form is
-normative on any disagreement.
+that makes its D and N positive.
 
 The univariate reference bound un(n) comes from the 2x2 pencil of the
 univariate Eulerian polynomial; its PSD endpoint is a quadratic root.
@@ -29,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Optional, Union
 
 from .enclosure import (
     DEFAULT_PREC,
@@ -40,8 +37,7 @@ from .eulerian import univariate_eulerian
 from .pencil import (
     DiagonalPencil,
     SymmetricRationalMatrix,
-    diagonal_pencil,
-    eulerian_pencil,
+    eulerian_diagonal_pencil,
     psd_certificate,
 )
 from .spectra import extreme_roots, psd_interval_left
@@ -56,13 +52,11 @@ __all__ = [
     "eulerian_guess_quadratics",
     "optimal_y",
     "paper_y",
-    "closed_form_DN",
     "univariate_bound",
     "univariate_pencil_endpoint",
     "bound_report",
     "optimize_y_numeric",
     "ratio_diagnostic",
-    "eulerian_diagonal",
 ]
 
 Rat = Union[int, Fraction]
@@ -177,19 +171,14 @@ def linearized_DN(
 
 
 @lru_cache(maxsize=None)
-def eulerian_diagonal(n: int) -> DiagonalPencil:
-    return diagonal_pencil(eulerian_pencil(n))
-
-
-@lru_cache(maxsize=None)
 def eulerian_x_min(n: int, prec: int) -> AlgebraicBound:
     """Certified x_min of the Eulerian diagonal pencil, once per (n, prec)."""
-    return psd_interval_left(eulerian_diagonal(n), prec)
+    return psd_interval_left(eulerian_diagonal_pencil(n), prec)
 
 
 @lru_cache(maxsize=None)
 def eulerian_guess_quadratics(n: int, kind: str) -> tuple[QuadraticInY, QuadraticInY]:
-    return linearized_DN(eulerian_diagonal(n), guess_vector(kind, n))
+    return linearized_DN(eulerian_diagonal_pencil(n), guess_vector(kind, n))
 
 
 def _critical_coefficients(
@@ -232,191 +221,6 @@ def paper_y(n: int, kind: str, prec: int = DEFAULT_PREC) -> AlgebraicBound:
     """The y each family is analyzed at; always from old-vector quadratics."""
     d_old, n_old = eulerian_guess_quadratics(n, "old")
     return optimal_y(kind, n, d_old, n_old, prec)
-
-
-def _pow(base: int, e: int) -> Fraction:
-    return Fraction(base) ** e
-
-
-def closed_form_DN(kind: str, n: int, y: Rat) -> tuple[Fraction, Fraction]:
-    """Evaluate the expanded D and N expressions exactly at rational y.
-
-    A deliberate second entry of the quantities ``linearized_DN``
-    computes (old family in n, new family in m = n/2), kept term by term
-    and unsimplified so the agreement probe catches transcription slips
-    in either route.
-    """
-    y = Fraction(y)
-    if kind == "old":
-        d = (
-            10
-            - _pow(2, 2 + n)
-            + _pow(2, 2 + 2 * n)
-            - 2 * _pow(3, 1 + n)
-            + n
-            + 4 * y
-            - _pow(2, 1 + n) * y
-            + n * y
-            + y * (4 - _pow(2, 1 + n) + n + n * y)
-        )
-        nn = (
-            -10
-            + _pow(2, 3 + n)
-            - Fraction(1, 3) * _pow(2, 3 + 2 * n)
-            - Fraction(1, 3) * _pow(2, 4 + 2 * n)
-            + Fraction(1, 7) * _pow(2, 4 + 3 * n)
-            + Fraction(1, 7) * _pow(2, 5 + 3 * n)
-            + 2 * _pow(3, n)
-            - 4 * _pow(3, 1 + n)
-            + 2 * _pow(3, 2 + n)
-            - Fraction(1, 5) * _pow(2, 1 + n) * _pow(3, 3 + n)
-            - _pow(4, 1 + n)
-            + _pow(4, 2 + n)
-            - _pow(6, 2 + n) / 5
-            + _pow(8, 1 + n) / 7
-            - n
-            - 8 * y
-            - _pow(2, 2 + n) * y
-            + _pow(2, 3 + n) * y
-            - Fraction(1, 3) * _pow(2, 3 + 2 * n) * y
-            - Fraction(1, 3) * _pow(2, 4 + 2 * n) * y
-            + 4 * _pow(3, 1 + n) * y
-            - 2 * n * y
-            - 2 * y * y
-            + _pow(2, 1 + n) * y * y
-            - n * y * y
-        )
-        return d, nn
-    if kind == "new":
-        if n % 2:
-            raise ValueError("new-family closed form needs even n")
-        m = n // 2
-        d = (
-            -Fraction(1, 12)
-            + _pow(2, 3 * m)
-            + _pow(2, 2 + m)
-            + 5 * _pow(2, -3 + 2 * m)
-            - 7 * _pow(2, -1 + 2 * m)
-            + 3 * _pow(2, 1 + 3 * m)
-            - _pow(2, 3 + 3 * m)
-            + Fraction(1, 3) * _pow(2, 2 + 4 * m)
-            + Fraction(1, 3) * _pow(2, 3 + 4 * m)
-            - 2 * _pow(3, -1 + m)
-            - _pow(2, 4 + m) * _pow(3, -1 + m)
-            + _pow(3, m)
-            - _pow(2, 1 + m) * _pow(3, m)
-            - _pow(3, 1 + m)
-            + _pow(2, 2 + m) * _pow(3, 1 + m)
-            - 2 * _pow(3, 1 + 2 * m)
-            - Fraction(11, 3) * _pow(4, -2 + m)
-            + m
-            - _pow(2, 3 * m) * m
-            - 5 * _pow(2, -4 + 2 * m) * m
-            - _pow(2, -3 + 2 * m) * m
-            + _pow(2, -1 + 2 * m) * m
-            + _pow(4, -2 + m) * m
-            + _pow(2, -4 + 2 * m) * m * m
-            + (
-                -3
-                + _pow(2, -1 + m)
-                + _pow(2, 1 + m)
-                - _pow(2, 2 + m)
-                + _pow(2, 2 + 2 * m)
-                - 2 * m
-                - _pow(2, -1 + m) * m
-            )
-            * y
-            + 2 * m * y * y
-        )
-        nn = (
-            Fraction(1, 12)
-            + _pow(2, 2 * m)
-            - _pow(2, 3 * m)
-            + 5 * _pow(2, 4 * m)
-            - _pow(2, 2 + m)
-            + Fraction(11, 3) * _pow(2, -4 + 2 * m)
-            - 5 * _pow(2, -3 + 2 * m)
-            - 7 * _pow(2, -1 + 2 * m)
-            + 3 * _pow(2, 1 + 2 * m)
-            + 9 * _pow(2, -3 + 3 * m)
-            - 47 * _pow(2, -2 + 3 * m)
-            + 3 * _pow(2, -1 + 3 * m)
-            - _pow(2, 2 + 3 * m)
-            - Fraction(1, 7) * _pow(2, 3 + 3 * m)
-            + Fraction(1, 7) * _pow(2, 4 + 3 * m)
-            + Fraction(5, 7) * _pow(2, 5 + 3 * m)
-            - Fraction(27, 5) * _pow(2, -3 + 4 * m)
-            + 5 * _pow(2, -1 + 4 * m)
-            - _pow(2, 1 + 4 * m)
-            + _pow(2, 1 + 5 * m)
-            + 3 * _pow(2, 2 + 5 * m)
-            - _pow(2, 4 + 5 * m)
-            + Fraction(1, 7) * _pow(2, 3 + 6 * m)
-            + Fraction(1, 3) * _pow(2, 4 + 6 * m)
-            + Fraction(1, 21) * _pow(2, 5 + 6 * m)
-            + 2 * _pow(3, -1 + m)
-            - 11 * _pow(2, 2 * m) * _pow(3, -1 + m)
-            - Fraction(1, 5) * _pow(2, 3 + m) * _pow(3, -1 + m)
-            + _pow(2, 4 + m) * _pow(3, -1 + m)
-            + 13 * _pow(2, 2 + 2 * m) * _pow(3, -1 + m)
-            - _pow(2, 5 + 3 * m) * _pow(3, -1 + m)
-            - _pow(3, m)
-            - _pow(2, -1 + m) * _pow(3, m)
-            + _pow(2, 1 + m) * _pow(3, m)
-            + 7 * _pow(2, -1 + 2 * m) * _pow(3, m)
-            - _pow(2, 2 + 3 * m) * _pow(3, m)
-            + _pow(3, 1 + m)
-            - _pow(2, 2 + m) * _pow(3, 1 + m)
-            - _pow(2, 3 + 2 * m) * _pow(3, 1 + m)
-            + _pow(2, 3 + 3 * m) * _pow(3, 1 + m)
-            - _pow(2, 1 + 2 * m) * _pow(3, 2 + m)
-            + _pow(2, -2 + 2 * m) * _pow(3, 3 + m)
-            + 4 * _pow(3, 1 + 2 * m)
-            - _pow(2, m) * _pow(3, 1 + 2 * m)
-            - _pow(2, 1 + m) * _pow(3, 1 + 2 * m)
-            + _pow(2, 2 + m) * _pow(3, 1 + 2 * m)
-            - Fraction(1, 5) * _pow(2, 2 + 2 * m) * _pow(3, 1 + 2 * m)
-            + _pow(6, m)
-            - _pow(6, 1 + m)
-            - Fraction(13, 5) * _pow(6, 1 + 2 * m)
-            - m
-            - _pow(2, 2 * m) * m
-            + _pow(2, 3 * m) * m
-            + 5 * _pow(2, -3 + 2 * m) * m
-            + _pow(2, -2 + 2 * m) * m
-            - 5 * _pow(2, -2 + 4 * m) * m
-            - _pow(2, -1 + 4 * m) * m
-            + _pow(2, 1 + 4 * m) * m
-            - _pow(2, 1 + 5 * m) * m
-            + _pow(2, 1 + 2 * m) * _pow(3, -1 + m) * m
-            + _pow(2, -2 + 2 * m) * _pow(3, m) * m
-            - _pow(2, -1 + 2 * m) * _pow(3, 1 + m) * m
-            + _pow(2, -1 + m) * _pow(3, 1 + 2 * m) * m
-            - _pow(2, -4 + 2 * m) * m * m
-            + _pow(2, -3 + 4 * m) * m * m
-            + (
-                3
-                - 3 * _pow(2, -1 + m)
-                + _pow(2, m)
-                + 5 * _pow(2, 3 * m)
-                + _pow(2, 1 + m)
-                - _pow(2, 2 + 2 * m)
-                + _pow(2, 1 + 3 * m)
-                - _pow(2, 3 + 3 * m)
-                + _pow(2, 3 + 4 * m)
-                - _pow(2, 4 + m) * _pow(3, -1 + m)
-                - _pow(2, 1 + m) * _pow(3, m)
-                + _pow(2, 2 + m) * _pow(3, 1 + m)
-                - 4 * _pow(3, 1 + 2 * m)
-                + 2 * m
-                + _pow(2, -1 + m) * m
-                - _pow(2, 3 * m) * m
-            )
-            * y
-            + (-2 + _pow(2, 1 + 2 * m) - 2 * m) * y * y
-        )
-        return d, nn
-    raise ValueError(f"unknown vector kind {kind!r}")
 
 
 def _univariate_diagonal(n: int) -> tuple[DiagonalPencil, tuple[Fraction, ...]]:
@@ -504,24 +308,22 @@ def bound_report(
     ``with_endpoint`` / ``with_roots`` control the expensive exact
     pencil-endpoint and root-enclosure fields.
     """
-    if kind not in KINDS:
-        raise ValueError(f"unknown vector kind {kind!r}")
-    if kind == "new" and (n % 2 or n < 4):
-        raise ValueError("new vector defined for even n >= 4")
-    # Guard bits: pencil entries grow like 8^n, so evaluating the
-    # quadratics at an interval y loses about 3n bits of width.
-    guard = prec + 3 * n + 64
     d_q, n_q = eulerian_guess_quadratics(n, kind)
-    if y_policy == "paper":
-        y = paper_y(n, kind, guard)
-    elif y_policy == "numeric-optimal":
-        y, _ = optimize_y_numeric(n, kind, guard)
-    elif y_policy == "given":
+    if y_policy == "given":
         if given_y is None:
             raise ValueError("y_policy='given' needs given_y")
         y = AlgebraicBound.exact(given_y)
-    else:
+    elif y_policy not in ("paper", "numeric-optimal"):
         raise ValueError(f"unknown y policy {y_policy!r}")
+    elif not any(_critical_coefficients(d_q, n_q)):
+        # N/D does not depend on y (n = 1, where D = N), so every y is optimal.
+        y = AlgebraicBound.exact(0)
+    elif y_policy == "paper":
+        # Guard bits: pencil entries grow like 8^n, so evaluating the
+        # quadratics at an interval y loses about 3n bits of width.
+        y = paper_y(n, kind, prec + 3 * n + 64)
+    else:
+        y, _ = optimize_y_numeric(n, kind, prec)
     d_val = d_q.at(y)
     n_val = n_q.at(y)
     lin = -(d_val / n_val)
@@ -560,8 +362,6 @@ def optimize_y_numeric(
     N.c2/D.c2, attained by the degenerate vector e_0, is checked as the
     endpoint competitor but never wins at desk scale.
     """
-    if kind not in KINDS:
-        raise ValueError(f"unknown vector kind {kind!r}")
     guard = prec + 3 * n + 64
     d_q, n_q = eulerian_guess_quadratics(n, kind)
     a, b, c = _critical_coefficients(d_q, n_q)

@@ -377,9 +377,7 @@ def _rows_diff(args) -> tuple[list[str], list[dict]]:
 def eigvec_rows(n_max: int, prec: int) -> list[dict]:
     rows = []
     for n in range(1, n_max + 1):
-        kv = spectra.boundary_kernel_vector(
-            bounds_mod.eulerian_diagonal(n), bounds_mod.eulerian_x_min(n, prec), prec
-        )
+        kv = spectra.boundary_kernel_vector(pencil.eulerian_diagonal_pencil(n), prec)
         for idx, entry in enumerate(kv.entries):
             rows.append(
                 {
@@ -569,7 +567,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--prec",
             type=int,
-            default=int(os.environ.get(PREC_ENV_VAR, DEFAULT_PREC)),
+            default=None,
             help="certification precision in bits (>= 16)",
         )
         p.add_argument("--allow-large", action="store_true")
@@ -612,6 +610,16 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _default_prec() -> int:
+    raw = os.environ.get(PREC_ENV_VAR)
+    if raw is None:
+        return DEFAULT_PREC
+    try:
+        return int(raw)
+    except ValueError:
+        raise CliError(f"{PREC_ENV_VAR}={raw!r} is not an integer") from None
+
+
 _BUILDERS = {
     "counts": _rows_counts,
     "lform": _rows_lform,
@@ -642,19 +650,21 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     # does, so its work never depends on what ran before it in-process.
     bounds_mod.eulerian_x_min.cache_clear()
     try:
+        if args.prec is None:
+            args.prec = _default_prec()
         if args.prec < 16:
             raise CliError("prec must be >= 16")
         header, rows = _BUILDERS[args.command](args)
         text = _emit(args, header, rows)
-    except (CliError, ValueError, ZeroDivisionError, ArithmeticError) as exc:
+        if args.output:
+            with open(args.output, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
+    except (CliError, ValueError, ZeroDivisionError, ArithmeticError, OSError) as exc:
         payload = {"error": str(exc), "command": args.command}
         print(json.dumps(payload), file=sys.stderr)
         return 2
-    if args.output:
-        with open(args.output, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
     return 0
 
 

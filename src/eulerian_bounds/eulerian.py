@@ -70,13 +70,6 @@ class UnivariatePolynomial:
             acc = acc * x + c
         return acc
 
-    def derivative(self) -> "UnivariatePolynomial":
-        if len(self.coeffs) == 1:
-            return UnivariatePolynomial((Fraction(0),))
-        return UnivariatePolynomial.from_coeffs(
-            k * c for k, c in enumerate(self.coeffs) if k > 0
-        )
-
     def is_palindromic(self) -> bool:
         return self.coeffs == tuple(reversed(self.coeffs))
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Sequence
 
 from .lform import LFormTable, eulerian_lform_table
@@ -138,17 +139,19 @@ def build_pencil(table: LFormTable) -> LinearMatrixPencil:
 
 
 def diagonal_pencil(p: LinearMatrixPencil) -> DiagonalPencil:
-    """Sum every coefficient matrix A_1 .. A_n entrywise."""
-    total = p.ai[0]
-    for m in p.ai[1:]:
-        total = total + m
-    return DiagonalPencil(a0=p.a0, a_sum=total)
+    """Sum every coefficient matrix A_1 .. A_n entrywise, in one pass."""
+    a_sum = tuple(
+        tuple(sum(cell) for cell in zip(*rows))
+        for rows in zip(*(m.entries for m in p.ai))
+    )
+    return DiagonalPencil(a0=p.a0, a_sum=SymmetricRationalMatrix(a_sum))
 
 
 def eulerian_pencil(n: int) -> LinearMatrixPencil:
     return build_pencil(eulerian_lform_table(n))
 
 
+@lru_cache(maxsize=None)
 def eulerian_diagonal_pencil(n: int) -> DiagonalPencil:
     return diagonal_pencil(eulerian_pencil(n))
 

@@ -101,6 +101,17 @@ def _fraction(q) -> Fraction:
     return Fraction(int(q.numerator), int(q.denominator))
 
 
+def _isolate(
+    desc: list[int], sup=None
+) -> tuple[list[int], list[tuple[Fraction, Fraction]]]:
+    # The squarefree part of an integer polynomial (descending
+    # coefficients) and the isolating intervals of its real roots <= sup,
+    # left to right, from exact continued-fraction isolation.
+    fs = dup_sqf_part(dup_strip([ZZ(c) for c in desc]), ZZ)
+    intervals = dup_isolate_real_roots_sqf(fs, ZZ, sup=sup, fast=True)
+    return [int(c) for c in fs], [(_fraction(a), _fraction(b)) for a, b in intervals]
+
+
 def psd_interval_left(p: DiagonalPencil, prec: int = DEFAULT_PREC) -> AlgebraicBound:
     """Enclose x_min = inf{x : A0 + x A_sum is PSD} to width 2**-prec.
 
@@ -123,11 +134,10 @@ def psd_interval_left(p: DiagonalPencil, prec: int = DEFAULT_PREC) -> AlgebraicB
     if not any(desc):
         # Still singular everywhere: the PSD set has no interior, so it is {0}.
         desc = [1, 0]
-    fs = dup_sqf_part(dup_strip([ZZ(c) for c in desc]), ZZ)
-    desc_sqf = [int(c) for c in fs]
+    desc_sqf, intervals = _isolate(desc, sup=0)
     tol = Fraction(1, 2**prec)
-    for a, b in reversed(dup_isolate_real_roots_sqf(fs, ZZ, sup=0, fast=True)):
-        enc = _refine_root(desc_sqf, _fraction(a), _fraction(b), tol, exact=False)
+    for a, b in reversed(intervals):
+        enc = _refine_root(desc_sqf, a, b, tol, exact=False)
         if not _is_psd_at(p, enc.lo):
             if not _is_psd_at(p, enc.hi):
                 raise ArithmeticError("x_min enclosure is not PSD at hi")
@@ -152,33 +162,19 @@ class KernelVector:
     prec: int
 
 
-def _refine_boundary(
-    p: DiagonalPencil, x: AlgebraicBound, width: Fraction
-) -> AlgebraicBound:
-    if x.width <= width:
-        return x
-    if _is_psd_at(p, x.lo) or not _is_psd_at(p, x.hi):
-        raise ValueError("x does not bracket the PSD boundary")
-    # Both brackets hold x_min in (lo, hi], so their intersection does too.
-    bits = (width.denominator // width.numerator).bit_length()
-    fine = psd_interval_left(p, max(16, bits))
-    return AlgebraicBound(max(x.lo, fine.lo), min(x.hi, fine.hi))
+def boundary_kernel_vector(p: DiagonalPencil, prec: int = DEFAULT_PREC) -> KernelVector:
+    """Kernel direction of A0 + x A_sum at its PSD boundary x_min.
 
-
-def boundary_kernel_vector(
-    p: DiagonalPencil, x: AlgebraicBound, prec: int = DEFAULT_PREC
-) -> KernelVector:
-    """Kernel direction of A0 + x A_sum at the enclosed boundary point.
-
-    The enclosure is first tightened until the distance to the true
-    boundary cannot push the smallest singular value above the residual
-    target 2**(-prec/2); the singular triple is then computed at 2*prec
-    working bits.
+    x_min is enclosed (``psd_interval_left``) at least to 2**-prec and
+    tightly enough that the distance to the true boundary cannot push the
+    smallest singular value above the residual target 2**(-prec/2); the
+    singular triple is then computed at 2*prec working bits.
     """
     s = p.size
     norm_bound = s * max(Fraction(1), p.a_sum.max_abs_entry())
-    target = Fraction(1, 2 ** (prec // 2))
-    x = _refine_boundary(p, x, target / (4 * norm_bound))
+    width = Fraction(1, 2 ** (prec // 2)) / (4 * norm_bound)
+    bits = (width.denominator // width.numerator).bit_length()
+    x = psd_interval_left(p, max(prec, bits))
     mid = x.midpoint
     matrix = p.at(mid)
     scale = s * (
@@ -300,20 +296,15 @@ def extreme_roots(
     desc = _integer_coeffs(list(reversed(p.coeffs)))
     if desc[-1] == 0:
         raise ValueError("roots are not all negative: 0 is a root")
-    f = [ZZ(c) for c in desc]
-    fs = dup_sqf_part(f, ZZ)
-    intervals = dup_isolate_real_roots_sqf(fs, ZZ, fast=True)
-    if len(intervals) != len(fs) - 1:
+    desc_sqf, intervals = _isolate(desc)
+    if len(intervals) != len(desc_sqf) - 1:
         raise ValueError(
             f"not real-rooted: {len(intervals)} distinct real roots, "
-            f"squarefree degree {len(fs) - 1}"
+            f"squarefree degree {len(desc_sqf) - 1}"
         )
-    desc_sqf = [int(c) for c in fs]
     tol = Fraction(1, 2**prec)
-    la, lb = intervals[0]
-    ra, rb = intervals[-1]
-    left = _refine_root(desc_sqf, _fraction(la), _fraction(lb), tol)
-    right = _refine_root(desc_sqf, _fraction(ra), _fraction(rb), tol)
+    left = _refine_root(desc_sqf, *intervals[0], tol)
+    right = _refine_root(desc_sqf, *intervals[-1], tol)
     if right.hi > 0:
         raise ValueError("roots are not all negative")
     return left, right

@@ -17,7 +17,6 @@ import pytest
 
 from eulerian_bounds.bounds import (
     bound_report,
-    eulerian_diagonal,
     eulerian_guess_quadratics,
     optimize_y_numeric,
     paper_y,
@@ -138,7 +137,7 @@ def test_criterion_04_a0_psd():
 def test_criterion_05_soundness_chain():
     failures = []
     for n in range(4, 17, 2):
-        x_min = psd_interval_left(eulerian_diagonal(n), PREC)
+        x_min = psd_interval_left(eulerian_diagonal_pencil(n), PREC)
         q_left, q_right = extreme_roots(univariate_eulerian(n), PREC)
         for kind in ("old", "new"):
             r = bound_report(n, kind, prec=PREC, with_endpoint=False, with_roots=False)
@@ -151,7 +150,7 @@ def test_criterion_05_soundness_chain():
             if not chain:
                 failures.append(f"chain broken at n={n} kind={kind}")
     for n in (1, 2):
-        x_min = psd_interval_left(eulerian_diagonal(n), PREC)
+        x_min = psd_interval_left(eulerian_diagonal_pencil(n), PREC)
         _, q_right = extreme_roots(univariate_eulerian(n), PREC)
         if abs(x_min.midpoint - q_right.midpoint) > TOL_EXACT_MATCH:
             failures.append(f"x_min != q_right at n={n} beyond 2^-100")
@@ -283,8 +282,8 @@ def test_criterion_09_optimizer_dominance():
 def test_criterion_10_figure_one_qualitative():
     vectors = {}
     for n in range(4, 11, 2):
-        dp = eulerian_diagonal(n)
-        kv = boundary_kernel_vector(dp, psd_interval_left(dp, PREC), PREC)
+        dp = eulerian_diagonal_pencil(n)
+        kv = boundary_kernel_vector(dp, PREC)
         vectors[n] = [float(e) for e in kv.entries]
     v10 = vectors[10]
     m = 5

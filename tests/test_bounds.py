@@ -8,8 +8,6 @@ from eulerian_bounds.bounds import (
     GuessVector,
     QuadraticInY,
     bound_report,
-    closed_form_DN,
-    eulerian_diagonal,
     eulerian_guess_quadratics,
     guess_vector,
     linearized_DN,
@@ -21,7 +19,13 @@ from eulerian_bounds.bounds import (
     univariate_pencil_endpoint,
 )
 from eulerian_bounds.enclosure import AlgebraicBound, sqrt_enclosure
-from eulerian_bounds.pencil import DiagonalPencil, SymmetricRationalMatrix
+from eulerian_bounds.pencil import (
+    DiagonalPencil,
+    SymmetricRationalMatrix,
+    eulerian_diagonal_pencil,
+)
+
+from closed_forms import closed_form_DN
 
 SAMPLED_Y = [Fraction(0), Fraction(1), Fraction(-1), Fraction(1, 2), Fraction(-1, 2)]
 
@@ -80,7 +84,7 @@ class TestLinearizedDN:
 
     def test_n1_all_ones_vector(self):
         v = GuessVector(kind="custom", n=1, entries=(Fraction(1), Fraction(1)))
-        d, nq = linearized_DN(eulerian_diagonal(1), v)
+        d, nq = linearized_DN(eulerian_diagonal_pencil(1), v)
         assert d.c0 == 4 and nq.c0 == 4
         assert -d.c0 / nq.c0 == -1
 
@@ -92,7 +96,7 @@ class TestLinearizedDN:
     def test_length_mismatch(self):
         v = guess_vector("old", 3)
         with pytest.raises(ValueError, match="length"):
-            linearized_DN(eulerian_diagonal(2), v)
+            linearized_DN(eulerian_diagonal_pencil(2), v)
 
 
 class TestClosedFormAgreement:
@@ -224,6 +228,13 @@ class TestBoundReport:
         dq, nq = eulerian_guess_quadratics(4, "old")
         assert r.d_value.contains(dq(Fraction(1, 2)))
         assert r.n_value.contains(nq(Fraction(1, 2)))
+
+    def test_numeric_optimal_y_is_guarded_once(self):
+        # Both policies enclose the same old-family y at the same width.
+        for n in range(2, 13):
+            lite = dict(prec=64, with_endpoint=False, with_roots=False)
+            optimal = bound_report(n, "old", "numeric-optimal", **lite)
+            assert optimal.y == bound_report(n, "old", "paper", **lite).y, n
 
     def test_policy_validation(self):
         with pytest.raises(ValueError, match="given_y"):

@@ -1,11 +1,14 @@
 """CLI surface: formats, determinism, round-trips, and error exits."""
 
+import contextlib
 import csv
 import io
 import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eulerian_bounds import bound_report
 from eulerian_bounds import bounds as bounds_mod
@@ -129,6 +132,20 @@ class TestBounds:
             assert code == 0
         # Once per command: the second command starts from an empty cache.
         assert [dp.size for dp, _ in calls] == [5, 5]
+
+    @pytest.mark.parametrize("policy", ("paper", "optimal"))
+    def test_n1_row_is_tight(self, capsys, policy):
+        code, out, _ = run_cli(
+            capsys,
+            ["bounds", "--n-min", "1", "--n-max", "2", "--y", policy,
+             "--format", "json", "--prec", "64"],
+        )
+        assert code == 0
+        rows = json.loads(out)["rows"]
+        assert [r["n"] for r in rows] == [1, 2]
+        n1 = bound_report_from_dict(rows[0])
+        assert n1.mult.contains(1)
+        assert n1.difference.contains(0)
 
     def test_range_cap(self, capsys):
         code, out, err = run_cli(
@@ -273,6 +290,71 @@ class TestErrors:
         monkeypatch.setattr("os.cpu_count", lambda: None)
         assert _pool_size(4, 5) == 1
 
+    def test_unwritable_output(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "x.csv"
+        args = ["bounds", "--n-min", "4", "--n-max", "4", "--output", str(target)]
+        assert "No such file" in self.one_line_error(capsys, args)
+
+    def test_non_integer_prec_env_var(self, capsys, monkeypatch):
+        monkeypatch.setenv("EULERIAN_BOUNDS_PREC", "abc")
+        error = self.one_line_error(capsys, ["roots", "--n-max", "3"])
+        assert "EULERIAN_BOUNDS_PREC" in error
+
     def test_empty_plot_rejected(self):
         with pytest.raises(Exception, match="empty data"):
             emit_plot([], "eigvec")
+
+
+SMALL = st.integers(-2, 8)
+
+# Each subcommand's flags: (flag, values, required).  --jobs is never
+# fuzzed, and diff always gets both index bounds (its defaults reach n = 24).
+FUZZ_FLAGS = {
+    "counts": [("--n", st.integers(-2, 7), True)],
+    "lform": [("--n", SMALL, True)],
+    "pencil": [("--n", SMALL, True)],
+    "bounds": [
+        ("--n-min", SMALL, True),
+        ("--n-max", SMALL, True),
+        ("--kind", st.sampled_from(("old", "new", "both")), False),
+        ("--y", st.sampled_from(("paper", "optimal")), False),
+    ],
+    "roots": [("--n-min", SMALL, False), ("--n-max", SMALL, True)],
+    "diff": [
+        ("--kind", st.sampled_from(("old", "new")), True),
+        ("--index-min", SMALL, True),
+        ("--index-max", SMALL, True),
+    ],
+    "eigvec": [("--n-max", st.integers(-2, 6), False)],
+}
+PLOTS = ("diff", "eigvec")
+
+
+@st.composite
+def small_argv(draw):
+    command = draw(st.sampled_from(sorted(FUZZ_FLAGS)))
+    argv = [command]
+    for flag, values, required in FUZZ_FLAGS[command]:
+        value = draw(values if required else st.none() | values)
+        if value is not None:
+            argv += [flag, str(value)]
+    prec = draw(st.none() | st.integers(-2, 64))
+    if prec is not None:
+        argv += ["--prec", str(prec)]
+    formats = ("csv", "json", "svg") if command in PLOTS else ("csv", "json")
+    return argv + ["--format", draw(st.sampled_from(formats))]
+
+
+@given(small_argv())
+@settings(max_examples=50, deadline=None)
+def test_argv_fuzz_exits_0_or_2_with_one_json_line(argv):
+    out, err = io.StringIO(), io.StringIO()
+    # An exception escaping main fails the test: that is the traceback.
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 2)
+    if code == 2:
+        text = err.getvalue()
+        assert text.count("\n") == 1 and text.endswith("\n")
+        assert "error" in json.loads(text)
+        assert out.getvalue() == ""

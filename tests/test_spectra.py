@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from eulerian_bounds import spectra
 from eulerian_bounds.enclosure import AlgebraicBound, sqrt_enclosure
 from eulerian_bounds.eulerian import polynomialize, univariate_eulerian
 from eulerian_bounds.pencil import (
@@ -181,14 +182,14 @@ class TestPsdIntervalLeft:
 class TestKernelVector:
     def test_n1_degenerate(self):
         dp = eulerian_diagonal_pencil(1)
-        kv = boundary_kernel_vector(dp, psd_interval_left(dp, 128), 128)
+        kv = boundary_kernel_vector(dp, 128)
         assert kv.degenerate
         norm = mpmath.norm(mpmath.matrix(kv.entries))
         assert norm > 0
 
     def test_n10_structure(self):
         dp = eulerian_diagonal_pencil(10)
-        kv = boundary_kernel_vector(dp, psd_interval_left(dp, 128), 128)
+        kv = boundary_kernel_vector(dp, 128)
         assert not kv.degenerate
         assert kv.normalization == "last-entry"
         entries = [float(e) for e in kv.entries]
@@ -199,25 +200,34 @@ class TestKernelVector:
 
     def test_residual_contract(self):
         dp = eulerian_diagonal_pencil(6)
-        kv = boundary_kernel_vector(dp, psd_interval_left(dp, 96), 96)
+        kv = boundary_kernel_vector(dp, 96)
         assert kv.residual <= mpmath.mpf(2) ** (-48)
 
-    def test_wide_enclosure_gets_refined(self):
-        dp = eulerian_diagonal_pencil(4)
-        rough = psd_interval_left(dp, 16)
-        kv = boundary_kernel_vector(dp, rough, 96)
-        assert kv.residual <= mpmath.mpf(2) ** (-48)
+    def test_wide_enclosure_gets_refined(self, monkeypatch):
+        # At low prec 2**-prec is too wide for the residual target, so the
+        # boundary is enclosed at the finer width that target needs.
+        dp = eulerian_diagonal_pencil(10)
+        precs = []
+        real = spectra.psd_interval_left
 
-    def test_non_boundary_enclosure_rejected(self):
+        def recording(p, prec):
+            precs.append(prec)
+            return real(p, prec)
+
+        monkeypatch.setattr(spectra, "psd_interval_left", recording)
+        kv = boundary_kernel_vector(dp, 32)
+        assert len(precs) == 1 and precs[0] > 32
+        assert kv.residual <= mpmath.mpf(2) ** (-16)
+
+    def test_non_boundary_enclosure_rejected(self, monkeypatch):
+        # An enclosure away from the boundary trips the residual guard.
         dp = eulerian_diagonal_pencil(4)
-        # A wide bracket away from the boundary fails the endpoint check;
-        # a narrow one survives refinement but trips the residual guard.
-        wide = psd_interval_left(dp, 16) - Fraction(1, 2)
-        with pytest.raises(ValueError, match="bracket"):
-            boundary_kernel_vector(dp, wide, 96)
-        narrow = psd_interval_left(dp, 64) - Fraction(1, 2)
+        real = spectra.psd_interval_left
+        monkeypatch.setattr(
+            spectra, "psd_interval_left", lambda p, prec: real(p, prec) - Fraction(1, 2)
+        )
         with pytest.raises(ArithmeticError, match="residual"):
-            boundary_kernel_vector(dp, narrow, 64)
+            boundary_kernel_vector(dp, 64)
 
 
 class TestExtremeRoots:
