@@ -153,11 +153,12 @@ def _mono_str(mono: tuple[int, ...]) -> str:
 
 def _rows_lform(args) -> tuple[list[str], list[dict]]:
     n = args.n
-    if n > 12 and not args.allow_large:
-        raise CliError(f"lform table needs the multivariate polynomial; n={n} > 12 "
-                       "(pass --allow-large to wait it out)")
-    trunc = lform.Truncation3.from_multi_affine(eulerian.multivariate_eulerian(n))
-    generic = lform.lform_from_truncation(trunc)
+    if n > MAX_BOUNDS_N and not args.allow_large:
+        raise CliError(
+            f"n={n} exceeds the desk-scale cap {MAX_BOUNDS_N}; "
+            "pass --allow-large to proceed"
+        )
+    generic = lform.lform_from_truncation(lform.Truncation3.eulerian(n))
     header = ["monomial", "closed_form", "from_truncation", "equal"]
     rows = []
     for mono in lform.monomials_up_to_3(n):

@@ -10,7 +10,10 @@ Two independent routes are provided: ``lform_from_truncation`` derives
 L(m) generically from the degree-3 truncation of any p, while
 ``eulerian_lform`` evaluates closed forms specific to the multivariate
 Eulerian family.  Their agreement over the Eulerian polynomials is a
-tested invariant.
+tested invariant.  The Eulerian truncation itself (``Truncation3.eulerian``)
+is read off descent-top counts, O(n^3) coefficients of at most eight
+summands each, so the full 2^n-term multivariate polynomial is never
+expanded; the expansion stays in the tests as the oracle for it.
 
 Monomials are written as sorted index tuples with repetition:
 () is 1, (i,) is x_i, (i, i, j) is x_i^2 x_j.
@@ -21,9 +24,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Mapping
+from typing import Callable, Iterator, Mapping
 
-from .eulerian import MultiAffinePolynomial
+from .eulerian import MultiAffinePolynomial, count_formula
 
 __all__ = [
     "Monomial",
@@ -62,14 +65,33 @@ class Truncation3:
         return self.coeffs.get(tuple(sorted(indices)), Fraction(0))
 
     @staticmethod
-    def from_multi_affine(p: MultiAffinePolynomial) -> "Truncation3":
+    def _from_subsets(n: int, coefficient: Callable[[Monomial], int]) -> "Truncation3":
+        # p is multi-affine of degree n: only square-free monomials occur.
         coeffs: dict[Monomial, Fraction] = {}
         for size in (1, 2, 3):
-            for combo in itertools.combinations(range(1, p.n + 1), size):
-                c = p.coefficient(combo)
+            for combo in itertools.combinations(range(1, n + 1), size):
+                c = coefficient(combo)
                 if c:
                     coeffs[combo] = Fraction(c)
-        return Truncation3(n=p.n, degree=p.n, coeffs=coeffs)
+        return Truncation3(n=n, degree=n, coeffs=coeffs)
+
+    @staticmethod
+    def from_multi_affine(p: MultiAffinePolynomial) -> "Truncation3":
+        return Truncation3._from_subsets(p.n, p.coefficient)
+
+    @staticmethod
+    def eulerian(n: int) -> "Truncation3":
+        """The truncation of the multivariate Eulerian polynomial A_n(x, 1).
+
+        The coefficient of x_S counts the permutations of [n+1] whose
+        descent-top set is exactly {i+1 : i in S} (variable i tags top
+        value i+1); each count is the deletion sum of ``count_formula``.
+        """
+        if n < 1:
+            raise ValueError("n must be >= 1")
+        return Truncation3._from_subsets(
+            n, lambda combo: count_formula(n, [i + 1 for i in combo], "deletion")
+        )
 
 
 @dataclass(frozen=True)

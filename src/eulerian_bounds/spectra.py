@@ -8,9 +8,11 @@ Three certified quantities live here:
   eigensolvers lose certification long before the desk-scale range ends;
   exact sign tests do not);
 - an approximate kernel vector of the pencil at that boundary, computed
-  with extended-precision floats;
+  with extended-precision floats, with the exact corank there read off
+  the multiplicity of x_min as a root of the same determinant;
 - enclosures of the extreme (leftmost / rightmost) real roots of a
-  real-rooted univariate polynomial, via exact root isolation.
+  real-rooted univariate polynomial, via exact root isolation, each
+  re-checked for a sign change before it is returned.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import mpmath
 from sympy.polys.densebasic import dup_strip
 from sympy.polys.domains import ZZ
 from sympy.polys.rootisolation import dup_isolate_real_roots_sqf
-from sympy.polys.sqfreetools import dup_sqf_part
+from sympy.polys.sqfreetools import dup_sqf_list, dup_sqf_part
 
 from .enclosure import DEFAULT_PREC, AlgebraicBound
 from .eulerian import UnivariatePolynomial
@@ -82,19 +84,37 @@ def _det_polynomial(a0, a_sum) -> list[int]:
     return desc
 
 
-def _range_restriction(a0, a_sum) -> list[list[list[Fraction]]]:
-    # Echelon rows b_1..b_r of [a0; a_sum] span the complement of the
-    # common kernel, which every A0 + x A_sum kills; the congruence
-    # B M B^T therefore keeps the PSD status of each M.
-    rows, basis = [[Fraction(v) for v in row] for row in a0 + a_sum], []
-    for col in range(len(a0)):
+def _row_basis(rows) -> list[list[Fraction]]:
+    # Echelon rows spanning the row space, by exact elimination.
+    rows, basis = [[Fraction(v) for v in row] for row in rows], []
+    for col in range(len(rows[0]) if rows else 0):
         pivot = next((row for row in rows if row[col]), None)
         if pivot is not None:
             basis.append(pivot)
             rows = [[v - row[col] / pivot[col] * w for v, w in zip(row, pivot)]
                     for row in rows if row is not pivot]
+    return basis
+
+
+def _range_restriction(a0, a_sum) -> list[list[list[Fraction]]]:
+    # Echelon rows b_1..b_r of [a0; a_sum] span the complement of the
+    # common kernel, which every A0 + x A_sum kills; the congruence
+    # B M B^T therefore keeps the PSD status of each M.
+    basis = _row_basis(a0 + a_sum)
     return [[[sum(bi * mij * cj for bi, row in zip(b, m) for mij, cj in zip(row, c))
               for c in basis] for b in basis] for m in (a0, a_sum)]
+
+
+def _boundary_polynomial(p: DiagonalPencil) -> tuple[list[int], int]:
+    # det(A0 + x A_sum) up to a positive factor, taken on the complement
+    # of the common kernel when it vanishes identically, and the dimension
+    # of that kernel.  All zero when the restriction is singular too.
+    a0, a_sum = p.a0.entries, p.a_sum.entries
+    desc = _det_polynomial(a0, a_sum)
+    if any(desc):
+        return desc, 0
+    b0, b_sum = _range_restriction(a0, a_sum)
+    return _det_polynomial(b0, b_sum), len(a0) - len(b0)
 
 
 def _fraction(q) -> Fraction:
@@ -127,10 +147,7 @@ def psd_interval_left(p: DiagonalPencil, prec: int = DEFAULT_PREC) -> AlgebraicB
         raise ValueError("prec must be >= 16")
     if not _is_psd_at(p, Fraction(0)):
         raise ValueError("A0 is not PSD")
-    a0, a_sum = p.a0.entries, p.a_sum.entries
-    desc = _det_polynomial(a0, a_sum)
-    if not any(desc):
-        desc = _det_polynomial(*_range_restriction(a0, a_sum))
+    desc, _ = _boundary_polynomial(p)
     if not any(desc):
         # Still singular everywhere: the PSD set has no interior, so it is {0}.
         desc = [1, 0]
@@ -152,7 +169,8 @@ class KernelVector:
     Entries are extended-precision floats; ``normalization`` records
     whether the final entry was scaled to 1 or, when that entry is
     negligible, the vector was scaled by its sup norm with the last
-    nonzero entry positive.  ``degenerate`` flags numerical corank > 1.
+    nonzero entry positive.  ``degenerate`` flags an exact corank > 1 of
+    the pencil at x_min.
     """
 
     entries: tuple[mpmath.mpf, ...]
@@ -169,17 +187,19 @@ def boundary_kernel_vector(p: DiagonalPencil, prec: int = DEFAULT_PREC) -> Kerne
     tightly enough that the distance to the true boundary cannot push the
     smallest singular value above the residual target 2**(-prec/2); the
     singular triple is then computed at 2*prec working bits.
+
+    The corank behind ``degenerate`` is exact.  For x_min < 0 the PSD
+    interval has interior points, where the pencil is positive definite
+    off the common kernel K of A0 and A_sum; so the corank at x_min is
+    dim K plus the multiplicity of x_min as a root of the determinant
+    taken off K.  For x_min = 0 the matrix is A0 itself.
     """
     s = p.size
     norm_bound = s * max(Fraction(1), p.a_sum.max_abs_entry())
     width = Fraction(1, 2 ** (prec // 2)) / (4 * norm_bound)
     bits = (width.denominator // width.numerator).bit_length()
     x = psd_interval_left(p, max(prec, bits))
-    mid = x.midpoint
-    matrix = p.at(mid)
-    scale = s * (
-        p.a0.max_abs_entry() + abs(mid) * p.a_sum.max_abs_entry()
-    )
+    matrix = p.at(x.midpoint)
 
     with mpmath.workprec(2 * prec + 32):
         a = mpmath.matrix(s, s)
@@ -189,9 +209,6 @@ def boundary_kernel_vector(p: DiagonalPencil, prec: int = DEFAULT_PREC) -> Kerne
                 a[i, j] = mpmath.mpf(e.numerator) / mpmath.mpf(e.denominator)
         _, sigma, vt = mpmath.svd_r(a)
         order = sorted(range(s), key=lambda k: abs(sigma[k]))
-        scale_mp = mpmath.mpf(scale.numerator) / mpmath.mpf(scale.denominator)
-        null_tol = max(scale_mp, mpmath.mpf(1)) * mpmath.mpf(2) ** (-(prec // 4))
-        degenerate = s > 1 and abs(sigma[order[1]]) < null_tol
         v = [vt[order[0], j] for j in range(s)]
 
         sup = max(abs(c) for c in v)
@@ -215,7 +232,7 @@ def boundary_kernel_vector(p: DiagonalPencil, prec: int = DEFAULT_PREC) -> Kerne
         return KernelVector(
             entries=tuple(v),
             normalization=normalization,
-            degenerate=bool(degenerate),
+            degenerate=_boundary_corank(p, x) > 1,
             residual=residual,
             prec=prec,
         )
@@ -247,6 +264,30 @@ def _deflate(desc: list[int], root: Fraction) -> list[int]:
     if quot.pop() != 0:
         raise ValueError(f"{root} is not a root")
     return _integer_coeffs(quot)
+
+
+def _root_multiplicity(desc: list[int], enc: AlgebraicBound) -> int:
+    # Multiplicity of the one root of desc in (lo, hi]: the power of the
+    # squarefree factor that vanishes there (a root at lo is deflated).
+    _, factors = dup_sqf_list(dup_strip([ZZ(c) for c in desc]), ZZ)
+    for g, k in factors:
+        g = [int(c) for c in g]
+        if _sign_at(g, enc.hi) == 0:
+            return k
+        while _sign_at(g, enc.lo) == 0:
+            g = _deflate(g, enc.lo)
+        if _sign_at(g, enc.lo) != _sign_at(g, enc.hi):
+            return k
+    raise ArithmeticError("no determinant root in the x_min enclosure")
+
+
+def _boundary_corank(p: DiagonalPencil, x: AlgebraicBound) -> int:
+    # Exact corank of the pencil at x_min in (x.lo, x.hi], by the rule in
+    # boundary_kernel_vector's docstring.
+    desc, kernel_dim = _boundary_polynomial(p)
+    if x.hi == 0 and _sign_at(desc, x.hi) == 0:  # x_min = 0: the matrix is A0
+        return p.size - len(_row_basis(p.a0.entries))
+    return kernel_dim + _root_multiplicity(desc, x)
 
 
 def _refine_root(
@@ -307,4 +348,9 @@ def extreme_roots(
     right = _refine_root(desc_sqf, *intervals[-1], tol)
     if right.hi > 0:
         raise ValueError("roots are not all negative")
+    for enc in (left, right):
+        slo, shi = _sign_at(desc_sqf, enc.lo), _sign_at(desc_sqf, enc.hi)
+        exact_root = enc.lo == enc.hi and slo == 0
+        if not exact_root and slo * shi >= 0:
+            raise ArithmeticError(f"root enclosure [{enc.lo}, {enc.hi}] has no sign change")
     return left, right

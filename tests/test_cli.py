@@ -4,6 +4,7 @@ import contextlib
 import csv
 import io
 import json
+import math
 from fractions import Fraction
 
 import pytest
@@ -50,6 +51,13 @@ class TestLform:
         assert rows and all(r["equal"] == "True" for r in rows)
         unit = next(r for r in rows if r["monomial"] == "1")
         assert unit["closed_form"] == "4"
+
+    def test_bounds_cap_reached(self, capsys):
+        code, out, _ = run_cli(capsys, ["lform", "--n", "20"])
+        assert code == 0
+        rows = parse_csv(out)
+        assert len(rows) == math.comb(23, 3)
+        assert all(r["equal"] == "True" for r in rows)
 
 
 class TestPencil:
@@ -274,6 +282,16 @@ class TestErrors:
     @pytest.mark.parametrize("n", ("0", "-1"))
     def test_counts_nonpositive_n(self, capsys, n):
         assert self.one_line_error(capsys, ["counts", "--n", n]) == "n must be >= 1"
+
+    @pytest.mark.parametrize("n", ("0", "-1"))
+    def test_lform_nonpositive_n(self, capsys, n):
+        assert self.one_line_error(capsys, ["lform", "--n", n]) == "n must be >= 1"
+
+    def test_lform_cap(self, capsys):
+        error = self.one_line_error(capsys, ["lform", "--n", "21"])
+        assert error == "n=21 exceeds the desk-scale cap 20; pass --allow-large to proceed"
+        code, out, _ = run_cli(capsys, ["lform", "--n", "21", "--allow-large"])
+        assert code == 0 and len(parse_csv(out)) == math.comb(24, 3)
 
     def test_counts_cap_ignores_allow_large(self, capsys):
         plain = self.one_line_error(capsys, ["counts", "--n", "10"])

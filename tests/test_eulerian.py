@@ -109,12 +109,21 @@ class TestMultivariateEulerian:
             assert p.coefficient([i]) == 2**i - 1
 
     def test_pair_coefficients_count_descent_top_pairs(self):
-        p = multivariate_eulerian(4)
-        for i, j in itertools.combinations(range(1, 5), 2):
-            # Variable k tags descent-top value k+1.
-            assert p.coefficient([i, j]) == count_exact_bruteforce(
-                4, {i + 1, j + 1}
-            )
+        for n in range(2, 9):
+            p = multivariate_eulerian(n)
+            for i, j in itertools.combinations(range(1, n + 1), 2):
+                # Variable k tags descent-top value k+1.
+                assert p.coefficient([i, j]) == count_exact_bruteforce(
+                    n, {i + 1, j + 1}
+                )
+
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_triple_coefficients_count_descent_top_triples(self, n):
+        p = multivariate_eulerian(n)
+        for combo in itertools.combinations(range(1, n + 1), 3):
+            assert p.coefficient(combo) == count_exact_bruteforce(
+                n, {i + 1 for i in combo}
+            ), combo
 
     def test_bad_variable_index(self):
         with pytest.raises(ValueError):

@@ -122,6 +122,23 @@ class TestTruncationRoute:
             assert table(mono) == oracle(mono), mono
 
 
+class TestCountTruncation:
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_equals_multivariate_lifting(self, n):
+        lifted = Truncation3.from_multi_affine(multivariate_eulerian(n))
+        assert Truncation3.eulerian(n) == lifted
+
+    @pytest.mark.parametrize("n", (11, 12, 20))
+    def test_table_matches_closed_forms_past_the_lifting(self, n):
+        generic = lform_from_truncation(Truncation3.eulerian(n))
+        assert generic.values == eulerian_lform_table(n).values
+
+    @pytest.mark.parametrize("n", (0, -1))
+    def test_nonpositive_n_rejected(self, n):
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            Truncation3.eulerian(n)
+
+
 class TestEulerianClosedForms:
     def test_unit_monomial(self):
         assert eulerian_lform(5, ()) == 5

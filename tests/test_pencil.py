@@ -22,6 +22,35 @@ def M(rows):
     return SymmetricRationalMatrix.from_rows(rows)
 
 
+def exact_det(rows) -> Fraction:
+    # Gaussian elimination over the rationals, with row swaps.
+    a = [[Fraction(v) for v in row] for row in rows]
+    det = Fraction(1)
+    for k in range(len(a)):
+        pivot = next((i for i in range(k, len(a)) if a[i][k]), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != k:
+            a[k], a[pivot], det = a[pivot], a[k], -det
+        det *= a[k][k]
+        for i in range(k + 1, len(a)):
+            f = a[i][k] / a[k][k]
+            a[i] = [v - f * w for v, w in zip(a[i], a[k])]
+    return det
+
+
+@st.composite
+def symmetric_integer_matrices(draw):
+    size = draw(st.integers(min_value=1, max_value=5))
+    ints = st.integers(min_value=-3, max_value=3)
+    if draw(st.booleans()):
+        # A sum of few integer squares: PSD and often singular.
+        rows = draw(st.lists(st.lists(ints, min_size=size, max_size=size), max_size=3))
+        return [[sum(r[i] * r[j] for r in rows) for j in range(size)] for i in range(size)]
+    upper = {(i, j): draw(ints) for i in range(size) for j in range(i, size)}
+    return [[upper[min(i, j), max(i, j)] for j in range(size)] for i in range(size)]
+
+
 class TestMatrixType:
     def test_symmetry_enforced(self):
         with pytest.raises(ValueError, match="not symmetric"):
@@ -158,3 +187,15 @@ class TestPsdCertificate:
             # PSD answers must survive every +-1 probe.
             for v in itertools.product((-1, 0, 1), repeat=3):
                 assert mat.quadratic_form(v) >= 0
+
+    @given(symmetric_integer_matrices())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_principal_minors(self, rows):
+        # A symmetric matrix is PSD exactly when every principal minor is >= 0.
+        size = len(rows)
+        minors_ok = all(
+            exact_det([[rows[i][j] for j in idx] for i in idx]) >= 0
+            for r in range(1, size + 1)
+            for idx in itertools.combinations(range(size), r)
+        )
+        assert psd_certificate(M(rows)).is_psd == minors_ok

@@ -198,6 +198,33 @@ class TestKernelVector:
         assert all(0.7 <= e <= 1.3 for e in entries[6:])
         assert entries[1] < -1
 
+    @pytest.mark.parametrize("prec", (32, 128))
+    def test_corank_one_from_n2(self, prec):
+        # The determinant root at x_min is simple for n = 2..16, so the
+        # flag must not depend on n or prec.
+        flags = [
+            boundary_kernel_vector(eulerian_diagonal_pencil(n), prec).degenerate
+            for n in range(1, 17)
+        ]
+        assert flags == [True] + [False] * 15
+
+    def test_double_root_is_degenerate(self):
+        # det(I + x I) = (1 + x)^2: corank 2 at x_min = -1.
+        kv = boundary_kernel_vector(diag_pencil([[1, 0], [0, 1]], [[1, 0], [0, 1]]), 64)
+        assert kv.degenerate
+
+    def test_simple_root_with_common_kernel(self):
+        # Common kernel e_3 plus a simple root at -1: corank 2.
+        dp = diag_pencil([[1, 0, 0], [0, 2, 0], [0, 0, 0]], [[1, 0, 0], [0, 1, 0], [0, 0, 0]])
+        assert boundary_kernel_vector(dp, 64).degenerate
+        dp = diag_pencil([[1, 0], [0, 2]], [[1, 0], [0, 1]])
+        assert not boundary_kernel_vector(dp, 64).degenerate
+
+    def test_point_psd_set_reads_corank_of_a0(self):
+        # PSD only at 0, where det = -x^2 has a double root but A0 has corank 1.
+        dp = diag_pencil([[1, 0], [0, 0]], [[0, 1], [1, 0]])
+        assert not boundary_kernel_vector(dp, 64).degenerate
+
     def test_residual_contract(self):
         dp = eulerian_diagonal_pencil(6)
         kv = boundary_kernel_vector(dp, 96)
@@ -279,6 +306,14 @@ class TestExtremeRoots:
     def test_rejects_constants(self):
         with pytest.raises(ValueError):
             extreme_roots(polynomialize([5]), 64)
+
+    def test_self_check_rejects_enclosure_without_sign_change(self, monkeypatch):
+        real = spectra._refine_root
+        monkeypatch.setattr(
+            spectra, "_refine_root", lambda *args: real(*args) - Fraction(1, 4)
+        )
+        with pytest.raises(ArithmeticError, match="no sign change"):
+            extreme_roots(univariate_eulerian(4), 64)
 
     def test_repeated_roots_squarefree_part(self):
         # (1+x)^2 (2+x): all roots negative, one repeated.
