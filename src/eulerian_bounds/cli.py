@@ -215,38 +215,32 @@ def _bounds_worker(task: tuple[int, str, str, int]) -> dict:
     return _report_to_dict(r)
 
 
+# JSON keys in bounds CSV column order.  The single-column keys include
+# D and N, which are decimals by contract; every other key is an
+# enclosure and becomes a <key>_lo, <key>_hi pair.
+_CSV_KEYS = (
+    "n", "kind", "y", "D", "N", "lin_bound", "xmin", "q_right", "q_left",
+    "un", "diff", "prec_bits",
+)
+_CSV_SINGLE = ("n", "kind", "D", "N", "prec_bits")
 BOUNDS_CSV_COLUMNS = [
-    "n",
-    "kind",
-    "y_lo",
-    "y_hi",
-    "D",
-    "N",
-    "lin_bound_lo",
-    "lin_bound_hi",
-    "xmin_lo",
-    "xmin_hi",
-    "q_right_lo",
-    "q_right_hi",
-    "q_left_lo",
-    "q_left_hi",
-    "un_lo",
-    "un_hi",
-    "diff_lo",
-    "diff_hi",
-    "prec_bits",
+    col
+    for key in _CSV_KEYS
+    for col in ([key] if key in _CSV_SINGLE else [f"{key}_lo", f"{key}_hi"])
 ]
 
 
 def _bounds_row_to_csv(row: dict, prec: int) -> dict:
-    flat = {"n": row["n"], "kind": row["kind"], "prec_bits": row["prec_bits"]}
-    # D and N are single columns by contract; decimals at declared prec.
-    flat["D"] = _dec(_parse_enc(row["D"]), prec)
-    flat["N"] = _dec(_parse_enc(row["N"]), prec)
-    for key in ("y", "lin_bound", "xmin", "q_right", "q_left", "un", "diff"):
-        enc = row[key]
-        flat[f"{key}_lo"] = "" if enc is None else enc["lo"]
-        flat[f"{key}_hi"] = "" if enc is None else enc["hi"]
+    flat = {}
+    for key in _CSV_KEYS:
+        value = row[key]
+        if key in ("D", "N"):
+            flat[key] = _dec(_parse_enc(value), prec)
+        elif key in _CSV_SINGLE:
+            flat[key] = value
+        else:
+            for end in ("lo", "hi"):
+                flat[f"{key}_{end}"] = "" if value is None else value[end]
     return flat
 
 
@@ -647,9 +641,11 @@ def _emit(args, header: list[str], rows: list[dict]) -> str:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    # Each command starts from an empty x_min cache, as a fresh process
-    # does, so its work never depends on what ran before it in-process.
+    # Each command starts from empty x_min and determinant caches, as a
+    # fresh process does, so its work never depends on what ran before it
+    # in-process.
     bounds_mod.eulerian_x_min.cache_clear()
+    spectra._boundary_polynomial.cache_clear()
     try:
         if args.prec is None:
             args.prec = _default_prec()

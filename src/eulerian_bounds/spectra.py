@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import mpmath
 from sympy.polys.densebasic import dup_strip
@@ -105,16 +106,19 @@ def _range_restriction(a0, a_sum) -> list[list[list[Fraction]]]:
               for c in basis] for b in basis] for m in (a0, a_sum)]
 
 
-def _boundary_polynomial(p: DiagonalPencil) -> tuple[list[int], int]:
+@lru_cache(maxsize=1)
+def _boundary_polynomial(p: DiagonalPencil) -> tuple[tuple[int, ...], int]:
     # det(A0 + x A_sum) up to a positive factor, taken on the complement
     # of the common kernel when it vanishes identically, and the dimension
     # of that kernel.  All zero when the restriction is singular too.
+    # Cached for the last pencil, so the corank after psd_interval_left
+    # (boundary_kernel_vector) reuses the determinant instead of redoing it.
     a0, a_sum = p.a0.entries, p.a_sum.entries
     desc = _det_polynomial(a0, a_sum)
     if any(desc):
-        return desc, 0
+        return tuple(desc), 0
     b0, b_sum = _range_restriction(a0, a_sum)
-    return _det_polynomial(b0, b_sum), len(a0) - len(b0)
+    return tuple(_det_polynomial(b0, b_sum)), len(a0) - len(b0)
 
 
 def _fraction(q) -> Fraction:

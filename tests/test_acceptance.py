@@ -42,6 +42,8 @@ from eulerian_bounds.spectra import (
     psd_interval_left,
 )
 
+from enumeration import enumerated_descent_top_counts
+
 PREC = 128
 TOL_EXACT_MATCH = Fraction(1, 2**100)
 
@@ -59,6 +61,8 @@ def test_criterion_01_counting_triple_agreement():
         counts = descent_top_counts(n)
         if sum(counts.values()) != math.factorial(n + 1):
             failures.append(f"partition identity broken at n={n}")
+        if counts != enumerated_descent_top_counts(n):
+            failures.append(f"transfer differs from the S_{n + 1} enumeration at n={n}")
         values = range(2, n + 2)
         for size in range(0, min(3, n) + 1):
             for combo in itertools.combinations(values, size):
@@ -75,7 +79,7 @@ def test_criterion_01_counting_triple_agreement():
         1,
         "counting triple agreement, n <= 8",
         not failures,
-        failures[0] if failures else "all X with |X| <= 3, plus partition identity",
+        failures[0] if failures else "all X with |X| <= 3, partition identity, enumeration",
     )
 
 

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eulerian_bounds.eulerian import (
+    _descent_top_mask_counts,
     closed_form_R,
     count_exact_bruteforce,
     count_formula,
@@ -19,6 +20,8 @@ from eulerian_bounds.eulerian import (
     polynomialize,
     univariate_eulerian,
 )
+
+from enumeration import enumerated_descent_top_counts
 
 
 def descent_count_histogram(n: int) -> list[int]:
@@ -172,6 +175,30 @@ class TestCounting:
     def test_partition_identity(self, n):
         counts = descent_top_counts(n)
         assert sum(counts.values()) == math.factorial(n + 1)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_transfer_matches_enumeration(self, n):
+        assert descent_top_counts(n) == enumerated_descent_top_counts(n)
+
+    @pytest.mark.parametrize("n", range(1, 15))
+    def test_transfer_level_sums_are_eulerian_numbers(self, n):
+        # Beyond the enumeration range: a permutation has as many descent
+        # tops as descents, so grouping the counts by |T| gives A_n.
+        counts = _descent_top_mask_counts(n)
+        levels = [0] * (n + 1)
+        for mask, c in counts.items():
+            assert mask & 0b11 == 0 and mask >> (n + 2) == 0
+            levels[mask.bit_count()] += c
+        assert levels == [int(c) for c in univariate_eulerian(n).coeffs]
+        assert sum(counts.values()) == math.factorial(n + 1)
+
+    @pytest.mark.parametrize("n", [10, 14])
+    def test_transfer_matches_deletion_beyond_cap(self, n):
+        counts = _descent_top_mask_counts(n)
+        for size in range(4):
+            for combo in itertools.combinations(range(2, n + 2), size):
+                mask = sum(1 << v for v in combo)
+                assert counts.get(mask, 0) == count_formula(n, combo, "deletion"), combo
 
     def test_singleton_formula(self):
         for n in range(2, 7):

@@ -246,6 +246,18 @@ class TestKernelVector:
         assert len(precs) == 1 and precs[0] > 32
         assert kv.residual <= mpmath.mpf(2) ** (-16)
 
+    def test_determinant_built_once(self, monkeypatch):
+        # psd_interval_left and the exact corank share one determinant.
+        calls = []
+        real = spectra._det_polynomial
+        monkeypatch.setattr(
+            spectra, "_det_polynomial", lambda *a: calls.append(a) or real(*a)
+        )
+        spectra._boundary_polynomial.cache_clear()
+        for n in (6, 8):
+            boundary_kernel_vector(eulerian_diagonal_pencil(n), 64)
+        assert len(calls) == 2
+
     def test_non_boundary_enclosure_rejected(self, monkeypatch):
         # An enclosure away from the boundary trips the residual guard.
         dp = eulerian_diagonal_pencil(4)
