@@ -241,8 +241,9 @@ def univariate_pencil_endpoint(n: int, prec: int = DEFAULT_PREC) -> AlgebraicBou
     """Left PSD endpoint of the 2x2 pencil of the univariate polynomial.
 
     det(A0 + x A1) is quadratic in x and positive at 0, so the endpoint
-    is its larger root, enclosed as a quadratic surd; the degenerate
-    det = 0 case (n = 1) falls back to ``psd_interval_left``.
+    is its larger root, enclosed as a quadratic surd, not PSD at ``lo``
+    and PSD at ``hi``; the degenerate det = 0 case (n = 1) falls back to
+    ``psd_interval_left``.
     """
     dp, (l1, lx, lx2, lx3) = _univariate_diagonal(n)
     c2 = lx * lx3 - lx2 * lx2
@@ -255,6 +256,8 @@ def univariate_pencil_endpoint(n: int, prec: int = DEFAULT_PREC) -> AlgebraicBou
         raise ArithmeticError("univariate pencil endpoint is not negative")
     if not psd_certificate(dp.at(root.hi)).is_psd:
         raise ArithmeticError("endpoint enclosure fails the exact PSD guard")
+    if root.lo != root.hi and psd_certificate(dp.at(root.lo)).is_psd:
+        raise ArithmeticError("endpoint enclosure is PSD at lo")
     return root
 
 

@@ -7,16 +7,18 @@ monomial, the coefficient matrix A_i takes L of x_i times it.  Setting
 every variable equal collapses the pencil to A_0 + x * sum(A_i) on the
 diagonal line, which is where the univariate root bounds are read off.
 
-PSD decisions are exact: rational LDL^T elimination, with a rational
-witness vector v satisfying v^T M v < 0 whenever the answer is negative.
+PSD decisions are exact, by one fraction-free (Bareiss) elimination kernel
+that also gives determinants and ranks; a negative answer carries a
+rational witness vector v with v^T M v < 0.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .lform import LFormTable, eulerian_lform_table
 
@@ -166,57 +168,73 @@ class PsdResult:
         return self.is_psd
 
 
-def _lift_witness(
-    size: int,
-    local: dict[int, Fraction],
-    eliminations: list[tuple[int, Fraction, list[Fraction]]],
-) -> tuple[Fraction, ...]:
-    # Undo the congruence: each eliminated pivot k with pivot d and stored
-    # row r gets coordinate -(r . w)/d.
-    w = dict(local)
-    for k, d, row in reversed(eliminations):
-        dot = sum(row[j - k - 1] * wj for j, wj in w.items() if j > k)
-        w[k] = -dot / d
-    return tuple(w.get(i, Fraction(0)) for i in range(size))
+def _integer_rows(rows) -> list[list[int]]:
+    """Rational rows times the lcm of their denominators: a positive factor."""
+    lcm = math.lcm(*(v.denominator for row in rows for v in row))
+    return [[v.numerator * (lcm // v.denominator) for v in row] for row in rows]
+
+
+def _bareiss(rows) -> Iterator[tuple[int, int, list[int]]]:
+    """Fraction-free elimination (Bareiss, Math. Comp. 22, 1968).
+
+    After clearing denominators, each column's pivot row is the first
+    remaining row nonzero there (an all-zero column is skipped); every
+    other remaining row r becomes (d r - r[col] p) / prev, an exact
+    division by the previous pivot.  Remaining entries are then minors of
+    the input, so the pivot rows are an echelon basis of the row space and
+    the last pivot of a nonsingular square matrix is its determinant up to
+    the sign of the pivot-row order.  Yields (col, input index of the
+    pivot row, that row) lazily, before eliminating with it.
+    """
+    remaining = list(enumerate(_integer_rows(rows)))
+    prev = 1
+    for col in range(len(rows[0]) if rows else 0):
+        at = next((k for k, (_, row) in enumerate(remaining) if row[col]), None)
+        if at is None:
+            continue
+        i, pivot = remaining.pop(at)
+        yield col, i, pivot
+        d = pivot[col]
+        for _, row in remaining:
+            f = row[col]
+            row[col:] = [
+                (v * d - f * w) // prev for v, w in zip(row[col:], pivot[col:])
+            ]
+        prev = d
 
 
 def psd_certificate(m: SymmetricRationalMatrix) -> PsdResult:
-    """Exact PSD decision by rational LDL^T elimination.
+    """Exact PSD decision by symmetric fraction-free elimination.
 
-    A zero diagonal pivot is admissible only when its whole remaining row
-    is zero; otherwise the offending 2x2 block yields a witness.  Any
-    NOT_PSD answer carries a rational v with v^T m v < 0, verified before
-    returning.
+    A diagonal pivot is, up to a positive factor, the principal minor on
+    its column and the earlier pivot columns, so m is PSD exactly when
+    every pivot is on the diagonal and positive, an all-zero remaining
+    column being skipped.  A negative pivot, or a zero diagonal whose
+    column is not zero, gives a rational witness v with v^T m v < 0,
+    verified exactly before returning.
+
+    >>> res = psd_certificate(SymmetricRationalMatrix.from_rows([[0, 1], [1, 0]]))
+    >>> res.is_psd, res.witness, res.witness_value
+    (False, (Fraction(-1, 2), Fraction(1, 1)), Fraction(-1, 1))
     """
-    s = m.size
-    a = [[Fraction(v) for v in row] for row in m.entries]
-    elims: list[tuple[int, Fraction, list[Fraction]]] = []
-
-    def refuted(local: dict[int, Fraction]) -> PsdResult:
-        witness = _lift_witness(s, local, elims)
-        value = m.quadratic_form(witness)
-        assert value < 0, "witness failed exact verification"
-        return PsdResult(False, witness, value)
-
-    for k in range(s):
-        d = a[k][k]
-        if d < 0:
-            return refuted({k: Fraction(1)})
-        if d == 0:
-            for j in range(k + 1, s):
-                b = a[k][j]
-                if b:
-                    # w = t e_k + e_j gives 2 t b + a_jj; pick t to force < 0.
-                    t = -(abs(a[j][j]) + 1) / (2 * b)
-                    return refuted({k: t, j: Fraction(1)})
+    pivots: list[tuple[int, list[int]]] = []
+    for col, i, row in _bareiss(m.entries):
+        if i == col and row[col] > 0:
+            pivots.append((col, row))
             continue
-        row = [a[k][j] for j in range(k + 1, s)]
-        elims.append((k, d, row))
-        for i in range(k + 1, s):
-            f = a[i][k] / d
-            if f:
-                arow = a[i]
-                krow = a[k]
-                for j in range(k + 1, s):
-                    arow[j] -= f * krow[j]
+        if i == col:
+            w = {col: Fraction(1)}
+        else:
+            # A zero diagonal coupled to row i: w = t e_col + e_i gives
+            # 2 t b + a_ii on the remaining block, which t forces < 0.
+            w = {col: Fraction(-(abs(row[i]) + 1), 2 * row[col]), i: Fraction(1)}
+        # Undo the congruence: pivot k gets -(r . w) / r[k], the LDL^T ratio,
+        # as a Bareiss row and its pivot carry the same positive factor.
+        for k, r in reversed(pivots):
+            w[k] = -sum(r[j] * wj for j, wj in w.items()) / r[k]
+        witness = tuple(w.get(j, Fraction(0)) for j in range(m.size))
+        value = m.quadratic_form(witness)
+        if not value < 0:
+            raise ArithmeticError("PSD witness failed exact verification")
+        return PsdResult(False, witness, value)
     return PsdResult(True)

@@ -4,9 +4,10 @@ Three certified quantities live here:
 
 - the left endpoint x_min of the PSD interval of a diagonal pencil, read
   off the roots of the integer polynomial det(A0 + x A_sum) and certified
-  by two exact rational PSD tests (entries grow like 8^n, so floating
-  eigensolvers lose certification long before the desk-scale range ends;
-  exact sign tests do not);
+  by two exact PSD tests; the tests, the determinant and the rank all
+  come from the fraction-free elimination kernel of ``pencil`` (entries
+  grow like 8^n, so floating eigensolvers lose certification long before
+  the desk-scale range ends; exact sign tests do not);
 - an approximate kernel vector of the pencil at that boundary, computed
   with extended-precision floats, with the exact corank there read off
   the multiplicity of x_min as a root of the same determinant;
@@ -30,7 +31,7 @@ from sympy.polys.sqfreetools import dup_sqf_list, dup_sqf_part
 
 from .enclosure import DEFAULT_PREC, AlgebraicBound
 from .eulerian import UnivariatePolynomial
-from .pencil import DiagonalPencil, psd_certificate
+from .pencil import DiagonalPencil, _bareiss, _integer_rows, psd_certificate
 
 __all__ = [
     "KernelVector",
@@ -44,35 +45,26 @@ def _is_psd_at(p: DiagonalPencil, x: Fraction) -> bool:
     return psd_certificate(p.at(x)).is_psd
 
 
-def _bareiss_det(a: list[list[int]]) -> int:
-    # Fraction-free elimination (Bareiss 1968): every division is exact,
-    # and a zero pivot swaps in a lower row.  Works in place.
-    sign, prev = 1, 1
-    for k in range(len(a) - 1):
-        swap = next((i for i in range(k, len(a)) if a[i][k]), None)
-        if swap is None:
-            return 0
-        if swap != k:
-            a[k], a[swap], sign = a[swap], a[k], -sign
-        pivot, tail = a[k][k], a[k][k + 1:]
-        for row in a[k + 1:]:
-            f = row[k]
-            row[k + 1:] = [
-                (v * pivot - f * w) // prev for v, w in zip(row[k + 1:], tail)
-            ]
-        prev = pivot
-    return sign * a[-1][-1] if a else 1
+def _det(a: list[list[int]]) -> int:
+    # The last Bareiss pivot, signed by the parity of the pivot-row order;
+    # fewer pivots than rows means a singular matrix.
+    pivots = list(_bareiss(a))
+    if len(pivots) < len(a):
+        return 0
+    order = [i for _, i, _ in pivots]
+    inversions = sum(x > y for k, x in enumerate(order) for y in order[k + 1:])
+    return (-1) ** inversions * pivots[-1][2][-1] if pivots else 1
 
 
 def _det_polynomial(a0, a_sum) -> list[int]:
     # Descending integer coefficients of det(a0 + x a_sum) up to a positive
     # factor, degree <= s: values at x = 0..s, Newton forward differences
     # (the j-th is divisible by j!), then Horner in the falling factorials.
-    lcm = math.lcm(*(v.denominator for m in (a0, a_sum) for row in m for v in row))
-    a0, a_sum = ([[int(v * lcm) for v in row] for row in m] for m in (a0, a_sum))
-    s, newton = len(a0), []
+    s = len(a0)
+    rows = _integer_rows(a0 + a_sum)
+    a0, a_sum, newton = rows[:s], rows[s:], []
     values = [
-        _bareiss_det([[u + k * v for u, v in zip(r0, r1)] for r0, r1 in zip(a0, a_sum)])
+        _det([[u + k * v for u, v in zip(r0, r1)] for r0, r1 in zip(a0, a_sum)])
         for k in range(s + 1)
     ]
     for j in range(s + 1):
@@ -85,23 +77,11 @@ def _det_polynomial(a0, a_sum) -> list[int]:
     return desc
 
 
-def _row_basis(rows) -> list[list[Fraction]]:
-    # Echelon rows spanning the row space, by exact elimination.
-    rows, basis = [[Fraction(v) for v in row] for row in rows], []
-    for col in range(len(rows[0]) if rows else 0):
-        pivot = next((row for row in rows if row[col]), None)
-        if pivot is not None:
-            basis.append(pivot)
-            rows = [[v - row[col] / pivot[col] * w for v, w in zip(row, pivot)]
-                    for row in rows if row is not pivot]
-    return basis
-
-
 def _range_restriction(a0, a_sum) -> list[list[list[Fraction]]]:
-    # Echelon rows b_1..b_r of [a0; a_sum] span the complement of the
-    # common kernel, which every A0 + x A_sum kills; the congruence
+    # The Bareiss pivot rows b_1..b_r of [a0; a_sum] span the complement of
+    # the common kernel, which every A0 + x A_sum kills; the congruence
     # B M B^T therefore keeps the PSD status of each M.
-    basis = _row_basis(a0 + a_sum)
+    basis = [row for _, _, row in _bareiss(a0 + a_sum)]
     return [[[sum(bi * mij * cj for bi, row in zip(b, m) for mij, cj in zip(row, c))
               for c in basis] for b in basis] for m in (a0, a_sum)]
 
@@ -242,11 +222,6 @@ def boundary_kernel_vector(p: DiagonalPencil, prec: int = DEFAULT_PREC) -> Kerne
         )
 
 
-def _integer_coeffs(coeffs: list[Fraction]) -> list[int]:
-    lcm = math.lcm(*(c.denominator for c in coeffs))
-    return [int(c * lcm) for c in coeffs]
-
-
 def _sign_at(desc: list[int], point: Fraction) -> int:
     # Sign of p(num/den) from the integer value p(num/den) * den^deg.
     num, den = point.numerator, point.denominator
@@ -267,7 +242,7 @@ def _deflate(desc: list[int], root: Fraction) -> list[int]:
         quot.append(acc)
     if quot.pop() != 0:
         raise ValueError(f"{root} is not a root")
-    return _integer_coeffs(quot)
+    return _integer_rows([quot])[0]
 
 
 def _root_multiplicity(desc: list[int], enc: AlgebraicBound) -> int:
@@ -290,7 +265,7 @@ def _boundary_corank(p: DiagonalPencil, x: AlgebraicBound) -> int:
     # boundary_kernel_vector's docstring.
     desc, kernel_dim = _boundary_polynomial(p)
     if x.hi == 0 and _sign_at(desc, x.hi) == 0:  # x_min = 0: the matrix is A0
-        return p.size - len(_row_basis(p.a0.entries))
+        return p.size - len(list(_bareiss(p.a0.entries)))
     return kernel_dim + _root_multiplicity(desc, x)
 
 
@@ -338,7 +313,7 @@ def extreme_roots(
     """
     if p.degree < 1:
         raise ValueError("constant polynomial has no roots")
-    desc = _integer_coeffs(list(reversed(p.coeffs)))
+    desc = _integer_rows([list(reversed(p.coeffs))])[0]
     if desc[-1] == 0:
         raise ValueError("roots are not all negative: 0 is a root")
     desc_sqf, intervals = _isolate(desc)

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from eulerian_bounds import bounds as bounds_mod
 from eulerian_bounds.bounds import (
     GuessVector,
     QuadraticInY,
@@ -184,6 +185,16 @@ class TestUnivariateBound:
     def test_n1_degenerate_pencil(self):
         assert univariate_bound(1, 96).contains(1)
         assert univariate_pencil_endpoint(1, 96).contains(-1)
+
+    def test_endpoint_enclosure_must_not_be_psd_at_lo(self, monkeypatch):
+        # Halving the negative enclosure moves it right, into the PSD
+        # interval: PSD at hi still holds, so only the lo test catches it.
+        real = bounds_mod.quadratic_root_enclosure
+        monkeypatch.setattr(
+            bounds_mod, "quadratic_root_enclosure", lambda *a: real(*a) * Fraction(1, 2)
+        )
+        with pytest.raises(ArithmeticError, match="PSD at lo"):
+            univariate_pencil_endpoint(4, 64)
 
     def test_n2_exact_radical(self):
         un = univariate_bound(2, 128)

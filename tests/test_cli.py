@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from eulerian_bounds import bound_report
 from eulerian_bounds import bounds as bounds_mod
 from eulerian_bounds.cli import _pool_size, bound_report_from_dict, emit_plot, main
+from eulerian_bounds.pencil import SymmetricRationalMatrix
 
 
 def run_cli(capsys, args):
@@ -317,6 +318,15 @@ class TestErrors:
         monkeypatch.setenv("EULERIAN_BOUNDS_PREC", "abc")
         error = self.one_line_error(capsys, ["roots", "--n-max", "3"])
         assert "EULERIAN_BOUNDS_PREC" in error
+
+    def test_failed_witness_verification_exits_2(self, capsys, monkeypatch):
+        # A refutation whose witness does not verify is an ArithmeticError,
+        # reported like every other failure, not a traceback.
+        monkeypatch.setattr(
+            SymmetricRationalMatrix, "quadratic_form", lambda self, v: 0
+        )
+        args = ["bounds", "--n-min", "4", "--n-max", "4", "--kind", "old"]
+        assert "witness" in self.one_line_error(capsys, args)
 
     def test_empty_plot_rejected(self):
         with pytest.raises(Exception, match="empty data"):

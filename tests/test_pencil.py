@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from eulerian_bounds import pencil
 from eulerian_bounds.lform import LFormTable, eulerian_lform_table
 from eulerian_bounds.pencil import (
     SymmetricRationalMatrix,
@@ -16,6 +17,9 @@ from eulerian_bounds.pencil import (
     eulerian_pencil,
     psd_certificate,
 )
+from eulerian_bounds.spectra import _det, psd_interval_left
+
+from fraction_elimination import fraction_row_basis, ldlt_psd_certificate
 
 
 def M(rows):
@@ -39,16 +43,60 @@ def exact_det(rows) -> Fraction:
     return det
 
 
+INTS = st.integers(min_value=-3, max_value=3)
+# Non-integer rationals: the kernel clears their denominators first.
+RATIONALS = st.builds(Fraction, INTS, st.integers(min_value=2, max_value=7))
+
+
 @st.composite
-def symmetric_integer_matrices(draw):
+def symmetric_matrices(draw, values=INTS):
     size = draw(st.integers(min_value=1, max_value=5))
-    ints = st.integers(min_value=-3, max_value=3)
     if draw(st.booleans()):
-        # A sum of few integer squares: PSD and often singular.
-        rows = draw(st.lists(st.lists(ints, min_size=size, max_size=size), max_size=3))
+        # A sum of few squares: PSD and often singular.
+        rows = draw(
+            st.lists(st.lists(values, min_size=size, max_size=size), max_size=3)
+        )
         return [[sum(r[i] * r[j] for r in rows) for j in range(size)] for i in range(size)]
-    upper = {(i, j): draw(ints) for i in range(size) for j in range(i, size)}
+    upper = {(i, j): draw(values) for i in range(size) for j in range(i, size)}
     return [[upper[min(i, j), max(i, j)] for j in range(size)] for i in range(size)]
+
+
+def principal_minors_nonnegative(rows) -> bool:
+    # A symmetric matrix is PSD exactly when every principal minor is >= 0.
+    size = len(rows)
+    return all(
+        exact_det([[rows[i][j] for j in idx] for i in idx]) >= 0
+        for r in range(1, size + 1)
+        for idx in itertools.combinations(range(size), r)
+    )
+
+
+@st.composite
+def square_integer_matrices(draw):
+    size = draw(st.integers(min_value=1, max_value=5))
+    rows = draw(st.lists(st.lists(INTS, min_size=size, max_size=size),
+                         min_size=size, max_size=size))
+    if size > 1 and draw(st.booleans()):
+        # A zero leading column entry forces a row swap.
+        rows[0][0] = 0
+    if size > 1 and draw(st.booleans()):
+        # A repeated row makes the matrix singular.
+        rows[-1] = list(rows[0])
+    return rows
+
+
+@st.composite
+def tall_integer_matrices(draw):
+    # 2s x s matrices, often rank deficient: products of 2s x r and r x s.
+    s = draw(st.integers(min_value=1, max_value=4))
+    r = draw(st.integers(min_value=0, max_value=s))
+    left = draw(st.lists(st.lists(INTS, min_size=r, max_size=r),
+                         min_size=2 * s, max_size=2 * s))
+    right = draw(st.lists(st.lists(INTS, min_size=s, max_size=s),
+                          min_size=r, max_size=r))
+    if not r:
+        return [[0] * s for _ in left]
+    return [[sum(a * b for a, b in zip(row, col)) for col in zip(*right)] for row in left]
 
 
 class TestMatrixType:
@@ -188,14 +236,54 @@ class TestPsdCertificate:
             for v in itertools.product((-1, 0, 1), repeat=3):
                 assert mat.quadratic_form(v) >= 0
 
-    @given(symmetric_integer_matrices())
+    @given(symmetric_matrices())
     @settings(max_examples=150, deadline=None)
     def test_matches_principal_minors(self, rows):
-        # A symmetric matrix is PSD exactly when every principal minor is >= 0.
-        size = len(rows)
-        minors_ok = all(
-            exact_det([[rows[i][j] for j in idx] for i in idx]) >= 0
-            for r in range(1, size + 1)
-            for idx in itertools.combinations(range(size), r)
-        )
-        assert psd_certificate(M(rows)).is_psd == minors_ok
+        assert psd_certificate(M(rows)).is_psd == principal_minors_nonnegative(rows)
+
+    @given(symmetric_matrices(RATIONALS))
+    @settings(max_examples=150, deadline=None)
+    def test_rational_entries_match_principal_minors(self, rows):
+        res = psd_certificate(M(rows))
+        assert res.is_psd == principal_minors_nonnegative(rows)
+        if not res.is_psd:
+            value = M(rows).quadratic_form(res.witness)
+            assert value < 0 and value == res.witness_value
+
+    @pytest.mark.parametrize("n", range(2, 15))
+    def test_matches_ldlt_oracle_on_eulerian_pencils(self, n):
+        dp = eulerian_diagonal_pencil(n)
+        x_min = psd_interval_left(dp, 128)
+        for x, psd in ((0, True), (x_min.lo, False), (x_min.hi, True)):
+            mat = dp.at(x)
+            res, oracle = psd_certificate(mat), ldlt_psd_certificate(mat)
+            assert res.is_psd == oracle.is_psd == psd
+            if not psd:
+                assert mat.quadratic_form(res.witness) == res.witness_value < 0
+
+
+class TestEliminationKernel:
+    @given(square_integer_matrices())
+    @settings(max_examples=150, deadline=None)
+    def test_determinant_matches_exact_det(self, rows):
+        assert _det(rows) == exact_det(rows)
+
+    @given(tall_integer_matrices())
+    @settings(max_examples=150, deadline=None)
+    def test_rank_and_row_basis(self, rows):
+        pivots = list(pencil._bareiss(rows))
+        oracle = fraction_row_basis(rows)
+        assert len(pivots) == len(oracle)
+        basis = [row for _, _, row in pivots]
+        # Echelon, and inside the row space of the input.
+        for col, _, row in pivots:
+            assert row[col] and not any(row[:col])
+        assert len(fraction_row_basis(rows + basis)) == len(oracle)
+
+    def test_pivot_rows_come_from_the_input_in_order(self):
+        # Column 0 is zero in row 0, so row 1 pivots there and row 0 in
+        # column 1; row 2 is twice row 0, so column 2 gets no pivot.
+        rows = [[0, 2, 1], [3, 1, 0], [0, 4, 2]]
+        assert [(col, i) for col, i, _ in pencil._bareiss(rows)] == [(0, 1), (1, 0)]
+        assert _det(rows) == 0
+        assert _det(rows[:2] + [[0, 0, 1]]) == -6
