@@ -26,16 +26,11 @@ from .bounds import (
 from .enclosure import DEFAULT_PREC, AlgebraicBound, quadratic_root_enclosure, sqrt_enclosure
 from .eulerian import (
     BRUTE_FORCE_MAX_N,
-    MultiAffinePolynomial,
     UnivariatePolynomial,
     closed_form_R,
     count_exact_bruteforce,
     count_formula,
     descent_top_counts,
-    descent_top_set,
-    is_permutation,
-    multivariate_eulerian,
-    polynomialize,
     univariate_eulerian,
 )
 from .lform import (
@@ -76,7 +71,6 @@ __all__ = [
     "KernelVector",
     "LFormTable",
     "LinearMatrixPencil",
-    "MultiAffinePolynomial",
     "PsdResult",
     "QuadraticInY",
     "RatioDiagnostic",
@@ -90,7 +84,6 @@ __all__ = [
     "count_exact_bruteforce",
     "count_formula",
     "descent_top_counts",
-    "descent_top_set",
     "diagonal_pencil",
     "eulerian_diagonal_pencil",
     "eulerian_guess_quadratics",
@@ -99,15 +92,12 @@ __all__ = [
     "eulerian_pencil",
     "extreme_roots",
     "guess_vector",
-    "is_permutation",
     "linearized_DN",
     "lform_from_truncation",
     "monomials_up_to_3",
-    "multivariate_eulerian",
     "optimal_y",
     "optimize_y_numeric",
     "paper_y",
-    "polynomialize",
     "psd_certificate",
     "psd_interval_left",
     "quadratic_root_enclosure",

@@ -1,18 +1,17 @@
 """Exact Eulerian combinatorics.
 
-Univariate Eulerian polynomials via their derivative recurrence, their
-multivariate multi-affine lifting via the homogeneous pair-variable
-recursion, descent-top statistics of permutations, and three independent
-ways to count the permutations of [n+1] whose descent-top set is exactly
-a given value set X:
+Univariate Eulerian polynomials via their derivative recurrence, and
+three independent ways to count the permutations of [n+1] whose
+descent-top set (the larger value of each descent pair) is exactly a
+given value set X:
 
 - the full descent-top distribution by insertion transfer,
 - an inclusion-exclusion over the complement of X,
 - an alternating sum over deletions from X,
 
-plus closed forms for |X| <= 3.  Enumerating S_{n+1} is the test oracle
-for the transfer and lives in the tests.  Everything here is exact
-integer / rational arithmetic; no floats.
+plus closed forms for |X| <= 3.  Enumerating S_{n+1} and expanding the
+multi-affine multivariate polynomial are test oracles and live in the
+tests.  Everything here is exact integer / rational arithmetic; no floats.
 """
 
 from __future__ import annotations
@@ -22,16 +21,11 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Iterable
 
 __all__ = [
     "UnivariatePolynomial",
-    "MultiAffinePolynomial",
-    "polynomialize",
     "univariate_eulerian",
-    "multivariate_eulerian",
-    "is_permutation",
-    "descent_top_set",
     "descent_top_counts",
     "count_exact_bruteforce",
     "count_formula",
@@ -79,18 +73,6 @@ class UnivariatePolynomial:
         return self.coeffs[k] if 0 <= k < len(self.coeffs) else Fraction(0)
 
 
-def polynomialize(seq: Sequence) -> UnivariatePolynomial:
-    """Turn a finite sequence s(0), ..., s(k) into the polynomial sum s(i) x^i.
-
-    >>> polynomialize([1, 2, 1]).coeffs
-    (Fraction(1, 1), Fraction(2, 1), Fraction(1, 1))
-    """
-    values = list(seq)
-    if not values:
-        raise ValueError("empty sequence")
-    return UnivariatePolynomial.from_coeffs(values)
-
-
 @lru_cache(maxsize=None)
 def univariate_eulerian(n: int) -> UnivariatePolynomial:
     """The n-th Eulerian polynomial A_n, with A_0 = 1.
@@ -118,108 +100,11 @@ def univariate_eulerian(n: int) -> UnivariatePolynomial:
     return UnivariatePolynomial.from_coeffs(out)
 
 
-@dataclass(frozen=True)
-class MultiAffinePolynomial:
-    """A multi-affine polynomial in n variables with integer coefficients.
-
-    Monomials are square-free, so each is a subset of [n]; ``coeffs`` maps
-    the subset bitmask (bit i-1 set means variable x_i present) to its
-    coefficient.  Missing masks mean coefficient zero.
-    """
-
-    n: int
-    coeffs: dict[int, int]
-
-    def coefficient(self, variables: Iterable[int]) -> int:
-        mask = 0
-        for v in variables:
-            if not 1 <= v <= self.n:
-                raise ValueError(f"variable index {v} out of range [1, {self.n}]")
-            mask |= 1 << (v - 1)
-        return self.coeffs.get(mask, 0)
-
-    def coefficient_sum(self) -> int:
-        return sum(self.coeffs.values())
-
-    def diagonal(self) -> UnivariatePolynomial:
-        """Substitute x_i := x for every i (grouping monomials by size)."""
-        out = [0] * (self.n + 1)
-        for mask, c in self.coeffs.items():
-            out[mask.bit_count()] += c
-        return UnivariatePolynomial.from_coeffs(out)
-
-    def level_sums(self) -> tuple[int, ...]:
-        """Sum of coefficients of all monomials of each total degree."""
-        return tuple(int(c) for c in self.diagonal().coeffs)
-
-
 def _iter_bits(mask: int):
     while mask:
         bit = mask & -mask
         yield bit
         mask ^= bit
-
-
-def multivariate_eulerian(n: int) -> MultiAffinePolynomial:
-    """The multi-affine multivariate Eulerian polynomial A_n(x, 1).
-
-    Runs the homogeneous recursion over 2n paired variables (x_i, y_i),
-
-        H_k = (x_k + y_k) H_{k-1} + x_k y_k * sum_i (d/dx_i + d/dy_i) H_{k-1},
-
-    then substitutes y_i := 1 throughout.  Variables are labelled so that
-    the coefficient of the singleton {i} is 2^i - 1.
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    # Terms keyed by (xmask, ymask); multi-affinity lets a derivative just
-    # drop a bit.
-    terms: dict[tuple[int, int], int] = {(0, 0): 1}
-    for k in range(1, n + 1):
-        bit = 1 << (k - 1)
-        new: dict[tuple[int, int], int] = {}
-        for (xm, ym), c in terms.items():
-            key = (xm | bit, ym)
-            new[key] = new.get(key, 0) + c
-            key = (xm, ym | bit)
-            new[key] = new.get(key, 0) + c
-            for b in _iter_bits(xm):
-                key = ((xm ^ b) | bit, ym | bit)
-                new[key] = new.get(key, 0) + c
-            for b in _iter_bits(ym):
-                key = (xm | bit, (ym ^ b) | bit)
-                new[key] = new.get(key, 0) + c
-        terms = new
-    dehom: dict[int, int] = {}
-    for (xm, _), c in terms.items():
-        dehom[xm] = dehom.get(xm, 0) + c
-    result = MultiAffinePolynomial(n, dehom)
-    assert result.coefficient(()) == 1
-    assert result.coefficient_sum() == math.factorial(n + 1)
-    assert all(result.coefficient([i]) == 2**i - 1 for i in range(1, n + 1))
-    return result
-
-
-# ---------------------------------------------------------------------------
-# Permutation statistics
-
-
-def is_permutation(image: Sequence[int]) -> bool:
-    """Check that ``image`` is a bijection on {1, ..., len(image)}."""
-    return sorted(image) == list(range(1, len(image) + 1))
-
-
-def descent_top_set(sigma: Sequence[int]) -> frozenset[int]:
-    """The descent-top set: the larger value of each descent pair.
-
-    >>> sorted(descent_top_set((3, 2, 1)))
-    [2, 3]
-    >>> sorted(descent_top_set((2, 3, 1)))
-    [3]
-    """
-    if not is_permutation(sigma):
-        raise ValueError("not a permutation of 1..k")
-    return frozenset(sigma[i] for i in range(len(sigma) - 1) if sigma[i] > sigma[i + 1])
 
 
 @lru_cache(maxsize=None)
@@ -262,7 +147,7 @@ def _validated_tops(n: int, X: Iterable[int]) -> tuple[int, ...]:
     return xs
 
 def count_exact_bruteforce(n: int, X: Iterable[int]) -> int:
-    """|{sigma in S_{n+1} : descent_top_set(sigma) = X}| by insertion transfer."""
+    """|{sigma in S_{n+1} : the descent-top set of sigma is X}| by insertion transfer."""
     if not 1 <= n <= BRUTE_FORCE_MAX_N:
         raise ValueError("enumeration too large")
     xs = _validated_tops(n, X)

@@ -24,9 +24,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator, Mapping
+from typing import Iterator, Mapping
 
-from .eulerian import MultiAffinePolynomial, count_formula
+from .eulerian import count_formula
 
 __all__ = [
     "Monomial",
@@ -65,33 +65,23 @@ class Truncation3:
         return self.coeffs.get(tuple(sorted(indices)), Fraction(0))
 
     @staticmethod
-    def _from_subsets(n: int, coefficient: Callable[[Monomial], int]) -> "Truncation3":
-        # p is multi-affine of degree n: only square-free monomials occur.
-        coeffs: dict[Monomial, Fraction] = {}
-        for size in (1, 2, 3):
-            for combo in itertools.combinations(range(1, n + 1), size):
-                c = coefficient(combo)
-                if c:
-                    coeffs[combo] = Fraction(c)
-        return Truncation3(n=n, degree=n, coeffs=coeffs)
-
-    @staticmethod
-    def from_multi_affine(p: MultiAffinePolynomial) -> "Truncation3":
-        return Truncation3._from_subsets(p.n, p.coefficient)
-
-    @staticmethod
     def eulerian(n: int) -> "Truncation3":
         """The truncation of the multivariate Eulerian polynomial A_n(x, 1).
 
         The coefficient of x_S counts the permutations of [n+1] whose
         descent-top set is exactly {i+1 : i in S} (variable i tags top
         value i+1); each count is the deletion sum of ``count_formula``.
+        The polynomial is multi-affine, so only square-free monomials occur.
         """
         if n < 1:
             raise ValueError("n must be >= 1")
-        return Truncation3._from_subsets(
-            n, lambda combo: count_formula(n, [i + 1 for i in combo], "deletion")
-        )
+        coeffs: dict[Monomial, Fraction] = {}
+        for size in (1, 2, 3):
+            for combo in itertools.combinations(range(1, n + 1), size):
+                c = count_formula(n, [i + 1 for i in combo], "deletion")
+                if c:
+                    coeffs[combo] = Fraction(c)
+        return Truncation3(n=n, degree=n, coeffs=coeffs)
 
 
 @dataclass(frozen=True)

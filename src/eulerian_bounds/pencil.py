@@ -203,6 +203,17 @@ def _bareiss(rows) -> Iterator[tuple[int, int, list[int]]]:
         prev = d
 
 
+def _witness_value(m: SymmetricRationalMatrix, v: tuple[Fraction, ...]) -> Fraction:
+    # v^T m v from the integer u^T M' u, with u = den v and M' = lcm m the
+    # cleared rows, divided back exactly: no Fraction arithmetic per entry.
+    den = math.lcm(*(x.denominator for x in v))
+    u = [x.numerator * (den // x.denominator) for x in v]
+    lcm = math.lcm(*(x.denominator for row in m.entries for x in row))
+    value = sum(ui * sum(r * uj for r, uj in zip(row, u) if uj)
+                for ui, row in zip(u, _integer_rows(m.entries)) if ui)
+    return Fraction(value, lcm * den * den)
+
+
 def psd_certificate(m: SymmetricRationalMatrix) -> PsdResult:
     """Exact PSD decision by symmetric fraction-free elimination.
 
@@ -233,7 +244,7 @@ def psd_certificate(m: SymmetricRationalMatrix) -> PsdResult:
         for k, r in reversed(pivots):
             w[k] = -sum(r[j] * wj for j, wj in w.items()) / r[k]
         witness = tuple(w.get(j, Fraction(0)) for j in range(m.size))
-        value = m.quadratic_form(witness)
+        value = _witness_value(m, witness)
         if not value < 0:
             raise ArithmeticError("PSD witness failed exact verification")
         return PsdResult(False, witness, value)

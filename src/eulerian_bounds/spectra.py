@@ -14,20 +14,23 @@ Three certified quantities live here:
 - enclosures of the extreme (leftmost / rightmost) real roots of a
   real-rooted univariate polynomial, via exact root isolation, each
   re-checked for a sign change before it is returned.
+
+Root isolation is integer-only: Yun's squarefree decomposition over a
+primitive-PRS gcd (skipped when a gcd modulo a prime already certifies
+the input squarefree), then continued-fraction isolation with Descartes'
+rule of signs, Taylor shifts by 1, scaling by powers of 2 and
+power-of-two root bounds.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 import mpmath
-from sympy.polys.densebasic import dup_strip
-from sympy.polys.domains import ZZ
-from sympy.polys.rootisolation import dup_isolate_real_roots_sqf
-from sympy.polys.sqfreetools import dup_sqf_list, dup_sqf_part
 
 from .enclosure import DEFAULT_PREC, AlgebraicBound
 from .eulerian import UnivariatePolynomial
@@ -101,19 +104,146 @@ def _boundary_polynomial(p: DiagonalPencil) -> tuple[tuple[int, ...], int]:
     return tuple(_det_polynomial(b0, b_sum)), len(a0) - len(b0)
 
 
-def _fraction(q) -> Fraction:
-    return Fraction(int(q.numerator), int(q.denominator))
+def _strip(f) -> list[int]:
+    return list(f[next((k for k, c in enumerate(f) if c), len(f)):])
+
+
+def _primitive(f: list[int]) -> list[int]:
+    # Content divided out, leading coefficient made positive.
+    g = math.gcd(*f) if f[0] > 0 else -math.gcd(*f)
+    return [c // g for c in f]
+
+
+def _derivative(f: list[int]) -> list[int]:
+    return [(len(f) - 1 - k) * c for k, c in enumerate(f[:-1])]
+
+
+def _gcd(f: list[int], g: list[int], p: int = 0) -> list[int]:
+    # A gcd over GF(p) up to a unit when p is given; else the primitive
+    # gcd over Z by the primitive PRS: pseudo-remainders, each divided by
+    # its content so the coefficients stay small.
+    while g:
+        g = g if p else _primitive(g)
+        inv = pow(g[0], -1, p) if p else 1
+        while len(f) >= len(g):
+            a, b = (f[0] * inv % p, 1) if p else (f[0], g[0])
+            f = [b * u - a * v for u, v in zip(f[1:], g[1:] + [0] * (len(f) - len(g)))]
+            f = _strip([c % p for c in f] if p else f)
+        f, g = g, f
+    return f if p else _primitive(f)
+
+
+def _quo(f: list[int], g: list[int]) -> list[int]:
+    # Exact quotient over Z: an inexact step stops the loop with f != 0.
+    q = []
+    while len(f) >= len(g) and f[0] % g[0] == 0:
+        q.append(f[0] // g[0])
+        f = [u - q[-1] * v for u, v in zip(f[1:], g[1:] + [0] * (len(f) - len(g)))]
+    if any(f):
+        raise ArithmeticError("inexact polynomial division")
+    return q
+
+
+def _squarefree(desc) -> tuple[list[int], list[tuple[list[int], int]]]:
+    # The primitive squarefree part of a nonzero integer polynomial
+    # (descending coefficients) and its squarefree decomposition
+    # f = c * prod g_k^k, as (g_k, k) with deg g_k >= 1, by Yun's algorithm
+    # (1976).  Fast path: gcd(f mod p, f' mod p) = 1 for a prime p not
+    # dividing lc(f) certifies f squarefree, since the primitive gcd(f, f')
+    # over Z reduces mod p, degree kept, to a divisor of it.
+    f, p = _primitive(_strip(desc)), 2**61 - 1
+    if len(f) == 1:
+        return f, []
+    df = _derivative(f)
+    if f[0] % p and len(_gcd([c % p for c in f], [c % p for c in df], p)) == 1:
+        return f, [(f, 1)]
+    a = _gcd(f, df)
+    sqf = b = _quo(f, a)
+    c, factors, k = _quo(df, a), [], 1
+    while len(b) > 1:
+        d = _strip([u - v for u, v in zip(c, _derivative(b))])
+        a = _gcd(b, d)
+        if len(a) > 1:
+            factors.append((a, k))
+        b, c, k = _quo(b, a), _quo(d, a), k + 1
+    return sqf, factors
+
+
+def _variations(f: list[int]) -> int:
+    signs = [c > 0 for c in f if c]
+    return sum(s != t for s, t in zip(signs, signs[1:]))
+
+
+def _shift1(f: list[int]) -> list[int]:
+    # Taylor shift f(x + 1): each pass is a running sum of a prefix.
+    f = list(f)
+    for i in range(len(f) - 1, 0, -1):
+        f[: i + 1] = itertools.accumulate(f[: i + 1])
+    return f
+
+
+def _root_bound(f: list[int]) -> int:
+    # u with every positive root of f below 2**u, for f with a sign
+    # variation: Kioustelidis' bound 2 max (|a_k| / lc)^(1/k) over the
+    # coefficients a_k of opposite sign to lc, from bit lengths.
+    lead = f[0].bit_length()
+    return 1 + max(
+        -((lead - 1 - c.bit_length()) // k)
+        for k, c in enumerate(f) if c and (c > 0) != (f[0] > 0)
+    )
+
+
+def _positive_roots(f: list[int]) -> list[tuple[Fraction, Fraction]]:
+    # Continued-fraction isolation (Collins-Akritas, Akritas-Strzebonski)
+    # of the roots >= 0 of a squarefree f.  Each stack entry is a
+    # transformed g(y) whose positive roots are the roots of f at
+    # x = (a y + b) / (c y + d); Descartes' rule of signs counts them.
+    out: list[tuple[Fraction, Fraction]] = []
+    stack = [(f, 1, 0, 0, 1)]
+    while stack:
+        g, a, b, c, d = stack.pop()
+        if g[-1] == 0:  # a root at y = 0
+            out.append((Fraction(b, d), Fraction(b, d)))
+            g = g[:-1]
+        v = _variations(g)
+        if v == 1:
+            hi = Fraction(a, c) if c else (a * Fraction(2) ** _root_bound(g) + b) / d
+            out.append(tuple(sorted((Fraction(b, d), hi))))
+        if v <= 1:
+            continue
+        e = -_root_bound(g[::-1])  # every positive root exceeds 2**e
+        if e >= 0:  # y -> 2**e (y + 1)
+            g = _shift1([u << e * (len(g) - 1 - k) for k, u in enumerate(g)])
+            a, c = a << e, c << e
+            stack.append((g, a, a + b, c, c + d))
+            continue
+        # Split at y = 1: y -> y + 1 holds the roots above 1, y -> 1/(y + 1)
+        # those below.  By Budan's theorem the roots in (0, 1) number
+        # v - v1 - [g(1) = 0] less an even count.
+        g1 = _shift1(g)
+        stack.append((g1, a, a + b, c, c + d))
+        below = v - _variations(g1) - (g1[-1] == 0)
+        if below == 1:
+            out.append(tuple(sorted((Fraction(b, d), Fraction(a + b, c + d)))))
+        elif below > 1:
+            g2 = _shift1(g[::-1])
+            stack.append((g2 if g2[-1] else g2[:-1], b, a + b, d, c + d))
+    return out
 
 
 def _isolate(
-    desc: list[int], sup=None
+    desc: list[int], nonpositive: bool = False
 ) -> tuple[list[int], list[tuple[Fraction, Fraction]]]:
     # The squarefree part of an integer polynomial (descending
-    # coefficients) and the isolating intervals of its real roots <= sup,
-    # left to right, from exact continued-fraction isolation.
-    fs = dup_sqf_part(dup_strip([ZZ(c) for c in desc]), ZZ)
-    intervals = dup_isolate_real_roots_sqf(fs, ZZ, sup=sup, fast=True)
-    return [int(c) for c in fs], [(_fraction(a), _fraction(b)) for a, b in intervals]
+    # coefficients) and isolating intervals of its real roots (only those
+    # <= 0 if ``nonpositive``), left to right.  An exact rational root r
+    # comes back as (r, r); every other interval is open and holds one
+    # root; neighbours may share an endpoint.
+    sqf, _ = _squarefree(desc)
+    n = len(sqf) - 1
+    mirrored = _positive_roots([-c if (n - k) % 2 else c for k, c in enumerate(sqf)])
+    positive = [] if nonpositive else _positive_roots(sqf[:-1] if sqf[-1] == 0 else sqf)
+    return sqf, sorted([(-b, -a) for a, b in mirrored] + positive)
 
 
 def psd_interval_left(p: DiagonalPencil, prec: int = DEFAULT_PREC) -> AlgebraicBound:
@@ -135,7 +265,7 @@ def psd_interval_left(p: DiagonalPencil, prec: int = DEFAULT_PREC) -> AlgebraicB
     if not any(desc):
         # Still singular everywhere: the PSD set has no interior, so it is {0}.
         desc = [1, 0]
-    desc_sqf, intervals = _isolate(desc, sup=0)
+    desc_sqf, intervals = _isolate(desc, nonpositive=True)
     tol = Fraction(1, 2**prec)
     for a, b in reversed(intervals):
         enc = _refine_root(desc_sqf, a, b, tol, exact=False)
@@ -233,28 +363,14 @@ def _sign_at(desc: list[int], point: Fraction) -> int:
     return (acc > 0) - (acc < 0)
 
 
-def _deflate(desc: list[int], root: Fraction) -> list[int]:
-    # Exact synthetic division by (x - root); the remainder must vanish.
-    quot: list[Fraction] = []
-    acc = Fraction(0)
-    for c in desc:
-        acc = acc * root + c
-        quot.append(acc)
-    if quot.pop() != 0:
-        raise ValueError(f"{root} is not a root")
-    return _integer_rows([quot])[0]
-
-
 def _root_multiplicity(desc: list[int], enc: AlgebraicBound) -> int:
     # Multiplicity of the one root of desc in (lo, hi]: the power of the
     # squarefree factor that vanishes there (a root at lo is deflated).
-    _, factors = dup_sqf_list(dup_strip([ZZ(c) for c in desc]), ZZ)
-    for g, k in factors:
-        g = [int(c) for c in g]
+    for g, k in _squarefree(desc)[1]:
         if _sign_at(g, enc.hi) == 0:
             return k
         while _sign_at(g, enc.lo) == 0:
-            g = _deflate(g, enc.lo)
+            g = _quo(g, [enc.lo.denominator, -enc.lo.numerator])
         if _sign_at(g, enc.lo) != _sign_at(g, enc.hi):
             return k
     raise ArithmeticError("no determinant root in the x_min enclosure")
@@ -281,10 +397,9 @@ def _refine_root(
     # stays the hi end of a bracket whose lo is not a root.
     if lo == hi:
         return AlgebraicBound.exact(lo) if exact else AlgebraicBound(lo - tol, lo)
-    while _sign_at(desc, lo) == 0:
-        desc = _deflate(desc, lo)
-    while _sign_at(desc, hi) == 0:
-        desc = _deflate(desc, hi)
+    for r in (lo, hi):
+        while _sign_at(desc, r) == 0:
+            desc = _quo(desc, [r.denominator, -r.numerator])
     slo = _sign_at(desc, lo)
     if slo == _sign_at(desc, hi):
         raise ValueError("interval endpoints do not bracket a sign change")
@@ -306,10 +421,17 @@ def extreme_roots(
     """Enclosures of the leftmost and rightmost real roots.
 
     The input must be real-rooted with every root negative (the Eulerian
-    situation).  Disjoint isolating intervals come from exact
-    continued-fraction isolation of the squarefree part; the extreme ones
-    are then narrowed to 2**-prec by sign bisection with exact
-    big-integer evaluation, so the enclosures are certified.
+    situation).  Disjoint isolating intervals come from continued-fraction
+    isolation over the integers (Descartes' rule of signs on Moebius
+    transforms, Collins-Akritas and Akritas-Strzebonski) of the
+    squarefree part; the extreme ones are then narrowed to 2**-prec by
+    sign bisection with exact big-integer evaluation, so the enclosures
+    are certified.
+
+    >>> from eulerian_bounds.eulerian import univariate_eulerian
+    >>> left, right = extreme_roots(univariate_eulerian(2), 16)  # -2 -+ sqrt(3)
+    >>> left.lo < -2 - 3 ** 0.5 < left.hi and right.lo < -2 + 3 ** 0.5 < right.hi
+    True
     """
     if p.degree < 1:
         raise ValueError("constant polynomial has no roots")

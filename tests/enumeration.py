@@ -2,14 +2,24 @@
 
 ``eulerian_bounds.eulerian`` builds the descent-top distribution by an
 insertion transfer.  This module counts it the obvious way instead,
-permutation by permutation, and shares nothing with the transfer but
-the public ``descent_top_set``.
+permutation by permutation, and shares nothing with the transfer.
 """
 
 import itertools
 from functools import lru_cache
+from typing import Sequence
 
-from eulerian_bounds.eulerian import descent_top_set
+
+def is_permutation(image: Sequence[int]) -> bool:
+    """Check that ``image`` is a bijection on {1, ..., len(image)}."""
+    return sorted(image) == list(range(1, len(image) + 1))
+
+
+def descent_top_set(sigma: Sequence[int]) -> frozenset[int]:
+    """The descent-top set: the larger value of each descent pair."""
+    if not is_permutation(sigma):
+        raise ValueError("not a permutation of 1..k")
+    return frozenset(sigma[i] for i in range(len(sigma) - 1) if sigma[i] > sigma[i + 1])
 
 
 @lru_cache(maxsize=None)

@@ -26,11 +26,9 @@ from eulerian_bounds.eulerian import (
     count_exact_bruteforce,
     count_formula,
     descent_top_counts,
-    multivariate_eulerian,
     univariate_eulerian,
 )
 from eulerian_bounds.lform import (
-    Truncation3,
     eulerian_lform,
     lform_from_truncation,
     monomials_up_to_3,
@@ -43,6 +41,7 @@ from eulerian_bounds.spectra import (
 )
 
 from enumeration import enumerated_descent_top_counts
+from polynomials import multivariate_eulerian, truncation_from_multi_affine
 
 PREC = 128
 TOL_EXACT_MATCH = Fraction(1, 2**100)
@@ -102,7 +101,7 @@ def test_criterion_03_lform_oracle_equivalence():
     discrepancies = []
     for n in range(1, 11):
         generic = lform_from_truncation(
-            Truncation3.from_multi_affine(multivariate_eulerian(n))
+            truncation_from_multi_affine(multivariate_eulerian(n))
         )
         for mono in monomials_up_to_3(n):
             closed = eulerian_lform(n, mono)

@@ -5,16 +5,19 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eulerian_bounds import bound_report
+import eulerian_bounds
+from eulerian_bounds import bound_report, pencil
 from eulerian_bounds import bounds as bounds_mod
 from eulerian_bounds.cli import _pool_size, bound_report_from_dict, emit_plot, main
-from eulerian_bounds.pencil import SymmetricRationalMatrix
 
 
 def run_cli(capsys, args):
@@ -322,9 +325,7 @@ class TestErrors:
     def test_failed_witness_verification_exits_2(self, capsys, monkeypatch):
         # A refutation whose witness does not verify is an ArithmeticError,
         # reported like every other failure, not a traceback.
-        monkeypatch.setattr(
-            SymmetricRationalMatrix, "quadratic_form", lambda self, v: 0
-        )
+        monkeypatch.setattr(pencil, "_witness_value", lambda m, v: Fraction(0))
         args = ["bounds", "--n-min", "4", "--n-max", "4", "--kind", "old"]
         assert "witness" in self.one_line_error(capsys, args)
 
@@ -386,3 +387,22 @@ def test_argv_fuzz_exits_0_or_2_with_one_json_line(argv):
         assert text.count("\n") == 1 and text.endswith("\n")
         assert "error" in json.loads(text)
         assert out.getvalue() == ""
+
+
+def test_commands_run_without_sympy():
+    # sympy is a test oracle only; importing it would add about 0.4 s to
+    # every command, so a fresh interpreter must never load it.
+    script = (
+        "import contextlib, io, sys\n"
+        "from eulerian_bounds.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert main(['roots', '--n-max', '6']) == 0\n"
+        "    assert main(['eigvec', '--n-max', '4']) == 0\n"
+        "assert 'sympy' not in sys.modules, 'sympy was imported'\n"
+    )
+    src = os.path.dirname(os.path.dirname(eulerian_bounds.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True
+    )
+    assert done.returncode == 0, done.stderr

@@ -14,14 +14,11 @@ from eulerian_bounds.eulerian import (
     count_exact_bruteforce,
     count_formula,
     descent_top_counts,
-    descent_top_set,
-    is_permutation,
-    multivariate_eulerian,
-    polynomialize,
     univariate_eulerian,
 )
 
-from enumeration import enumerated_descent_top_counts
+from enumeration import descent_top_set, enumerated_descent_top_counts, is_permutation
+from polynomials import multivariate_eulerian, polynomialize
 
 
 def descent_count_histogram(n: int) -> list[int]:

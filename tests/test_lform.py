@@ -13,7 +13,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eulerian_bounds.eulerian import multivariate_eulerian
 from eulerian_bounds.lform import (
     LFormTable,
     Truncation3,
@@ -22,6 +21,8 @@ from eulerian_bounds.lform import (
     lform_from_truncation,
     monomials_up_to_3,
 )
+
+from polynomials import multivariate_eulerian, truncation_from_multi_affine
 
 
 def product_truncation(vectors: list[tuple[int, ...]], n: int) -> Truncation3:
@@ -79,7 +80,7 @@ class TestTruncationRoute:
         assert table((1, 1, 1)) == 1
 
     def test_pair_value_from_eulerian_two(self):
-        t = Truncation3.from_multi_affine(multivariate_eulerian(2))
+        t = truncation_from_multi_affine(multivariate_eulerian(2))
         assert t.a(1) == 1 and t.a(2) == 3 and t.a(1, 2) == 1
         table = lform_from_truncation(t)
         assert table((1, 2)) == Fraction(2)
@@ -125,7 +126,7 @@ class TestTruncationRoute:
 class TestCountTruncation:
     @pytest.mark.parametrize("n", range(1, 11))
     def test_equals_multivariate_lifting(self, n):
-        lifted = Truncation3.from_multi_affine(multivariate_eulerian(n))
+        lifted = truncation_from_multi_affine(multivariate_eulerian(n))
         assert Truncation3.eulerian(n) == lifted
 
     @pytest.mark.parametrize("n", (11, 12, 20))
@@ -158,7 +159,7 @@ class TestEulerianClosedForms:
     @pytest.mark.parametrize("n", range(1, 7))
     def test_oracle_equivalence_small(self, n):
         generic = lform_from_truncation(
-            Truncation3.from_multi_affine(multivariate_eulerian(n))
+            truncation_from_multi_affine(multivariate_eulerian(n))
         )
         closed = eulerian_lform_table(n)
         for mono in monomials_up_to_3(n):

@@ -4,7 +4,7 @@ import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from eulerian_bounds import pencil
@@ -249,6 +249,16 @@ class TestPsdCertificate:
         if not res.is_psd:
             value = M(rows).quadratic_form(res.witness)
             assert value < 0 and value == res.witness_value
+
+    @given(symmetric_matrices(RATIONALS), st.fractions(-4, 4, max_denominator=2**64))
+    @settings(max_examples=100, deadline=None)
+    def test_witness_value_is_the_quadratic_form(self, rows, x):
+        # The integer witness check gives the Fraction form's exact value,
+        # also at shifts with 64-bit denominators, as at a pencil's x_min.lo.
+        m = M(rows) + M([[x * (i == j) for j in range(len(rows))] for i in range(len(rows))])
+        res = psd_certificate(m)
+        assume(not res.is_psd)
+        assert res.witness_value == m.quadratic_form(res.witness) < 0
 
     @pytest.mark.parametrize("n", range(2, 15))
     def test_matches_ldlt_oracle_on_eulerian_pencils(self, n):

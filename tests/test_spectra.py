@@ -6,10 +6,13 @@ import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sympy.polys.domains import ZZ
+from sympy.polys.rootisolation import dup_isolate_real_roots_sqf
+from sympy.polys.sqfreetools import dup_sqf_list, dup_sqf_part
 
 from eulerian_bounds import spectra
 from eulerian_bounds.enclosure import AlgebraicBound, sqrt_enclosure
-from eulerian_bounds.eulerian import polynomialize, univariate_eulerian
+from eulerian_bounds.eulerian import univariate_eulerian
 from eulerian_bounds.pencil import (
     DiagonalPencil,
     SymmetricRationalMatrix,
@@ -21,6 +24,8 @@ from eulerian_bounds.spectra import (
     extreme_roots,
     psd_interval_left,
 )
+
+from polynomials import polynomialize
 
 
 def diag_pencil(a0_rows, sum_rows) -> DiagonalPencil:
@@ -333,3 +338,81 @@ class TestExtremeRoots:
         left, right = extreme_roots(p, 96)
         assert left.contains(-2)
         assert right.contains(-1)
+
+
+def poly_mul(f, g):
+    out = [0] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        for j, b in enumerate(g):
+            out[i + j] += a * b
+    return out
+
+
+@st.composite
+def polynomials_with_known_roots(draw):
+    """An integer polynomial (descending) and its distinct real roots.
+
+    Rational roots of multiplicity 1-3, some complex pairs
+    x^2 + b x + c with b^2 < 4c, and sometimes a root at 0.
+    """
+    roots = draw(st.lists(st.fractions(-40, 40, max_denominator=12), max_size=5, unique=True))
+    if draw(st.booleans()) and 0 not in roots:
+        roots.append(Fraction(0))
+    f = [draw(st.sampled_from([1, -1, 2, -3, 5]))]
+    for r in roots:
+        for _ in range(draw(st.integers(1, 3))):
+            f = poly_mul(f, [r.denominator, -r.numerator])
+    for _ in range(draw(st.integers(0, 2))):
+        b = draw(st.integers(-5, 5))
+        f = poly_mul(f, [1, b, draw(st.integers(b * b // 4 + 1, b * b // 4 + 20))])
+    if len(f) == 1:
+        f, roots = poly_mul(f, [1, 1]), [Fraction(-1)]
+    return f, sorted(roots)
+
+
+class TestIsolationAgainstSympy:
+    """The integer isolation and squarefree routines against sympy's."""
+
+    @given(polynomials_with_known_roots(), st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_isolate(self, poly, nonpositive):
+        f, roots = poly
+        if nonpositive:
+            roots = [r for r in roots if r <= 0]
+        sqf, intervals = spectra._isolate(f, nonpositive)
+        oracle_sqf = dup_sqf_part([ZZ(c) for c in f], ZZ)
+        assert sqf == [int(c) for c in oracle_sqf]
+        oracle = dup_isolate_real_roots_sqf(
+            oracle_sqf, ZZ, sup=0 if nonpositive else None, fast=True
+        )
+        assert len(intervals) == len(oracle) == len(roots)
+        for (_, b), (a, _) in zip(intervals, intervals[1:]):
+            assert b <= a  # left to right, open parts disjoint
+        for (a, b), r in zip(intervals, roots):
+            assert a <= b
+            assert [s for s in roots if a <= s <= b and (a == b or a < s < b)] == [r]
+
+    @given(polynomials_with_known_roots())
+    @settings(max_examples=100, deadline=None)
+    def test_squarefree_decomposition(self, poly):
+        f, _ = poly
+        _, oracle = dup_sqf_list([ZZ(c) for c in f], ZZ)
+        expected = sorted((tuple(int(c) for c in g), k) for g, k in oracle)
+        assert sorted((tuple(g), k) for g, k in spectra._squarefree(f)[1]) == expected
+
+    def test_modular_fast_path_falls_back_on_repeated_roots(self):
+        # (x - 1)^2 (x + 2) is not squarefree mod any prime: Yun finds both.
+        assert spectra._squarefree([-2, 0, 6, -4])[1] == [([1, 2], 1), ([1, -1], 2)]
+
+    @pytest.mark.parametrize("n", [24, 40, 64])
+    def test_eulerian_roots_past_the_cli_cap(self, n):
+        p = univariate_eulerian(n)
+        desc = [int(c) for c in reversed(p.coeffs)]
+        sqf, intervals = spectra._isolate(desc)
+        assert sqf == desc and len(intervals) == n  # squarefree, all real
+        assert len(dup_isolate_real_roots_sqf([ZZ(c) for c in desc], ZZ, fast=True)) == n
+        left, right = extreme_roots(p, 128)  # runs the sign-change self-check
+        assert left.hi < intervals[1][0] and right.lo > intervals[-2][1]
+        assert spectra._sign_at(desc, left.lo) * spectra._sign_at(desc, left.hi) < 0
+        assert spectra._sign_at(desc, right.lo) * spectra._sign_at(desc, right.hi) < 0
+        assert abs((left * right).midpoint - 1) < Fraction(1, 2**64)
