@@ -34,9 +34,12 @@ from .enclosure import (
     quadratic_root_enclosure,
 )
 from .eulerian import univariate_eulerian
+from .lform import Truncation3, lform_from_truncation
 from .pencil import (
     DiagonalPencil,
     SymmetricRationalMatrix,
+    build_pencil,
+    diagonal_pencil,
     eulerian_diagonal_pencil,
     psd_certificate,
 )
@@ -223,18 +226,10 @@ def paper_y(n: int, kind: str, prec: int = DEFAULT_PREC) -> AlgebraicBound:
     return optimal_y(kind, n, d_old, n_old, prec)
 
 
-def _univariate_diagonal(n: int) -> tuple[DiagonalPencil, tuple[Fraction, ...]]:
-    p = univariate_eulerian(n)
-    a1 = p.coefficient(1)
-    a2 = p.coefficient(2)
-    a3 = p.coefficient(3)
-    l1 = Fraction(n)
-    lx = a1
-    lx2 = -2 * a2 + a1 * a1
-    lx3 = 3 * a3 - 3 * a1 * a2 + a1**3
-    a0 = SymmetricRationalMatrix.from_rows([[l1, lx], [lx, lx2]])
-    asum = SymmetricRationalMatrix.from_rows([[lx, lx2], [lx2, lx3]])
-    return DiagonalPencil(a0=a0, a_sum=asum), (l1, lx, lx2, lx3)
+def _univariate_diagonal(n: int) -> DiagonalPencil:
+    a = univariate_eulerian(n).coefficient
+    t = Truncation3(n=1, degree=n, coeffs={(1,) * k: a(k) for k in (1, 2, 3)})
+    return diagonal_pencil(build_pencil(lform_from_truncation(t)))
 
 
 def univariate_pencil_endpoint(n: int, prec: int = DEFAULT_PREC) -> AlgebraicBound:
@@ -245,7 +240,9 @@ def univariate_pencil_endpoint(n: int, prec: int = DEFAULT_PREC) -> AlgebraicBou
     and PSD at ``hi``; the degenerate det = 0 case (n = 1) falls back to
     ``psd_interval_left``.
     """
-    dp, (l1, lx, lx2, lx3) = _univariate_diagonal(n)
+    dp = _univariate_diagonal(n)
+    (l1, lx), (_, lx2) = dp.a0.entries
+    lx3 = dp.a_sum.entry(1, 1)
     c2 = lx * lx3 - lx2 * lx2
     c1 = l1 * lx3 - lx * lx2
     c0 = l1 * lx2 - lx * lx
@@ -386,7 +383,7 @@ def optimize_y_numeric(
     if best is None:
         raise ArithmeticError(f"no admissible critical point for n={n} kind={kind}")
     if d_q.c2 > 0 and n_q.c2 > 0:
-        at_infinity = n_q.c2 / d_q.c2
+        at_infinity = Fraction(n_q.c2, d_q.c2)
         if best[1].certainly_lt(AlgebraicBound.exact(at_infinity)):
             raise ArithmeticError(
                 "ratio supremum escapes to infinity; no finite optimizer"

@@ -252,19 +252,23 @@ def _pool_size(jobs: int, tasks: int) -> int:
     return min(jobs, tasks, os.cpu_count() or 1)
 
 
+def _n_range(args) -> range:
+    if args.n_min > args.n_max:
+        raise CliError(f"empty range: n-min {args.n_min} > n-max {args.n_max}")
+    return range(args.n_min, args.n_max + 1)
+
+
 def _rows_bounds(args) -> tuple[list[str], list[dict]]:
-    n_min, n_max = args.n_min, args.n_max
-    if n_min > n_max:
-        raise CliError(f"empty range: n-min {n_min} > n-max {n_max}")
-    if n_max > MAX_BOUNDS_N and not args.allow_large:
+    n_range = _n_range(args)
+    if args.n_max > MAX_BOUNDS_N and not args.allow_large:
         raise CliError(
-            f"n-max {n_max} exceeds the desk-scale cap {MAX_BOUNDS_N}; "
+            f"n-max {args.n_max} exceeds the desk-scale cap {MAX_BOUNDS_N}; "
             "pass --allow-large to proceed"
         )
     kinds = ("old", "new") if args.kind == "both" else (args.kind,)
     policy = {"paper": "paper", "optimal": "numeric-optimal"}[args.y]
     tasks = []
-    for n in range(n_min, n_max + 1):
+    for n in n_range:
         n_kinds = tuple(k for k in kinds if k == "old" or (n % 2 == 0 and n >= 4))
         if n_kinds:
             tasks.append((n, n_kinds, policy, args.prec))
@@ -281,13 +285,14 @@ def _rows_bounds(args) -> tuple[list[str], list[dict]]:
 
 
 def _rows_roots(args) -> tuple[list[str], list[dict]]:
+    n_range = _n_range(args)
     if args.n_min < 1:
         raise CliError("n-min must be >= 1")
     if args.n_max > 32 and not args.allow_large:
         raise CliError(f"n-max {args.n_max} exceeds the desk-scale cap 32")
     header = ["n", "q_left_lo", "q_left_hi", "q_right_lo", "q_right_hi", "prec_bits"]
     rows = []
-    for n in range(args.n_min, args.n_max + 1):
+    for n in n_range:
         ql, qr = spectra.extreme_roots(eulerian.univariate_eulerian(n), args.prec)
         rows.append(
             {

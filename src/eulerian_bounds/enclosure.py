@@ -44,6 +44,8 @@ class AlgebraicBound:
 
     @staticmethod
     def exact(value: Rat) -> "AlgebraicBound":
+        if isinstance(value, float):
+            raise TypeError(f"float {value!r} cannot enter an exact enclosure")
         v = Fraction(value)
         return AlgebraicBound(v, v)
 

@@ -10,10 +10,12 @@ Two independent routes are provided: ``lform_from_truncation`` derives
 L(m) generically from the degree-3 truncation of any p, while
 ``eulerian_lform`` evaluates closed forms specific to the multivariate
 Eulerian family.  Their agreement over the Eulerian polynomials is a
-tested invariant.  The Eulerian truncation itself (``Truncation3.eulerian``)
-is read off descent-top counts, O(n^3) coefficients of at most eight
-summands each, so the full 2^n-term multivariate polynomial is never
-expanded; the expansion stays in the tests as the oracle for it.
+tested invariant.  The closed forms are integers, so the Eulerian table
+and the pencil built from it are integral.  The Eulerian truncation
+itself (``Truncation3.eulerian``) is read off descent-top counts, O(n^3)
+coefficients of at most eight summands each, so the full 2^n-term
+multivariate polynomial is never expanded; the expansion stays in the
+tests as the oracle for it.
 
 Monomials are written as sorted index tuples with repetition:
 () is 1, (i,) is x_i, (i, i, j) is x_i^2 x_j.
@@ -89,9 +91,9 @@ class LFormTable:
     """Total table of L(m) over all monomials of degree <= 3 in n variables."""
 
     n: int
-    values: Mapping[Monomial, Fraction]
+    values: Mapping[Monomial, int | Fraction]
 
-    def __call__(self, monomial: Monomial) -> Fraction:
+    def __call__(self, monomial: Monomial) -> int | Fraction:
         key = tuple(sorted(monomial))
         try:
             return self.values[key]
@@ -135,54 +137,43 @@ def lform_from_truncation(t: Truncation3) -> LFormTable:
     return LFormTable(n=t.n, values=values)
 
 
-def eulerian_lform(n: int, monomial: Monomial) -> Fraction:
+def eulerian_lform(n: int, monomial: Monomial) -> int:
     """Closed-form L value on a degree-<=3 monomial for the Eulerian family.
 
+    Every value is an integer, built from shifts and powers of 3.
+
     >>> eulerian_lform(5, ())
-    Fraction(5, 1)
+    5
     >>> eulerian_lform(5, (1, 2))
-    Fraction(2, 1)
+    2
     >>> eulerian_lform(5, (2, 2))
-    Fraction(9, 1)
+    9
     """
     mono = tuple(sorted(monomial))
     if len(mono) > 3:
         raise ValueError(f"monomial degree {len(mono)} > 3")
     if any(not 1 <= v <= n for v in mono):
         raise ValueError(f"monomial {mono} has indices outside [1, {n}]")
-    two = Fraction(2)
     if mono == ():
-        return Fraction(n)
+        return n
     if len(mono) == 1:
         (i,) = mono
-        return Fraction(2**i - 1)
+        return (1 << i) - 1
     if len(mono) == 2:
         i, j = mono
         if i == j:
-            return Fraction((2**i - 1) ** 2)
-        return two ** (i + j) - two ** (j - i) * 3**i
+            return ((1 << i) - 1) ** 2
+        return (4**i - 3**i) << (j - i)
     i, j, k = mono
     if i == j == k:
-        return Fraction((2**i - 1) ** 3)
-    if i == j:  # x_i^2 x_k with i < k
-        return (
-            Fraction(1, 3)
-            * two ** (-3 + k - i)
-            * (-2 + 2 ** (i + 1))
-            * (-4 * 3 ** (i + 1) + 3 * 4 ** (i + 1))
-        )
-    if j == k:  # x_j^2 x_i with i < j
-        return (
-            Fraction(1, 3)
-            * two ** (-3 + j - i)
-            * (-2 + 2 ** (j + 1))
-            * (-4 * 3 ** (i + 1) + 3 * 4 ** (i + 1))
-        )
+        return ((1 << i) - 1) ** 3
+    if i == j or j == k:  # x_i^2 x_k or x_i x_k^2
+        return ((1 << j) - 1) * (4**i - 3**i) << (k - i)
     return (
-        two ** (i + j + k)
-        - two ** (j + k - i) * 3**i
-        - two ** (-2 + (i + 1) - (j + 1) + (k + 1)) * 3**j
-        + two ** (-3 + 2 * (i + 1) - (j + 1) + (k + 1)) * 3 ** (j - i)
+        (1 << (i + j + k))
+        - (3**i << (j + k - i))
+        - (3**j << (i - j + k - 1))
+        + (3 ** (j - i) << (2 * i - j + k - 1))
     )
 
 

@@ -15,6 +15,10 @@ Three certified quantities live here:
   real-rooted univariate polynomial, via exact root isolation, each
   re-checked for a sign change before it is returned.
 
+Each root enclosure is the dyadic cell [k, k+1] / 2^prec holding the
+root, clipped to its isolating interval: a function of the root and
+prec alone, nesting as prec grows.
+
 Root isolation is integer-only: Yun's squarefree decomposition over a
 primitive-PRS gcd (skipped when a gcd modulo a prime already certifies
 the input squarefree), then continued-fraction isolation with Descartes'
@@ -266,9 +270,8 @@ def psd_interval_left(p: DiagonalPencil, prec: int = DEFAULT_PREC) -> AlgebraicB
         # Still singular everywhere: the PSD set has no interior, so it is {0}.
         desc = [1, 0]
     desc_sqf, intervals = _isolate(desc, nonpositive=True)
-    tol = Fraction(1, 2**prec)
     for a, b in reversed(intervals):
-        enc = _refine_root(desc_sqf, a, b, tol, exact=False)
+        enc = _refine_root(desc_sqf, a, b, prec, exact=False)
         if not _is_psd_at(p, enc.lo):
             if not _is_psd_at(p, enc.hi):
                 raise ArithmeticError("x_min enclosure is not PSD at hi")
@@ -352,7 +355,7 @@ def boundary_kernel_vector(p: DiagonalPencil, prec: int = DEFAULT_PREC) -> Kerne
         )
 
 
-def _sign_at(desc: list[int], point: Fraction) -> int:
+def _sign_at(desc: list[int], point: int | Fraction) -> int:
     # Sign of p(num/den) from the integer value p(num/den) * den^deg.
     num, den = point.numerator, point.denominator
     acc = desc[0]
@@ -386,33 +389,33 @@ def _boundary_corank(p: DiagonalPencil, x: AlgebraicBound) -> int:
 
 
 def _refine_root(
-    desc: list[int], lo: Fraction, hi: Fraction, tol: Fraction, exact: bool = True
+    desc: list[int], lo: Fraction, hi: Fraction, prec: int, exact: bool = True
 ) -> AlgebraicBound:
-    # Bisect a bracket around the single root inside the open isolating
-    # interval.  An endpoint may be a *different* root of the polynomial
-    # (isolating intervals share endpoints); deflating it restores a
-    # clean sign change.  The bisection path is deterministic, so
-    # enclosures at higher precision nest inside earlier ones.  With
-    # ``exact`` false a rational root r is never returned as a point: it
-    # stays the hi end of a bracket whose lo is not a root.
+    # The dyadic cell [k, k+1] / 2^prec, k = ceil(r 2^prec) - 1, of the one
+    # root r in the isolating interval, clipped to it; k is bisected over
+    # the integers with Horner signs on coefficients scaled by 2^prec.
+    # Endpoints that are other roots (neighbours share them) are deflated.
+    # With ``exact`` a root on the grid, or an exact isolated root, is a
+    # point; without it the root is the hi end of its cell.
+    one = 1 << prec
     if lo == hi:
-        return AlgebraicBound.exact(lo) if exact else AlgebraicBound(lo - tol, lo)
+        k = -(-lo.numerator * one // lo.denominator) - 1
+        return AlgebraicBound.exact(lo) if exact else AlgebraicBound(Fraction(k, one), lo)
     for r in (lo, hi):
         while _sign_at(desc, r) == 0:
             desc = _quo(desc, [r.denominator, -r.numerator])
     slo = _sign_at(desc, lo)
     if slo == _sign_at(desc, hi):
         raise ValueError("interval endpoints do not bracket a sign change")
-    while hi - lo > tol:
-        mid = (lo + hi) / 2
-        smid = _sign_at(desc, mid)
-        if smid == 0 and exact:
-            return AlgebraicBound.exact(mid)
-        if smid == slo:
-            lo = mid
-        else:
-            hi = mid
-    return AlgebraicBound(lo, hi)
+    scaled = [c << (prec * i) for i, c in enumerate(desc)]
+    a, b = lo.numerator * one // lo.denominator, -(-hi.numerator * one // hi.denominator)
+    while b - a > 1:  # r in (max(lo, a / 2^prec), min(hi, b / 2^prec)]
+        m = (a + b) // 2
+        sign = _sign_at(scaled, m)
+        if sign == 0 and exact:
+            return AlgebraicBound.exact(Fraction(m, one))
+        a, b = (m, b) if sign == slo else (a, m)
+    return AlgebraicBound(max(lo, Fraction(a, one)), min(hi, Fraction(b, one)))
 
 
 def extreme_roots(
@@ -424,9 +427,11 @@ def extreme_roots(
     situation).  Disjoint isolating intervals come from continued-fraction
     isolation over the integers (Descartes' rule of signs on Moebius
     transforms, Collins-Akritas and Akritas-Strzebonski) of the
-    squarefree part; the extreme ones are then narrowed to 2**-prec by
-    sign bisection with exact big-integer evaluation, so the enclosures
-    are certified.
+    squarefree part; each extreme one is then narrowed to the dyadic
+    cell [k, k+1] / 2**prec holding its root (clipped to the isolating
+    interval) by bisection over the integers k with exact big-integer
+    sign evaluation, so the enclosures are certified, of width at most
+    2**-prec, and nest as prec grows.
 
     >>> from eulerian_bounds.eulerian import univariate_eulerian
     >>> left, right = extreme_roots(univariate_eulerian(2), 16)  # -2 -+ sqrt(3)
@@ -444,9 +449,8 @@ def extreme_roots(
             f"not real-rooted: {len(intervals)} distinct real roots, "
             f"squarefree degree {len(desc_sqf) - 1}"
         )
-    tol = Fraction(1, 2**prec)
-    left = _refine_root(desc_sqf, *intervals[0], tol)
-    right = _refine_root(desc_sqf, *intervals[-1], tol)
+    left = _refine_root(desc_sqf, *intervals[0], prec)
+    right = _refine_root(desc_sqf, *intervals[-1], prec)
     if right.hi > 0:
         raise ValueError("roots are not all negative")
     for enc in (left, right):

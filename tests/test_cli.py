@@ -120,14 +120,18 @@ class TestBounds:
             assert rebuilt.difference == fresh.difference
 
     def test_determinism(self, capsys):
-        args = ["bounds", "--n-min", "4", "--n-max", "6", "--kind", "new",
-                "--format", "csv", "--prec", "64"]
-        _, first, _ = run_cli(capsys, args)
-        _, second, _ = run_cli(capsys, args)
-        assert first == second
+        for args in (
+            ["bounds", "--n-min", "4", "--n-max", "6", "--kind", "new",
+             "--format", "csv", "--prec", "64"],
+            ["roots", "--n-max", "12"],
+            ["eigvec", "--n-max", "6"],
+        ):
+            _, first, _ = run_cli(capsys, args)
+            _, second, _ = run_cli(capsys, args)
+            assert first and first == second, args
 
     def test_jobs_match_serial(self, capsys):
-        args = ["bounds", "--n-min", "4", "--n-max", "6", "--kind", "old",
+        args = ["bounds", "--n-min", "4", "--n-max", "6", "--kind", "both",
                 "--format", "csv", "--prec", "64"]
         _, serial, _ = run_cli(capsys, args)
         _, parallel, _ = run_cli(capsys, args + ["--jobs", "2"])
@@ -188,6 +192,13 @@ class TestRoots:
         assert Fraction(r2["q_left_hi"]) - Fraction(r2["q_left_lo"]) <= Fraction(
             1, 2**64
         )
+
+    def test_empty_range(self, capsys):
+        code, out, err = run_cli(capsys, ["roots", "--n-min", "5", "--n-max", "3"])
+        assert code == 2 and not out
+        assert json.loads(err) == {
+            "error": "empty range: n-min 5 > n-max 3", "command": "roots"
+        }
 
     def test_env_var_sets_default_prec(self, capsys, monkeypatch):
         monkeypatch.setenv("EULERIAN_BOUNDS_PREC", "32")

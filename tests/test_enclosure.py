@@ -29,6 +29,13 @@ def test_exact_and_accessors():
     assert float(b) == pytest.approx(3 / 7)
 
 
+def test_floats_cannot_enter_an_enclosure():
+    with pytest.raises(TypeError):
+        AlgebraicBound.exact(0.5)
+    with pytest.raises(TypeError):
+        AlgebraicBound.exact(1) + 0.5
+
+
 def test_arithmetic_basics():
     a = AlgebraicBound(Fraction(1), Fraction(2))
     b = AlgebraicBound(Fraction(-1), Fraction(3))

@@ -169,6 +169,16 @@ class TestDiagonal:
         manual = dp.a0 + dp.a_sum.scale(x)
         assert dp.at(x).entries == manual.entries
 
+    @pytest.mark.parametrize("n", range(1, 21))
+    def test_eulerian_table_and_pencil_hold_ints(self, n):
+        # Python ints, not Fractions equal to integers: the Eulerian data
+        # stays integral from the closed forms to the diagonal pencil.
+        assert all(type(v) is int for v in eulerian_lform_table(n).values.values())
+        dp = eulerian_diagonal_pencil(n)
+        assert all(
+            type(v) is int for m in (dp.a0, dp.a_sum) for row in m.entries for v in row
+        )
+
 
 class TestPsdCertificate:
     def test_identity(self):

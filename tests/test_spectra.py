@@ -1,5 +1,6 @@
 """Certified PSD endpoints, boundary kernel vectors, extreme roots."""
 
+import math
 from fractions import Fraction
 
 import mpmath
@@ -416,3 +417,42 @@ class TestIsolationAgainstSympy:
         assert spectra._sign_at(desc, left.lo) * spectra._sign_at(desc, left.hi) < 0
         assert spectra._sign_at(desc, right.lo) * spectra._sign_at(desc, right.hi) < 0
         assert abs((left * right).midpoint - 1) < Fraction(1, 2**64)
+
+
+class TestDyadicRefinement:
+    """_refine_root returns the dyadic cell of its root at each precision."""
+
+    @given(polynomials_with_known_roots(), st.integers(8, 96))
+    @settings(max_examples=150, deadline=None)
+    def test_refine_root_returns_the_dyadic_cell(self, poly, prec):
+        # k = ceil(r 2^p) - 1 names the cell (k, k+1] / 2^p holding r; the
+        # enclosure is that cell clipped to the isolating interval, so it
+        # nests in the cell at p - 1.  A root on the grid is a point with
+        # ``exact`` and the hi end of its cell without; an isolated exact
+        # root (lo == hi) keeps a lo below it without ``exact``.
+        f, roots = poly
+        sqf, intervals = spectra._isolate(f)
+        for (lo, hi), r in zip(intervals, roots):
+            cells = []
+            for p in (prec - 1, prec):
+                k = math.ceil(r * 2**p) - 1
+                cell = spectra._refine_root(sqf, lo, hi, p, exact=False)
+                if lo == hi:
+                    assert cell == AlgebraicBound(Fraction(k, 2**p), r)
+                else:
+                    assert cell == AlgebraicBound(
+                        max(lo, Fraction(k, 2**p)), min(hi, Fraction(k + 1, 2**p))
+                    )
+                cells.append(cell)
+            assert cells[0].encloses(cells[1])
+            on_grid = lo == hi or (r * 2**prec).denominator == 1
+            point = spectra._refine_root(sqf, lo, hi, prec, exact=True)
+            assert point == (AlgebraicBound.exact(r) if on_grid else cells[1])
+            if on_grid:
+                assert cells[1].hi == r
+
+    def test_refine_root_clips_the_cell_to_the_interval(self):
+        # The root 1/3 lies in the cell (85, 86] / 2^8, which starts left of lo.
+        lo = Fraction(1, 3) - Fraction(1, 1000)
+        cell = spectra._refine_root([3, -1], lo, Fraction(1, 2), 8)
+        assert cell == AlgebraicBound(lo, Fraction(86, 256))
