@@ -41,9 +41,8 @@ from .pencil import (
     build_pencil,
     diagonal_pencil,
     eulerian_diagonal_pencil,
-    psd_certificate,
 )
-from .spectra import extreme_roots, psd_interval_left
+from .spectra import _is_psd_at, extreme_roots, psd_interval_left
 
 __all__ = [
     "GuessVector",
@@ -251,9 +250,9 @@ def univariate_pencil_endpoint(n: int, prec: int = DEFAULT_PREC) -> AlgebraicBou
     root = quadratic_root_enclosure(c2, c1, c0, "+", prec)
     if not root.is_certainly_negative():
         raise ArithmeticError("univariate pencil endpoint is not negative")
-    if not psd_certificate(dp.at(root.hi)).is_psd:
+    if not _is_psd_at(dp, root.hi):
         raise ArithmeticError("endpoint enclosure fails the exact PSD guard")
-    if root.lo != root.hi and psd_certificate(dp.at(root.lo)).is_psd:
+    if root.lo != root.hi and _is_psd_at(dp, root.lo):
         raise ArithmeticError("endpoint enclosure is PSD at lo")
     return root
 

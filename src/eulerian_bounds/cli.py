@@ -265,6 +265,8 @@ def _rows_bounds(args) -> tuple[list[str], list[dict]]:
             f"n-max {args.n_max} exceeds the desk-scale cap {MAX_BOUNDS_N}; "
             "pass --allow-large to proceed"
         )
+    if args.jobs < 1:
+        raise CliError("--jobs must be >= 1")
     kinds = ("old", "new") if args.kind == "both" else (args.kind,)
     policy = {"paper": "paper", "optimal": "numeric-optimal"}[args.y]
     tasks = []

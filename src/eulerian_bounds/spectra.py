@@ -8,9 +8,9 @@ Three certified quantities live here:
   come from the fraction-free elimination kernel of ``pencil`` (entries
   grow like 8^n, so floating eigensolvers lose certification long before
   the desk-scale range ends; exact sign tests do not);
-- an approximate kernel vector of the pencil at that boundary, computed
-  with extended-precision floats, with the exact corank there read off
-  the multiplicity of x_min as a root of the same determinant;
+- an approximate kernel vector at that boundary, the largest column of
+  an extended-precision inverse beside it, with the exact corank there
+  read off the multiplicity of x_min as a root of the same determinant;
 - enclosures of the extreme (leftmost / rightmost) real roots of a
   real-rooted univariate polynomial, via exact root isolation, each
   re-checked for a sign change before it is returned.
@@ -38,7 +38,8 @@ import mpmath
 
 from .enclosure import DEFAULT_PREC, AlgebraicBound
 from .eulerian import UnivariatePolynomial
-from .pencil import DiagonalPencil, _bareiss, _integer_rows, psd_certificate
+from .pencil import DiagonalPencil, SymmetricRationalMatrix, psd_certificate
+from .pencil import _bareiss, _integer_rows
 
 __all__ = [
     "KernelVector",
@@ -48,8 +49,18 @@ __all__ = [
     "DEFAULT_PREC",
 ]
 
+
+def _pencil_rows(rows: list[list[int]], num: int, den: int) -> tuple[tuple[int, ...], ...]:
+    # den A0 + num A_sum from the cleared rows of [A0; A_sum]: a positive
+    # multiple of A0 + (num/den) A_sum, in integers.
+    return tuple(tuple(den * u + num * v for u, v in zip(r0, r1))
+                 for r0, r1 in zip(rows, rows[len(rows) // 2:]))
+
+
 def _is_psd_at(p: DiagonalPencil, x: Fraction) -> bool:
-    return psd_certificate(p.at(x)).is_psd
+    rows = _integer_rows(p.a0.entries + p.a_sum.entries)
+    m = _pencil_rows(rows, x.numerator, x.denominator)
+    return psd_certificate(SymmetricRationalMatrix(m)).is_psd
 
 
 def _det(a: list[list[int]]) -> int:
@@ -67,13 +78,8 @@ def _det_polynomial(a0, a_sum) -> list[int]:
     # Descending integer coefficients of det(a0 + x a_sum) up to a positive
     # factor, degree <= s: values at x = 0..s, Newton forward differences
     # (the j-th is divisible by j!), then Horner in the falling factorials.
-    s = len(a0)
-    rows = _integer_rows(a0 + a_sum)
-    a0, a_sum, newton = rows[:s], rows[s:], []
-    values = [
-        _det([[u + k * v for u, v in zip(r0, r1)] for r0, r1 in zip(a0, a_sum)])
-        for k in range(s + 1)
-    ]
+    s, rows, newton = len(a0), _integer_rows(a0 + a_sum), []
+    values = [_det(_pencil_rows(rows, k, 1)) for k in range(s + 1)]
     for j in range(s + 1):
         newton.append(values[0] // math.factorial(j))
         values = [b - a for a, b in zip(values, values[1:])]
@@ -283,7 +289,8 @@ def psd_interval_left(p: DiagonalPencil, prec: int = DEFAULT_PREC) -> AlgebraicB
 class KernelVector:
     """Approximate null vector of the pencil at its PSD boundary.
 
-    Entries are extended-precision floats; ``normalization`` records
+    Entries are extended-precision floats, a column of an inverse beside
+    the boundary (``boundary_kernel_vector``); ``normalization`` records
     whether the final entry was scaled to 1 or, when that entry is
     negligible, the vector was scaled by its sup norm with the last
     nonzero entry positive.  ``degenerate`` flags an exact corank > 1 of
@@ -297,13 +304,28 @@ class KernelVector:
     prec: int
 
 
+def _null_vector(m: SymmetricRationalMatrix) -> list[Fraction]:
+    # Back substitution on the Bareiss echelon rows (zero left of their
+    # pivot), free columns 1; v[col] is still 0 while its row is summed.
+    pivots = {col: row for col, _, row in _bareiss(m.entries)}
+    if len(pivots) == m.size:
+        raise ArithmeticError("numerically singular boundary matrix is nonsingular")
+    v = [Fraction(j not in pivots) for j in range(m.size)]
+    for col in sorted(pivots, reverse=True):
+        v[col] = Fraction(-sum(r * c for r, c in zip(pivots[col], v)), pivots[col][col])
+    return v
+
+
 def boundary_kernel_vector(p: DiagonalPencil, prec: int = DEFAULT_PREC) -> KernelVector:
     """Kernel direction of A0 + x A_sum at its PSD boundary x_min.
 
     x_min is enclosed (``psd_interval_left``) at least to 2**-prec and
     tightly enough that the distance to the true boundary cannot push the
-    smallest singular value above the residual target 2**(-prec/2); the
-    singular triple is then computed at 2*prec working bits.
+    smallest singular value above the residual target 2**(-prec/2).  At
+    its midpoint M, M^-1 = adj(M) / det(M) with adj(M) near c v v^T at a
+    corank-1 boundary: every column is parallel to the kernel direction
+    v, and the largest holds at least a 1/sqrt(s) share of it.  M^-1 is
+    taken at 2*prec + 32 bits; a singular M gets an exact null vector.
 
     The corank behind ``degenerate`` is exact.  For x_min < 0 the PSD
     interval has interior points, where the pencil is positive definite
@@ -319,14 +341,13 @@ def boundary_kernel_vector(p: DiagonalPencil, prec: int = DEFAULT_PREC) -> Kerne
     matrix = p.at(x.midpoint)
 
     with mpmath.workprec(2 * prec + 32):
-        a = mpmath.matrix(s, s)
-        for i in range(s):
-            for j in range(s):
-                e = matrix.entry(i, j)
-                a[i, j] = mpmath.mpf(e.numerator) / mpmath.mpf(e.denominator)
-        _, sigma, vt = mpmath.svd_r(a)
-        order = sorted(range(s), key=lambda k: abs(sigma[k]))
-        v = [vt[order[0], j] for j in range(s)]
+        a = mpmath.matrix([[mpmath.mpf(e.numerator) / e.denominator for e in row]
+                           for row in matrix.entries])
+        try:
+            inv = mpmath.inverse(a)
+            v = list(max((inv.column(j) for j in range(s)), key=mpmath.norm))
+        except ZeroDivisionError:
+            v = [mpmath.mpf(c.numerator) / c.denominator for c in _null_vector(matrix)]
 
         sup = max(abs(c) for c in v)
         if abs(v[-1]) >= sup * mpmath.mpf(2) ** (-(prec // 4)):

@@ -10,6 +10,7 @@ import subprocess
 import sys
 from fractions import Fraction
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -264,6 +265,15 @@ class TestEigvec:
         assert first == second
         assert "<svg" in first and first.rstrip().endswith("</svg>")
 
+    def test_runs_without_svd(self, capsys, monkeypatch):
+        # The kernel vector comes from one inverse; the SVD is a test oracle.
+        def no_svd(*args, **kwargs):
+            raise AssertionError("mpmath.svd_r called")
+
+        monkeypatch.setattr(mpmath, "svd_r", no_svd)
+        code, out, _ = run_cli(capsys, ["eigvec", "--n-max", "8"])
+        assert code == 0 and len(parse_csv(out)) == sum(n + 1 for n in range(1, 9))
+
     def test_output_file(self, capsys, tmp_path):
         target = tmp_path / "eig.csv"
         code, out, _ = run_cli(
@@ -313,6 +323,11 @@ class TestErrors:
         lifted = self.one_line_error(capsys, ["counts", "--n", "10", "--allow-large"])
         assert plain == lifted
         assert "brute force" in plain and "does not lift" in plain
+
+    @pytest.mark.parametrize("jobs", ("0", "-2"))
+    def test_jobs_below_one(self, capsys, jobs):
+        args = ["bounds", "--n-min", "4", "--n-max", "5", "--jobs", jobs]
+        assert self.one_line_error(capsys, args) == "--jobs must be >= 1"
 
     def test_pool_size_clamp(self, monkeypatch):
         monkeypatch.setattr("os.cpu_count", lambda: 2)

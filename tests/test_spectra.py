@@ -5,13 +5,13 @@ from fractions import Fraction
 
 import mpmath
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from sympy.polys.domains import ZZ
 from sympy.polys.rootisolation import dup_isolate_real_roots_sqf
 from sympy.polys.sqfreetools import dup_sqf_list, dup_sqf_part
 
-from eulerian_bounds import spectra
+from eulerian_bounds import bounds, spectra
 from eulerian_bounds.enclosure import AlgebraicBound, sqrt_enclosure
 from eulerian_bounds.eulerian import univariate_eulerian
 from eulerian_bounds.pencil import (
@@ -185,6 +185,24 @@ class TestPsdIntervalLeft:
         assert certified_boundary(dp, enc)
 
 
+def svd_kernel_cosine(dp: DiagonalPencil, kv) -> mpmath.mpf:
+    """|cos| of the angle between kv and the SVD's smallest singular vector.
+
+    Independent oracle: the SVD runs at the midpoint of a boundary
+    enclosure of width 2**-(4 prec + 64), far finer than kv's own.
+    """
+    prec = kv.prec
+    with mpmath.workprec(2 * prec + 32):
+        m = dp.at(psd_interval_left(dp, 4 * prec + 64).midpoint)
+        a = mpmath.matrix([[mpmath.mpf(e.numerator) / e.denominator for e in row]
+                           for row in m.entries])
+        _, sigma, vt = mpmath.svd_r(a)
+        k = min(range(dp.size), key=lambda i: abs(sigma[i]))
+        oracle = [vt[k, j] for j in range(dp.size)]
+        v = list(kv.entries)
+        return abs(mpmath.fdot(v, oracle)) / (mpmath.norm(v) * mpmath.norm(oracle))
+
+
 class TestKernelVector:
     def test_n1_degenerate(self):
         dp = eulerian_diagonal_pencil(1)
@@ -231,6 +249,67 @@ class TestKernelVector:
         dp = diag_pencil([[1, 0], [0, 0]], [[0, 1], [1, 0]])
         assert not boundary_kernel_vector(dp, 64).degenerate
 
+    @pytest.mark.parametrize("prec", (64, 128))
+    def test_kernel_orthogonal_to_all_ones(self, prec):
+        # x_min = -1 with kernel (1, -1), orthogonal to (1, 1): a solve with
+        # a fixed all-ones right-hand side misses it and trips the guard.
+        kv = boundary_kernel_vector(diag_pencil([[1, 0], [0, 1]], [[0, -1], [-1, 0]]), prec)
+        assert kv.residual <= mpmath.mpf(2) ** -(prec // 2)
+        sign = 1 if kv.entries[-1] > 0 else -1
+        tol = mpmath.mpf(2) ** -(prec // 4)
+        assert all(abs(sign * e - t) <= tol for e, t in zip(kv.entries, (-1, 1)))
+
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_eulerian_matches_svd(self, n):
+        kv = boundary_kernel_vector(eulerian_diagonal_pencil(n), 128)
+        assert svd_kernel_cosine(eulerian_diagonal_pencil(n), kv) >= 1 - mpmath.mpf(2) ** -32
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.one_of(st.integers(2, 10).map(eulerian_diagonal_pencil), psd_pencils()),
+        st.sampled_from((32, 64, 128)),
+    )
+    def test_property_matches_svd(self, dp, prec):
+        try:
+            x = psd_interval_left(dp, prec)
+        except ValueError:
+            assume(False)
+        assume(spectra._boundary_corank(dp, x) == 1)
+        kv = boundary_kernel_vector(dp, prec)
+        assert svd_kernel_cosine(dp, kv) >= 1 - mpmath.mpf(2) ** -(prec // 4)
+
+    @pytest.mark.parametrize(
+        "dp, kernel",
+        [
+            (eulerian_diagonal_pencil(1), (-1, 1)),
+            (diag_pencil([[1, 0, 0], [0, 2, 0], [0, 0, 0]],
+                         [[1, 0, 0], [0, 1, 0], [0, 0, 0]]), (0, 0, 1)),
+        ],
+    )
+    def test_singular_midpoint_takes_the_exact_kernel(self, monkeypatch, dp, kernel):
+        # A common kernel makes the midpoint matrix singular: mpmath cannot
+        # invert it, and the null vector comes from the exact elimination.
+        calls = []
+        real = spectra._null_vector
+
+        def spy(m):
+            calls.append((m, real(m)))
+            return calls[-1][1]
+
+        monkeypatch.setattr(spectra, "_null_vector", spy)
+        kv = boundary_kernel_vector(dp, 64)
+        [(m, w)] = calls
+        assert all(sum(a * b for a, b in zip(row, w)) == 0 for row in m.entries)
+        assert kv.residual == 0 and kv.entries == kernel
+
+    def test_nonsingular_matrix_has_no_exact_kernel(self, monkeypatch):
+        def singular(a):
+            raise ZeroDivisionError("matrix is numerically singular")
+
+        monkeypatch.setattr(mpmath, "inverse", singular)
+        with pytest.raises(ArithmeticError, match="nonsingular"):
+            boundary_kernel_vector(eulerian_diagonal_pencil(4), 64)
+
     def test_residual_contract(self):
         dp = eulerian_diagonal_pencil(6)
         kv = boundary_kernel_vector(dp, 96)
@@ -273,6 +352,35 @@ class TestKernelVector:
         )
         with pytest.raises(ArithmeticError, match="residual"):
             boundary_kernel_vector(dp, 64)
+
+
+@st.composite
+def integer_or_rational_pencils(draw) -> DiagonalPencil:
+    """Eulerian pencils for n <= 10, or psd_pencils with A_sum over a denominator."""
+    if draw(st.booleans()):
+        return eulerian_diagonal_pencil(draw(st.integers(1, 10)))
+    dp, d = draw(psd_pencils()), draw(st.integers(1, 12))
+    return DiagonalPencil(dp.a0, dp.a_sum.scale(Fraction(1, d)))
+
+
+class TestIntegerPsdInput:
+    @settings(max_examples=150, deadline=None)
+    @given(integer_or_rational_pencils(), st.integers(1, 200), st.data())
+    def test_matches_the_fraction_matrix(self, dp, bits, data):
+        # q A0 + p A_sum for x = p / q has the PSD status of A0 + x A_sum.
+        b = data.draw(st.integers(1, 2**bits))
+        x = Fraction(data.draw(st.integers(-b, b)), b)
+        assert spectra._is_psd_at(dp, x) == psd_certificate(dp.at(x)).is_psd
+
+    def test_no_fraction_matrix_is_built(self, monkeypatch):
+        def fraction_matrix(self, x):
+            raise AssertionError("DiagonalPencil.at called")
+
+        monkeypatch.setattr(DiagonalPencil, "at", fraction_matrix)
+        spectra._boundary_polynomial.cache_clear()
+        # Both return only after their exact PSD tests at lo and hi.
+        assert psd_interval_left(eulerian_diagonal_pencil(8), 128).hi < 0
+        assert bounds.univariate_pencil_endpoint(6, 64).is_certainly_negative()
 
 
 class TestExtremeRoots:
