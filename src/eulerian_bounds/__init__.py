@@ -56,6 +56,7 @@ from .spectra import (
     KernelVector,
     boundary_kernel_vector,
     extreme_roots,
+    psd_boundary,
     psd_interval_left,
 )
 
@@ -99,6 +100,7 @@ __all__ = [
     "optimize_y_numeric",
     "paper_y",
     "psd_certificate",
+    "psd_boundary",
     "psd_interval_left",
     "quadratic_root_enclosure",
     "ratio_diagnostic",

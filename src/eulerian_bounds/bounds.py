@@ -15,7 +15,8 @@ old family's quadratics (with the opposite sign), which is the choice
 that makes its D and N positive.
 
 The univariate reference bound un(n) comes from the 2x2 pencil of the
-univariate Eulerian polynomial; its PSD endpoint is a quadratic root.
+univariate Eulerian polynomial; its PSD endpoint is certified by the
+same determinant-root path as x_min.
 ``ratio_diagnostic`` turns sequences of bound differences into
 consecutive-ratio trend data for the asymptotic separation claims
 (old: differences decay like (3/4)^n; new: they grow like (9/8)^m).
@@ -42,7 +43,7 @@ from .pencil import (
     diagonal_pencil,
     eulerian_diagonal_pencil,
 )
-from .spectra import _is_psd_at, extreme_roots, psd_interval_left
+from .spectra import extreme_roots, psd_boundary, psd_interval_left
 
 __all__ = [
     "GuessVector",
@@ -139,9 +140,9 @@ def linearized_DN(
     """Expand D = v^T A0 v and N = v^T A_sum v as quadratics in y.
 
     Only the first entry is symbolic, so the y^2 coefficient is the
-    matrix corner and the y coefficient is twice the first row paired
-    with the concrete tail; a fully concrete v gives degenerate
-    quadratics (c2 = c1 = 0).
+    matrix corner, the y coefficient is twice the first row paired with
+    the concrete tail, and the constant is the quadratic form of the tail;
+    a fully concrete v gives degenerate quadratics (c2 = c1 = 0).
     """
     if len(v.entries) != p.size:
         raise ValueError(
@@ -149,25 +150,11 @@ def linearized_DN(
         )
 
     def expand(mat: SymmetricRationalMatrix) -> QuadraticInY:
+        if not v.symbolic:
+            return QuadraticInY(Fraction(0), Fraction(0), mat.quadratic_form(v.entries))
         tail = v.entries[1:]
-        row0 = mat.entries[0]
-        cross = sum(row0[r] * tail[r - 1] for r in range(1, mat.size))
-        body = Fraction(0)
-        for r in range(1, mat.size):
-            vr = tail[r - 1]
-            if vr:
-                row = mat.entries[r]
-                body += vr * sum(
-                    row[c] * tail[c - 1] for c in range(1, mat.size) if tail[c - 1]
-                )
-        if v.symbolic:
-            return QuadraticInY(c2=row0[0], c1=2 * cross, c0=body)
-        y0 = v.entries[0]
-        return QuadraticInY(
-            c2=Fraction(0),
-            c1=Fraction(0),
-            c0=row0[0] * y0 * y0 + 2 * y0 * cross + body,
-        )
+        cross = sum(r * t for r, t in zip(mat.entries[0][1:], tail))
+        return QuadraticInY(mat.entry(0, 0), 2 * cross, mat.quadratic_form((0,) + tail))
 
     return expand(p.a0), expand(p.a_sum)
 
@@ -196,7 +183,6 @@ def _critical_coefficients(
 
 def optimal_y(
     kind: str,
-    n: int,
     d: QuadraticInY,
     nq: QuadraticInY,
     prec: int = DEFAULT_PREC,
@@ -222,7 +208,7 @@ def optimal_y(
 def paper_y(n: int, kind: str, prec: int = DEFAULT_PREC) -> AlgebraicBound:
     """The y each family is analyzed at; always from old-vector quadratics."""
     d_old, n_old = eulerian_guess_quadratics(n, "old")
-    return optimal_y(kind, n, d_old, n_old, prec)
+    return optimal_y(kind, d_old, n_old, prec)
 
 
 def _univariate_diagonal(n: int) -> DiagonalPencil:
@@ -234,27 +220,10 @@ def _univariate_diagonal(n: int) -> DiagonalPencil:
 def univariate_pencil_endpoint(n: int, prec: int = DEFAULT_PREC) -> AlgebraicBound:
     """Left PSD endpoint of the 2x2 pencil of the univariate polynomial.
 
-    det(A0 + x A1) is quadratic in x and positive at 0, so the endpoint
-    is its larger root, enclosed as a quadratic surd, not PSD at ``lo``
-    and PSD at ``hi``; the degenerate det = 0 case (n = 1) falls back to
-    ``psd_interval_left``.
+    The same certified path as every x_min (``spectra.psd_boundary``): a
+    root of det(A0 + x A1) that is not PSD at ``lo`` and PSD at ``hi``.
     """
-    dp = _univariate_diagonal(n)
-    (l1, lx), (_, lx2) = dp.a0.entries
-    lx3 = dp.a_sum.entry(1, 1)
-    c2 = lx * lx3 - lx2 * lx2
-    c1 = l1 * lx3 - lx * lx2
-    c0 = l1 * lx2 - lx * lx
-    if c2 == 0:
-        return psd_interval_left(dp, prec)
-    root = quadratic_root_enclosure(c2, c1, c0, "+", prec)
-    if not root.is_certainly_negative():
-        raise ArithmeticError("univariate pencil endpoint is not negative")
-    if not _is_psd_at(dp, root.hi):
-        raise ArithmeticError("endpoint enclosure fails the exact PSD guard")
-    if root.lo != root.hi and _is_psd_at(dp, root.lo):
-        raise ArithmeticError("endpoint enclosure is PSD at lo")
-    return root
+    return psd_boundary(_univariate_diagonal(n), prec)[0]
 
 
 def univariate_bound(n: int, prec: int = DEFAULT_PREC) -> AlgebraicBound:

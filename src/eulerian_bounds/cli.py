@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import itertools
 import json
@@ -51,6 +52,13 @@ MAX_EIGVEC_N = 16
 
 class CliError(Exception):
     pass
+
+
+class _Parser(argparse.ArgumentParser):
+    # Malformed argv becomes a CliError, reported as one JSON line like
+    # every other failure; subparsers inherit the class.
+    def error(self, message):
+        raise CliError(message)
 
 
 def _rat(x: Fraction) -> str:
@@ -558,8 +566,9 @@ def emit_plot(rows: list[dict], plot: str) -> str:
 # Argument parsing and dispatch
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="eulerian-bounds",
         description="Certified root bounds from the Eulerian spectrahedral relaxation",
     )
@@ -648,14 +657,12 @@ def _emit(args, header: list[str], rows: list[dict]) -> str:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    # Each command starts from empty x_min and determinant caches, as a
-    # fresh process does, so its work never depends on what ran before it
-    # in-process.
+    # Each command starts from an empty x_min cache, as a fresh process
+    # does, so its work never depends on what ran before it in-process.
     bounds_mod.eulerian_x_min.cache_clear()
-    spectra._boundary_polynomial.cache_clear()
+    args = None
     try:
+        args = _build_parser().parse_args(argv)
         if args.prec is None:
             args.prec = _default_prec()
         if args.prec < 16:
@@ -668,7 +675,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         else:
             sys.stdout.write(text)
     except (CliError, ValueError, ZeroDivisionError, ArithmeticError, OSError) as exc:
-        payload = {"error": str(exc), "command": args.command}
+        payload = {"error": str(exc), "command": getattr(args, "command", None)}
         print(json.dumps(payload), file=sys.stderr)
         return 2
     return 0

@@ -79,15 +79,22 @@ class SymmetricRationalMatrix:
         )
 
     def quadratic_form(self, v: Sequence) -> Fraction:
+        """v^T M v, exactly: the integer u^T M' u for u = d v and M' = l M,
+        the vector and the rows cleared once, divided back by l d^2.
+
+        >>> m = SymmetricRationalMatrix.from_rows([[1, 2], [2, 3]])
+        >>> m.quadratic_form([Fraction(1, 2), -1])
+        Fraction(5, 4)
+        """
         vec = [Fraction(x) for x in v]
         if len(vec) != self.size:
             raise ValueError("vector length mismatch")
-        total = Fraction(0)
-        for i, vi in enumerate(vec):
-            if vi:
-                row = self.entries[i]
-                total += vi * sum(row[j] * vj for j, vj in enumerate(vec) if vj)
-        return total
+        den = math.lcm(*(x.denominator for x in vec))
+        u = [x.numerator * (den // x.denominator) for x in vec]
+        lcm = math.lcm(*(x.denominator for row in self.entries for x in row))
+        value = sum(ui * sum(r * uj for r, uj in zip(row, u) if uj)
+                    for ui, row in zip(u, _integer_rows(self.entries)) if ui)
+        return Fraction(value, lcm * den * den)
 
     def max_abs_entry(self) -> Fraction:
         return max(abs(v) for row in self.entries for v in row)
@@ -203,17 +210,6 @@ def _bareiss(rows) -> Iterator[tuple[int, int, list[int]]]:
         prev = d
 
 
-def _witness_value(m: SymmetricRationalMatrix, v: tuple[Fraction, ...]) -> Fraction:
-    # v^T m v from the integer u^T M' u, with u = den v and M' = lcm m the
-    # cleared rows, divided back exactly: no Fraction arithmetic per entry.
-    den = math.lcm(*(x.denominator for x in v))
-    u = [x.numerator * (den // x.denominator) for x in v]
-    lcm = math.lcm(*(x.denominator for row in m.entries for x in row))
-    value = sum(ui * sum(r * uj for r, uj in zip(row, u) if uj)
-                for ui, row in zip(u, _integer_rows(m.entries)) if ui)
-    return Fraction(value, lcm * den * den)
-
-
 def psd_certificate(m: SymmetricRationalMatrix) -> PsdResult:
     """Exact PSD decision by symmetric fraction-free elimination.
 
@@ -244,7 +240,7 @@ def psd_certificate(m: SymmetricRationalMatrix) -> PsdResult:
         for k, r in reversed(pivots):
             w[k] = -sum(r[j] * wj for j, wj in w.items()) / r[k]
         witness = tuple(w.get(j, Fraction(0)) for j in range(m.size))
-        value = _witness_value(m, witness)
+        value = m.quadratic_form(witness)
         if not value < 0:
             raise ArithmeticError("PSD witness failed exact verification")
         return PsdResult(False, witness, value)

@@ -32,7 +32,6 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 import mpmath
 
@@ -44,6 +43,7 @@ from .pencil import _bareiss, _integer_rows
 __all__ = [
     "KernelVector",
     "psd_interval_left",
+    "psd_boundary",
     "boundary_kernel_vector",
     "extreme_roots",
     "DEFAULT_PREC",
@@ -97,21 +97,6 @@ def _range_restriction(a0, a_sum) -> list[list[list[Fraction]]]:
     basis = [row for _, _, row in _bareiss(a0 + a_sum)]
     return [[[sum(bi * mij * cj for bi, row in zip(b, m) for mij, cj in zip(row, c))
               for c in basis] for b in basis] for m in (a0, a_sum)]
-
-
-@lru_cache(maxsize=1)
-def _boundary_polynomial(p: DiagonalPencil) -> tuple[tuple[int, ...], int]:
-    # det(A0 + x A_sum) up to a positive factor, taken on the complement
-    # of the common kernel when it vanishes identically, and the dimension
-    # of that kernel.  All zero when the restriction is singular too.
-    # Cached for the last pencil, so the corank after psd_interval_left
-    # (boundary_kernel_vector) reuses the determinant instead of redoing it.
-    a0, a_sum = p.a0.entries, p.a_sum.entries
-    desc = _det_polynomial(a0, a_sum)
-    if any(desc):
-        return tuple(desc), 0
-    b0, b_sum = _range_restriction(a0, a_sum)
-    return tuple(_det_polynomial(b0, b_sum)), len(a0) - len(b0)
 
 
 def _strip(f) -> list[int]:
@@ -257,31 +242,42 @@ def _isolate(
 
 
 def psd_interval_left(p: DiagonalPencil, prec: int = DEFAULT_PREC) -> AlgebraicBound:
-    """Enclose x_min = inf{x : A0 + x A_sum is PSD} to width 2**-prec.
+    """Enclose x_min = inf{x : A0 + x A_sum is PSD} to width 2**-prec."""
+    return psd_boundary(p, prec)[0]
+
+
+def psd_boundary(
+    p: DiagonalPencil, prec: int = DEFAULT_PREC
+) -> tuple[AlgebraicBound, list[int], int]:
+    """x_min as ``psd_interval_left`` encloses it, with the determinant f
+    it is a root of and the dimension of the common kernel f is taken off.
 
     The PSD set on the line is an interval containing 0 on which, off the
     common kernel of A0 and A_sum, the pencil is nonsingular except at its
     ends; so x_min is a nonpositive root of f(x) = det(A0 + x A_sum) taken
-    on that complement.  The roots of f are isolated exactly and walked
-    right to left: the first whose enclosure is not PSD at ``lo`` is
-    x_min.  The answer rests only on the two exact tests, not PSD at
-    ``lo`` and PSD at ``hi``, so x_min lies in (lo, hi].
+    on that complement (descending integer coefficients, up to a positive
+    factor).  The roots of f are isolated exactly and walked right to
+    left: the first whose enclosure is not PSD at ``lo`` is x_min.  The
+    answer rests only on the two exact tests, not PSD at ``lo`` and PSD
+    at ``hi``, so x_min lies in (lo, hi].
     """
     if prec < 16:
         raise ValueError("prec must be >= 16")
     if not _is_psd_at(p, Fraction(0)):
         raise ValueError("A0 is not PSD")
-    desc, _ = _boundary_polynomial(p)
-    if not any(desc):
-        # Still singular everywhere: the PSD set has no interior, so it is {0}.
-        desc = [1, 0]
-    desc_sqf, intervals = _isolate(desc, nonpositive=True)
+    a0, a_sum = p.a0.entries, p.a_sum.entries
+    det, kernel_dim = _det_polynomial(a0, a_sum), 0
+    if not any(det):  # A0 and A_sum share a kernel: restrict to its complement.
+        b0, b_sum = _range_restriction(a0, a_sum)
+        det, kernel_dim = _det_polynomial(b0, b_sum), len(a0) - len(b0)
+    # Still singular everywhere: the PSD set has no interior, so it is {0}.
+    desc_sqf, intervals = _isolate(det if any(det) else [1, 0], nonpositive=True)
     for a, b in reversed(intervals):
         enc = _refine_root(desc_sqf, a, b, prec, exact=False)
         if not _is_psd_at(p, enc.lo):
             if not _is_psd_at(p, enc.hi):
                 raise ArithmeticError("x_min enclosure is not PSD at hi")
-            return enc
+            return enc, det, kernel_dim
     raise ValueError("unbounded below: pencil PSD left of every determinant root")
 
 
@@ -319,7 +315,7 @@ def _null_vector(m: SymmetricRationalMatrix) -> list[Fraction]:
 def boundary_kernel_vector(p: DiagonalPencil, prec: int = DEFAULT_PREC) -> KernelVector:
     """Kernel direction of A0 + x A_sum at its PSD boundary x_min.
 
-    x_min is enclosed (``psd_interval_left``) at least to 2**-prec and
+    x_min is enclosed (``psd_boundary``) at least to 2**-prec and
     tightly enough that the distance to the true boundary cannot push the
     smallest singular value above the residual target 2**(-prec/2).  At
     its midpoint M, M^-1 = adj(M) / det(M) with adj(M) near c v v^T at a
@@ -337,7 +333,7 @@ def boundary_kernel_vector(p: DiagonalPencil, prec: int = DEFAULT_PREC) -> Kerne
     norm_bound = s * max(Fraction(1), p.a_sum.max_abs_entry())
     width = Fraction(1, 2 ** (prec // 2)) / (4 * norm_bound)
     bits = (width.denominator // width.numerator).bit_length()
-    x = psd_interval_left(p, max(prec, bits))
+    x, det, kernel_dim = psd_boundary(p, max(prec, bits))
     matrix = p.at(x.midpoint)
 
     with mpmath.workprec(2 * prec + 32):
@@ -370,7 +366,7 @@ def boundary_kernel_vector(p: DiagonalPencil, prec: int = DEFAULT_PREC) -> Kerne
         return KernelVector(
             entries=tuple(v),
             normalization=normalization,
-            degenerate=_boundary_corank(p, x) > 1,
+            degenerate=_boundary_corank(p, x, det, kernel_dim) > 1,
             residual=residual,
             prec=prec,
         )
@@ -400,13 +396,14 @@ def _root_multiplicity(desc: list[int], enc: AlgebraicBound) -> int:
     raise ArithmeticError("no determinant root in the x_min enclosure")
 
 
-def _boundary_corank(p: DiagonalPencil, x: AlgebraicBound) -> int:
+def _boundary_corank(
+    p: DiagonalPencil, x: AlgebraicBound, det: list[int], kernel_dim: int
+) -> int:
     # Exact corank of the pencil at x_min in (x.lo, x.hi], by the rule in
-    # boundary_kernel_vector's docstring.
-    desc, kernel_dim = _boundary_polynomial(p)
-    if x.hi == 0 and _sign_at(desc, x.hi) == 0:  # x_min = 0: the matrix is A0
+    # boundary_kernel_vector's docstring, from what psd_boundary returns.
+    if x.hi == 0 and _sign_at(det, x.hi) == 0:  # x_min = 0: the matrix is A0
         return p.size - len(list(_bareiss(p.a0.entries)))
-    return kernel_dim + _root_multiplicity(desc, x)
+    return kernel_dim + _root_multiplicity(det, x)
 
 
 def _refine_root(

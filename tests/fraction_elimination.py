@@ -3,13 +3,26 @@
 ``eulerian_bounds.pencil`` decides PSD, and ``spectra`` takes
 determinants and row bases, with one fraction-free (Bareiss) kernel.
 This module keeps the Fraction elimination they replaced: an LDL^T PSD
-decision with its witness lift, and an echelon row basis.  They share
-nothing with the kernel but the matrix type.
+decision with its witness lift, an echelon row basis, and the Fraction
+double loop for v^T M v that ``SymmetricRationalMatrix.quadratic_form``
+replaced with one integer sum.  They share nothing with the kernel but
+the matrix type.
 """
 
 from fractions import Fraction
 
 from eulerian_bounds.pencil import PsdResult, SymmetricRationalMatrix
+
+
+def fraction_quadratic_form(m: SymmetricRationalMatrix, v) -> Fraction:
+    """v^T m v, entry by entry in Fractions."""
+    vec = [Fraction(x) for x in v]
+    assert len(vec) == m.size, "vector length mismatch"
+    return sum(
+        (vi * sum(Fraction(mij) * vj for mij, vj in zip(row, vec))
+         for vi, row in zip(vec, m.entries)),
+        Fraction(0),
+    )
 
 
 def _lift_witness(
@@ -40,7 +53,7 @@ def ldlt_psd_certificate(m: SymmetricRationalMatrix) -> PsdResult:
 
     def refuted(local: dict[int, Fraction]) -> PsdResult:
         witness = _lift_witness(s, local, elims)
-        value = m.quadratic_form(witness)
+        value = fraction_quadratic_form(m, witness)
         assert value < 0, "witness failed exact verification"
         return PsdResult(False, witness, value)
 

@@ -19,7 +19,7 @@ from eulerian_bounds.bounds import (
     univariate_bound,
     univariate_pencil_endpoint,
 )
-from eulerian_bounds.enclosure import AlgebraicBound, sqrt_enclosure
+from eulerian_bounds.enclosure import AlgebraicBound, quadratic_root_enclosure, sqrt_enclosure
 from eulerian_bounds.pencil import (
     DiagonalPencil,
     SymmetricRationalMatrix,
@@ -150,7 +150,7 @@ class TestOptimalY:
         # N'D - N D' evaluated over the returned enclosure straddles 0.
         for n in (3, 6, 9):
             dq, nq = eulerian_guess_quadratics(n, "old")
-            y = optimal_y("old", n, dq, nq, 128)
+            y = optimal_y("old", dq, nq, 128)
             a = nq.c2 * dq.c1 - nq.c1 * dq.c2
             b = 2 * (nq.c2 * dq.c0 - nq.c0 * dq.c2)
             c = nq.c1 * dq.c0 - nq.c0 * dq.c1
@@ -166,7 +166,7 @@ class TestOptimalY:
     def test_degenerate_n1(self):
         dq, nq = eulerian_guess_quadratics(1, "old")
         with pytest.raises(ZeroDivisionError, match="degenerate"):
-            optimal_y("old", 1, dq, nq, 64)
+            optimal_y("old", dq, nq, 64)
 
     def test_growth_magnitude(self):
         # |y| tracks 3^(n+1) / (2^(n+1) n); the sign settles positive for
@@ -186,15 +186,17 @@ class TestUnivariateBound:
         assert univariate_bound(1, 96).contains(1)
         assert univariate_pencil_endpoint(1, 96).contains(-1)
 
-    def test_endpoint_enclosure_must_not_be_psd_at_lo(self, monkeypatch):
-        # Halving the negative enclosure moves it right, into the PSD
-        # interval: PSD at hi still holds, so only the lo test catches it.
-        real = bounds_mod.quadratic_root_enclosure
-        monkeypatch.setattr(
-            bounds_mod, "quadratic_root_enclosure", lambda *a: real(*a) * Fraction(1, 2)
-        )
-        with pytest.raises(ArithmeticError, match="PSD at lo"):
-            univariate_pencil_endpoint(4, 64)
+    @pytest.mark.parametrize("n", range(2, 41))
+    def test_endpoint_is_the_larger_determinant_root(self, n):
+        # The 2x2 determinant (L1 + x Lx)(Lx2 + x Lx3) - (Lx + x Lx2)^2 is
+        # a quadratic whose larger root is the endpoint, enclosed as a surd
+        # (at n = 1 it vanishes identically; see the test above).
+        dp = bounds_mod._univariate_diagonal(n)
+        (l1, lx), (_, lx2) = dp.a0.entries
+        lx3 = dp.a_sum.entry(1, 1)
+        c2, c1, c0 = lx * lx3 - lx2 * lx2, l1 * lx3 - lx * lx2, l1 * lx2 - lx * lx
+        larger = quadratic_root_enclosure(c2, c1, c0, "+" if c2 > 0 else "-", 160)
+        assert overlaps(univariate_pencil_endpoint(n, 128), larger)
 
     def test_n2_exact_radical(self):
         un = univariate_bound(2, 128)

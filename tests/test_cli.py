@@ -12,11 +12,11 @@ from fractions import Fraction
 
 import mpmath
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import eulerian_bounds
-from eulerian_bounds import bound_report, pencil
+from eulerian_bounds import bound_report, cli, pencil
 from eulerian_bounds import bounds as bounds_mod
 from eulerian_bounds.cli import _pool_size, bound_report_from_dict, emit_plot, main
 
@@ -351,8 +351,12 @@ class TestErrors:
     def test_failed_witness_verification_exits_2(self, capsys, monkeypatch):
         # A refutation whose witness does not verify is an ArithmeticError,
         # reported like every other failure, not a traceback.
-        monkeypatch.setattr(pencil, "_witness_value", lambda m, v: Fraction(0))
-        args = ["bounds", "--n-min", "4", "--n-max", "4", "--kind", "old"]
+        # eigvec builds no D or N, so the patched form reaches only the
+        # witness check of the refutation at x_min.lo.
+        monkeypatch.setattr(
+            pencil.SymmetricRationalMatrix, "quadratic_form", lambda m, v: Fraction(0)
+        )
+        args = ["eigvec", "--n-max", "4"]
         assert "witness" in self.one_line_error(capsys, args)
 
     def test_empty_plot_rejected(self):
@@ -413,6 +417,55 @@ def test_argv_fuzz_exits_0_or_2_with_one_json_line(argv):
         assert text.count("\n") == 1 and text.endswith("\n")
         assert "error" in json.loads(text)
         assert out.getvalue() == ""
+
+
+@st.composite
+def malformed_argv(draw):
+    # A fuzzed argv broken in one way that argparse rejects.
+    argv = draw(small_argv())
+    fault = draw(st.sampled_from(("int", "flag", "command", "choice", "value", "empty")))
+    if fault == "int":
+        return argv + ["--prec", draw(st.sampled_from(("x", "1.5", "")))]
+    if fault == "flag":
+        return argv + ["--bogus"]
+    if fault == "command":
+        return [draw(st.sampled_from(("bogus", "bound", "")))] + argv[1:]
+    if fault == "choice":
+        return argv + ["--format", "xml"]
+    if fault == "value":
+        return argv + ["--output"]
+    return []
+
+
+@given(malformed_argv())
+@example(["bounds", "--n-min", "x", "--n-max", "3"])
+@example(["roots", "--n-max", "3", "--bogus"])
+@example(["bogus"])
+@example([])
+@settings(max_examples=50, deadline=None)
+def test_malformed_argv_exits_2_with_one_json_line(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    text = err.getvalue()
+    assert code == 2 and out.getvalue() == ""
+    assert text.count("\n") == 1 and text.endswith("\n")
+    doc = json.loads(text)
+    assert doc["error"] and doc["command"] is None
+
+
+def test_help_still_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0 and "usage: eulerian-bounds" in capsys.readouterr().out
+
+
+def test_parser_is_built_once(capsys):
+    cli._build_parser.cache_clear()
+    assert main(["roots", "--n-max", "2"]) == 0
+    assert main(["counts", "--n", "2"]) == 0
+    info = cli._build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
 
 
 def test_commands_run_without_sympy():

@@ -19,7 +19,11 @@ from eulerian_bounds.pencil import (
 )
 from eulerian_bounds.spectra import _det, psd_interval_left
 
-from fraction_elimination import fraction_row_basis, ldlt_psd_certificate
+from fraction_elimination import (
+    fraction_quadratic_form,
+    fraction_row_basis,
+    ldlt_psd_certificate,
+)
 
 
 def M(rows):
@@ -114,6 +118,31 @@ class TestMatrixType:
         assert (a + b).entries == M([[1, 3], [3, 6]]).entries
         assert a.scale(Fraction(1, 2)).entry(1, 1) == Fraction(5, 2)
         assert a.quadratic_form([1, -1]) == 1 - 4 + 5
+
+
+# Rationals with zero entries and denominators up to 2^64, as at x_min.lo.
+WIDE_RATIONALS = st.just(Fraction(0)) | st.fractions(-8, 8, max_denominator=2**64)
+
+
+@st.composite
+def matrices_and_vectors(draw):
+    size = draw(st.integers(min_value=1, max_value=5))
+    upper = {(i, j): draw(WIDE_RATIONALS) for i in range(size) for j in range(i, size)}
+    rows = [[upper[min(i, j), max(i, j)] for j in range(size)] for i in range(size)]
+    return M(rows), draw(st.lists(WIDE_RATIONALS, min_size=size, max_size=size))
+
+
+class TestQuadraticForm:
+    @given(matrices_and_vectors())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_the_fraction_oracle(self, mv):
+        m, v = mv
+        assert m.quadratic_form(v) == fraction_quadratic_form(m, v)
+
+    @pytest.mark.parametrize("v", ([1], [1, 2, 3], []))
+    def test_length_mismatch_raises(self, v):
+        with pytest.raises(ValueError, match="length mismatch"):
+            M([[1, 2], [2, 5]]).quadratic_form(v)
 
 
 class TestBuildPencil:
@@ -239,12 +268,11 @@ class TestPsdCertificate:
         res = psd_certificate(mat)
         if not res.is_psd:
             # The refutation must be exact, not approximate.
-            assert mat.quadratic_form(res.witness) < 0
-            assert mat.quadratic_form(res.witness) == res.witness_value
+            assert fraction_quadratic_form(mat, res.witness) == res.witness_value < 0
         else:
             # PSD answers must survive every +-1 probe.
             for v in itertools.product((-1, 0, 1), repeat=3):
-                assert mat.quadratic_form(v) >= 0
+                assert fraction_quadratic_form(mat, v) >= 0
 
     @given(symmetric_matrices())
     @settings(max_examples=150, deadline=None)
@@ -257,7 +285,7 @@ class TestPsdCertificate:
         res = psd_certificate(M(rows))
         assert res.is_psd == principal_minors_nonnegative(rows)
         if not res.is_psd:
-            value = M(rows).quadratic_form(res.witness)
+            value = fraction_quadratic_form(M(rows), res.witness)
             assert value < 0 and value == res.witness_value
 
     @given(symmetric_matrices(RATIONALS), st.fractions(-4, 4, max_denominator=2**64))
@@ -268,7 +296,7 @@ class TestPsdCertificate:
         m = M(rows) + M([[x * (i == j) for j in range(len(rows))] for i in range(len(rows))])
         res = psd_certificate(m)
         assume(not res.is_psd)
-        assert res.witness_value == m.quadratic_form(res.witness) < 0
+        assert res.witness_value == fraction_quadratic_form(m, res.witness) < 0
 
     @pytest.mark.parametrize("n", range(2, 15))
     def test_matches_ldlt_oracle_on_eulerian_pencils(self, n):
@@ -279,7 +307,7 @@ class TestPsdCertificate:
             res, oracle = psd_certificate(mat), ldlt_psd_certificate(mat)
             assert res.is_psd == oracle.is_psd == psd
             if not psd:
-                assert mat.quadratic_form(res.witness) == res.witness_value < 0
+                assert fraction_quadratic_form(mat, res.witness) == res.witness_value < 0
 
 
 class TestEliminationKernel:

@@ -271,10 +271,10 @@ class TestKernelVector:
     )
     def test_property_matches_svd(self, dp, prec):
         try:
-            x = psd_interval_left(dp, prec)
+            boundary = spectra.psd_boundary(dp, prec)
         except ValueError:
             assume(False)
-        assume(spectra._boundary_corank(dp, x) == 1)
+        assume(spectra._boundary_corank(dp, *boundary) == 1)
         kv = boundary_kernel_vector(dp, prec)
         assert svd_kernel_cosine(dp, kv) >= 1 - mpmath.mpf(2) ** -(prec // 4)
 
@@ -320,25 +320,24 @@ class TestKernelVector:
         # boundary is enclosed at the finer width that target needs.
         dp = eulerian_diagonal_pencil(10)
         precs = []
-        real = spectra.psd_interval_left
+        real = spectra.psd_boundary
 
         def recording(p, prec):
             precs.append(prec)
             return real(p, prec)
 
-        monkeypatch.setattr(spectra, "psd_interval_left", recording)
+        monkeypatch.setattr(spectra, "psd_boundary", recording)
         kv = boundary_kernel_vector(dp, 32)
         assert len(precs) == 1 and precs[0] > 32
         assert kv.residual <= mpmath.mpf(2) ** (-16)
 
     def test_determinant_built_once(self, monkeypatch):
-        # psd_interval_left and the exact corank share one determinant.
+        # The enclosure and the exact corank share one determinant.
         calls = []
         real = spectra._det_polynomial
         monkeypatch.setattr(
             spectra, "_det_polynomial", lambda *a: calls.append(a) or real(*a)
         )
-        spectra._boundary_polynomial.cache_clear()
         for n in (6, 8):
             boundary_kernel_vector(eulerian_diagonal_pencil(n), 64)
         assert len(calls) == 2
@@ -346,10 +345,13 @@ class TestKernelVector:
     def test_non_boundary_enclosure_rejected(self, monkeypatch):
         # An enclosure away from the boundary trips the residual guard.
         dp = eulerian_diagonal_pencil(4)
-        real = spectra.psd_interval_left
-        monkeypatch.setattr(
-            spectra, "psd_interval_left", lambda p, prec: real(p, prec) - Fraction(1, 2)
-        )
+        real = spectra.psd_boundary
+
+        def shifted(p, prec):
+            x, det, kernel_dim = real(p, prec)
+            return x - Fraction(1, 2), det, kernel_dim
+
+        monkeypatch.setattr(spectra, "psd_boundary", shifted)
         with pytest.raises(ArithmeticError, match="residual"):
             boundary_kernel_vector(dp, 64)
 
@@ -377,7 +379,6 @@ class TestIntegerPsdInput:
             raise AssertionError("DiagonalPencil.at called")
 
         monkeypatch.setattr(DiagonalPencil, "at", fraction_matrix)
-        spectra._boundary_polynomial.cache_clear()
         # Both return only after their exact PSD tests at lo and hi.
         assert psd_interval_left(eulerian_diagonal_pencil(8), 128).hi < 0
         assert bounds.univariate_pencil_endpoint(6, 64).is_certainly_negative()
