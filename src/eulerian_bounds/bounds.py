@@ -238,6 +238,12 @@ def univariate_bound(n: int, prec: int = DEFAULT_PREC) -> AlgebraicBound:
     return (-univariate_pencil_endpoint(n, guard)).reciprocal()
 
 
+@lru_cache(maxsize=None)
+def eulerian_un(n: int, prec: int) -> AlgebraicBound:
+    """Certified un(n), once per (n, prec): both kinds at one n share it."""
+    return univariate_bound(n, prec)
+
+
 @dataclass(frozen=True)
 class BoundReport:
     """Everything the bound pipeline knows about one (n, kind) pair."""
@@ -296,7 +302,7 @@ def bound_report(
     n_val = n_q.at(y)
     lin = -(d_val / n_val)
     mult = n_val / d_val
-    un = univariate_bound(n, prec)
+    un = eulerian_un(n, prec)
     diff = mult - un
     x_min = eulerian_x_min(n, prec) if with_endpoint else None
     q_left = q_right = None

@@ -317,6 +317,11 @@ def _rows_roots(args) -> tuple[list[str], list[dict]]:
     return header, rows
 
 
+# Per family: n per index step, default index range, target ratio and
+# prefactor of the geometric trend.
+_DIFF_FAMILIES = {"old": (1, 6, 20, 3 / 4, 1 / 2), "new": (2, 5, 12, 9 / 8, 3 / 8)}
+
+
 def diff_series(
     kind: str, prec: int, lo: Optional[int] = None, hi: Optional[int] = None
 ) -> bounds_mod.RatioDiagnostic:
@@ -326,27 +331,17 @@ def diff_series(
     prefactor 1/2.  New family: indexed by m = n/2 (default 5..12),
     target ratio 9/8, prefactor 3/8.
     """
-    if kind == "old":
-        lo = 6 if lo is None else lo
-        hi = 20 if hi is None else hi
-        seq = []
-        for n in range(lo, hi + 1):
-            r = bounds_mod.bound_report(
-                n, "old", prec=prec, with_endpoint=False, with_roots=False
-            )
-            seq.append((n, float(r.difference)))
-        return bounds_mod.ratio_diagnostic(seq, 3 / 4, 1 / 2)
-    if kind == "new":
-        lo = 5 if lo is None else lo
-        hi = 12 if hi is None else hi
-        seq = []
-        for m in range(lo, hi + 1):
-            r = bounds_mod.bound_report(
-                2 * m, "new", prec=prec, with_endpoint=False, with_roots=False
-            )
-            seq.append((m, float(r.difference)))
-        return bounds_mod.ratio_diagnostic(seq, 9 / 8, 3 / 8)
-    raise CliError(f"unknown kind {kind!r}")
+    if kind not in _DIFF_FAMILIES:
+        raise CliError(f"unknown kind {kind!r}")
+    step, default_lo, default_hi, ratio, prefactor = _DIFF_FAMILIES[kind]
+    lo = default_lo if lo is None else lo
+    hi = default_hi if hi is None else hi
+    if lo > hi:
+        raise CliError(f"empty range: index-min {lo} > index-max {hi}")
+    lite = functools.partial(bounds_mod.bound_report, kind=kind, prec=prec,
+                             with_endpoint=False, with_roots=False)
+    seq = [(i, float(lite(step * i).difference)) for i in range(lo, hi + 1)]
+    return bounds_mod.ratio_diagnostic(seq, ratio, prefactor)
 
 
 def _rows_diff(args) -> tuple[list[str], list[dict]]:
@@ -657,9 +652,10 @@ def _emit(args, header: list[str], rows: list[dict]) -> str:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    # Each command starts from an empty x_min cache, as a fresh process
+    # Each command starts from empty x_min and un caches, as a fresh process
     # does, so its work never depends on what ran before it in-process.
     bounds_mod.eulerian_x_min.cache_clear()
+    bounds_mod.eulerian_un.cache_clear()
     args = None
     try:
         args = _build_parser().parse_args(argv)

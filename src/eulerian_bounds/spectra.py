@@ -17,7 +17,9 @@ Three certified quantities live here:
 
 Each root enclosure is the dyadic cell [k, k+1] / 2^prec holding the
 root, clipped to its isolating interval: a function of the root and
-prec alone, nesting as prec grows.
+prec alone, nesting as prec grows.  Quadratic interval refinement finds
+it: once its secant guesses trap the root, each step squares the factor
+by which the cell shrinks, so exact evaluations grow like log2(prec).
 
 Root isolation is integer-only: Yun's squarefree decomposition over a
 primitive-PRS gcd (skipped when a gcd modulo a prime already certifies
@@ -372,15 +374,19 @@ def boundary_kernel_vector(p: DiagonalPencil, prec: int = DEFAULT_PREC) -> Kerne
         )
 
 
-def _sign_at(desc: list[int], point: int | Fraction) -> int:
-    # Sign of p(num/den) from the integer value p(num/den) * den^deg.
+def _value(desc: list[int], point: int | Fraction) -> int:
+    # p(num/den) * den^deg, an integer with the sign of p(num/den).
     num, den = point.numerator, point.denominator
-    acc = desc[0]
-    dpow = 1
+    acc, dpow = desc[0], 1
     for c in desc[1:]:
         dpow *= den
         acc = acc * num + c * dpow
-    return (acc > 0) - (acc < 0)
+    return acc
+
+
+def _sign_at(desc: list[int], point: int | Fraction) -> int:
+    v = _value(desc, point)
+    return (v > 0) - (v < 0)
 
 
 def _root_multiplicity(desc: list[int], enc: AlgebraicBound) -> int:
@@ -410,8 +416,9 @@ def _refine_root(
     desc: list[int], lo: Fraction, hi: Fraction, prec: int, exact: bool = True
 ) -> AlgebraicBound:
     # The dyadic cell [k, k+1] / 2^prec, k = ceil(r 2^prec) - 1, of the one
-    # root r in the isolating interval, clipped to it; k is bisected over
-    # the integers with Horner signs on coefficients scaled by 2^prec.
+    # root r in the isolating interval, clipped to it; k is found over the
+    # integers by quadratic interval refinement (Abbott 2014), each probe
+    # judged by its exact Horner sign on coefficients scaled by 2^prec.
     # Endpoints that are other roots (neighbours share them) are deflated.
     # With ``exact`` a root on the grid, or an exact isolated root, is a
     # point; without it the root is the hi end of its cell.
@@ -427,12 +434,30 @@ def _refine_root(
         raise ValueError("interval endpoints do not bracket a sign change")
     scaled = [c << (prec * i) for i, c in enumerate(desc)]
     a, b = lo.numerator * one // lo.denominator, -(-hi.numerator * one // hi.denominator)
+    # Each step probes the secant point of f(a), f(b) (values cut to the
+    # bits b - a needs; the midpoint if their signs agree), then its
+    # neighbour w = max(1, (b - a) // subs) toward r.  Trapping r between
+    # the two squares subs; missing it takes its square root, down to 4.
+    fa, fb, subs = _value(scaled, a), _value(scaled, b), 4
     while b - a > 1:  # r in (max(lo, a / 2^prec), min(hi, b / 2^prec)]
-        m = (a + b) // 2
-        sign = _sign_at(scaled, m)
-        if sign == 0 and exact:
-            return AlgebraicBound.exact(Fraction(m, one))
-        a, b = (m, b) if sign == slo else (a, m)
+        w = max(1, (b - a) // subs)
+        k = max(0, (fa - fb).bit_length() - (b - a).bit_length() - 16)
+        secant = (fa < 0) != (fb < 0)
+        t = a + (b - a) * (fa >> k) // ((fa >> k) - (fb >> k)) if secant else (a + b) // 2
+        t = min(max(t, a + 1), b - 1)
+        for _ in range(1 + secant):
+            if not a < t < b:
+                break
+            ft = _value(scaled, t)
+            if ft == 0:  # t is the root
+                if exact:
+                    return AlgebraicBound.exact(Fraction(t, one))
+                a, b = t - 1, t
+            elif (ft > 0) == (slo > 0):
+                a, fa, t = t, ft, t + w
+            else:
+                b, fb, t = t, ft, t - w
+        subs = subs * subs if b - a <= w else max(4, math.isqrt(subs))
     return AlgebraicBound(max(lo, Fraction(a, one)), min(hi, Fraction(b, one)))
 
 
@@ -447,9 +472,9 @@ def extreme_roots(
     transforms, Collins-Akritas and Akritas-Strzebonski) of the
     squarefree part; each extreme one is then narrowed to the dyadic
     cell [k, k+1] / 2**prec holding its root (clipped to the isolating
-    interval) by bisection over the integers k with exact big-integer
-    sign evaluation, so the enclosures are certified, of width at most
-    2**-prec, and nest as prec grows.
+    interval) by quadratic interval refinement over the integers k with
+    exact big-integer sign evaluation, so the enclosures are certified,
+    of width at most 2**-prec, and nest as prec grows.
 
     >>> from eulerian_bounds.eulerian import univariate_eulerian
     >>> left, right = extreme_roots(univariate_eulerian(2), 16)  # -2 -+ sqrt(3)

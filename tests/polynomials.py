@@ -6,7 +6,8 @@ recursion.  The library reads the degree <= 3 part off descent-top
 counts instead (``Truncation3.eulerian``); ``truncation_from_multi_affine``
 cuts the same part out of the expansion, so the two routes can be
 compared.  ``polynomialize`` builds a univariate polynomial from a
-coefficient sequence.
+coefficient sequence.  ``bisection_refine_root`` narrows a root one bit
+per exact sign test, the oracle for ``spectra._refine_root``.
 """
 
 import itertools
@@ -15,8 +16,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
+from eulerian_bounds.enclosure import AlgebraicBound
 from eulerian_bounds.eulerian import UnivariatePolynomial
 from eulerian_bounds.lform import Truncation3
+from eulerian_bounds.spectra import _quo, _sign_at
 
 
 def polynomialize(seq: Sequence) -> UnivariatePolynomial:
@@ -115,3 +118,36 @@ def truncation_from_multi_affine(p: MultiAffinePolynomial) -> Truncation3:
             if c:
                 coeffs[combo] = Fraction(c)
     return Truncation3(n=p.n, degree=p.n, coeffs=coeffs)
+
+
+def bisection_refine_root(
+    desc: list[int], lo: Fraction, hi: Fraction, prec: int, exact: bool = True
+) -> AlgebraicBound:
+    """The dyadic cell of the one root of desc in (lo, hi), by bisection.
+
+    The same contract as ``spectra._refine_root``: the cell [k, k+1] / 2^prec,
+    k = ceil(r 2^prec) - 1, clipped to the interval, with k bisected over
+    the integers, one Horner sign on coefficients scaled by 2^prec per bit.
+    Endpoints that are other roots are deflated.  With ``exact`` a root on
+    the grid, or an exact isolated root, is a point; without it the root
+    is the hi end of its cell.
+    """
+    one = 1 << prec
+    if lo == hi:
+        k = -(-lo.numerator * one // lo.denominator) - 1
+        return AlgebraicBound.exact(lo) if exact else AlgebraicBound(Fraction(k, one), lo)
+    for r in (lo, hi):
+        while _sign_at(desc, r) == 0:
+            desc = _quo(desc, [r.denominator, -r.numerator])
+    slo = _sign_at(desc, lo)
+    if slo == _sign_at(desc, hi):
+        raise ValueError("interval endpoints do not bracket a sign change")
+    scaled = [c << (prec * i) for i, c in enumerate(desc)]
+    a, b = lo.numerator * one // lo.denominator, -(-hi.numerator * one // hi.denominator)
+    while b - a > 1:  # r in (max(lo, a / 2^prec), min(hi, b / 2^prec)]
+        m = (a + b) // 2
+        sign = _sign_at(scaled, m)
+        if sign == 0 and exact:
+            return AlgebraicBound.exact(Fraction(m, one))
+        a, b = (m, b) if sign == slo else (a, m)
+    return AlgebraicBound(max(lo, Fraction(a, one)), min(hi, Fraction(b, one)))

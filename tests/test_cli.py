@@ -150,6 +150,20 @@ class TestBounds:
         # Once per command: the second command starts from an empty cache.
         assert [dp.size for dp, _ in calls] == [5, 5]
 
+    def test_both_kinds_share_one_un(self, capsys, monkeypatch):
+        calls = []
+        real = bounds_mod.psd_boundary
+        monkeypatch.setattr(
+            bounds_mod, "psd_boundary", lambda *a: calls.append(a) or real(*a)
+        )
+        args = ["bounds", "--n-min", "10", "--n-max", "10", "--kind", "both",
+                "--prec", "64"]
+        for _ in range(2):
+            code, _, _ = run_cli(capsys, args)
+            assert code == 0
+        # The univariate 2x2 endpoint once per command, not once per kind.
+        assert [(dp.size, prec) for dp, prec in calls] == [(2, 64 + 2 * 10 + 16)] * 2
+
     @pytest.mark.parametrize("policy", ("paper", "optimal"))
     def test_n1_row_is_tight(self, capsys, policy):
         code, out, _ = run_cli(
@@ -242,6 +256,17 @@ class TestDiff:
         )
         assert code == 2
         assert "error" in json.loads(err)
+
+
+    @pytest.mark.parametrize("kind", ("old", "new"))
+    def test_empty_range(self, capsys, kind):
+        code, out, err = run_cli(
+            capsys, ["diff", "--kind", kind, "--index-min", "10", "--index-max", "5"]
+        )
+        assert code == 2 and not out
+        assert json.loads(err) == {
+            "error": "empty range: index-min 10 > index-max 5", "command": "diff"
+        }
 
 
 class TestEigvec:

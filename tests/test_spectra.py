@@ -26,7 +26,7 @@ from eulerian_bounds.spectra import (
     psd_interval_left,
 )
 
-from polynomials import polynomialize
+from polynomials import bisection_refine_root, polynomialize
 
 
 def diag_pencil(a0_rows, sum_rows) -> DiagonalPencil:
@@ -480,6 +480,40 @@ def polynomials_with_known_roots(draw):
     return f, sorted(roots)
 
 
+@st.composite
+def isolating_intervals(draw):
+    """A squarefree integer polynomial and an interval isolating one root.
+
+    The polynomial has known rational roots, or is a product of
+    irreducible x^2 - c with irrational roots.  Half the time the
+    isolating interval is cut j/7 of the way across, at a point off
+    every dyadic grid, and the part holding the root is kept.
+    """
+    if draw(st.booleans()):
+        f, _ = draw(polynomials_with_known_roots())
+    else:
+        cs = st.integers(2, 400).filter(lambda c: math.isqrt(c) ** 2 != c)
+        f = [draw(st.sampled_from([1, -1, 3]))]
+        for c in draw(st.lists(cs, min_size=1, max_size=3, unique=True)):
+            f = poly_mul(f, [1, 0, -c])
+    sqf, intervals = spectra._isolate(f)
+    assume(intervals)
+    lo, hi = draw(st.sampled_from(intervals))
+    if lo < hi and draw(st.booleans()):
+        q = lo + (hi - lo) * Fraction(draw(st.integers(1, 6)), 7)
+        # The sign just right of lo: f's own, or f''s at a neighbour root.
+        right_of_lo = (spectra._sign_at(sqf, lo)
+                       or spectra._sign_at(spectra._derivative(sqf), lo))
+        sign = spectra._sign_at(sqf, q)
+        if sign == 0:
+            lo = hi = q
+        elif sign == right_of_lo:
+            lo = q
+        else:
+            hi = q
+    return sqf, lo, hi
+
+
 class TestIsolationAgainstSympy:
     """The integer isolation and squarefree routines against sympy's."""
 
@@ -565,3 +599,31 @@ class TestDyadicRefinement:
         lo = Fraction(1, 3) - Fraction(1, 1000)
         cell = spectra._refine_root([3, -1], lo, Fraction(1, 2), 8)
         assert cell == AlgebraicBound(lo, Fraction(86, 256))
+
+    @given(isolating_intervals(), st.integers(8, 512), st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_refine_root_matches_the_bisection_oracle(self, case, prec, exact):
+        sqf, lo, hi = case
+        assert spectra._refine_root(sqf, lo, hi, prec, exact) == bisection_refine_root(
+            sqf, lo, hi, prec, exact
+        )
+
+    @pytest.mark.parametrize("n", [20, 32])
+    def test_eulerian_extreme_roots_match_the_oracle_at_prec_1024(self, n):
+        desc = [int(c) for c in reversed(univariate_eulerian(n).coeffs)]
+        sqf, intervals = spectra._isolate(desc)
+        for lo, hi in (intervals[0], intervals[-1]):
+            assert spectra._refine_root(sqf, lo, hi, 1024) == bisection_refine_root(
+                sqf, lo, hi, 1024
+            )
+
+    def test_refinement_converges_quadratically(self, monkeypatch):
+        # Both extreme roots of A_20 at prec 1024 take about 70 exact
+        # evaluations, deflation tests and self-checks included; one bit per
+        # step would take more than 2000.
+        calls = []
+        real = spectra._value
+        monkeypatch.setattr(spectra, "_value", lambda *a: calls.append(1) or real(*a))
+        left, right = extreme_roots(univariate_eulerian(20), 1024)
+        assert left.width <= Fraction(1, 2**1024) and right.width <= Fraction(1, 2**1024)
+        assert len(calls) <= 140
