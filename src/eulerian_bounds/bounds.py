@@ -39,7 +39,6 @@ from .lform import Truncation3, lform_from_truncation
 from .pencil import (
     DiagonalPencil,
     SymmetricRationalMatrix,
-    build_pencil,
     diagonal_pencil,
     eulerian_diagonal_pencil,
 )
@@ -214,7 +213,7 @@ def paper_y(n: int, kind: str, prec: int = DEFAULT_PREC) -> AlgebraicBound:
 def _univariate_diagonal(n: int) -> DiagonalPencil:
     a = univariate_eulerian(n).coefficient
     t = Truncation3(n=1, degree=n, coeffs={(1,) * k: a(k) for k in (1, 2, 3)})
-    return diagonal_pencil(build_pencil(lform_from_truncation(t)))
+    return diagonal_pencil(lform_from_truncation(t))
 
 
 def univariate_pencil_endpoint(n: int, prec: int = DEFAULT_PREC) -> AlgebraicBound:
@@ -242,6 +241,12 @@ def univariate_bound(n: int, prec: int = DEFAULT_PREC) -> AlgebraicBound:
 def eulerian_un(n: int, prec: int) -> AlgebraicBound:
     """Certified un(n), once per (n, prec): both kinds at one n share it."""
     return univariate_bound(n, prec)
+
+
+@lru_cache(maxsize=None)
+def eulerian_extreme_roots(n: int, prec: int) -> tuple[AlgebraicBound, AlgebraicBound]:
+    """q_left and q_right of A_n, once per (n, prec): both kinds share them."""
+    return extreme_roots(univariate_eulerian(n), prec)
 
 
 @dataclass(frozen=True)
@@ -307,7 +312,7 @@ def bound_report(
     x_min = eulerian_x_min(n, prec) if with_endpoint else None
     q_left = q_right = None
     if with_roots:
-        q_left, q_right = extreme_roots(univariate_eulerian(n), prec)
+        q_left, q_right = eulerian_extreme_roots(n, prec)
     return BoundReport(
         n=n,
         kind=kind,

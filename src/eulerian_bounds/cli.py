@@ -196,16 +196,13 @@ def _rows_pencil(args) -> tuple[list[str], list[dict]]:
     if n > MAX_BOUNDS_N and not args.allow_large:
         raise CliError(f"n={n} exceeds the desk-scale cap {MAX_BOUNDS_N}")
     p = pencil.eulerian_pencil(n)
-    dp = pencil.diagonal_pencil(p)
     cert = pencil.psd_certificate(p.a0)
     header = ["matrix", "row", "col", "value"]
     rows = _matrix_rows("A0", p.a0)
     for i, ai in enumerate(p.ai, start=1):
         rows.extend(_matrix_rows(f"A{i}", ai))
-    rows.extend(_matrix_rows("ASum", dp.a_sum))
-    rows.append(
-        {"matrix": "psd_A0", "row": "", "col": "", "value": "PSD" if cert else "NOT_PSD"}
-    )
+    rows.extend(_matrix_rows("ASum", pencil.eulerian_diagonal_pencil(n).a_sum))
+    rows.append({"matrix": "psd_A0", "row": "", "col": "", "value": "PSD" if cert else "NOT_PSD"})
     return header, rows
 
 
@@ -652,10 +649,11 @@ def _emit(args, header: list[str], rows: list[dict]) -> str:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    # Each command starts from empty x_min and un caches, as a fresh process
-    # does, so its work never depends on what ran before it in-process.
+    # Each command starts from empty x_min, un and extreme-root caches, as a
+    # fresh process does, so its work never depends on what ran before it.
     bounds_mod.eulerian_x_min.cache_clear()
     bounds_mod.eulerian_un.cache_clear()
+    bounds_mod.eulerian_extreme_roots.cache_clear()
     args = None
     try:
         args = _build_parser().parse_args(argv)

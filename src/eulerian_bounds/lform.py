@@ -154,6 +154,10 @@ def eulerian_lform(n: int, monomial: Monomial) -> int:
         raise ValueError(f"monomial degree {len(mono)} > 3")
     if any(not 1 <= v <= n for v in mono):
         raise ValueError(f"monomial {mono} has indices outside [1, {n}]")
+    return _closed_form(n, mono)
+
+
+def _closed_form(n: int, mono: Monomial) -> int:
     if mono == ():
         return n
     if len(mono) == 1:
@@ -181,6 +185,4 @@ def eulerian_lform_table(n: int) -> LFormTable:
     """Total closed-form L table for the n-variable Eulerian polynomial."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    return LFormTable(
-        n=n, values={m: eulerian_lform(n, m) for m in monomials_up_to_3(n)}
-    )
+    return LFormTable(n=n, values={m: _closed_form(n, m) for m in monomials_up_to_3(n)})

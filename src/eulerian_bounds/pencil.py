@@ -1,11 +1,11 @@
 """Relaxation pencils and exact positive-semidefiniteness certificates.
 
-The linear matrix pencil of a polynomial is assembled by applying its
-L-form entrywise to the rank-one mold matrix (1, x_1, ..., x_n)^T
-(1, x_1, ..., x_n): the constant matrix A_0 takes L of each product
-monomial, the coefficient matrix A_i takes L of x_i times it.  Setting
-every variable equal collapses the pencil to A_0 + x * sum(A_i) on the
-diagonal line, which is where the univariate root bounds are read off.
+The linear matrix pencil of a polynomial applies its L-form entrywise to
+the rank-one mold matrix (1, x_1, ..., x_n)^T (1, x_1, ..., x_n): A_0
+takes L of each product monomial, A_i takes L of x_i times it.  Setting
+every variable equal gives A_0 + x * sum(A_i) on the diagonal line, where
+the univariate root bounds are read off; ``diagonal_pencil`` molds that
+restriction straight from the table, never building the A_i.
 
 PSD decisions are exact, by one fraction-free (Bareiss) elimination kernel
 that also gives determinants and ranks; a negative answer carries a
@@ -14,6 +14,7 @@ rational witness vector v with v^T M v < 0.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -135,25 +136,33 @@ def build_pencil(table: LFormTable) -> LinearMatrixPencil:
     row_monos: list[tuple[int, ...]] = [()] + [(r,) for r in range(1, n + 1)]
 
     def molded(extra: tuple[int, ...]) -> SymmetricRationalMatrix:
-        rows = []
-        for mr in row_monos:
-            rows.append(
-                tuple(table(tuple(sorted(mr + mc + extra))) for mc in row_monos)
-            )
-        return SymmetricRationalMatrix(tuple(rows))
+        return SymmetricRationalMatrix(tuple(
+            tuple(table(mr + mc + extra) for mc in row_monos) for mr in row_monos
+        ))
 
     a0 = molded(())
     ai = tuple(molded((i,)) for i in range(1, n + 1))
     return LinearMatrixPencil(n=n, a0=a0, ai=ai)
 
 
-def diagonal_pencil(p: LinearMatrixPencil) -> DiagonalPencil:
-    """Sum every coefficient matrix A_1 .. A_n entrywise, in one pass."""
-    a_sum = tuple(
-        tuple(sum(cell) for cell in zip(*rows))
-        for rows in zip(*(m.entries for m in p.ai))
-    )
-    return DiagonalPencil(a0=p.a0, a_sum=SymmetricRationalMatrix(a_sum))
+def diagonal_pencil(table: LFormTable) -> DiagonalPencil:
+    """Mold A_0 + x * A_sum from the table: for the mold's m_0 = 1, m_r = x_r,
+    A_0[r][c] = L(m_r m_c) and A_sum[r][c] = sum_i L(m_r m_c x_i) for r <= c,
+    mirrored.  Keys are built sorted: the factors of m_r m_c split 1..n into
+    ranges, and x_i goes in at the place of the range holding i.
+    """
+    n, upper = table.n, {}
+    try:
+        for r, c in itertools.combinations_with_replacement(range(n + 1), 2):
+            base = tuple(v for v in (r, c) if v)
+            ends = (0,) + base + (n,)
+            upper[r, c] = upper[c, r] = table.values[base], sum(
+                table.values[base[:j] + (i,) + base[j:]]
+                for j in range(len(base) + 1) for i in range(ends[j] + 1, ends[j + 1] + 1))
+    except KeyError as exc:
+        raise KeyError(f"incomplete L-form table: missing {exc.args[0]}") from None
+    return DiagonalPencil(*(SymmetricRationalMatrix(tuple(
+        tuple(upper[r, c][k] for c in range(n + 1)) for r in range(n + 1))) for k in (0, 1)))
 
 
 def eulerian_pencil(n: int) -> LinearMatrixPencil:
@@ -162,7 +171,7 @@ def eulerian_pencil(n: int) -> LinearMatrixPencil:
 
 @lru_cache(maxsize=None)
 def eulerian_diagonal_pencil(n: int) -> DiagonalPencil:
-    return diagonal_pencil(eulerian_pencil(n))
+    return diagonal_pencil(eulerian_lform_table(n))
 
 
 @dataclass(frozen=True)

@@ -435,14 +435,14 @@ def _refine_root(
     scaled = [c << (prec * i) for i, c in enumerate(desc)]
     a, b = lo.numerator * one // lo.denominator, -(-hi.numerator * one // hi.denominator)
     # Each step probes the secant point of f(a), f(b) (values cut to the
-    # bits b - a needs; the midpoint if their signs agree), then its
-    # neighbour w = max(1, (b - a) // subs) toward r.  Trapping r between
-    # the two squares subs; missing it takes its square root, down to 4.
-    fa, fb, subs = _value(scaled, a), _value(scaled, b), 4
+    # bits b - a needs), then its neighbour w = max(1, (b - a) // subs) toward
+    # r; or the midpoint alone, if their signs agree or a miss left subs at 4.
+    # Trapping r squares subs; missing it takes its square root, down to 4.
+    fa, fb, subs, bisect = _value(scaled, a), _value(scaled, b), 4, False
     while b - a > 1:  # r in (max(lo, a / 2^prec), min(hi, b / 2^prec)]
         w = max(1, (b - a) // subs)
         k = max(0, (fa - fb).bit_length() - (b - a).bit_length() - 16)
-        secant = (fa < 0) != (fb < 0)
+        secant = (fa < 0) != (fb < 0) and not bisect
         t = a + (b - a) * (fa >> k) // ((fa >> k) - (fb >> k)) if secant else (a + b) // 2
         t = min(max(t, a + 1), b - 1)
         for _ in range(1 + secant):
@@ -458,6 +458,7 @@ def _refine_root(
             else:
                 b, fb, t = t, ft, t - w
         subs = subs * subs if b - a <= w else max(4, math.isqrt(subs))
+        bisect = secant and b - a > w and subs == 4
     return AlgebraicBound(max(lo, Fraction(a, one)), min(hi, Fraction(b, one)))
 
 

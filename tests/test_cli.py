@@ -79,6 +79,17 @@ class TestPencil:
             if r["matrix"] != "psd_A0":
                 Fraction(r["value"])
 
+    def test_asum_is_the_sum_of_the_coefficient_matrices(self, capsys):
+        code, out, _ = run_cli(capsys, ["pencil", "--n", "5", "--format", "json"])
+        assert code == 0
+        cells = {}
+        for r in json.loads(out)["rows"]:
+            if r["matrix"] != "psd_A0":
+                cells.setdefault(r["matrix"], {})[(r["row"], r["col"])] = Fraction(r["value"])
+        assert cells["ASum"] == {
+            key: sum(cells[f"A{i}"][key] for i in range(1, 6)) for key in cells["A0"]
+        }
+
 
 class TestBounds:
     def test_csv_soundness_columns(self, capsys):
@@ -163,6 +174,20 @@ class TestBounds:
             assert code == 0
         # The univariate 2x2 endpoint once per command, not once per kind.
         assert [(dp.size, prec) for dp, prec in calls] == [(2, 64 + 2 * 10 + 16)] * 2
+
+    def test_both_kinds_share_the_extreme_roots(self, capsys, monkeypatch):
+        calls = []
+        real = bounds_mod.extreme_roots
+        monkeypatch.setattr(
+            bounds_mod, "extreme_roots", lambda *a: calls.append(a) or real(*a)
+        )
+        args = ["bounds", "--n-min", "10", "--n-max", "10", "--kind", "both",
+                "--prec", "64"]
+        for _ in range(2):
+            code, _, _ = run_cli(capsys, args)
+            assert code == 0
+        # q_left and q_right once per command, not once per kind.
+        assert [(p.degree, prec) for p, prec in calls] == [(10, 64)] * 2
 
     @pytest.mark.parametrize("policy", ("paper", "optimal"))
     def test_n1_row_is_tight(self, capsys, policy):
@@ -510,3 +535,47 @@ def test_commands_run_without_sympy():
         [sys.executable, "-c", script], env=env, capture_output=True, text=True
     )
     assert done.returncode == 0, done.stderr
+
+
+def _spy_on_every_binding(monkeypatch, fn) -> list:
+    # Replace each module-level binding of fn across the package, so a call
+    # through any import path is seen.
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return fn(*args)
+
+    for name, module in list(sys.modules.items()):
+        if name == "eulerian_bounds" or name.startswith("eulerian_bounds."):
+            for attr, value in list(vars(module).items()):
+                if value is fn:
+                    monkeypatch.setattr(module, attr, spy)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bounds", "--n-min", "1", "--n-max", "8", "--kind", "both", "--prec", "64"],
+        ["diff", "--kind", "old", "--index-max", "9"],
+        ["diff", "--kind", "new", "--index-max", "7"],
+        ["eigvec", "--n-max", "6"],
+    ],
+)
+def test_diagonal_commands_never_build_the_full_pencil(capsys, monkeypatch, argv):
+    # bounds, diff and eigvec read only A0 + x A_sum: molding all n
+    # coefficient matrices (build_pencil) is the pencil command's alone.
+    pencil.eulerian_diagonal_pencil.cache_clear()
+    bounds_mod.eulerian_guess_quadratics.cache_clear()
+    full = _spy_on_every_binding(monkeypatch, pencil.build_pencil)
+    diagonal = _spy_on_every_binding(monkeypatch, pencil.diagonal_pencil)
+    code, out, _ = run_cli(capsys, argv)
+    assert code == 0 and out
+    assert full == [] and diagonal
+
+
+def test_the_pencil_command_builds_the_full_pencil(capsys, monkeypatch):
+    full = _spy_on_every_binding(monkeypatch, pencil.build_pencil)
+    code, _, _ = run_cli(capsys, ["pencil", "--n", "4"])
+    assert code == 0 and len(full) == 1

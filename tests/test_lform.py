@@ -175,3 +175,24 @@ class TestEulerianClosedForms:
 
     def test_unordered_input_normalized(self):
         assert eulerian_lform(4, (3, 1)) == eulerian_lform(4, (1, 3))
+
+    @given(st.integers(min_value=1, max_value=30))
+    @settings(max_examples=30, deadline=None)
+    def test_table_equals_the_checked_closed_forms(self, n):
+        # The table fills from the unchecked core; eulerian_lform checks its
+        # input first, and both must give the same value on every monomial.
+        table = eulerian_lform_table(n)
+        assert list(table.values) == list(monomials_up_to_3(n))
+        for mono, value in table.values.items():
+            assert value == eulerian_lform(n, mono), mono
+            assert eulerian_lform(n, mono[::-1]) == value, mono
+
+    @pytest.mark.parametrize(
+        "n, mono, message",
+        [(3, (1, 1, 2, 3), "monomial degree 4 > 3"),
+         (3, (4,), r"monomial \(4,\) has indices outside \[1, 3\]"),
+         (3, (2, 0), r"monomial \(0, 2\) has indices outside \[1, 3\]")],
+    )
+    def test_checks_keep_their_messages(self, n, mono, message):
+        with pytest.raises(ValueError, match=message):
+            eulerian_lform(n, mono)

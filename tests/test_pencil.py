@@ -1,6 +1,7 @@
 """Pencil assembly and the exact PSD certificate."""
 
 import itertools
+import re
 from fractions import Fraction
 
 import pytest
@@ -8,7 +9,13 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from eulerian_bounds import pencil
-from eulerian_bounds.lform import LFormTable, eulerian_lform_table
+from eulerian_bounds.lform import (
+    LFormTable,
+    Truncation3,
+    eulerian_lform_table,
+    lform_from_truncation,
+    monomials_up_to_3,
+)
 from eulerian_bounds.pencil import (
     SymmetricRationalMatrix,
     build_pencil,
@@ -24,6 +31,7 @@ from fraction_elimination import (
     fraction_row_basis,
     ldlt_psd_certificate,
 )
+from summed_pencil import summed_diagonal_pencil
 
 
 def M(rows):
@@ -178,15 +186,53 @@ class TestBuildPencil:
             build_pencil(broken)
 
 
+@st.composite
+def truncations(draw):
+    # Generic degree-3 truncations: any subset of the monomials, with
+    # integer or non-integer rational coefficients.
+    n = draw(st.integers(min_value=1, max_value=5))
+    coeffs = {}
+    for mono in monomials_up_to_3(n):
+        if mono and draw(st.booleans()):
+            coeffs[mono] = Fraction(draw(st.one_of(INTS, RATIONALS)))
+    return Truncation3(n=n, degree=draw(st.integers(1, 9)), coeffs=coeffs)
+
+
 class TestDiagonal:
     def test_n1_sum_is_a1(self):
         p = eulerian_pencil(1)
-        assert diagonal_pencil(p).a_sum.entries == p.ai[0].entries
+        assert summed_diagonal_pencil(p).a_sum.entries == p.ai[0].entries
+        assert diagonal_pencil(eulerian_lform_table(1)).a_sum.entries == p.ai[0].entries
 
     def test_n2_entrywise_sum(self):
         p = eulerian_pencil(2)
         expect = p.ai[0] + p.ai[1]
-        assert diagonal_pencil(p).a_sum.entries == expect.entries
+        assert summed_diagonal_pencil(p).a_sum.entries == expect.entries
+        assert diagonal_pencil(eulerian_lform_table(2)).a_sum.entries == expect.entries
+
+    @given(truncations())
+    @settings(max_examples=80, deadline=None)
+    def test_molds_the_sum_of_the_coefficient_matrices(self, t):
+        table = lform_from_truncation(t)
+        assert diagonal_pencil(table) == summed_diagonal_pencil(build_pencil(table))
+
+    @pytest.mark.parametrize("n", range(1, 25))
+    def test_eulerian_matches_the_summed_pencil(self, n):
+        expect = summed_diagonal_pencil(eulerian_pencil(n))
+        assert eulerian_diagonal_pencil(n) == expect
+        assert diagonal_pencil(eulerian_lform_table(n)) == expect
+
+    @pytest.mark.parametrize(
+        "missing", [(), (2,), (1, 2), (2, 2), (1, 1, 2), (1, 2, 2), (2, 2, 2)]
+    )
+    def test_incomplete_table(self, missing):
+        table = eulerian_lform_table(2)
+        broken = LFormTable(
+            n=2, values={k: v for k, v in table.values.items() if k != missing}
+        )
+        message = f"incomplete L-form table: missing {missing}"
+        with pytest.raises(KeyError, match=re.escape(message)):
+            diagonal_pencil(broken)
 
     def test_at_zero_is_a0(self):
         dp = eulerian_diagonal_pencil(3)

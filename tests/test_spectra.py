@@ -627,3 +627,21 @@ class TestDyadicRefinement:
         left, right = extreme_roots(univariate_eulerian(20), 1024)
         assert left.width <= Fraction(1, 2**1024) and right.width <= Fraction(1, 2**1024)
         assert len(calls) <= 140
+
+    @pytest.mark.parametrize("prec, most", [(128, 32), (1024, 38)])
+    def test_wide_interval_starts_fast(self, monkeypatch, prec, most):
+        # The leftmost root of A_20 (about -2.09e6) is isolated in
+        # (-4198852, -4548), where the secant sticks to the steep right end.
+        # A midpoint probe after each miss that leaves the step factor at 4
+        # takes 31 and 37 exact evaluations (deflation tests included);
+        # secant steps alone took 34 and 40.
+        desc = [int(c) for c in reversed(univariate_eulerian(20).coeffs)]
+        sqf, intervals = spectra._isolate(desc)
+        lo, hi = intervals[0]
+        assert (lo, hi) == (-4198852, -4548)
+        calls = []
+        real = spectra._value
+        monkeypatch.setattr(spectra, "_value", lambda *a: calls.append(1) or real(*a))
+        cell = spectra._refine_root(sqf, lo, hi, prec)
+        assert len(calls) <= most
+        assert cell == bisection_refine_root(sqf, lo, hi, prec)
