@@ -42,7 +42,7 @@ from .pencil import (
     diagonal_pencil,
     eulerian_diagonal_pencil,
 )
-from .spectra import extreme_roots, psd_boundary, psd_interval_left
+from .spectra import psd_boundary
 
 __all__ = [
     "GuessVector",
@@ -52,7 +52,6 @@ __all__ = [
     "guess_vector",
     "linearized_DN",
     "eulerian_guess_quadratics",
-    "optimal_y",
     "paper_y",
     "univariate_bound",
     "univariate_pencil_endpoint",
@@ -159,12 +158,6 @@ def linearized_DN(
 
 
 @lru_cache(maxsize=None)
-def eulerian_x_min(n: int, prec: int) -> AlgebraicBound:
-    """Certified x_min of the Eulerian diagonal pencil, once per (n, prec)."""
-    return psd_interval_left(eulerian_diagonal_pencil(n), prec)
-
-
-@lru_cache(maxsize=None)
 def eulerian_guess_quadratics(n: int, kind: str) -> tuple[QuadraticInY, QuadraticInY]:
     return linearized_DN(eulerian_diagonal_pencil(n), guess_vector(kind, n))
 
@@ -180,34 +173,21 @@ def _critical_coefficients(
     return a, b, c
 
 
-def optimal_y(
-    kind: str,
-    d: QuadraticInY,
-    nq: QuadraticInY,
-    prec: int = DEFAULT_PREC,
-) -> AlgebraicBound:
-    """The linearization parameter used by each vector family.
+def paper_y(n: int, kind: str, prec: int = DEFAULT_PREC) -> AlgebraicBound:
+    """The linearization parameter each vector family is analyzed at.
 
     The critical points of N/D in y are the roots of a y^2 + b y + c
-    built from the two quadratics.  The old family takes
-    (-b - sqrt(b^2-4ac)) / (2a) on its own quadratics; the new family
-    takes the exact opposite value, (b + sqrt(b^2-4ac)) / (2a), still
-    from the OLD family's (a, b, c) at the same n = 2m, so callers must
-    pass old-vector quadratics for kind="new" (``paper_y`` does).
+    built from the OLD vector's quadratics at n, for both families.  The
+    old family takes (-b - sqrt(b^2-4ac)) / (2a); the new family takes
+    the exact opposite value, (b + sqrt(b^2-4ac)) / (2a).
     """
     if kind not in KINDS:
         raise ValueError(f"unknown vector kind {kind!r}")
-    a, b, c = _critical_coefficients(d, nq)
+    a, b, c = _critical_coefficients(*eulerian_guess_quadratics(n, "old"))
     if a == 0:
         raise ZeroDivisionError("degenerate optimizer: leading coefficient is 0")
     root = quadratic_root_enclosure(a, b, c, "-", prec)
     return root if kind == "old" else -root
-
-
-def paper_y(n: int, kind: str, prec: int = DEFAULT_PREC) -> AlgebraicBound:
-    """The y each family is analyzed at; always from old-vector quadratics."""
-    d_old, n_old = eulerian_guess_quadratics(n, "old")
-    return optimal_y(kind, d_old, n_old, prec)
 
 
 def _univariate_diagonal(n: int) -> DiagonalPencil:
@@ -243,15 +223,9 @@ def eulerian_un(n: int, prec: int) -> AlgebraicBound:
     return univariate_bound(n, prec)
 
 
-@lru_cache(maxsize=None)
-def eulerian_extreme_roots(n: int, prec: int) -> tuple[AlgebraicBound, AlgebraicBound]:
-    """q_left and q_right of A_n, once per (n, prec): both kinds share them."""
-    return extreme_roots(univariate_eulerian(n), prec)
-
-
 @dataclass(frozen=True)
 class BoundReport:
-    """Everything the bound pipeline knows about one (n, kind) pair."""
+    """The linearized bound of one (n, kind) pair and its gain over un(n)."""
 
     n: int
     kind: str
@@ -264,37 +238,23 @@ class BoundReport:
     mult: AlgebraicBound  # N/D, lower bound on |leftmost root|
     un: AlgebraicBound
     difference: AlgebraicBound  # mult - un
-    x_min: Optional[AlgebraicBound] = None
-    q_left: Optional[AlgebraicBound] = None
-    q_right: Optional[AlgebraicBound] = None
 
 
 def bound_report(
-    n: int,
-    kind: str,
-    y_policy: str = "paper",
-    prec: int = DEFAULT_PREC,
-    given_y: Optional[Rat] = None,
-    with_endpoint: bool = True,
-    with_roots: bool = True,
+    n: int, kind: str, y_policy: str = "paper", prec: int = DEFAULT_PREC
 ) -> BoundReport:
-    """Run the full pipeline for one n and vector kind.
+    """The linearized bound for one n and vector kind.
 
     ``y_policy`` selects the linearization parameter: "paper" (the
-    family's reference choice, see ``paper_y``), "numeric-optimal"
-    (maximize N/D over the vector's own quadratics), or "given" (an
-    explicit rational).
-    ``with_endpoint`` / ``with_roots`` control the expensive exact
-    pencil-endpoint and root-enclosure fields.
+    family's reference choice, see ``paper_y``) or "numeric-optimal"
+    (maximize N/D over the vector's own quadratics).  The bound is sound
+    against x_min and the extreme roots of A_n, which depend on n alone:
+    ``spectra.psd_interval_left`` and ``spectra.extreme_roots`` give them.
     """
     d_q, n_q = eulerian_guess_quadratics(n, kind)
-    if y_policy == "given":
-        if given_y is None:
-            raise ValueError("y_policy='given' needs given_y")
-        y = AlgebraicBound.exact(given_y)
-    elif y_policy not in ("paper", "numeric-optimal"):
+    if y_policy not in ("paper", "numeric-optimal"):
         raise ValueError(f"unknown y policy {y_policy!r}")
-    elif not any(_critical_coefficients(d_q, n_q)):
+    if not any(_critical_coefficients(d_q, n_q)):
         # N/D does not depend on y (n = 1, where D = N), so every y is optimal.
         y = AlgebraicBound.exact(0)
     elif y_policy == "paper":
@@ -305,14 +265,8 @@ def bound_report(
         y, _ = optimize_y_numeric(n, kind, prec)
     d_val = d_q.at(y)
     n_val = n_q.at(y)
-    lin = -(d_val / n_val)
     mult = n_val / d_val
     un = eulerian_un(n, prec)
-    diff = mult - un
-    x_min = eulerian_x_min(n, prec) if with_endpoint else None
-    q_left = q_right = None
-    if with_roots:
-        q_left, q_right = eulerian_extreme_roots(n, prec)
     return BoundReport(
         n=n,
         kind=kind,
@@ -321,13 +275,10 @@ def bound_report(
         y=y,
         d_value=d_val,
         n_value=n_val,
-        lin_bound=lin,
+        lin_bound=-(d_val / n_val),
         mult=mult,
         un=un,
-        difference=diff,
-        x_min=x_min,
-        q_left=q_left,
-        q_right=q_right,
+        difference=mult - un,
     )
 
 
@@ -377,13 +328,13 @@ class RatioDiagnostic:
     Ratios pair adjacent entries within maximal runs of same-sign
     nonzero values and are attached to the later index; runs shorter
     than two contribute none.  ``flagged`` reports that a sign change or
-    zero interrupted the sequence.  When a prefactor is given, the
-    normalization track holds value / (prefactor * ratio^index).
+    zero interrupted the sequence.  The normalization track holds
+    value / (prefactor * ratio^index).
     """
 
     entries: tuple[tuple[int, float], ...]
     target_ratio: float
-    target_prefactor: Optional[float]
+    target_prefactor: float
     ratios: tuple[tuple[int, float], ...]
     relative_deviations: tuple[tuple[int, float], ...]
     normalization_track: tuple[tuple[int, float], ...]
@@ -391,21 +342,13 @@ class RatioDiagnostic:
 
 
 def ratio_diagnostic(
-    seq: Iterable,
-    target_ratio: float,
-    target_prefactor: Optional[float] = None,
+    seq: Iterable[tuple[int, float]], target_ratio: float, target_prefactor: float
 ) -> RatioDiagnostic:
-    """Trend diagnostics against a geometric target c * r^index.
+    """Trend diagnostics of (index, value) pairs against c * r^index.
 
-    ``seq`` is either (index, value) pairs or plain values (indexed from
-    0).  Requires at least one run of 3 same-sign nonzero entries.
+    Requires at least one run of 3 same-sign nonzero entries.
     """
-    items: list[tuple[int, float]] = []
-    for pos, item in enumerate(seq):
-        if isinstance(item, tuple) and len(item) == 2:
-            items.append((int(item[0]), float(item[1])))
-        else:
-            items.append((pos, float(item)))
+    items = [(int(idx), float(val)) for idx, val in seq]
     if len(items) < 3:
         raise ValueError("need at least 3 entries")
 
@@ -431,15 +374,11 @@ def ratio_diagnostic(
     deviations = tuple(
         (i, abs(r - target_ratio) / abs(target_ratio)) for i, r in ratios
     )
-    track: tuple[tuple[int, float], ...] = ()
-    if target_prefactor is not None:
-        track = tuple(
-            (i, v / (target_prefactor * target_ratio**i)) for i, v in items if v
-        )
+    track = tuple((i, v / (target_prefactor * target_ratio**i)) for i, v in items if v)
     return RatioDiagnostic(
         entries=tuple(items),
         target_ratio=float(target_ratio),
-        target_prefactor=None if target_prefactor is None else float(target_prefactor),
+        target_prefactor=float(target_prefactor),
         ratios=tuple(ratios),
         relative_deviations=deviations,
         normalization_track=track,

@@ -41,13 +41,15 @@ from . import bounds as bounds_mod
 from . import eulerian, lform, pencil, spectra
 from .enclosure import DEFAULT_PREC, AlgebraicBound
 
-__all__ = ["main", "bound_report_from_dict"]
+__all__ = ["main"]
 
 PREC_ENV_VAR = "EULERIAN_BOUNDS_PREC"
 
 # Desk-scale caps; --allow-large lifts them.
 MAX_BOUNDS_N = 20
 MAX_EIGVEC_N = 16
+MAX_ROOTS_N = 32
+MAX_DIFF_N = 28  # n = step * index, for both families
 
 
 class CliError(Exception):
@@ -85,34 +87,12 @@ def _dec(value, prec: int) -> str:
         )
 
 
-def _parse_enc(d: dict[str, str]) -> AlgebraicBound:
-    return AlgebraicBound(Fraction(d["lo"]), Fraction(d["hi"]))
-
-
-# JSON key -> BoundReport field, in output order; the optional fields
-# serialize as null.
+# JSON key -> BoundReport field, in output order; the per-n keys xmin,
+# q_left and q_right follow them.
 _REPORT_FIELDS = (
     ("y", "y"), ("D", "d_value"), ("N", "n_value"), ("lin_bound", "lin_bound"),
-    ("mult", "mult"), ("un", "un"), ("diff", "difference"), ("xmin", "x_min"),
-    ("q_left", "q_left"), ("q_right", "q_right"),
+    ("mult", "mult"), ("un", "un"), ("diff", "difference"),
 )
-_OPTIONAL_FIELDS = ("x_min", "q_left", "q_right")
-
-
-def bound_report_from_dict(row: dict) -> bounds_mod.BoundReport:
-    """Rebuild a BoundReport from its JSON row (the round-trip direction)."""
-    encs = {
-        attr: None if attr in _OPTIONAL_FIELDS and row.get(key) is None
-        else _parse_enc(row[key])
-        for key, attr in _REPORT_FIELDS
-    }
-    return bounds_mod.BoundReport(
-        n=int(row["n"]),
-        kind=row["kind"],
-        y_policy=row["y_policy"],
-        prec=int(row["prec_bits"]),
-        **encs,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -194,7 +174,10 @@ def _matrix_rows(name: str, m: pencil.SymmetricRationalMatrix) -> list[dict]:
 def _rows_pencil(args) -> tuple[list[str], list[dict]]:
     n = args.n
     if n > MAX_BOUNDS_N and not args.allow_large:
-        raise CliError(f"n={n} exceeds the desk-scale cap {MAX_BOUNDS_N}")
+        raise CliError(
+            f"n={n} exceeds the desk-scale cap {MAX_BOUNDS_N}; "
+            "pass --allow-large to proceed"
+        )
     p = pencil.eulerian_pencil(n)
     cert = pencil.psd_certificate(p.a0)
     header = ["matrix", "row", "col", "value"]
@@ -206,21 +189,20 @@ def _rows_pencil(args) -> tuple[list[str], list[dict]]:
     return header, rows
 
 
-def _report_to_dict(r: bounds_mod.BoundReport) -> dict:
-    row = {"n": r.n, "kind": r.kind, "y_policy": r.y_policy, "prec_bits": r.prec}
-    for key, attr in _REPORT_FIELDS:
-        enc = getattr(r, attr)
-        row[key] = None if enc is None else _enc(enc)
-    return row
-
-
 def _bounds_worker(task: tuple[int, tuple[str, ...], str, int]) -> list[dict]:
-    # Every kind at one n in one process: its pencil and x_min are built once.
+    # Every kind at one n in one process: x_min and the extreme roots of A_n
+    # depend on n alone, so they are certified once and end every row.
     n, kinds, policy, prec = task
-    return [
-        _report_to_dict(bounds_mod.bound_report(n, kind, y_policy=policy, prec=prec))
-        for kind in kinds
-    ]
+    x_min = spectra.psd_interval_left(pencil.eulerian_diagonal_pencil(n), prec)
+    q_left, q_right = spectra.extreme_roots(eulerian.univariate_eulerian(n), prec)
+    per_n = {"xmin": _enc(x_min), "q_left": _enc(q_left), "q_right": _enc(q_right)}
+    rows = []
+    for kind in kinds:
+        r = bounds_mod.bound_report(n, kind, y_policy=policy, prec=prec)
+        row = {"n": r.n, "kind": r.kind, "y_policy": r.y_policy, "prec_bits": r.prec}
+        row.update((key, _enc(getattr(r, attr))) for key, attr in _REPORT_FIELDS)
+        rows.append(row | per_n)
+    return rows
 
 
 # JSON keys in bounds CSV column order.  The single-column keys include
@@ -243,12 +225,11 @@ def _bounds_row_to_csv(row: dict, prec: int) -> dict:
     for key in _CSV_KEYS:
         value = row[key]
         if key in ("D", "N"):
-            flat[key] = _dec(_parse_enc(value), prec)
+            flat[key] = _dec((Fraction(value["lo"]) + Fraction(value["hi"])) / 2, prec)
         elif key in _CSV_SINGLE:
             flat[key] = value
         else:
-            for end in ("lo", "hi"):
-                flat[f"{key}_{end}"] = "" if value is None else value[end]
+            flat[f"{key}_lo"], flat[f"{key}_hi"] = value["lo"], value["hi"]
     return flat
 
 
@@ -295,8 +276,11 @@ def _rows_roots(args) -> tuple[list[str], list[dict]]:
     n_range = _n_range(args)
     if args.n_min < 1:
         raise CliError("n-min must be >= 1")
-    if args.n_max > 32 and not args.allow_large:
-        raise CliError(f"n-max {args.n_max} exceeds the desk-scale cap 32")
+    if args.n_max > MAX_ROOTS_N and not args.allow_large:
+        raise CliError(
+            f"n-max {args.n_max} exceeds the desk-scale cap {MAX_ROOTS_N}; "
+            "pass --allow-large to proceed"
+        )
     header = ["n", "q_left_lo", "q_left_hi", "q_right_lo", "q_right_hi", "prec_bits"]
     rows = []
     for n in n_range:
@@ -335,17 +319,21 @@ def diff_series(
     hi = default_hi if hi is None else hi
     if lo > hi:
         raise CliError(f"empty range: index-min {lo} > index-max {hi}")
-    lite = functools.partial(bounds_mod.bound_report, kind=kind, prec=prec,
-                             with_endpoint=False, with_roots=False)
-    seq = [(i, float(lite(step * i).difference)) for i in range(lo, hi + 1)]
+    seq = [
+        (i, float(bounds_mod.bound_report(step * i, kind, prec=prec).difference))
+        for i in range(lo, hi + 1)
+    ]
     return bounds_mod.ratio_diagnostic(seq, ratio, prefactor)
 
 
 def _rows_diff(args) -> tuple[list[str], list[dict]]:
-    if args.index_max is not None and args.index_max > 14 and not args.allow_large:
+    step = _DIFF_FAMILIES[args.kind][0]
+    too_large = args.index_max is not None and step * args.index_max > MAX_DIFF_N
+    if too_large and not args.allow_large:
         raise CliError(
-            f"index max {args.index_max} exceeds the desk-scale cap 14 "
-            "(new-family index is m = n/2); pass --allow-large to proceed"
+            f"index max {args.index_max} exceeds the {args.kind}-family desk-scale "
+            f"cap {MAX_DIFF_N // step} (n = {step} * index <= {MAX_DIFF_N}); "
+            "pass --allow-large to proceed"
         )
     diag = diff_series(args.kind, args.prec, args.index_min, args.index_max)
     ratio_at = dict(diag.ratios)
@@ -649,11 +637,9 @@ def _emit(args, header: list[str], rows: list[dict]) -> str:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    # Each command starts from empty x_min, un and extreme-root caches, as a
-    # fresh process does, so its work never depends on what ran before it.
-    bounds_mod.eulerian_x_min.cache_clear()
+    # Each command starts from an empty un cache, as a fresh process does, so
+    # its work never depends on what ran before it.
     bounds_mod.eulerian_un.cache_clear()
-    bounds_mod.eulerian_extreme_roots.cache_clear()
     args = None
     try:
         args = _build_parser().parse_args(argv)

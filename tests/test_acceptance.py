@@ -143,7 +143,7 @@ def test_criterion_05_soundness_chain():
         x_min = psd_interval_left(eulerian_diagonal_pencil(n), PREC)
         q_left, q_right = extreme_roots(univariate_eulerian(n), PREC)
         for kind in ("old", "new"):
-            r = bound_report(n, kind, prec=PREC, with_endpoint=False, with_roots=False)
+            r = bound_report(n, kind, prec=PREC)
             chain = (
                 r.lin_bound.possibly_leq(x_min)
                 and x_min.possibly_leq(q_right)
@@ -188,7 +188,7 @@ def _differences(kind: str, indices) -> dict[int, Fraction]:
     out = {}
     for idx in indices:
         n = idx if kind == "old" else 2 * idx
-        r = bound_report(n, kind, prec=PREC, with_endpoint=False, with_roots=False)
+        r = bound_report(n, kind, prec=PREC)
         out[idx] = r.difference
     return out
 

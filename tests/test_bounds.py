@@ -12,7 +12,6 @@ from eulerian_bounds.bounds import (
     eulerian_guess_quadratics,
     guess_vector,
     linearized_DN,
-    optimal_y,
     optimize_y_numeric,
     paper_y,
     ratio_diagnostic,
@@ -20,11 +19,13 @@ from eulerian_bounds.bounds import (
     univariate_pencil_endpoint,
 )
 from eulerian_bounds.enclosure import AlgebraicBound, quadratic_root_enclosure, sqrt_enclosure
+from eulerian_bounds.eulerian import univariate_eulerian
 from eulerian_bounds.pencil import (
     DiagonalPencil,
     SymmetricRationalMatrix,
     eulerian_diagonal_pencil,
 )
+from eulerian_bounds.spectra import extreme_roots, psd_interval_left
 
 from closed_forms import closed_form_DN
 
@@ -150,7 +151,7 @@ class TestOptimalY:
         # N'D - N D' evaluated over the returned enclosure straddles 0.
         for n in (3, 6, 9):
             dq, nq = eulerian_guess_quadratics(n, "old")
-            y = optimal_y("old", dq, nq, 128)
+            y = paper_y(n, "old", 128)
             a = nq.c2 * dq.c1 - nq.c1 * dq.c2
             b = 2 * (nq.c2 * dq.c0 - nq.c0 * dq.c2)
             c = nq.c1 * dq.c0 - nq.c0 * dq.c1
@@ -164,9 +165,8 @@ class TestOptimalY:
         assert 2 * nq.c2 * dq.c2 - 2 * dq.c2 * nq.c2 == 0
 
     def test_degenerate_n1(self):
-        dq, nq = eulerian_guess_quadratics(1, "old")
         with pytest.raises(ZeroDivisionError, match="degenerate"):
-            optimal_y("old", dq, nq, 64)
+            paper_y(1, "old", 64)
 
     def test_growth_magnitude(self):
         # |y| tracks 3^(n+1) / (2^(n+1) n); the sign settles positive for
@@ -217,40 +217,33 @@ class TestUnivariateBound:
 class TestBoundReport:
     def test_n2_old_chain(self):
         r = bound_report(2, "old", prec=128)
-        assert r.lin_bound.possibly_leq(r.x_min)
-        assert r.x_min.possibly_leq(r.q_right)
-        assert r.q_right.is_certainly_negative()
+        x_min = psd_interval_left(eulerian_diagonal_pencil(2), 128)
+        _, q_right = extreme_roots(univariate_eulerian(2), 128)
+        assert r.lin_bound.possibly_leq(x_min)
+        assert x_min.possibly_leq(q_right)
+        assert q_right.is_certainly_negative()
         assert overlaps(r.mult, 2 + sqrt_enclosure(2, 140))
 
     def test_n10_new_positivity(self):
-        r = bound_report(10, "new", prec=128, with_endpoint=False, with_roots=False)
+        r = bound_report(10, "new", prec=128)
         assert r.d_value.is_certainly_positive()
         assert r.n_value.is_certainly_positive()
-        assert r.x_min is None and r.q_left is None
 
     def test_new_beats_old_at_large_even_n(self):
         for n in (10, 12, 14, 16, 18, 20):
-            old = bound_report(n, "old", prec=128, with_endpoint=False, with_roots=False)
-            new = bound_report(n, "new", prec=128, with_endpoint=False, with_roots=False)
+            old = bound_report(n, "old", prec=128)
+            new = bound_report(n, "new", prec=128)
             assert old.difference.is_certainly_positive()
             assert (new.difference - old.difference).is_certainly_positive()
-
-    def test_given_y_policy(self):
-        r = bound_report(4, "old", y_policy="given", given_y=Fraction(1, 2), prec=64,
-                         with_endpoint=False, with_roots=False)
-        dq, nq = eulerian_guess_quadratics(4, "old")
-        assert r.d_value.contains(dq(Fraction(1, 2)))
-        assert r.n_value.contains(nq(Fraction(1, 2)))
 
     def test_numeric_optimal_y_is_guarded_once(self):
         # Both policies enclose the same old-family y at the same width.
         for n in range(2, 13):
-            lite = dict(prec=64, with_endpoint=False, with_roots=False)
-            optimal = bound_report(n, "old", "numeric-optimal", **lite)
-            assert optimal.y == bound_report(n, "old", "paper", **lite).y, n
+            optimal = bound_report(n, "old", "numeric-optimal", prec=64)
+            assert optimal.y == bound_report(n, "old", "paper", prec=64).y, n
 
     def test_policy_validation(self):
-        with pytest.raises(ValueError, match="given_y"):
+        with pytest.raises(ValueError, match="unknown y policy 'given'"):
             bound_report(4, "old", y_policy="given")
         with pytest.raises(ValueError, match="even"):
             bound_report(5, "new")
@@ -291,23 +284,18 @@ class TestRatioDiagnostic:
         assert all(t == pytest.approx(1.0) for _, t in diag.normalization_track)
         assert not diag.flagged
 
-    def test_plain_values_are_indexed(self):
-        diag = ratio_diagnostic([1.0, 2.0, 4.0, 8.0], 2.0)
-        assert diag.entries[0] == (0, 1.0)
-        assert [i for i, _ in diag.ratios] == [1, 2, 3]
-
     def test_sign_change_flagged(self):
-        diag = ratio_diagnostic([1.0, 2.0, 4.0, -1.0, -2.0], 2.0)
+        diag = ratio_diagnostic(enumerate([1.0, 2.0, 4.0, -1.0, -2.0]), 2.0, 1.0)
         assert diag.flagged
         # The ratio across the sign change is not reported.
         assert all(i != 3 for i, _ in diag.ratios)
 
     def test_zero_entries_break_runs(self):
-        diag = ratio_diagnostic([1.0, 2.0, 4.0, 0.0, 8.0], 2.0)
+        diag = ratio_diagnostic(enumerate([1.0, 2.0, 4.0, 0.0, 8.0]), 2.0, 1.0)
         assert diag.flagged
 
     def test_too_short(self):
         with pytest.raises(ValueError):
-            ratio_diagnostic([1.0, 2.0], 2.0)
+            ratio_diagnostic(enumerate([1.0, 2.0]), 2.0, 1.0)
         with pytest.raises(ValueError, match="same-sign"):
-            ratio_diagnostic([1.0, -1.0, 1.0, -1.0], 2.0)
+            ratio_diagnostic(enumerate([1.0, -1.0, 1.0, -1.0]), 2.0, 1.0)

@@ -16,15 +16,27 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import eulerian_bounds
-from eulerian_bounds import bound_report, cli, pencil
+from eulerian_bounds import AlgebraicBound, bound_report, cli, pencil, spectra
 from eulerian_bounds import bounds as bounds_mod
-from eulerian_bounds.cli import _pool_size, bound_report_from_dict, emit_plot, main
+from eulerian_bounds.cli import _pool_size, emit_plot, main
 
 
 def run_cli(capsys, args):
     code = main(args)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def enclosure(cell: dict) -> AlgebraicBound:
+    return AlgebraicBound(Fraction(cell["lo"]), Fraction(cell["hi"]))
+
+
+def spy(monkeypatch, module, name) -> list:
+    # Record the arguments of every call through module.name.
+    calls = []
+    real = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *a: calls.append(a) or real(*a))
+    return calls
 
 
 def parse_csv(text):
@@ -123,13 +135,30 @@ class TestBounds:
         )
         assert code == 0
         rows = json.loads(out)["rows"]
+        assert [row["n"] for row in rows] == [4, 5]
         for row in rows:
-            rebuilt = bound_report_from_dict(row)
-            fresh = bound_report(rebuilt.n, "old", prec=64)
-            assert rebuilt.y == fresh.y
-            assert rebuilt.mult == fresh.mult
-            assert rebuilt.x_min == fresh.x_min
-            assert rebuilt.difference == fresh.difference
+            assert (row["kind"], row["y_policy"], row["prec_bits"]) == ("old", "paper", 64)
+            fresh = bound_report(row["n"], "old", prec=64)
+            x_min = spectra.psd_interval_left(pencil.eulerian_diagonal_pencil(row["n"]), 64)
+            assert enclosure(row["y"]) == fresh.y
+            assert enclosure(row["mult"]) == fresh.mult
+            assert enclosure(row["xmin"]) == x_min
+            assert enclosure(row["diff"]) == fresh.difference
+
+    def test_json_row_key_order(self, capsys):
+        code, out, _ = run_cli(
+            capsys,
+            ["bounds", "--n-min", "3", "--n-max", "4", "--kind", "both",
+             "--format", "json", "--prec", "64"],
+        )
+        assert code == 0
+        rows = json.loads(out)["rows"]
+        assert [(r["n"], r["kind"]) for r in rows] == [(3, "old"), (4, "new"), (4, "old")]
+        for r in rows:
+            assert list(r) == [
+                "n", "kind", "y_policy", "prec_bits", "y", "D", "N", "lin_bound",
+                "mult", "un", "diff", "xmin", "q_left", "q_right",
+            ]
 
     def test_determinism(self, capsys):
         for args in (
@@ -150,23 +179,15 @@ class TestBounds:
         assert serial == parallel
 
     def test_both_kinds_share_one_x_min(self, capsys, monkeypatch):
-        calls = []
-        real = bounds_mod.psd_interval_left
-        monkeypatch.setattr(
-            bounds_mod, "psd_interval_left", lambda *a: calls.append(a) or real(*a)
-        )
+        calls = spy(monkeypatch, spectra, "psd_interval_left")
         for _ in range(2):
             code, _, _ = run_cli(capsys, ["bounds", "--n-min", "4", "--n-max", "4"])
             assert code == 0
-        # Once per command: the second command starts from an empty cache.
+        # Once per n in each command.
         assert [dp.size for dp, _ in calls] == [5, 5]
 
     def test_both_kinds_share_one_un(self, capsys, monkeypatch):
-        calls = []
-        real = bounds_mod.psd_boundary
-        monkeypatch.setattr(
-            bounds_mod, "psd_boundary", lambda *a: calls.append(a) or real(*a)
-        )
+        calls = spy(monkeypatch, bounds_mod, "psd_boundary")
         args = ["bounds", "--n-min", "10", "--n-max", "10", "--kind", "both",
                 "--prec", "64"]
         for _ in range(2):
@@ -176,11 +197,7 @@ class TestBounds:
         assert [(dp.size, prec) for dp, prec in calls] == [(2, 64 + 2 * 10 + 16)] * 2
 
     def test_both_kinds_share_the_extreme_roots(self, capsys, monkeypatch):
-        calls = []
-        real = bounds_mod.extreme_roots
-        monkeypatch.setattr(
-            bounds_mod, "extreme_roots", lambda *a: calls.append(a) or real(*a)
-        )
+        calls = spy(monkeypatch, spectra, "extreme_roots")
         args = ["bounds", "--n-min", "10", "--n-max", "10", "--kind", "both",
                 "--prec", "64"]
         for _ in range(2):
@@ -199,9 +216,13 @@ class TestBounds:
         assert code == 0
         rows = json.loads(out)["rows"]
         assert [r["n"] for r in rows] == [1, 2]
-        n1 = bound_report_from_dict(rows[0])
-        assert n1.mult.contains(1)
-        assert n1.difference.contains(0)
+        n1 = rows[0]
+        y_policy = {"paper": "paper", "optimal": "numeric-optimal"}[policy]
+        fresh = bound_report(1, "old", y_policy, 64)
+        assert enclosure(n1["mult"]) == fresh.mult and fresh.mult.contains(1)
+        assert enclosure(n1["diff"]) == fresh.difference and fresh.difference.contains(0)
+        x_min = spectra.psd_interval_left(pencil.eulerian_diagonal_pencil(1), 64)
+        assert enclosure(n1["xmin"]) == x_min and x_min.contains(-1)
 
     def test_range_cap(self, capsys):
         code, out, err = run_cli(
@@ -282,6 +303,21 @@ class TestDiff:
         assert code == 2
         assert "error" in json.loads(err)
 
+
+    def test_old_cap_is_n_28(self, capsys):
+        # The cap bounds n = step * index, so the old family's default
+        # indices 6..20 are within it.
+        _, default, _ = run_cli(capsys, ["diff", "--kind", "old"])
+        code, explicit, _ = run_cli(capsys, ["diff", "--kind", "old", "--index-max", "20"])
+        assert code == 0 and default and explicit == default
+
+    @pytest.mark.parametrize("kind, index", (("old", 29), ("new", 15)))
+    def test_cap(self, capsys, kind, index):
+        code, out, err = run_cli(
+            capsys, ["diff", "--kind", kind, "--index-max", str(index)]
+        )
+        assert code == 2 and not out
+        assert "allow-large" in json.loads(err)["error"]
 
     @pytest.mark.parametrize("kind", ("old", "new"))
     def test_empty_range(self, capsys, kind):
@@ -367,6 +403,12 @@ class TestErrors:
         assert error == "n=21 exceeds the desk-scale cap 20; pass --allow-large to proceed"
         code, out, _ = run_cli(capsys, ["lform", "--n", "21", "--allow-large"])
         assert code == 0 and len(parse_csv(out)) == math.comb(24, 3)
+
+    @pytest.mark.parametrize(
+        "args", (["pencil", "--n", "21"], ["roots", "--n-max", "33"])
+    )
+    def test_caps_name_allow_large(self, capsys, args):
+        assert "pass --allow-large to proceed" in self.one_line_error(capsys, args)
 
     def test_counts_cap_ignores_allow_large(self, capsys):
         plain = self.one_line_error(capsys, ["counts", "--n", "10"])

@@ -1,0 +1,17 @@
+"""The package exports exactly what its layer modules export."""
+
+import importlib
+
+import eulerian_bounds
+
+LAYERS = ("bounds", "enclosure", "eulerian", "lform", "pencil", "spectra")
+
+
+def test_package_all_is_the_sorted_union_of_the_layer_lists():
+    union = set()
+    for layer in LAYERS:
+        module = importlib.import_module(f"eulerian_bounds.{layer}")
+        union.update(module.__all__)
+        for name in module.__all__:
+            assert getattr(eulerian_bounds, name) is getattr(module, name), name
+    assert eulerian_bounds.__all__ == sorted(union)
