@@ -67,7 +67,7 @@ KINDS = ("old", "new")
 
 @dataclass(frozen=True)
 class GuessVector:
-    """A linearizing vector in R^(n+1) whose first entry may be symbolic.
+    """A linearizing vector in R^(n+1) with a free first entry.
 
     ``entries[0] is None`` marks the free parameter y; all other entries
     are exact rationals.
@@ -80,27 +80,18 @@ class GuessVector:
     def __post_init__(self):
         if len(self.entries) != self.n + 1:
             raise ValueError("vector length must be n + 1")
-        if any(e is None for e in self.entries[1:]):
-            raise ValueError("only the first entry may be symbolic")
-
-    @property
-    def symbolic(self) -> bool:
-        return self.entries[0] is None
-
-    def with_y(self, y: Rat) -> tuple[Fraction, ...]:
-        head = Fraction(y) if self.symbolic else self.entries[0]
-        return (head,) + self.entries[1:]
+        if self.entries[0] is not None or any(e is None for e in self.entries[1:]):
+            raise ValueError("the first entry, and only it, must be the free y (None)")
 
 
-def guess_vector(kind: str, n: int, y: Optional[Rat] = None) -> GuessVector:
-    """Build an old- or new-family vector; ``y=None`` keeps it symbolic.
+def guess_vector(kind: str, n: int) -> GuessVector:
+    """Build an old- or new-family vector with a free first entry y.
 
     >>> guess_vector("old", 4).entries[1:]
     (Fraction(1, 1), Fraction(-1, 1), Fraction(-1, 1), Fraction(-1, 1))
     >>> guess_vector("new", 10).entries[1:4]
     (Fraction(-4, 1), Fraction(-2, 1), Fraction(-1, 1))
     """
-    first = None if y is None else Fraction(y)
     if kind == "old":
         if n < 1:
             raise ValueError("old vector needs n >= 1")
@@ -113,7 +104,7 @@ def guess_vector(kind: str, n: int, y: Optional[Rat] = None) -> GuessVector:
         tail = head + (Fraction(0), Fraction(1, 2)) + (Fraction(1),) * m
     else:
         raise ValueError(f"unknown vector kind {kind!r}")
-    return GuessVector(kind=kind, n=n, entries=(first,) + tail)
+    return GuessVector(kind=kind, n=n, entries=(None,) + tail)
 
 
 @dataclass(frozen=True)
@@ -139,8 +130,7 @@ def linearized_DN(
 
     Only the first entry is symbolic, so the y^2 coefficient is the
     matrix corner, the y coefficient is twice the first row paired with
-    the concrete tail, and the constant is the quadratic form of the tail;
-    a fully concrete v gives degenerate quadratics (c2 = c1 = 0).
+    the concrete tail, and the constant is the quadratic form of the tail.
     """
     if len(v.entries) != p.size:
         raise ValueError(
@@ -148,8 +138,6 @@ def linearized_DN(
         )
 
     def expand(mat: SymmetricRationalMatrix) -> QuadraticInY:
-        if not v.symbolic:
-            return QuadraticInY(Fraction(0), Fraction(0), mat.quadratic_form(v.entries))
         tail = v.entries[1:]
         cross = sum(r * t for r, t in zip(mat.entries[0][1:], tail))
         return QuadraticInY(mat.entry(0, 0), 2 * cross, mat.quadratic_form((0,) + tail))

@@ -63,12 +63,22 @@ class _Parser(argparse.ArgumentParser):
         raise CliError(message)
 
 
-def _rat(x: Fraction) -> str:
-    return str(x)
+def _cap(args, label: str, value: int, cap: int, scope: str = "", note: str = "") -> None:
+    """Reject ``value`` above a desk-scale cap unless --allow-large is given."""
+    if value > cap and not args.allow_large:
+        raise CliError(
+            f"{label}{value} exceeds the {scope}desk-scale cap {cap}{note}; "
+            "pass --allow-large to proceed"
+        )
 
 
 def _enc(b: AlgebraicBound) -> dict[str, str]:
-    return {"lo": _rat(b.lo), "hi": _rat(b.hi)}
+    return {"lo": str(b.lo), "hi": str(b.hi)}
+
+
+def _split(key: str, cell: dict[str, str]) -> dict[str, str]:
+    """An enclosure cell as the flat columns <key>_lo, <key>_hi."""
+    return {f"{key}_{end}": value for end, value in cell.items()}
 
 
 def _dps(prec: int) -> int:
@@ -96,10 +106,11 @@ _REPORT_FIELDS = (
 
 
 # ---------------------------------------------------------------------------
-# Subcommand row builders
+# Subcommand row builders.  Each returns a nonempty list of rows whose
+# keys, in order, are the command's columns.
 
 
-def _rows_counts(args) -> tuple[list[str], list[dict]]:
+def _rows_counts(args) -> list[dict]:
     n = args.n
     if n < 1:
         raise CliError("n must be >= 1")
@@ -108,7 +119,6 @@ def _rows_counts(args) -> tuple[list[str], list[dict]]:
             f"counts needs brute force; n={n} exceeds the cap "
             f"{eulerian.BRUTE_FORCE_MAX_N}, which --allow-large does not lift"
         )
-    header = ["X", "brute_force", "complement", "deletion", "closed_form"]
     rows = []
     values = list(range(2, n + 2))
     for size in range(0, min(n, 3) + 1):
@@ -126,7 +136,7 @@ def _rows_counts(args) -> tuple[list[str], list[dict]]:
                     "closed_form": closed,
                 }
             )
-    return header, rows
+    return rows
 
 
 def _mono_str(mono: tuple[int, ...]) -> str:
@@ -139,15 +149,10 @@ def _mono_str(mono: tuple[int, ...]) -> str:
     return "*".join(parts)
 
 
-def _rows_lform(args) -> tuple[list[str], list[dict]]:
+def _rows_lform(args) -> list[dict]:
     n = args.n
-    if n > MAX_BOUNDS_N and not args.allow_large:
-        raise CliError(
-            f"n={n} exceeds the desk-scale cap {MAX_BOUNDS_N}; "
-            "pass --allow-large to proceed"
-        )
+    _cap(args, "n=", n, MAX_BOUNDS_N)
     generic = lform.lform_from_truncation(lform.Truncation3.eulerian(n))
-    header = ["monomial", "closed_form", "from_truncation", "equal"]
     rows = []
     for mono in lform.monomials_up_to_3(n):
         closed = lform.eulerian_lform(n, mono)
@@ -155,38 +160,33 @@ def _rows_lform(args) -> tuple[list[str], list[dict]]:
         rows.append(
             {
                 "monomial": _mono_str(mono),
-                "closed_form": _rat(closed),
-                "from_truncation": _rat(gen),
+                "closed_form": str(closed),
+                "from_truncation": str(gen),
                 "equal": closed == gen,
             }
         )
-    return header, rows
+    return rows
 
 
 def _matrix_rows(name: str, m: pencil.SymmetricRationalMatrix) -> list[dict]:
     out = []
     for i, row in enumerate(m.entries):
         for j, v in enumerate(row):
-            out.append({"matrix": name, "row": i, "col": j, "value": _rat(v)})
+            out.append({"matrix": name, "row": i, "col": j, "value": str(v)})
     return out
 
 
-def _rows_pencil(args) -> tuple[list[str], list[dict]]:
+def _rows_pencil(args) -> list[dict]:
     n = args.n
-    if n > MAX_BOUNDS_N and not args.allow_large:
-        raise CliError(
-            f"n={n} exceeds the desk-scale cap {MAX_BOUNDS_N}; "
-            "pass --allow-large to proceed"
-        )
+    _cap(args, "n=", n, MAX_BOUNDS_N)
     p = pencil.eulerian_pencil(n)
     cert = pencil.psd_certificate(p.a0)
-    header = ["matrix", "row", "col", "value"]
     rows = _matrix_rows("A0", p.a0)
     for i, ai in enumerate(p.ai, start=1):
         rows.extend(_matrix_rows(f"A{i}", ai))
     rows.extend(_matrix_rows("ASum", pencil.eulerian_diagonal_pencil(n).a_sum))
     rows.append({"matrix": "psd_A0", "row": "", "col": "", "value": "PSD" if cert else "NOT_PSD"})
-    return header, rows
+    return rows
 
 
 def _bounds_worker(task: tuple[int, tuple[str, ...], str, int]) -> list[dict]:
@@ -205,19 +205,12 @@ def _bounds_worker(task: tuple[int, tuple[str, ...], str, int]) -> list[dict]:
     return rows
 
 
-# JSON keys in bounds CSV column order.  The single-column keys include
-# D and N, which are decimals by contract; every other key is an
-# enclosure and becomes a <key>_lo, <key>_hi pair.
+# JSON keys in bounds CSV column order.  D and N are decimals by
+# contract; every other enclosure becomes a <key>_lo, <key>_hi pair.
 _CSV_KEYS = (
     "n", "kind", "y", "D", "N", "lin_bound", "xmin", "q_right", "q_left",
     "un", "diff", "prec_bits",
 )
-_CSV_SINGLE = ("n", "kind", "D", "N", "prec_bits")
-BOUNDS_CSV_COLUMNS = [
-    col
-    for key in _CSV_KEYS
-    for col in ([key] if key in _CSV_SINGLE else [f"{key}_lo", f"{key}_hi"])
-]
 
 
 def _bounds_row_to_csv(row: dict, prec: int) -> dict:
@@ -226,10 +219,10 @@ def _bounds_row_to_csv(row: dict, prec: int) -> dict:
         value = row[key]
         if key in ("D", "N"):
             flat[key] = _dec((Fraction(value["lo"]) + Fraction(value["hi"])) / 2, prec)
-        elif key in _CSV_SINGLE:
-            flat[key] = value
+        elif isinstance(value, dict):
+            flat.update(_split(key, value))
         else:
-            flat[f"{key}_lo"], flat[f"{key}_hi"] = value["lo"], value["hi"]
+            flat[key] = value
     return flat
 
 
@@ -244,13 +237,9 @@ def _n_range(args) -> range:
     return range(args.n_min, args.n_max + 1)
 
 
-def _rows_bounds(args) -> tuple[list[str], list[dict]]:
+def _rows_bounds(args) -> list[dict]:
     n_range = _n_range(args)
-    if args.n_max > MAX_BOUNDS_N and not args.allow_large:
-        raise CliError(
-            f"n-max {args.n_max} exceeds the desk-scale cap {MAX_BOUNDS_N}; "
-            "pass --allow-large to proceed"
-        )
+    _cap(args, "n-max ", args.n_max, MAX_BOUNDS_N)
     if args.jobs < 1:
         raise CliError("--jobs must be >= 1")
     kinds = ("old", "new") if args.kind == "both" else (args.kind,)
@@ -268,153 +257,97 @@ def _rows_bounds(args) -> tuple[list[str], list[dict]]:
             per_n = list(pool.map(_bounds_worker, tasks))
     else:
         per_n = [_bounds_worker(t) for t in tasks]
-    rows = sorted((r for rs in per_n for r in rs), key=lambda r: (r["n"], r["kind"]))
-    return list(BOUNDS_CSV_COLUMNS), rows
+    return sorted((r for rs in per_n for r in rs), key=lambda r: (r["n"], r["kind"]))
 
 
-def _rows_roots(args) -> tuple[list[str], list[dict]]:
+def _rows_roots(args) -> list[dict]:
     n_range = _n_range(args)
     if args.n_min < 1:
         raise CliError("n-min must be >= 1")
-    if args.n_max > MAX_ROOTS_N and not args.allow_large:
-        raise CliError(
-            f"n-max {args.n_max} exceeds the desk-scale cap {MAX_ROOTS_N}; "
-            "pass --allow-large to proceed"
-        )
-    header = ["n", "q_left_lo", "q_left_hi", "q_right_lo", "q_right_hi", "prec_bits"]
+    _cap(args, "n-max ", args.n_max, MAX_ROOTS_N)
     rows = []
     for n in n_range:
         ql, qr = spectra.extreme_roots(eulerian.univariate_eulerian(n), args.prec)
         rows.append(
-            {
-                "n": n,
-                "q_left_lo": _rat(ql.lo),
-                "q_left_hi": _rat(ql.hi),
-                "q_right_lo": _rat(qr.lo),
-                "q_right_hi": _rat(qr.hi),
-                "prec_bits": args.prec,
-            }
+            {"n": n, **_split("q_left", _enc(ql)), **_split("q_right", _enc(qr)),
+             "prec_bits": args.prec}
         )
-    return header, rows
+    return rows
 
 
 # Per family: n per index step, default index range, target ratio and
-# prefactor of the geometric trend.
+# prefactor of the geometric trend.  The old family is indexed by n, the
+# new one by m = n/2.
 _DIFF_FAMILIES = {"old": (1, 6, 20, 3 / 4, 1 / 2), "new": (2, 5, 12, 9 / 8, 3 / 8)}
 
 
-def diff_series(
-    kind: str, prec: int, lo: Optional[int] = None, hi: Optional[int] = None
-) -> bounds_mod.RatioDiagnostic:
-    """Bound differences and their geometric-trend diagnostics.
-
-    Old family: indexed by n (default 6..20), target ratio 3/4,
-    prefactor 1/2.  New family: indexed by m = n/2 (default 5..12),
-    target ratio 9/8, prefactor 3/8.
-    """
-    if kind not in _DIFF_FAMILIES:
-        raise CliError(f"unknown kind {kind!r}")
-    step, default_lo, default_hi, ratio, prefactor = _DIFF_FAMILIES[kind]
-    lo = default_lo if lo is None else lo
-    hi = default_hi if hi is None else hi
+def _rows_diff(args) -> list[dict]:
+    step, lo, hi, ratio, prefactor = _DIFF_FAMILIES[args.kind]
+    if args.index_max is not None:
+        _cap(args, "index max ", args.index_max, MAX_DIFF_N // step,
+             scope=f"{args.kind}-family ", note=f" (n = {step} * index <= {MAX_DIFF_N})")
+    lo = lo if args.index_min is None else args.index_min
+    hi = hi if args.index_max is None else args.index_max
     if lo > hi:
         raise CliError(f"empty range: index-min {lo} > index-max {hi}")
     seq = [
-        (i, float(bounds_mod.bound_report(step * i, kind, prec=prec).difference))
+        (i, float(bounds_mod.bound_report(step * i, args.kind, prec=args.prec).difference))
         for i in range(lo, hi + 1)
     ]
-    return bounds_mod.ratio_diagnostic(seq, ratio, prefactor)
-
-
-def _rows_diff(args) -> tuple[list[str], list[dict]]:
-    step = _DIFF_FAMILIES[args.kind][0]
-    too_large = args.index_max is not None and step * args.index_max > MAX_DIFF_N
-    if too_large and not args.allow_large:
-        raise CliError(
-            f"index max {args.index_max} exceeds the {args.kind}-family desk-scale "
-            f"cap {MAX_DIFF_N // step} (n = {step} * index <= {MAX_DIFF_N}); "
-            "pass --allow-large to proceed"
-        )
-    diag = diff_series(args.kind, args.prec, args.index_min, args.index_max)
+    diag = bounds_mod.ratio_diagnostic(seq, ratio, prefactor)
     ratio_at = dict(diag.ratios)
     dev_at = dict(diag.relative_deviations)
     track_at = dict(diag.normalization_track)
-    header = [
-        "index",
-        "difference",
-        "ratio",
-        "target_ratio",
-        "relative_deviation",
-        "normalization_track",
-    ]
+
+    def cell(at: dict[int, float], idx: int) -> str:
+        return f"{at[idx]:.9f}" if idx in at else ""
+
     rows = []
     for idx, value in diag.entries:
         rows.append(
             {
                 "index": idx,
                 "difference": f"{value:.12e}",
-                "ratio": "" if idx not in ratio_at else f"{ratio_at[idx]:.9f}",
+                "ratio": cell(ratio_at, idx),
                 "target_ratio": f"{diag.target_ratio:.9f}",
-                "relative_deviation": ""
-                if idx not in dev_at
-                else f"{dev_at[idx]:.9f}",
-                "normalization_track": ""
-                if idx not in track_at
-                else f"{track_at[idx]:.9f}",
+                "relative_deviation": cell(dev_at, idx),
+                "normalization_track": cell(track_at, idx),
             }
         )
-    return header, rows
+    return rows
 
 
-def eigvec_rows(n_max: int, prec: int) -> list[dict]:
+def _rows_eigvec(args) -> list[dict]:
+    if args.n_max < 1:
+        raise CliError("n-max must be >= 1")
+    _cap(args, "n-max ", args.n_max, MAX_EIGVEC_N)
     rows = []
-    for n in range(1, n_max + 1):
-        kv = spectra.boundary_kernel_vector(pencil.eulerian_diagonal_pencil(n), prec)
+    for n in range(1, args.n_max + 1):
+        kv = spectra.boundary_kernel_vector(pencil.eulerian_diagonal_pencil(n), args.prec)
         for idx, entry in enumerate(kv.entries):
             rows.append(
                 {
                     "n": n,
                     "index": idx,
                     "position": f"{idx / n:.9f}",
-                    "entry": _dec(entry, prec),
+                    "entry": _dec(entry, args.prec),
                     "normalization": kv.normalization,
                     "degenerate": kv.degenerate,
-                    "prec_bits": prec,
+                    "prec_bits": args.prec,
                 }
             )
     return rows
-
-
-def _rows_eigvec(args) -> tuple[list[str], list[dict]]:
-    if args.n_max < 1:
-        raise CliError("n-max must be >= 1")
-    if args.n_max > MAX_EIGVEC_N and not args.allow_large:
-        raise CliError(
-            f"n-max {args.n_max} exceeds the desk-scale cap {MAX_EIGVEC_N}; "
-            "pass --allow-large to proceed"
-        )
-    header = [
-        "n",
-        "index",
-        "position",
-        "entry",
-        "normalization",
-        "degenerate",
-        "prec_bits",
-    ]
-    return header, eigvec_rows(args.n_max, args.prec)
 
 
 # ---------------------------------------------------------------------------
 # Emitters
 
 
-def _to_csv(header: list[str], rows: list[dict]) -> str:
+def _to_csv(rows: list[dict]) -> str:
     buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=header, lineterminator="\n")
+    writer = csv.DictWriter(buf, fieldnames=list(rows[0]), lineterminator="\n")
     writer.writeheader()
-    for row in rows:
-        writer.writerow({k: row.get(k, "") for k in header})
+    writer.writerows(rows)
     return buf.getvalue()
 
 
@@ -425,13 +358,11 @@ def _to_json(command: str, rows: list[dict], prec: Optional[int]) -> str:
     return json.dumps(doc, indent=2, sort_keys=False) + "\n"
 
 
-def _svg_header(width: int, height: int) -> list[str]:
-    return [
-        '<?xml version="1.0" encoding="UTF-8"?>',
-        f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-        f'width="{width}" height="{height}" viewBox="0 0 {width} {height}">',
-        f'<rect x="0" y="0" width="{width}" height="{height}" fill="white"/>',
-    ]
+def _text(x, y, size: int, anchor: str, body: str) -> str:
+    return (
+        f'<text x="{x}" y="{y}" font-size="{size}" text-anchor="{anchor}" '
+        f'font-family="sans-serif">{body}</text>'
+    )
 
 
 _PALETTE = (
@@ -451,21 +382,41 @@ def emit_plot(rows: list[dict], plot: str) -> str:
     width, height = 640, 480
     ml, mr, mt, mb = 60, 20, 20, 45
     pw, ph = width - ml - mr, height - mt - mb
-    out = _svg_header(width, height)
 
     if plot == "eigvec":
         pts = [(float(r["position"]), float(r["entry"]), int(r["n"])) for r in rows]
         ys = [p[1] for p in pts]
+        x_lo, x_hi = 0.0, 1.0
         y_lo, y_hi = min(ys + [0.0]), max(ys + [1.0])
-        pad = 0.05 * (y_hi - y_lo)
-        y_lo, y_hi = y_lo - pad, y_hi + pad
+    elif plot == "diff":
+        pts = [(int(r["index"]), float(r["difference"])) for r in rows]
+        if any(v <= 0 for _, v in pts):
+            raise CliError("diff plot needs positive differences (log scale)")
+        pts = [(x, math.log10(v)) for x, v in pts]
+        xs = [p[0] for p in pts]
+        logs = [p[1] for p in pts]
+        x_lo, x_hi = min(xs), max(xs)
+        y_lo, y_hi = min(logs), max(logs)
+        if x_hi == x_lo or y_hi == y_lo:
+            raise CliError("diff plot needs a nondegenerate range")
+    else:
+        raise CliError(f"no plot defined for {plot!r}")
+    pad = 0.05 * (y_hi - y_lo)
+    y_lo, y_hi = y_lo - pad, y_hi + pad
 
-        def sx(x):
-            return ml + x * pw
+    def sx(x):
+        return ml + (x - x_lo) / (x_hi - x_lo) * pw
 
-        def sy(y):
-            return mt + (y_hi - y) / (y_hi - y_lo) * ph
+    def sy(y):
+        return mt + (y_hi - y) / (y_hi - y_lo) * ph
 
+    out = [
+        '<?xml version="1.0" encoding="UTF-8"?>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
+        f'width="{width}" height="{height}" viewBox="0 0 {width} {height}">',
+        f'<rect x="0" y="0" width="{width}" height="{height}" fill="white"/>',
+    ]
+    if plot == "eigvec":
         out.append(
             f'<line x1="{ml}" y1="{sy(0):.2f}" x2="{ml + pw}" y2="{sy(0):.2f}" '
             'stroke="#999999" stroke-width="1"/>'
@@ -481,63 +432,28 @@ def emit_plot(rows: list[dict], plot: str) -> str:
                 f'fill="{color}" fill-opacity="0.8"/>'
             )
         out.append(
-            f'<text x="{ml + pw / 2:.0f}" y="{height - 12}" font-size="13" '
-            'text-anchor="middle" font-family="sans-serif">entry position '
-            "index/n</text>"
+            _text(f"{ml + pw / 2:.0f}", height - 12, 13, "middle", "entry position index/n")
         )
         for val in (y_lo + pad, 0.0, 1.0, y_hi - pad):
-            out.append(
-                f'<text x="{ml - 6}" y="{sy(val) + 4:.2f}" font-size="11" '
-                f'text-anchor="end" font-family="sans-serif">{val:.2f}</text>'
-            )
-    elif plot == "diff":
-        pts = [(int(r["index"]), float(r["difference"])) for r in rows]
-        if any(v <= 0 for _, v in pts):
-            raise CliError("diff plot needs positive differences (log scale)")
-        xs = [p[0] for p in pts]
-        logs = [math.log10(v) for _, v in pts]
-        x_lo, x_hi = min(xs), max(xs)
-        y_lo, y_hi = min(logs), max(logs)
-        if x_hi == x_lo or y_hi == y_lo:
-            raise CliError("diff plot needs a nondegenerate range")
-        pad = 0.05 * (y_hi - y_lo)
-        y_lo, y_hi = y_lo - pad, y_hi + pad
-
-        def sx(x):
-            return ml + (x - x_lo) / (x_hi - x_lo) * pw
-
-        def sy(y):
-            return mt + (y_hi - y) / (y_hi - y_lo) * ph
-
+            out.append(_text(ml - 6, f"{sy(val) + 4:.2f}", 11, "end", f"{val:.2f}"))
+    else:
         path = " ".join(
-            f"{'M' if i == 0 else 'L'}{sx(x):.2f},{sy(math.log10(v)):.2f}"
-            for i, (x, v) in enumerate(pts)
+            f"{'M' if i == 0 else 'L'}{sx(x):.2f},{sy(y):.2f}"
+            for i, (x, y) in enumerate(pts)
         )
         out.append(
             f'<path d="{path}" stroke="#d62728" stroke-width="2" fill="none"/>'
         )
-        for x, v in pts:
-            out.append(
-                f'<circle cx="{sx(x):.2f}" cy="{sy(math.log10(v)):.2f}" r="3" '
-                'fill="#d62728"/>'
-            )
+        for x, y in pts:
+            out.append(f'<circle cx="{sx(x):.2f}" cy="{sy(y):.2f}" r="3" fill="#d62728"/>')
         for x in xs:
-            out.append(
-                f'<text x="{sx(x):.2f}" y="{height - 12}" font-size="11" '
-                f'text-anchor="middle" font-family="sans-serif">{x}</text>'
-            )
+            out.append(_text(f"{sx(x):.2f}", height - 12, 11, "middle", str(x)))
         for val in (y_lo + pad, y_hi - pad):
-            out.append(
-                f'<text x="{ml - 6}" y="{sy(val) + 4:.2f}" font-size="11" '
-                f'text-anchor="end" font-family="sans-serif">1e{val:.1f}</text>'
-            )
+            out.append(_text(ml - 6, f"{sy(val) + 4:.2f}", 11, "end", f"1e{val:.1f}"))
         out.append(
-            f'<text x="{ml + pw / 2:.0f}" y="{height - 28}" font-size="13" '
-            'text-anchor="middle" font-family="sans-serif">bound difference, '
-            "log scale</text>"
+            _text(f"{ml + pw / 2:.0f}", height - 28, 13, "middle",
+                  "bound difference, log scale")
         )
-    else:
-        raise CliError(f"no plot defined for {plot!r}")
     out.append("</svg>")
     return "\n".join(out) + "\n"
 
@@ -624,11 +540,11 @@ _BUILDERS = {
 }
 
 
-def _emit(args, header: list[str], rows: list[dict]) -> str:
+def _emit(args, rows: list[dict]) -> str:
     if args.format == "csv":
         if args.command == "bounds":
             rows = [_bounds_row_to_csv(r, args.prec) for r in rows]
-        return _to_csv(header, rows)
+        return _to_csv(rows)
     if args.format == "json":
         return _to_json(args.command, rows, getattr(args, "prec", None))
     if args.format == "svg":
@@ -647,8 +563,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             args.prec = _default_prec()
         if args.prec < 16:
             raise CliError("prec must be >= 16")
-        header, rows = _BUILDERS[args.command](args)
-        text = _emit(args, header, rows)
+        text = _emit(args, _BUILDERS[args.command](args))
         if args.output:
             with open(args.output, "w", encoding="utf-8", newline="") as fh:
                 fh.write(text)

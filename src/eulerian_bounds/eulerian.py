@@ -77,27 +77,22 @@ class UnivariatePolynomial:
 def univariate_eulerian(n: int) -> UnivariatePolynomial:
     """The n-th Eulerian polynomial A_n, with A_0 = 1.
 
-    Built from the recurrence A_n = (n+1) x A_{n-1} + (1-x) (x A_{n-1})'.
-    Coefficients are the Eulerian numbers; they are positive, palindromic
-    and sum to (n+1)!.
+    Its coefficients are the Eulerian numbers; they are positive,
+    palindromic and sum to (n+1)!.  The recurrence
+    A_n = (n+1) x A_{n-1} + (1-x) (x A_{n-1})' reads
+    a_k = (k+1) a'_k + (n+1-k) a'_{k-1} on coefficients, run bottom-up
+    over integers, with no recursion however large n is.
 
     >>> [int(c) for c in univariate_eulerian(4).coeffs]
     [1, 26, 66, 26, 1]
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    if n == 0:
-        return UnivariatePolynomial((Fraction(1),))
-    prev = univariate_eulerian(n - 1).coeffs
-    g = [Fraction(0)] + list(prev)              # x * A_{n-1}
-    dg = [k * c for k, c in enumerate(g)][1:]   # (x A_{n-1})'
-    out = [Fraction(0)] * (n + 1)
-    for k, c in enumerate(g):
-        out[k] += (n + 1) * c
-    for k, c in enumerate(dg):
-        out[k] += c
-        out[k + 1] -= c
-    return UnivariatePolynomial.from_coeffs(out)
+    row = [1]
+    for m in range(1, n + 1):
+        prev = [0] + row + [0]
+        row = [(k + 1) * prev[k + 1] + (m + 1 - k) * prev[k] for k in range(m + 1)]
+    return UnivariatePolynomial(tuple(map(Fraction, row)))
 
 
 def _iter_bits(mask: int):

@@ -39,7 +39,7 @@ def overlaps(a, b) -> bool:
 class TestGuessVector:
     def test_old_n4(self):
         v = guess_vector("old", 4)
-        assert v.symbolic
+        assert v.entries[0] is None
         assert v.entries[1:] == (Fraction(1),) + (Fraction(-1),) * 3
 
     def test_new_m5(self):
@@ -61,16 +61,13 @@ class TestGuessVector:
         with pytest.raises(ValueError, match="even n"):
             guess_vector("new", 7)
 
-    def test_concrete_y(self):
-        v = guess_vector("old", 3, y=Fraction(2, 3))
-        assert not v.symbolic
-        assert v.with_y(99)[0] == Fraction(2, 3)
-
     def test_validation(self):
         with pytest.raises(ValueError, match="length"):
             GuessVector(kind="old", n=3, entries=(None, Fraction(1)))
         with pytest.raises(ValueError, match="first entry"):
             GuessVector(kind="custom", n=1, entries=(Fraction(1), None))
+        with pytest.raises(ValueError, match="first entry"):
+            GuessVector(kind="custom", n=1, entries=(Fraction(1), Fraction(1)))
 
 
 class TestLinearizedDN:
@@ -79,16 +76,16 @@ class TestLinearizedDN:
             a0=SymmetricRationalMatrix.from_rows([[1, 0], [0, 1]]),
             a_sum=SymmetricRationalMatrix.from_rows([[1, 0], [0, 1]]),
         )
-        v = GuessVector(kind="custom", n=1, entries=(Fraction(1), Fraction(0)))
+        v = GuessVector(kind="custom", n=1, entries=(None, Fraction(0)))
         d, nq = linearized_DN(dp, v)
-        assert (d.c2, d.c1, d.c0) == (0, 0, 1)
-        assert nq.c0 == 1
+        assert (d.c2, d.c1, d.c0) == (1, 0, 0)
+        assert d(1) == 1
+        assert nq(1) == 1
 
     def test_n1_all_ones_vector(self):
-        v = GuessVector(kind="custom", n=1, entries=(Fraction(1), Fraction(1)))
-        d, nq = linearized_DN(eulerian_diagonal_pencil(1), v)
-        assert d.c0 == 4 and nq.c0 == 4
-        assert -d.c0 / nq.c0 == -1
+        d, nq = eulerian_guess_quadratics(1, "old")
+        assert d(1) == 4 and nq(1) == 4
+        assert -d(1) / nq(1) == -1
 
     def test_symbolic_coefficients(self):
         d, nq = eulerian_guess_quadratics(2, "old")

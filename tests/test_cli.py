@@ -241,6 +241,39 @@ class TestBounds:
         assert "empty range" in json.loads(err)["error"]
 
 
+class TestCsvHeaders:
+    @pytest.mark.parametrize(
+        "args",
+        (
+            ["counts", "--n", "3"],
+            ["lform", "--n", "4"],
+            ["pencil", "--n", "2"],
+            ["roots", "--n-max", "3"],
+            ["diff", "--kind", "old", "--index-min", "2", "--index-max", "5"],
+            ["eigvec", "--n-max", "3"],
+        ),
+    )
+    def test_header_is_the_json_key_order(self, capsys, args):
+        code, out, _ = run_cli(capsys, args + ["--prec", "64"])
+        assert code == 0
+        header = out.splitlines()[0].split(",")
+        code, out, _ = run_cli(capsys, args + ["--prec", "64", "--format", "json"])
+        assert code == 0
+        for row in json.loads(out)["rows"]:
+            assert list(row) == header
+
+    def test_bounds_header(self, capsys):
+        code, out, _ = run_cli(
+            capsys, ["bounds", "--n-min", "3", "--n-max", "4", "--prec", "64"]
+        )
+        assert code == 0
+        assert out.splitlines()[0] == (
+            "n,kind,y_lo,y_hi,D,N,lin_bound_lo,lin_bound_hi,xmin_lo,xmin_hi,"
+            "q_right_lo,q_right_hi,q_left_lo,q_left_hi,un_lo,un_hi,diff_lo,diff_hi,"
+            "prec_bits"
+        )
+
+
 class TestRoots:
     def test_rows_and_prec(self, capsys):
         code, out, _ = run_cli(
@@ -409,6 +442,26 @@ class TestErrors:
     )
     def test_caps_name_allow_large(self, capsys, args):
         assert "pass --allow-large to proceed" in self.one_line_error(capsys, args)
+
+    @pytest.mark.parametrize(
+        "args, error",
+        (
+            (["lform", "--n", "21"], "n=21 exceeds the desk-scale cap 20"),
+            (["pencil", "--n", "21"], "n=21 exceeds the desk-scale cap 20"),
+            (["bounds", "--n-min", "1", "--n-max", "21"],
+             "n-max 21 exceeds the desk-scale cap 20"),
+            (["roots", "--n-max", "33"], "n-max 33 exceeds the desk-scale cap 32"),
+            (["eigvec", "--n-max", "17"], "n-max 17 exceeds the desk-scale cap 16"),
+            (["diff", "--kind", "old", "--index-max", "29"],
+             "index max 29 exceeds the old-family desk-scale cap 28 (n = 1 * index <= 28)"),
+            (["diff", "--kind", "new", "--index-max", "15"],
+             "index max 15 exceeds the new-family desk-scale cap 14 (n = 2 * index <= 28)"),
+        ),
+    )
+    def test_cap_message(self, capsys, args, error):
+        assert self.one_line_error(capsys, args) == (
+            error + "; pass --allow-large to proceed"
+        )
 
     def test_counts_cap_ignores_allow_large(self, capsys):
         plain = self.one_line_error(capsys, ["counts", "--n", "10"])

@@ -74,6 +74,14 @@ class TestUnivariateEulerian:
         assert p.is_palindromic()
         assert sum(p.coeffs) == math.factorial(n + 1)
 
+    def test_deep_n_from_a_cold_cache(self):
+        # A cold cache must not make the build recurse n levels deep.
+        univariate_eulerian.cache_clear()
+        p = univariate_eulerian(600)
+        assert p.degree == 600
+        assert p.is_palindromic()
+        assert sum(p.coeffs) == math.factorial(601)
+
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             univariate_eulerian(-1)
