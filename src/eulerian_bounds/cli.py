@@ -234,6 +234,8 @@ def _pool_size(jobs: int, tasks: int) -> int:
 def _n_range(args) -> range:
     if args.n_min > args.n_max:
         raise CliError(f"empty range: n-min {args.n_min} > n-max {args.n_max}")
+    if args.n_min < 1:
+        raise CliError("n-min must be >= 1")
     return range(args.n_min, args.n_max + 1)
 
 
@@ -262,8 +264,6 @@ def _rows_bounds(args) -> list[dict]:
 
 def _rows_roots(args) -> list[dict]:
     n_range = _n_range(args)
-    if args.n_min < 1:
-        raise CliError("n-min must be >= 1")
     _cap(args, "n-max ", args.n_max, MAX_ROOTS_N)
     rows = []
     for n in n_range:
@@ -275,14 +275,14 @@ def _rows_roots(args) -> list[dict]:
     return rows
 
 
-# Per family: n per index step, default index range, target ratio and
-# prefactor of the geometric trend.  The old family is indexed by n, the
-# new one by m = n/2.
-_DIFF_FAMILIES = {"old": (1, 6, 20, 3 / 4, 1 / 2), "new": (2, 5, 12, 9 / 8, 3 / 8)}
+# Per family: n per index step, least index, default index range, target
+# ratio and prefactor of the geometric trend.  The old family is indexed
+# by n >= 1, the new one by m = n/2 >= 2.
+_DIFF_FAMILIES = {"old": (1, 1, 6, 20, 3 / 4, 1 / 2), "new": (2, 2, 5, 12, 9 / 8, 3 / 8)}
 
 
 def _rows_diff(args) -> list[dict]:
-    step, lo, hi, ratio, prefactor = _DIFF_FAMILIES[args.kind]
+    step, least, lo, hi, ratio, prefactor = _DIFF_FAMILIES[args.kind]
     if args.index_max is not None:
         _cap(args, "index max ", args.index_max, MAX_DIFF_N // step,
              scope=f"{args.kind}-family ", note=f" (n = {step} * index <= {MAX_DIFF_N})")
@@ -290,6 +290,8 @@ def _rows_diff(args) -> list[dict]:
     hi = hi if args.index_max is None else args.index_max
     if lo > hi:
         raise CliError(f"empty range: index-min {lo} > index-max {hi}")
+    if lo < least:
+        raise CliError(f"index-min must be >= {least}")
     seq = [
         (i, float(bounds_mod.bound_report(step * i, args.kind, prec=args.prec).difference))
         for i in range(lo, hi + 1)

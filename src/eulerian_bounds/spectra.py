@@ -25,7 +25,8 @@ Root isolation is integer-only: Yun's squarefree decomposition over a
 primitive-PRS gcd (skipped when a gcd modulo a prime already certifies
 the input squarefree), then continued-fraction isolation with Descartes'
 rule of signs, Taylor shifts by 1, scaling by powers of 2 and
-power-of-two root bounds.
+power-of-two root bounds.  A palindromic input's roots above 1 are the
+reciprocals of those below, so they are read off its (0, 1) run.
 """
 
 from __future__ import annotations
@@ -190,22 +191,32 @@ def _root_bound(f: list[int]) -> int:
     )
 
 
-def _positive_roots(f: list[int]) -> list[tuple[Fraction, Fraction]]:
+def _positive_roots(f: list[int]) -> set[tuple[Fraction, Fraction]]:
     # Continued-fraction isolation (Collins-Akritas, Akritas-Strzebonski)
     # of the roots >= 0 of a squarefree f.  Each stack entry is a
     # transformed g(y) whose positive roots are the roots of f at
     # x = (a y + b) / (c y + d); Descartes' rule of signs counts them.
-    out: list[tuple[Fraction, Fraction]] = []
-    stack = [(f, 1, 0, 0, 1)]
+    # Where a palindromic f (reverse f = +-f) splits at y = 1 below, its
+    # two children are equal up to sign: only the (0, 1) one runs, and
+    # each leaf is also taken through x -> 1/x, (a, b, c, d) -> (c, d, a, b).
+    out: set[tuple[Fraction, Fraction]] = set()  # a root at 1 is its own reciprocal
+    reciprocal = (f[::-1] in (f, [-u for u in f])
+                  and _variations(f) > 1 and _root_bound(f[::-1]) > 0)
+    def leaf(y, g, a, b, c, d):
+        # The image of [0, y]; None is y -> oo, cut at Kioustelidis' bound if c = 0.
+        for a, b, c, d in ((a, b, c, d), (c, d, a, b))[: 1 + reciprocal]:
+            end = Fraction(2) ** _root_bound(g) if y is None and not c else y
+            hi = Fraction(a, c) if end is None else Fraction(a * end + b) / (c * end + d)
+            out.add(tuple(sorted((Fraction(b, d), hi))))
+    stack = [(_shift1(f[::-1]), 0, 1, 1, 1) if reciprocal else (f, 1, 0, 0, 1)]
     while stack:
         g, a, b, c, d = stack.pop()
         if g[-1] == 0:  # a root at y = 0
-            out.append((Fraction(b, d), Fraction(b, d)))
+            leaf(0, g, a, b, c, d)
             g = g[:-1]
         v = _variations(g)
         if v == 1:
-            hi = Fraction(a, c) if c else (a * Fraction(2) ** _root_bound(g) + b) / d
-            out.append(tuple(sorted((Fraction(b, d), hi))))
+            leaf(None, g, a, b, c, d)
         if v <= 1:
             continue
         e = -_root_bound(g[::-1])  # every positive root exceeds 2**e
@@ -221,7 +232,7 @@ def _positive_roots(f: list[int]) -> list[tuple[Fraction, Fraction]]:
         stack.append((g1, a, a + b, c, c + d))
         below = v - _variations(g1) - (g1[-1] == 0)
         if below == 1:
-            out.append(tuple(sorted((Fraction(b, d), Fraction(a + b, c + d)))))
+            leaf(1, g, a, b, c, d)
         elif below > 1:
             g2 = _shift1(g[::-1])
             stack.append((g2 if g2[-1] else g2[:-1], b, a + b, d, c + d))
@@ -239,8 +250,8 @@ def _isolate(
     sqf, _ = _squarefree(desc)
     n = len(sqf) - 1
     mirrored = _positive_roots([-c if (n - k) % 2 else c for k, c in enumerate(sqf)])
-    positive = [] if nonpositive else _positive_roots(sqf[:-1] if sqf[-1] == 0 else sqf)
-    return sqf, sorted([(-b, -a) for a, b in mirrored] + positive)
+    positive = set() if nonpositive else _positive_roots(sqf[:-1] if sqf[-1] == 0 else sqf)
+    return sqf, sorted({(-b, -a) for a, b in mirrored} | positive)
 
 
 def psd_interval_left(p: DiagonalPencil, prec: int = DEFAULT_PREC) -> AlgebraicBound:
@@ -471,11 +482,13 @@ def extreme_roots(
     situation).  Disjoint isolating intervals come from continued-fraction
     isolation over the integers (Descartes' rule of signs on Moebius
     transforms, Collins-Akritas and Akritas-Strzebonski) of the
-    squarefree part; each extreme one is then narrowed to the dyadic
-    cell [k, k+1] / 2**prec holding its root (clipped to the isolating
-    interval) by quadratic interval refinement over the integers k with
-    exact big-integer sign evaluation, so the enclosures are certified,
-    of width at most 2**-prec, and nest as prec grows.
+    squarefree part; a palindromic input's roots below -1 are read off
+    its run on (-1, 0) through x -> 1/x.  Each extreme interval is then
+    narrowed to the dyadic cell [k, k+1] / 2**prec holding its root
+    (clipped to the isolating interval) by quadratic interval refinement
+    over the integers k with exact big-integer sign evaluation, so the
+    enclosures are certified, of width at most 2**-prec, and nest as
+    prec grows.
 
     >>> from eulerian_bounds.eulerian import univariate_eulerian
     >>> left, right = extreme_roots(univariate_eulerian(2), 16)  # -2 -+ sqrt(3)

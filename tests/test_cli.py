@@ -463,6 +463,18 @@ class TestErrors:
             error + "; pass --allow-large to proceed"
         )
 
+    @pytest.mark.parametrize(
+        "args, error",
+        (
+            (["roots", "--n-min", "0", "--n-max", "2"], "n-min must be >= 1"),
+            (["bounds", "--n-min", "0", "--n-max", "2"], "n-min must be >= 1"),
+            (["diff", "--kind", "old", "--index-min", "0"], "index-min must be >= 1"),
+            (["diff", "--kind", "new", "--index-min", "1"], "index-min must be >= 2"),
+        ),
+    )
+    def test_lower_index_message_names_its_flag(self, capsys, args, error):
+        assert self.one_line_error(capsys, args) == error
+
     def test_counts_cap_ignores_allow_large(self, capsys):
         plain = self.one_line_error(capsys, ["counts", "--n", "10"])
         lifted = self.one_line_error(capsys, ["counts", "--n", "10", "--allow-large"])

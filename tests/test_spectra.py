@@ -442,6 +442,24 @@ class TestExtremeRoots:
         with pytest.raises(ArithmeticError, match="no sign change"):
             extreme_roots(univariate_eulerian(4), 64)
 
+    def test_palindromic_input_is_isolated_below_1_only(self, monkeypatch):
+        # A_n(-x) is palindromic, so the continued-fraction run on (1, oo)
+        # would repeat the one on (0, 1) through x -> 1/x: its Taylor shifts
+        # are not made.  The intervals below -1 are the reciprocals of those
+        # in (-1, 0), the outer end (1/0, read None) cut at a finite bound.
+        calls = []
+        real = spectra._shift1
+        monkeypatch.setattr(spectra, "_shift1", lambda f: calls.append(1) or real(f))
+        extreme_roots(univariate_eulerian(32), 128)
+        assert len(calls) <= 112  # 224 when both runs are made
+        for n in range(4, 41):
+            desc = [int(c) for c in reversed(univariate_eulerian(n).coeffs)]
+            intervals = [i for i in spectra._isolate(desc)[1] if i != (-1, -1)]
+            inner = [(a, b) for a, b in intervals if a >= -1]
+            outer = [(a, b) for a, b in intervals if b <= -1]
+            mirrored = [(1 / b if b else None, 1 / a) for a, b in reversed(inner)]
+            assert mirrored == [(None, outer[0][1])] + outer[1:]
+
     def test_repeated_roots_squarefree_part(self):
         # (1+x)^2 (2+x): all roots negative, one repeated.
         p = polynomialize([2, 5, 4, 1])
@@ -463,18 +481,29 @@ def polynomials_with_known_roots(draw):
     """An integer polynomial (descending) and its distinct real roots.
 
     Rational roots of multiplicity 1-3, some complex pairs
-    x^2 + b x + c with b^2 < 4c, and sometimes a root at 0.
+    x^2 + b x + c with b^2 < 4c, and sometimes a root at 0.  In the
+    reciprocal mode the roots are closed under r -> 1/r, so the polynomial
+    is palindromic up to sign: pairs r, 1/r and roots +-1 of multiplicity
+    1-3, complex pairs x^2 + b x + 1 with |b| <= 1, and no root at 0.
     """
     roots = draw(st.lists(st.fractions(-40, 40, max_denominator=12), max_size=5, unique=True))
-    if draw(st.booleans()) and 0 not in roots:
+    reciprocal = draw(st.booleans())
+    if reciprocal:
+        roots = list({s for r in roots if r for s in (r, 1 / r)})
+    elif draw(st.booleans()) and 0 not in roots:
         roots.append(Fraction(0))
     f = [draw(st.sampled_from([1, -1, 2, -3, 5]))]
     for r in roots:
+        if reciprocal and abs(r) < 1:  # taken with 1/r
+            continue
         for _ in range(draw(st.integers(1, 3))):
             f = poly_mul(f, [r.denominator, -r.numerator])
+            if reciprocal and abs(r) > 1:
+                f = poly_mul(f, [r.numerator, -r.denominator])
     for _ in range(draw(st.integers(0, 2))):
-        b = draw(st.integers(-5, 5))
-        f = poly_mul(f, [1, b, draw(st.integers(b * b // 4 + 1, b * b // 4 + 20))])
+        b = draw(st.integers(-1, 1) if reciprocal else st.integers(-5, 5))
+        c = 1 if reciprocal else draw(st.integers(b * b // 4 + 1, b * b // 4 + 20))
+        f = poly_mul(f, [1, b, c])
     if len(f) == 1:
         f, roots = poly_mul(f, [1, 1]), [Fraction(-1)]
     return f, sorted(roots)
