@@ -292,6 +292,9 @@ def _rows_diff(args) -> list[dict]:
         raise CliError(f"empty range: index-min {lo} > index-max {hi}")
     if lo < least:
         raise CliError(f"index-min must be >= {least}")
+    if hi - lo < 2:
+        count = f"{hi - lo + 1} {'index' if hi == lo else 'indices'}"
+        raise CliError(f"index-min {lo} to index-max {hi} gives {count}; diff needs at least 3")
     seq = [
         (i, float(bounds_mod.bound_report(step * i, args.kind, prec=args.prec).difference))
         for i in range(lo, hi + 1)
@@ -351,13 +354,6 @@ def _to_csv(rows: list[dict]) -> str:
     writer.writeheader()
     writer.writerows(rows)
     return buf.getvalue()
-
-
-def _to_json(command: str, rows: list[dict], prec: Optional[int]) -> str:
-    doc = {"command": command, "rows": rows}
-    if prec is not None:
-        doc["prec_bits"] = prec
-    return json.dumps(doc, indent=2, sort_keys=False) + "\n"
 
 
 def _text(x, y, size: int, anchor: str, body: str) -> str:
@@ -548,10 +544,9 @@ def _emit(args, rows: list[dict]) -> str:
             rows = [_bounds_row_to_csv(r, args.prec) for r in rows]
         return _to_csv(rows)
     if args.format == "json":
-        return _to_json(args.command, rows, getattr(args, "prec", None))
-    if args.format == "svg":
-        return emit_plot(rows, args.command)
-    raise CliError(f"unknown format {args.format!r}")
+        doc = {"command": args.command, "rows": rows, "prec_bits": args.prec}
+        return json.dumps(doc, indent=2, sort_keys=False) + "\n"
+    return emit_plot(rows, args.command)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

@@ -8,8 +8,8 @@ the univariate root bounds are read off; ``diagonal_pencil`` molds that
 restriction straight from the table, never building the A_i.
 
 PSD decisions are exact, by one fraction-free (Bareiss) elimination kernel
-that also gives determinants and ranks; a negative answer carries a
-rational witness vector v with v^T M v < 0.
+that also gives determinants and ranks; a negative answer carries an
+integer witness vector v with v^T M v < 0.
 """
 
 from __future__ import annotations
@@ -177,7 +177,7 @@ def eulerian_diagonal_pencil(n: int) -> DiagonalPencil:
 @dataclass(frozen=True)
 class PsdResult:
     is_psd: bool
-    witness: tuple[Fraction, ...] | None = None
+    witness: tuple[int, ...] | None = None
     witness_value: Fraction | None = None
 
     def __bool__(self) -> bool:
@@ -219,6 +219,17 @@ def _bareiss(rows) -> Iterator[tuple[int, int, list[int]]]:
         prev = d
 
 
+def _back_substitute(pivots: list[tuple[int, list[int]]], fixed: dict, size: int) -> list[int]:
+    # w with r . w = 0 for each Bareiss pivot row (col, r), the fixed entries
+    # times |last pivot|, the minor on the pivot rows and columns: so by
+    # Cramer's rule w is integral and each // exact (Nakos et al. 1997).
+    scale = abs(pivots[-1][1][pivots[-1][0]]) if pivots else 1
+    w = [scale * fixed.get(j, 0) for j in range(size)]
+    for col, r in reversed(pivots):  # w[col] is still 0 while its row is summed
+        w[col] = -sum(a * b for a, b in zip(r, w) if b) // r[col]
+    return w
+
+
 def psd_certificate(m: SymmetricRationalMatrix) -> PsdResult:
     """Exact PSD decision by symmetric fraction-free elimination.
 
@@ -226,29 +237,22 @@ def psd_certificate(m: SymmetricRationalMatrix) -> PsdResult:
     its column and the earlier pivot columns, so m is PSD exactly when
     every pivot is on the diagonal and positive, an all-zero remaining
     column being skipped.  A negative pivot, or a zero diagonal whose
-    column is not zero, gives a rational witness v with v^T m v < 0,
+    column is not zero, gives an integer witness v with v^T m v < 0,
     verified exactly before returning.
 
     >>> res = psd_certificate(SymmetricRationalMatrix.from_rows([[0, 1], [1, 0]]))
     >>> res.is_psd, res.witness, res.witness_value
-    (False, (Fraction(-1, 2), Fraction(1, 1)), Fraction(-1, 1))
+    (False, (-1, 2), Fraction(-4, 1))
     """
     pivots: list[tuple[int, list[int]]] = []
     for col, i, row in _bareiss(m.entries):
         if i == col and row[col] > 0:
             pivots.append((col, row))
             continue
-        if i == col:
-            w = {col: Fraction(1)}
-        else:
-            # A zero diagonal coupled to row i: w = t e_col + e_i gives
-            # 2 t b + a_ii on the remaining block, which t forces < 0.
-            w = {col: Fraction(-(abs(row[i]) + 1), 2 * row[col]), i: Fraction(1)}
-        # Undo the congruence: pivot k gets -(r . w) / r[k], the LDL^T ratio,
-        # as a Bareiss row and its pivot carry the same positive factor.
-        for k, r in reversed(pivots):
-            w[k] = -sum(r[j] * wj for j, wj in w.items()) / r[k]
-        witness = tuple(w.get(j, Fraction(0)) for j in range(m.size))
+        # A negative pivot refutes e_col; a zero diagonal coupled to row i,
+        # 2b (t e_col + e_i) for t = -(|a_ii| + 1) / 2b, as 2 t b + a_ii < 0.
+        fixed = {col: 1} if i == col else {col: -(abs(row[i]) + 1), i: 2 * row[col]}
+        witness = tuple(_back_substitute(pivots, fixed, m.size))
         value = m.quadratic_form(witness)
         if not value < 0:
             raise ArithmeticError("PSD witness failed exact verification")

@@ -8,9 +8,9 @@ Three certified quantities live here:
   come from the fraction-free elimination kernel of ``pencil`` (entries
   grow like 8^n, so floating eigensolvers lose certification long before
   the desk-scale range ends; exact sign tests do not);
-- an approximate kernel vector at that boundary, the largest column of
-  an extended-precision inverse beside it, with the exact corank there
-  read off the multiplicity of x_min as a root of the same determinant;
+- an approximate kernel vector at that boundary: the integer witness
+  that refutes PSD just left of it, with the exact corank there read off
+  the multiplicity of x_min as a root of the same determinant;
 - enclosures of the extreme (leftmost / rightmost) real roots of a
   real-rooted univariate polynomial, via exact root isolation, each
   re-checked for a sign change before it is returned.
@@ -40,8 +40,8 @@ import mpmath
 
 from .enclosure import DEFAULT_PREC, AlgebraicBound
 from .eulerian import UnivariatePolynomial
-from .pencil import DiagonalPencil, SymmetricRationalMatrix, psd_certificate
-from .pencil import _bareiss, _integer_rows
+from .pencil import DiagonalPencil, PsdResult, SymmetricRationalMatrix, psd_certificate
+from .pencil import _back_substitute, _bareiss, _integer_rows
 
 __all__ = [
     "KernelVector",
@@ -60,10 +60,11 @@ def _pencil_rows(rows: list[list[int]], num: int, den: int) -> tuple[tuple[int, 
                  for r0, r1 in zip(rows, rows[len(rows) // 2:]))
 
 
-def _is_psd_at(p: DiagonalPencil, x: Fraction) -> bool:
+def _is_psd_at(p: DiagonalPencil, x: Fraction) -> PsdResult:
+    # Truthy exactly when A0 + x A_sum is PSD; a witness refutes it too.
     rows = _integer_rows(p.a0.entries + p.a_sum.entries)
     m = _pencil_rows(rows, x.numerator, x.denominator)
-    return psd_certificate(SymmetricRationalMatrix(m)).is_psd
+    return psd_certificate(SymmetricRationalMatrix(m))
 
 
 def _det(a: list[list[int]]) -> int:
@@ -261,9 +262,10 @@ def psd_interval_left(p: DiagonalPencil, prec: int = DEFAULT_PREC) -> AlgebraicB
 
 def psd_boundary(
     p: DiagonalPencil, prec: int = DEFAULT_PREC
-) -> tuple[AlgebraicBound, list[int], int]:
-    """x_min as ``psd_interval_left`` encloses it, with the determinant f
-    it is a root of and the dimension of the common kernel f is taken off.
+) -> tuple[AlgebraicBound, list[int], int, tuple[int, ...]]:
+    """x_min as ``psd_interval_left`` encloses it, the determinant f it is a
+    root of, the dimension of the common kernel f is taken off, and the
+    verified integer witness w, w^T (A0 + lo A_sum) w < 0.
 
     The PSD set on the line is an interval containing 0 on which, off the
     common kernel of A0 and A_sum, the pencil is nonsingular except at its
@@ -287,10 +289,11 @@ def psd_boundary(
     desc_sqf, intervals = _isolate(det if any(det) else [1, 0], nonpositive=True)
     for a, b in reversed(intervals):
         enc = _refine_root(desc_sqf, a, b, prec, exact=False)
-        if not _is_psd_at(p, enc.lo):
+        at_lo = _is_psd_at(p, enc.lo)
+        if not at_lo:
             if not _is_psd_at(p, enc.hi):
                 raise ArithmeticError("x_min enclosure is not PSD at hi")
-            return enc, det, kernel_dim
+            return enc, det, kernel_dim, at_lo.witness
     raise ValueError("unbounded below: pencil PSD left of every determinant root")
 
 
@@ -298,12 +301,12 @@ def psd_boundary(
 class KernelVector:
     """Approximate null vector of the pencil at its PSD boundary.
 
-    Entries are extended-precision floats, a column of an inverse beside
-    the boundary (``boundary_kernel_vector``); ``normalization`` records
-    whether the final entry was scaled to 1 or, when that entry is
-    negligible, the vector was scaled by its sup norm with the last
-    nonzero entry positive.  ``degenerate`` flags an exact corank > 1 of
-    the pencil at x_min.
+    Entries are extended-precision floats, the exact direction of the
+    verified refutation beside the boundary (``boundary_kernel_vector``),
+    normalized: ``normalization`` records whether the final entry was
+    scaled to 1 or, when that entry is negligible, the vector was scaled
+    by its sup norm with the last nonzero entry positive.  ``degenerate``
+    flags an exact corank > 1 of the pencil at x_min.
     """
 
     entries: tuple[mpmath.mpf, ...]
@@ -313,16 +316,13 @@ class KernelVector:
     prec: int
 
 
-def _null_vector(m: SymmetricRationalMatrix) -> list[Fraction]:
-    # Back substitution on the Bareiss echelon rows (zero left of their
-    # pivot), free columns 1; v[col] is still 0 while its row is summed.
-    pivots = {col: row for col, _, row in _bareiss(m.entries)}
+def _null_vector(m: SymmetricRationalMatrix) -> list[int]:
+    # Lifted off the Bareiss echelon rows (zero left of their pivot), free columns 1.
+    pivots = [(col, row) for col, _, row in _bareiss(m.entries)]
     if len(pivots) == m.size:
         raise ArithmeticError("numerically singular boundary matrix is nonsingular")
-    v = [Fraction(j not in pivots) for j in range(m.size)]
-    for col in sorted(pivots, reverse=True):
-        v[col] = Fraction(-sum(r * c for r, c in zip(pivots[col], v)), pivots[col][col])
-    return v
+    free = set(range(m.size)).difference(col for col, _ in pivots)
+    return _back_substitute(pivots, dict.fromkeys(free, 1), m.size)
 
 
 def boundary_kernel_vector(p: DiagonalPencil, prec: int = DEFAULT_PREC) -> KernelVector:
@@ -330,11 +330,14 @@ def boundary_kernel_vector(p: DiagonalPencil, prec: int = DEFAULT_PREC) -> Kerne
 
     x_min is enclosed (``psd_boundary``) at least to 2**-prec and
     tightly enough that the distance to the true boundary cannot push the
-    smallest singular value above the residual target 2**(-prec/2).  At
-    its midpoint M, M^-1 = adj(M) / det(M) with adj(M) near c v v^T at a
-    corank-1 boundary: every column is parallel to the kernel direction
-    v, and the largest holds at least a 1/sqrt(s) share of it.  M^-1 is
-    taken at 2*prec + 32 bits; a singular M gets an exact null vector.
+    smallest singular value above the residual target 2**(-prec/2), met
+    at the midpoint M.  The direction is the witness refuting PSD at lo:
+    at a corank-1 boundary with kernel v, the first leading block to fail
+    ends at v's last nonzero entry (a PSD matrix's leading-block kernel
+    vector, zero-padded, is its own), and the witness, that block's
+    adjugate column, is parallel to v up to the enclosure width.  A common
+    kernel of A0 and A_sum makes M singular (among Eulerian pencils only
+    at n = 1); M's exact null vector is taken there.
 
     The corank behind ``degenerate`` is exact.  For x_min < 0 the PSD
     interval has interior points, where the pencil is positive definite
@@ -346,17 +349,14 @@ def boundary_kernel_vector(p: DiagonalPencil, prec: int = DEFAULT_PREC) -> Kerne
     norm_bound = s * max(Fraction(1), p.a_sum.max_abs_entry())
     width = Fraction(1, 2 ** (prec // 2)) / (4 * norm_bound)
     bits = (width.denominator // width.numerator).bit_length()
-    x, det, kernel_dim = psd_boundary(p, max(prec, bits))
+    x, det, kernel_dim, witness = psd_boundary(p, max(prec, bits))
     matrix = p.at(x.midpoint)
+    exact = _null_vector(matrix) if kernel_dim else witness
 
     with mpmath.workprec(2 * prec + 32):
         a = mpmath.matrix([[mpmath.mpf(e.numerator) / e.denominator for e in row]
                            for row in matrix.entries])
-        try:
-            inv = mpmath.inverse(a)
-            v = list(max((inv.column(j) for j in range(s)), key=mpmath.norm))
-        except ZeroDivisionError:
-            v = [mpmath.mpf(c.numerator) / c.denominator for c in _null_vector(matrix)]
+        v = [mpmath.mpf(c) for c in exact]
 
         sup = max(abs(c) for c in v)
         if abs(v[-1]) >= sup * mpmath.mpf(2) ** (-(prec // 4)):

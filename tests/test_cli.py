@@ -385,11 +385,13 @@ class TestEigvec:
         assert "<svg" in first and first.rstrip().endswith("</svg>")
 
     def test_runs_without_svd(self, capsys, monkeypatch):
-        # The kernel vector comes from one inverse; the SVD is a test oracle.
-        def no_svd(*args, **kwargs):
-            raise AssertionError("mpmath.svd_r called")
+        # The kernel vector is the exact witness of the x_min certificate:
+        # no floating solver runs, and the SVD is a test oracle.
+        for name in ("svd_r", "inverse", "lu_solve"):
+            def no_solver(*args, name=name, **kwargs):
+                raise AssertionError(f"mpmath.{name} called")
 
-        monkeypatch.setattr(mpmath, "svd_r", no_svd)
+            monkeypatch.setattr(mpmath, name, no_solver)
         code, out, _ = run_cli(capsys, ["eigvec", "--n-max", "8"])
         assert code == 0 and len(parse_csv(out)) == sum(n + 1 for n in range(1, 9))
 
@@ -473,6 +475,18 @@ class TestErrors:
         ),
     )
     def test_lower_index_message_names_its_flag(self, capsys, args, error):
+        assert self.one_line_error(capsys, args) == error
+
+    @pytest.mark.parametrize(
+        "args, error",
+        (
+            (["diff", "--kind", "new", "--index-min", "2", "--index-max", "2"],
+             "index-min 2 to index-max 2 gives 1 index; diff needs at least 3"),
+            (["diff", "--kind", "old", "--index-min", "1", "--index-max", "2"],
+             "index-min 1 to index-max 2 gives 2 indices; diff needs at least 3"),
+        ),
+    )
+    def test_short_diff_range_names_both_flags(self, capsys, args, error):
         assert self.one_line_error(capsys, args) == error
 
     def test_counts_cap_ignores_allow_large(self, capsys):

@@ -24,7 +24,7 @@ from eulerian_bounds.pencil import (
     eulerian_pencil,
     psd_certificate,
 )
-from eulerian_bounds.spectra import _det, psd_interval_left
+from eulerian_bounds.spectra import _det, _null_vector, psd_interval_left
 
 from fraction_elimination import (
     fraction_quadratic_form,
@@ -313,7 +313,8 @@ class TestPsdCertificate:
         mat = M([[a, b, c], [b, d, e], [c, e, f]])
         res = psd_certificate(mat)
         if not res.is_psd:
-            # The refutation must be exact, not approximate.
+            # The refutation must be exact, not approximate, and in integers.
+            assert all(type(c) is int for c in res.witness)
             assert fraction_quadratic_form(mat, res.witness) == res.witness_value < 0
         else:
             # PSD answers must survive every +-1 probe.
@@ -331,6 +332,7 @@ class TestPsdCertificate:
         res = psd_certificate(M(rows))
         assert res.is_psd == principal_minors_nonnegative(rows)
         if not res.is_psd:
+            assert all(type(c) is int for c in res.witness)
             value = fraction_quadratic_form(M(rows), res.witness)
             assert value < 0 and value == res.witness_value
 
@@ -342,6 +344,7 @@ class TestPsdCertificate:
         m = M(rows) + M([[x * (i == j) for j in range(len(rows))] for i in range(len(rows))])
         res = psd_certificate(m)
         assume(not res.is_psd)
+        assert all(type(c) is int for c in res.witness)
         assert res.witness_value == fraction_quadratic_form(m, res.witness) < 0
 
     @pytest.mark.parametrize("n", range(2, 15))
@@ -353,6 +356,7 @@ class TestPsdCertificate:
             res, oracle = psd_certificate(mat), ldlt_psd_certificate(mat)
             assert res.is_psd == oracle.is_psd == psd
             if not psd:
+                assert all(type(c) is int for c in res.witness)
                 assert fraction_quadratic_form(mat, res.witness) == res.witness_value < 0
 
 
@@ -373,6 +377,18 @@ class TestEliminationKernel:
         for col, _, row in pivots:
             assert row[col] and not any(row[:col])
         assert len(fraction_row_basis(rows + basis)) == len(oracle)
+
+    @given(st.one_of(symmetric_matrices(), symmetric_matrices(RATIONALS)), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_null_vector_is_an_exact_integer_kernel(self, rows, data):
+        # Bordering M by M c and c^T M c gives T M T^T for T = [I; c^T]:
+        # symmetric and singular, with (c, -1) in its kernel.
+        c = data.draw(st.lists(INTS | RATIONALS, min_size=len(rows), max_size=len(rows)))
+        mc = [sum(a * b for a, b in zip(row, c)) for row in rows]
+        m = [row + [x] for row, x in zip(rows, mc)] + [mc + [sum(a * b for a, b in zip(mc, c))]]
+        v = _null_vector(M(m))
+        assert all(type(e) is int for e in v) and any(v)
+        assert all(sum(a * b for a, b in zip(row, v)) == 0 for row in m)
 
     def test_pivot_rows_come_from_the_input_in_order(self):
         # Column 0 is zero in row 0, so row 1 pivots there and row 0 in
