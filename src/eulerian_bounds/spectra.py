@@ -299,14 +299,11 @@ def psd_boundary(
 
 @dataclass(frozen=True)
 class KernelVector:
-    """Approximate null vector of the pencil at its PSD boundary.
-
-    Entries are extended-precision floats, the exact direction of the
-    verified refutation beside the boundary (``boundary_kernel_vector``),
-    normalized: ``normalization`` records whether the final entry was
-    scaled to 1 or, when that entry is negligible, the vector was scaled
-    by its sup norm with the last nonzero entry positive.  ``degenerate``
-    flags an exact corank > 1 of the pencil at x_min.
+    """Approximate null vector of the pencil at its PSD boundary, in
+    extended-precision floats (``boundary_kernel_vector``).
+    ``normalization`` records whether the final entry was scaled to 1 or,
+    when that entry is negligible, the sup norm, with the last nonzero
+    entry positive.  ``degenerate`` flags an exact corank > 1 at x_min.
     """
 
     entries: tuple[mpmath.mpf, ...]
@@ -325,19 +322,36 @@ def _null_vector(m: SymmetricRationalMatrix) -> list[int]:
     return _back_substitute(pivots, dict.fromkeys(free, 1), m.size)
 
 
+def _normalized(exact: list[int], prec: int) -> tuple[list[mpmath.mpf], str]:
+    # The final entry scaled to 1 or, when it is negligible, the sup norm to
+    # 1 with the last nonzero entry positive, at the caller's precision.
+    v = [mpmath.mpf(c) for c in exact]
+    sup = max(abs(c) for c in v)
+    if abs(v[-1]) >= sup * mpmath.mpf(2) ** (-(prec // 4)):
+        return [c / v[-1] for c in v], "last-entry"
+    last = next((c for c in reversed(v) if abs(c) > sup * mpmath.mpf(2) ** (-prec)), v[-1])
+    return [c / (sup if last >= 0 else -sup) for c in v], "sup"
+
+
 def boundary_kernel_vector(p: DiagonalPencil, prec: int = DEFAULT_PREC) -> KernelVector:
     """Kernel direction of A0 + x A_sum at its PSD boundary x_min.
 
-    x_min is enclosed (``psd_boundary``) at least to 2**-prec and
-    tightly enough that the distance to the true boundary cannot push the
-    smallest singular value above the residual target 2**(-prec/2), met
-    at the midpoint M.  The direction is the witness refuting PSD at lo:
-    at a corank-1 boundary with kernel v, the first leading block to fail
-    ends at v's last nonzero entry (a PSD matrix's leading-block kernel
-    vector, zero-padded, is its own), and the witness, that block's
-    adjugate column, is parallel to v up to the enclosure width.  A common
-    kernel of A0 and A_sum makes M singular (among Eulerian pencils only
-    at n = 1); M's exact null vector is taken there.
+    The direction is the witness refuting PSD at the enclosure's lo: at a
+    corank-1 boundary with unit kernel v, the first leading block to fail
+    ends at v's last nonzero entry v_k (a PSD matrix's leading-block
+    kernel vector, zero-padded, is its own), and the witness, that
+    block's adjugate column, tends to v as the enclosure shrinks.  A
+    common kernel of A0 and A_sum makes the midpoint M singular (among
+    Eulerian pencils only at n = 1); M's exact null vector is taken there.
+
+    The residual at M, at 2 prec + 32 bits, must meet 2**(-prec/2).  The
+    enclosure starts at 2**-prec or finer, so that the distance to the
+    boundary cannot push M's smallest singular value above that target.
+    The witness's residual is larger: about the width times
+    v^T A_sum v / |v_k|, plus the rows past its block, and an earlier
+    block with a small eigenvalue may fail first.  So while the residual
+    misses the target, the enclosure's bits are doubled, up to twice the
+    working precision, past which the rounding of M dominates.
 
     The corank behind ``degenerate`` is exact.  For x_min < 0 the PSD
     interval has interior points, where the pencil is positive definite
@@ -345,44 +359,27 @@ def boundary_kernel_vector(p: DiagonalPencil, prec: int = DEFAULT_PREC) -> Kerne
     dim K plus the multiplicity of x_min as a root of the determinant
     taken off K.  For x_min = 0 the matrix is A0 itself.
     """
-    s = p.size
-    norm_bound = s * max(Fraction(1), p.a_sum.max_abs_entry())
+    norm_bound = p.size * max(Fraction(1), p.a_sum.max_abs_entry())
     width = Fraction(1, 2 ** (prec // 2)) / (4 * norm_bound)
-    bits = (width.denominator // width.numerator).bit_length()
-    x, det, kernel_dim, witness = psd_boundary(p, max(prec, bits))
-    matrix = p.at(x.midpoint)
-    exact = _null_vector(matrix) if kernel_dim else witness
-
-    with mpmath.workprec(2 * prec + 32):
-        a = mpmath.matrix([[mpmath.mpf(e.numerator) / e.denominator for e in row]
-                           for row in matrix.entries])
-        v = [mpmath.mpf(c) for c in exact]
-
-        sup = max(abs(c) for c in v)
-        if abs(v[-1]) >= sup * mpmath.mpf(2) ** (-(prec // 4)):
-            v = [c / v[-1] for c in v]
-            normalization = "last-entry"
-        else:
-            last_nonzero = max(
-                (j for j in range(s) if abs(v[j]) > sup * mpmath.mpf(2) ** (-prec)),
-                default=s - 1,
-            )
-            sign = mpmath.mpf(1) if v[last_nonzero] >= 0 else mpmath.mpf(-1)
-            v = [c / (sign * sup) for c in v]
-            normalization = "sup"
-
-        residual = mpmath.norm(a * mpmath.matrix(v)) / mpmath.norm(mpmath.matrix(v))
-        if residual > mpmath.mpf(2) ** (-(prec // 2)):
+    bits = max(prec, (width.denominator // width.numerator).bit_length())
+    work = 2 * prec + 32
+    with mpmath.workprec(work):
+        target = mpmath.mpf(2) ** (-(prec // 2))
+        while True:
+            x, det, kernel_dim, witness = psd_boundary(p, bits)
+            matrix = p.at(x.midpoint)
+            v, normalization = _normalized(_null_vector(matrix) if kernel_dim else witness, prec)
+            a = mpmath.matrix([[mpmath.mpf(e.numerator) / e.denominator for e in row]
+                               for row in matrix.entries])
+            residual = mpmath.norm(a * mpmath.matrix(v)) / mpmath.norm(mpmath.matrix(v))
+            if residual <= target or bits > 2 * work:
+                break
+            bits *= 2
+        if residual > target:
             raise ArithmeticError(
-                f"kernel residual {mpmath.nstr(residual, 8)} exceeds 2^-{prec // 2}"
-            )
-        return KernelVector(
-            entries=tuple(v),
-            normalization=normalization,
-            degenerate=_boundary_corank(p, x, det, kernel_dim) > 1,
-            residual=residual,
-            prec=prec,
-        )
+                f"kernel residual {mpmath.nstr(residual, 8)} exceeds 2^-{prec // 2}")
+        degenerate = _boundary_corank(p, x, det, kernel_dim) > 1
+        return KernelVector(tuple(v), normalization, degenerate, residual, prec)
 
 
 def _value(desc: list[int], point: int | Fraction) -> int:

@@ -259,6 +259,19 @@ class TestKernelVector:
         tol = mpmath.mpf(2) ** -(prec // 4)
         assert all(abs(sign * e - t) <= tol for e, t in zip(kv.entries, (-1, 1)))
 
+    @pytest.mark.parametrize(
+        "big, prec", [(2**20, 32), (2**20 + 1, 32), (2**32 + 1, 32), (2**40 + 1, 64)]
+    )
+    def test_small_last_entry_tightens_the_enclosure(self, big, prec):
+        # Kernel near (-big, 1): the witness's residual is about the width
+        # times big, past the target at the first enclosure for all but
+        # the first case, so the enclosure is tightened until it is met.
+        dp = diag_pencil([[1, 1], [1, big]], [[1, 0], [0, 1]])
+        kv = boundary_kernel_vector(dp, prec)
+        assert kv.normalization == "sup"
+        assert kv.residual <= mpmath.mpf(2) ** -(prec // 2)
+        assert svd_kernel_cosine(dp, kv) >= 1 - mpmath.mpf(2) ** -(prec // 4)
+
     @pytest.mark.parametrize("n", range(2, 11))
     def test_eulerian_matches_svd(self, n):
         kv = boundary_kernel_vector(eulerian_diagonal_pencil(n), 128)
