@@ -9,10 +9,12 @@ vectors are built in, both with a free first entry y:
 - "old":  (y, 1, -1, ..., -1),
 - "new":  (y, (-2^(m-i))_{i=3..m}, 0, 1/2, 1, ..., 1) for n = 2m.
 
-D(y) and N(y) are exact quadratics in y.  The optimal y is a quadratic
-surd; the new family deliberately reuses the optimum derived from the
-old family's quadratics (with the opposite sign), which is the choice
-that makes its D and N positive.
+D(y) and N(y) are exact quadratics in y.  The optimal y is a root of
+the integer quadratic N'D - ND', enclosed like every other certified
+root: isolated and refined to its dyadic cell by ``spectra``.  The new
+family deliberately reuses the optimum derived from the old family's
+quadratics (with the opposite sign), which is the choice that makes its
+D and N positive.
 
 The univariate reference bound un(n) comes from the 2x2 pencil of the
 univariate Eulerian polynomial; its PSD endpoint is certified by the
@@ -29,11 +31,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Optional, Union
 
-from .enclosure import (
-    DEFAULT_PREC,
-    AlgebraicBound,
-    quadratic_root_enclosure,
-)
+from .enclosure import DEFAULT_PREC, AlgebraicBound
 from .eulerian import univariate_eulerian
 from .lform import Truncation3, lform_from_truncation
 from .pencil import (
@@ -42,7 +40,8 @@ from .pencil import (
     diagonal_pencil,
     eulerian_diagonal_pencil,
 )
-from .spectra import psd_boundary
+from .pencil import _integer_rows
+from .spectra import _isolate, _refine_root, psd_boundary
 
 __all__ = [
     "GuessVector",
@@ -150,15 +149,28 @@ def eulerian_guess_quadratics(n: int, kind: str) -> tuple[QuadraticInY, Quadrati
     return linearized_DN(eulerian_diagonal_pencil(n), guess_vector(kind, n))
 
 
-def _critical_coefficients(
-    d: QuadraticInY, nq: QuadraticInY
-) -> tuple[Fraction, Fraction, Fraction]:
-    # N'D - N D' is exactly quadratic: the cubic coefficients cancel
-    # (2 n2 d2 - 2 d2 n2 = 0), leaving a y^2 + b y + c.
+def _critical_coefficients(n: int, kind: str) -> tuple[Fraction, Fraction, Fraction]:
+    # N'D - N D' of the vector's quadratics is exactly quadratic: the cubic
+    # coefficients cancel (2 n2 d2 - 2 d2 n2 = 0), leaving a y^2 + b y + c.
+    d, nq = eulerian_guess_quadratics(n, kind)
     a = nq.c2 * d.c1 - nq.c1 * d.c2
     b = 2 * (nq.c2 * d.c0 - nq.c0 * d.c2)
     c = nq.c1 * d.c0 - nq.c0 * d.c1
+    disc = b * b - 4 * a * c
+    if disc < 0:
+        raise ArithmeticError(f"negative discriminant {disc} for n={n} kind={kind}")
     return a, b, c
+
+
+def _critical_points(a: Rat, b: Rat, c: Rat, prec: int) -> list[AlgebraicBound]:
+    # The real roots of a y^2 + b y + c, cleared to integers, as dyadic
+    # cells of width <= 2**-prec: first the root where it falls (for
+    # N'D - ND', the local maximum of N/D), then the other one, if any.
+    if a == 0:
+        raise ZeroDivisionError("degenerate optimizer: leading coefficient is 0")
+    sqf, intervals = _isolate(_integer_rows([[a, b, c]])[0])
+    roots = [_refine_root(sqf, lo, hi, prec) for lo, hi in intervals]
+    return roots if a > 0 else roots[::-1]
 
 
 def paper_y(n: int, kind: str, prec: int = DEFAULT_PREC) -> AlgebraicBound:
@@ -166,15 +178,13 @@ def paper_y(n: int, kind: str, prec: int = DEFAULT_PREC) -> AlgebraicBound:
 
     The critical points of N/D in y are the roots of a y^2 + b y + c
     built from the OLD vector's quadratics at n, for both families.  The
-    old family takes (-b - sqrt(b^2-4ac)) / (2a); the new family takes
-    the exact opposite value, (b + sqrt(b^2-4ac)) / (2a).
+    old family takes the local maximum of its N/D, the root where
+    a y^2 + b y + c falls, (-b - sqrt(b^2-4ac)) / (2a); the new family
+    takes the exact opposite value.
     """
     if kind not in KINDS:
         raise ValueError(f"unknown vector kind {kind!r}")
-    a, b, c = _critical_coefficients(*eulerian_guess_quadratics(n, "old"))
-    if a == 0:
-        raise ZeroDivisionError("degenerate optimizer: leading coefficient is 0")
-    root = quadratic_root_enclosure(a, b, c, "-", prec)
+    root = _critical_points(*_critical_coefficients(n, "old"), prec)[0]
     return root if kind == "old" else -root
 
 
@@ -242,7 +252,7 @@ def bound_report(
     d_q, n_q = eulerian_guess_quadratics(n, kind)
     if y_policy not in ("paper", "numeric-optimal"):
         raise ValueError(f"unknown y policy {y_policy!r}")
-    if not any(_critical_coefficients(d_q, n_q)):
+    if not any(_critical_coefficients(n, kind)):
         # N/D does not depend on y (n = 1, where D = N), so every y is optimal.
         y = AlgebraicBound.exact(0)
     elif y_policy == "paper":
@@ -275,22 +285,14 @@ def optimize_y_numeric(
 ) -> tuple[AlgebraicBound, AlgebraicBound]:
     """Maximize N(y)/D(y) over y for the vector's own quadratics.
 
-    Both critical branches are evaluated (only those with certified
+    Every real critical point is evaluated (only those with certified
     D > 0 and N > 0 are admissible bounds); the y -> infinity limit
     N.c2/D.c2, attained by the degenerate vector e_0, is checked as the
     endpoint competitor but never wins at desk scale.
     """
-    guard = prec + 3 * n + 64
     d_q, n_q = eulerian_guess_quadratics(n, kind)
-    a, b, c = _critical_coefficients(d_q, n_q)
-    if a == 0:
-        raise ZeroDivisionError("degenerate optimizer: leading coefficient is 0")
-    disc = b * b - 4 * a * c
-    if disc < 0:
-        raise ArithmeticError(f"negative discriminant {disc} for n={n} kind={kind}")
     best: Optional[tuple[AlgebraicBound, AlgebraicBound]] = None
-    for branch in ("-", "+"):
-        y = quadratic_root_enclosure(a, b, c, branch, guard)
+    for y in _critical_points(*_critical_coefficients(n, kind), prec + 3 * n + 64):
         d_val = d_q.at(y)
         n_val = n_q.at(y)
         if not (d_val.is_certainly_positive() and n_val.is_certainly_positive()):

@@ -369,6 +369,14 @@ _PALETTE = (
 )
 
 
+def _y_ticks(values, fmt: str):
+    # Each distinct axis label once, at the first value that prints as it.
+    ticks: dict[str, float] = {}
+    for val in values:
+        ticks.setdefault(fmt.format(val), val)
+    return ticks.items()
+
+
 def emit_plot(rows: list[dict], plot: str) -> str:
     """Standalone SVG 1.1 for the two figures; byte-deterministic.
 
@@ -432,8 +440,8 @@ def emit_plot(rows: list[dict], plot: str) -> str:
         out.append(
             _text(f"{ml + pw / 2:.0f}", height - 12, 13, "middle", "entry position index/n")
         )
-        for val in (y_lo + pad, 0.0, 1.0, y_hi - pad):
-            out.append(_text(ml - 6, f"{sy(val) + 4:.2f}", 11, "end", f"{val:.2f}"))
+        for label, val in _y_ticks((y_lo + pad, 0.0, 1.0, y_hi - pad), "{:.2f}"):
+            out.append(_text(ml - 6, f"{sy(val) + 4:.2f}", 11, "end", label))
     else:
         path = " ".join(
             f"{'M' if i == 0 else 'L'}{sx(x):.2f},{sy(y):.2f}"
@@ -446,8 +454,8 @@ def emit_plot(rows: list[dict], plot: str) -> str:
             out.append(f'<circle cx="{sx(x):.2f}" cy="{sy(y):.2f}" r="3" fill="#d62728"/>')
         for x in xs:
             out.append(_text(f"{sx(x):.2f}", height - 12, 11, "middle", str(x)))
-        for val in (y_lo + pad, y_hi - pad):
-            out.append(_text(ml - 6, f"{sy(val) + 4:.2f}", 11, "end", f"1e{val:.1f}"))
+        for label, val in _y_ticks((y_lo + pad, y_hi - pad), "1e{:.1f}"):
+            out.append(_text(ml - 6, f"{sy(val) + 4:.2f}", 11, "end", label))
         out.append(
             _text(f"{ml + pw / 2:.0f}", height - 28, 13, "middle",
                   "bound difference, log scale")

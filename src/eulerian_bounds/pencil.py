@@ -193,16 +193,17 @@ def _integer_rows(rows) -> list[list[int]]:
 def _bareiss(rows) -> Iterator[tuple[int, int, list[int]]]:
     """Fraction-free elimination (Bareiss, Math. Comp. 22, 1968).
 
-    After clearing denominators, each column's pivot row is the first
-    remaining row nonzero there (an all-zero column is skipped); every
-    other remaining row r becomes (d r - r[col] p) / prev, an exact
-    division by the previous pivot.  Remaining entries are then minors of
-    the input, so the pivot rows are an echelon basis of the row space and
-    the last pivot of a nonsingular square matrix is its determinant up to
-    the sign of the pivot-row order.  Yields (col, input index of the
-    pivot row, that row) lazily, before eliminating with it.
+    The rows are integers (callers holding rationals clear them once, by
+    ``_integer_rows``).  Each column's pivot row is the first remaining
+    row nonzero there (an all-zero column is skipped); every other
+    remaining row r becomes (d r - r[col] p) / prev, an exact division by
+    the previous pivot.  Remaining entries are then minors of the input,
+    so the pivot rows are an echelon basis of the row space and the last
+    pivot of a nonsingular square matrix is its determinant up to the
+    sign of the pivot-row order.  Yields (col, input index of the pivot
+    row, that row) lazily, before eliminating with it.
     """
-    remaining = list(enumerate(_integer_rows(rows)))
+    remaining = [(i, list(row)) for i, row in enumerate(rows)]
     prev = 1
     for col in range(len(rows[0]) if rows else 0):
         at = next((k for k, (_, row) in enumerate(remaining) if row[col]), None)
@@ -245,7 +246,7 @@ def psd_certificate(m: SymmetricRationalMatrix) -> PsdResult:
     (False, (-1, 2), Fraction(-4, 1))
     """
     pivots: list[tuple[int, list[int]]] = []
-    for col, i, row in _bareiss(m.entries):
+    for col, i, row in _bareiss(_integer_rows(m.entries)):
         if i == col and row[col] > 0:
             pivots.append((col, row))
             continue

@@ -20,6 +20,9 @@ root, clipped to its isolating interval: a function of the root and
 prec alone, nesting as prec grows.  Quadratic interval refinement finds
 it: once its secant guesses trap the root, each step squares the factor
 by which the cell shrinks, so exact evaluations grow like log2(prec).
+It is the one refinement primitive of the package: x_min, the extreme
+roots, the univariate endpoint and the linearization parameter y of
+``bounds`` (a root of an integer quadratic) are all such cells.
 
 Root isolation is integer-only: Yun's squarefree decomposition over a
 primitive-PRS gcd (skipped when a gcd modulo a prime already certifies
@@ -60,9 +63,9 @@ def _pencil_rows(rows: list[list[int]], num: int, den: int) -> tuple[tuple[int, 
                  for r0, r1 in zip(rows, rows[len(rows) // 2:]))
 
 
-def _is_psd_at(p: DiagonalPencil, x: Fraction) -> PsdResult:
-    # Truthy exactly when A0 + x A_sum is PSD; a witness refutes it too.
-    rows = _integer_rows(p.a0.entries + p.a_sum.entries)
+def _is_psd_at(rows: list[list[int]], x: Fraction) -> PsdResult:
+    # Truthy exactly when A0 + x A_sum is PSD, for the cleared rows of
+    # [A0; A_sum]; a witness refutes it too.
     m = _pencil_rows(rows, x.numerator, x.denominator)
     return psd_certificate(SymmetricRationalMatrix(m))
 
@@ -78,11 +81,12 @@ def _det(a: list[list[int]]) -> int:
     return (-1) ** inversions * pivots[-1][2][-1] if pivots else 1
 
 
-def _det_polynomial(a0, a_sum) -> list[int]:
-    # Descending integer coefficients of det(a0 + x a_sum) up to a positive
-    # factor, degree <= s: values at x = 0..s, Newton forward differences
-    # (the j-th is divisible by j!), then Horner in the falling factorials.
-    s, rows, newton = len(a0), _integer_rows(a0 + a_sum), []
+def _det_polynomial(rows: list[list[int]]) -> list[int]:
+    # Descending integer coefficients of det(A0 + x A_sum) up to a positive
+    # factor, degree <= s, for the integer rows of [A0; A_sum]: values at
+    # x = 0..s, Newton forward differences (the j-th is divisible by j!),
+    # then Horner in the falling factorials.
+    s, newton = len(rows) // 2, []
     values = [_det(_pencil_rows(rows, k, 1)) for k in range(s + 1)]
     for j in range(s + 1):
         newton.append(values[0] // math.factorial(j))
@@ -94,13 +98,14 @@ def _det_polynomial(a0, a_sum) -> list[int]:
     return desc
 
 
-def _range_restriction(a0, a_sum) -> list[list[list[Fraction]]]:
-    # The Bareiss pivot rows b_1..b_r of [a0; a_sum] span the complement of
-    # the common kernel, which every A0 + x A_sum kills; the congruence
-    # B M B^T therefore keeps the PSD status of each M.
-    basis = [row for _, _, row in _bareiss(a0 + a_sum)]
-    return [[[sum(bi * mij * cj for bi, row in zip(b, m) for mij, cj in zip(row, c))
-              for c in basis] for b in basis] for m in (a0, a_sum)]
+def _range_restriction(rows: list[list[int]]) -> list[list[int]]:
+    # The Bareiss pivot rows b_1..b_r of the integer rows [A0; A_sum] span
+    # the complement of the common kernel, which every A0 + x A_sum kills;
+    # the congruence B M B^T therefore keeps the PSD status of each M.
+    # Returned stacked, [B A0 B^T; B A_sum B^T].
+    basis, s = [row for _, _, row in _bareiss(rows)], len(rows) // 2
+    return [[sum(bi * mij * cj for bi, row in zip(b, m) for mij, cj in zip(row, c))
+             for c in basis] for m in (rows[:s], rows[s:]) for b in basis]
 
 
 def _strip(f) -> list[int]:
@@ -278,20 +283,20 @@ def psd_boundary(
     """
     if prec < 16:
         raise ValueError("prec must be >= 16")
-    if not _is_psd_at(p, Fraction(0)):
+    rows = _integer_rows(p.a0.entries + p.a_sum.entries)
+    if not _is_psd_at(rows, Fraction(0)):
         raise ValueError("A0 is not PSD")
-    a0, a_sum = p.a0.entries, p.a_sum.entries
-    det, kernel_dim = _det_polynomial(a0, a_sum), 0
+    det, kernel_dim = _det_polynomial(rows), 0
     if not any(det):  # A0 and A_sum share a kernel: restrict to its complement.
-        b0, b_sum = _range_restriction(a0, a_sum)
-        det, kernel_dim = _det_polynomial(b0, b_sum), len(a0) - len(b0)
+        restricted = _range_restriction(rows)
+        det, kernel_dim = _det_polynomial(restricted), (len(rows) - len(restricted)) // 2
     # Still singular everywhere: the PSD set has no interior, so it is {0}.
     desc_sqf, intervals = _isolate(det if any(det) else [1, 0], nonpositive=True)
     for a, b in reversed(intervals):
         enc = _refine_root(desc_sqf, a, b, prec, exact=False)
-        at_lo = _is_psd_at(p, enc.lo)
+        at_lo = _is_psd_at(rows, enc.lo)
         if not at_lo:
-            if not _is_psd_at(p, enc.hi):
+            if not _is_psd_at(rows, enc.hi):
                 raise ArithmeticError("x_min enclosure is not PSD at hi")
             return enc, det, kernel_dim, at_lo.witness
     raise ValueError("unbounded below: pencil PSD left of every determinant root")
@@ -315,7 +320,7 @@ class KernelVector:
 
 def _null_vector(m: SymmetricRationalMatrix) -> list[int]:
     # Lifted off the Bareiss echelon rows (zero left of their pivot), free columns 1.
-    pivots = [(col, row) for col, _, row in _bareiss(m.entries)]
+    pivots = [(col, row) for col, _, row in _bareiss(_integer_rows(m.entries))]
     if len(pivots) == m.size:
         raise ArithmeticError("numerically singular boundary matrix is nonsingular")
     free = set(range(m.size)).difference(col for col, _ in pivots)
@@ -416,7 +421,7 @@ def _boundary_corank(
     # Exact corank of the pencil at x_min in (x.lo, x.hi], by the rule in
     # boundary_kernel_vector's docstring, from what psd_boundary returns.
     if x.hi == 0 and _sign_at(det, x.hi) == 0:  # x_min = 0: the matrix is A0
-        return p.size - len(list(_bareiss(p.a0.entries)))
+        return p.size - len(list(_bareiss(_integer_rows(p.a0.entries))))
     return kernel_dim + _root_multiplicity(det, x)
 
 

@@ -3,8 +3,11 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eulerian_bounds import bounds as bounds_mod
+from eulerian_bounds import spectra
 from eulerian_bounds.bounds import (
     GuessVector,
     QuadraticInY,
@@ -18,7 +21,7 @@ from eulerian_bounds.bounds import (
     univariate_bound,
     univariate_pencil_endpoint,
 )
-from eulerian_bounds.enclosure import AlgebraicBound, quadratic_root_enclosure, sqrt_enclosure
+from eulerian_bounds.enclosure import AlgebraicBound
 from eulerian_bounds.eulerian import univariate_eulerian
 from eulerian_bounds.pencil import (
     DiagonalPencil,
@@ -28,6 +31,7 @@ from eulerian_bounds.pencil import (
 from eulerian_bounds.spectra import extreme_roots, psd_interval_left
 
 from closed_forms import closed_form_DN
+from surds import quadratic_root_enclosure, sqrt_enclosure
 
 SAMPLED_Y = [Fraction(0), Fraction(1), Fraction(-1), Fraction(1, 2), Fraction(-1, 2)]
 
@@ -176,6 +180,58 @@ class TestOptimalY:
             assert y.midpoint > 0
         assert abs(ratios[16] - 1) < abs(ratios[8] - 1)
         assert abs(ratios[16] - 1) < Fraction(1, 10)
+
+
+@st.composite
+def integer_quadratics(draw) -> tuple[int, int, int]:
+    """a y^2 + b y + c, a != 0, with real roots: any, a double root, or a
+    perfect-square discriminant (rational roots p1/q1, p2/q2)."""
+    shape = draw(st.sampled_from(["any", "double", "square"]))
+    ints = st.integers(-10**6, 10**6)
+    if shape == "any":
+        a, b, c = draw(ints.filter(bool)), draw(ints), draw(ints)
+        if b * b < 4 * a * c:
+            c = -c
+        return a, b, c
+    s = draw(st.integers(-50, 50).filter(bool))
+    q1, q2 = draw(st.integers(1, 10**3)), draw(st.integers(1, 10**3))
+    p1 = draw(st.integers(-10**3, 10**3))
+    q2, p2 = (q1, p1) if shape == "double" else (q2, draw(st.integers(-10**3, 10**3)))
+    return s * q1 * q2, -s * (p1 * q2 + p2 * q1), s * p1 * p2
+
+
+class TestCriticalPoints:
+    @settings(max_examples=200, deadline=None)
+    @given(integer_quadratics(), st.integers(2, 200))
+    def test_cells_match_the_surd_oracle(self, quadratic, prec):
+        # First the root where the quadratic falls, the oracle's "-" branch,
+        # then the other one: each a cell of width <= 2^-prec that nests in
+        # its own cell at prec - 1.
+        a, b, c = quadratic
+        cells = bounds_mod._critical_points(a, b, c, prec)
+        coarser = bounds_mod._critical_points(a, b, c, prec - 1)
+        assert len(cells) == len(coarser) == (1 if b * b == 4 * a * c else 2)
+        for cell, wider, branch in zip(cells, coarser, "-+"):
+            assert overlaps(cell, quadratic_root_enclosure(a, b, c, branch, prec + 8))
+            assert cell.width <= Fraction(1, 2**prec)
+            assert wider.encloses(cell)
+
+    @pytest.mark.parametrize("n", range(2, 29))
+    def test_paper_y_is_the_minus_branch(self, n):
+        a, b, c = bounds_mod._critical_coefficients(n, "old")
+        y = paper_y(n, "old", 96)
+        assert overlaps(y, quadratic_root_enclosure(a, b, c, "-", 104))
+        assert y.width <= Fraction(1, 2**96)
+
+    @pytest.mark.parametrize("policy", ["paper", "numeric-optimal"])
+    def test_y_is_refined_by_the_one_primitive(self, monkeypatch, policy):
+        assert bounds_mod._refine_root is spectra._refine_root
+        cells = []
+        real = spectra._refine_root
+        monkeypatch.setattr(bounds_mod, "_refine_root",
+                            lambda *a: cells.append(real(*a)) or cells[-1])
+        for n, kind in ((5, "old"), (8, "new")):
+            assert bound_report(n, kind, policy, prec=64).y in (cells + [-c for c in cells])
 
 
 class TestUnivariateBound:

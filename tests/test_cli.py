@@ -384,6 +384,15 @@ class TestEigvec:
         assert first == second
         assert "<svg" in first and first.rstrip().endswith("</svg>")
 
+    @pytest.mark.parametrize("n_max", [1, 3, 10])
+    def test_svg_axis_labels_are_distinct(self, capsys, n_max):
+        # A last entry normalized to 1 puts the top tick on the 1.00 tick.
+        code, out, _ = run_cli(capsys, ["eigvec", "--n-max", str(n_max), "--format", "svg"])
+        assert code == 0
+        labels = [line.split(">")[1].split("<")[0]
+                  for line in out.splitlines() if 'text-anchor="end"' in line]
+        assert "1.00" in labels and len(labels) == len(set(labels))
+
     def test_runs_without_svd(self, capsys, monkeypatch):
         # The kernel vector is the exact witness of the x_min certificate:
         # no floating solver runs, and the SVD is a test oracle.

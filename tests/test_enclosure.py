@@ -6,11 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eulerian_bounds.enclosure import (
-    AlgebraicBound,
-    quadratic_root_enclosure,
-    sqrt_enclosure,
-)
+from eulerian_bounds.enclosure import AlgebraicBound
+
+from surds import quadratic_root_enclosure, sqrt_enclosure
 
 fractions = st.fractions(
     min_value=-100, max_value=100, max_denominator=64

@@ -3,6 +3,7 @@
 import importlib
 
 import eulerian_bounds
+from eulerian_bounds import enclosure
 
 LAYERS = ("bounds", "enclosure", "eulerian", "lform", "pencil", "spectra")
 
@@ -15,3 +16,8 @@ def test_package_all_is_the_sorted_union_of_the_layer_lists():
         for name in module.__all__:
             assert getattr(eulerian_bounds, name) is getattr(module, name), name
     assert eulerian_bounds.__all__ == sorted(union)
+
+
+def test_enclosure_holds_no_second_root_primitive():
+    # Every root, surds included, is a dyadic cell of spectra._refine_root.
+    assert enclosure.__all__ == ["AlgebraicBound", "DEFAULT_PREC"]

@@ -12,11 +12,12 @@ from sympy.polys.rootisolation import dup_isolate_real_roots_sqf
 from sympy.polys.sqfreetools import dup_sqf_list, dup_sqf_part
 
 from eulerian_bounds import bounds, spectra
-from eulerian_bounds.enclosure import AlgebraicBound, sqrt_enclosure
+from eulerian_bounds.enclosure import AlgebraicBound
 from eulerian_bounds.eulerian import univariate_eulerian
 from eulerian_bounds.pencil import (
     DiagonalPencil,
     SymmetricRationalMatrix,
+    _integer_rows,
     eulerian_diagonal_pencil,
     psd_certificate,
 )
@@ -27,6 +28,7 @@ from eulerian_bounds.spectra import (
 )
 
 from polynomials import bisection_refine_root, polynomialize
+from surds import sqrt_enclosure
 
 
 def diag_pencil(a0_rows, sum_rows) -> DiagonalPencil:
@@ -391,7 +393,8 @@ class TestIntegerPsdInput:
         # q A0 + p A_sum for x = p / q has the PSD status of A0 + x A_sum.
         b = data.draw(st.integers(1, 2**bits))
         x = Fraction(data.draw(st.integers(-b, b)), b)
-        assert spectra._is_psd_at(dp, x).is_psd == psd_certificate(dp.at(x)).is_psd
+        rows = _integer_rows(dp.a0.entries + dp.a_sum.entries)
+        assert spectra._is_psd_at(rows, x).is_psd == psd_certificate(dp.at(x)).is_psd
 
     def test_no_fraction_matrix_is_built(self, monkeypatch):
         def fraction_matrix(self, x):
