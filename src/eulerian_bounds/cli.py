@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import decimal
 import functools
 import io
 import itertools
@@ -34,8 +35,6 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 from typing import Optional, Sequence
-
-import mpmath
 
 from . import bounds as bounds_mod
 from . import eulerian, lform, pencil, spectra
@@ -85,16 +84,15 @@ def _dps(prec: int) -> int:
     return int(math.ceil(prec * math.log10(2))) + 2
 
 
-def _dec(value, prec: int) -> str:
-    """Decimal string at the dps implied by prec (declared via prec_bits)."""
-    with mpmath.workprec(prec + 16):
-        if isinstance(value, AlgebraicBound):
-            value = value.midpoint
-        if isinstance(value, Fraction):
-            value = mpmath.mpf(value.numerator) / mpmath.mpf(value.denominator)
-        return mpmath.nstr(
-            mpmath.mpf(value), _dps(prec), strip_zeros=True, min_fixed=-6, max_fixed=12
-        )
+def _dec(value: Fraction, prec: int) -> str:
+    """The exact rational rounded half up to the dps implied by prec
+    (declared via prec_bits), with no trailing zero but a lone ".0": fixed
+    point for a decimal exponent in (-6, 12), else scientific.
+    """
+    context = decimal.Context(prec=_dps(prec), rounding=decimal.ROUND_HALF_UP)
+    d = context.divide(value.numerator, value.denominator).normalize(context)
+    mantissa, *exponent = format(d, "f" if -6 < d.adjusted() < 12 else "e").split("e")
+    return "e".join([mantissa if "." in mantissa else mantissa + ".0", *exponent])
 
 
 # JSON key -> BoundReport field, in output order; the per-n keys xmin,

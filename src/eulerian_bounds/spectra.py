@@ -34,12 +34,11 @@ reciprocals of those below, so they are read off its (0, 1) run.
 
 from __future__ import annotations
 
+import decimal
 import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-
-import mpmath
 
 from .enclosure import DEFAULT_PREC, AlgebraicBound
 from .eulerian import UnivariatePolynomial
@@ -304,17 +303,17 @@ def psd_boundary(
 
 @dataclass(frozen=True)
 class KernelVector:
-    """Approximate null vector of the pencil at its PSD boundary, in
-    extended-precision floats (``boundary_kernel_vector``).
-    ``normalization`` records whether the final entry was scaled to 1 or,
-    when that entry is negligible, the sup norm, with the last nonzero
-    entry positive.  ``degenerate`` flags an exact corank > 1 at x_min.
-    """
+    """Approximate null vector of the pencil at its PSD boundary, in exact
+    rationals (``boundary_kernel_vector``).  ``normalization`` records
+    whether the final entry was scaled to 1 or, when that is negligible,
+    the sup norm, with the last nonzero entry positive.  ``degenerate``
+    flags an exact corank > 1 at x_min.  ``residual`` is ||M v|| / ||v|| at
+    the boundary midpoint M, rounded up to a multiple of 2**(-2 prec)."""
 
-    entries: tuple[mpmath.mpf, ...]
+    entries: tuple[Fraction, ...]
     normalization: str
     degenerate: bool
-    residual: mpmath.mpf
+    residual: Fraction
     prec: int
 
 
@@ -327,15 +326,14 @@ def _null_vector(m: SymmetricRationalMatrix) -> list[int]:
     return _back_substitute(pivots, dict.fromkeys(free, 1), m.size)
 
 
-def _normalized(exact: list[int], prec: int) -> tuple[list[mpmath.mpf], str]:
-    # The final entry scaled to 1 or, when it is negligible, the sup norm to
-    # 1 with the last nonzero entry positive, at the caller's precision.
-    v = [mpmath.mpf(c) for c in exact]
-    sup = max(abs(c) for c in v)
-    if abs(v[-1]) >= sup * mpmath.mpf(2) ** (-(prec // 4)):
-        return [c / v[-1] for c in v], "last-entry"
-    last = next((c for c in reversed(v) if abs(c) > sup * mpmath.mpf(2) ** (-prec)), v[-1])
-    return [c / (sup if last >= 0 else -sup) for c in v], "sup"
+def _normalized(w: list[int], prec: int) -> tuple[list[Fraction], str]:
+    # The final entry scaled to 1 or, when it is below sup * 2**(-prec/4),
+    # the sup norm to 1 with the last entry above sup * 2**-prec positive.
+    sup = max(abs(c) for c in w)
+    if abs(w[-1]) << (prec // 4) >= sup:
+        return [Fraction(c, w[-1]) for c in w], "last-entry"
+    last = next((c for c in reversed(w) if abs(c) << prec > sup), w[-1])
+    return [Fraction(c, sup if last >= 0 else -sup) for c in w], "sup"
 
 
 def boundary_kernel_vector(p: DiagonalPencil, prec: int = DEFAULT_PREC) -> KernelVector:
@@ -349,14 +347,14 @@ def boundary_kernel_vector(p: DiagonalPencil, prec: int = DEFAULT_PREC) -> Kerne
     common kernel of A0 and A_sum makes the midpoint M singular (among
     Eulerian pencils only at n = 1); M's exact null vector is taken there.
 
-    The residual at M, at 2 prec + 32 bits, must meet 2**(-prec/2).  The
+    The integer vector w is checked and normalized exactly: ||M w|| / ||w||,
+    rounded up to a multiple of 2**(-2 prec), must meet 2**(-prec/2).  The
     enclosure starts at 2**-prec or finer, so that the distance to the
     boundary cannot push M's smallest singular value above that target.
     The witness's residual is larger: about the width times
     v^T A_sum v / |v_k|, plus the rows past its block, and an earlier
     block with a small eigenvalue may fail first.  So while the residual
-    misses the target, the enclosure's bits are doubled, up to twice the
-    working precision, past which the rounding of M dominates.
+    misses the target, the enclosure's bits are doubled, up to 4 prec + 64.
 
     The corank behind ``degenerate`` is exact.  For x_min < 0 the PSD
     interval has interior points, where the pencil is positive definite
@@ -364,27 +362,25 @@ def boundary_kernel_vector(p: DiagonalPencil, prec: int = DEFAULT_PREC) -> Kerne
     dim K plus the multiplicity of x_min as a root of the determinant
     taken off K.  For x_min = 0 the matrix is A0 itself.
     """
-    norm_bound = p.size * max(Fraction(1), p.a_sum.max_abs_entry())
-    width = Fraction(1, 2 ** (prec // 2)) / (4 * norm_bound)
-    bits = max(prec, (width.denominator // width.numerator).bit_length())
-    work = 2 * prec + 32
-    with mpmath.workprec(work):
-        target = mpmath.mpf(2) ** (-(prec // 2))
-        while True:
-            x, det, kernel_dim, witness = psd_boundary(p, bits)
-            matrix = p.at(x.midpoint)
-            v, normalization = _normalized(_null_vector(matrix) if kernel_dim else witness, prec)
-            a = mpmath.matrix([[mpmath.mpf(e.numerator) / e.denominator for e in row]
-                               for row in matrix.entries])
-            residual = mpmath.norm(a * mpmath.matrix(v)) / mpmath.norm(mpmath.matrix(v))
-            if residual <= target or bits > 2 * work:
-                break
-            bits *= 2
-        if residual > target:
-            raise ArithmeticError(
-                f"kernel residual {mpmath.nstr(residual, 8)} exceeds 2^-{prec // 2}")
-        degenerate = _boundary_corank(p, x, det, kernel_dim) > 1
-        return KernelVector(tuple(v), normalization, degenerate, residual, prec)
+    target = Fraction(1, 2 ** (prec // 2))
+    width = target / (4 * p.size * max(Fraction(1), p.a_sum.max_abs_entry()))
+    bits = max(prec, int(1 / width).bit_length())
+    while True:
+        x, det, kernel_dim, witness = psd_boundary(p, bits)
+        matrix = p.at(x.midpoint)
+        w = _null_vector(matrix) if kernel_dim else witness
+        mw = [sum(e * c for e, c in zip(row, w) if c) for row in matrix.entries]
+        scaled = math.ceil(sum(y * y for y in mw) * 16**prec / sum(c * c for c in w))
+        residual = Fraction(math.isqrt(scaled - 1) + 1 if scaled else 0, 4**prec)  # ceil sqrt
+        if residual <= target or bits > 4 * prec + 64:
+            break
+        bits *= 2
+    if residual > target:
+        shown = decimal.Context(prec=8).divide(residual.numerator, residual.denominator)
+        raise ArithmeticError(f"kernel residual {shown:g} exceeds 2^-{prec // 2}")
+    v, normalization = _normalized(w, prec)
+    degenerate = _boundary_corank(p, x, det, kernel_dim) > 1
+    return KernelVector(tuple(v), normalization, degenerate, residual, prec)
 
 
 def _value(desc: list[int], point: int | Fraction) -> int:

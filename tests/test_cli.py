@@ -2,6 +2,7 @@
 
 import contextlib
 import csv
+import decimal
 import io
 import json
 import math
@@ -414,6 +415,87 @@ class TestEigvec:
         assert target.read_text().startswith("n,index,position,entry")
 
 
+def _exponent(x: Fraction) -> int:
+    # The decimal exponent e of x != 0: 10**e <= |x| < 10**(e + 1).
+    a, e = abs(x), len(str(x.numerator)) - len(str(x.denominator))
+    while Fraction(10) ** e > a:
+        e -= 1
+    while Fraction(10) ** (e + 1) <= a:
+        e += 1
+    return e
+
+
+def _half_up(x: Fraction, digits: int) -> Fraction:
+    # x rounded half away from zero to `digits` significant digits, exactly.
+    if x == 0:
+        return x
+    scale = Fraction(10) ** (digits - 1 - _exponent(x))
+    q = math.floor(abs(x) * scale + Fraction(1, 2))
+    return (q if x > 0 else -q) / scale
+
+
+_DEC_PRECS = (16, 17, 64, 128, 1024)
+
+
+@st.composite
+def dec_values(draw) -> Fraction:
+    """Signed rationals from 10**-30 to 10**30: 0, integers, powers of ten
+    around the fixed-point switches, digits that carry into the next power
+    of ten, and general fractions."""
+    sign = draw(st.sampled_from((1, -1)))
+    k = draw(st.integers(-30, 29))
+    magnitude = draw(st.one_of(
+        st.just(Fraction(0)),
+        st.integers(1, 10**30).map(Fraction),
+        st.integers(-8, 14).map(lambda e: Fraction(10) ** e),
+        # 9.99...95 * 10**k: m nines and a 5, so it rounds up at m digits.
+        st.one_of(st.sampled_from([cli._dps(p) for p in _DEC_PRECS]), st.integers(1, 320))
+        .map(lambda m: (10 - Fraction(5, 10**m)) * Fraction(10) ** k),
+        st.fractions(1, 10, max_denominator=10**40).map(lambda f: f * Fraction(10) ** k),
+    ))
+    return sign * magnitude
+
+
+class TestDecimalFormat:
+    @settings(max_examples=300, deadline=None)
+    @given(dec_values(), st.sampled_from(_DEC_PRECS))
+    @example(10 - Fraction(5, 10**7), 16)
+    @example(Fraction(999999999999) + Fraction(1, 2), 128)
+    @example(-Fraction(1, 10**6) + Fraction(5, 10**14), 16)
+    def test_rounds_half_up_and_lays_out(self, x, prec):
+        text = cli._dec(x, prec)
+        rounded = _half_up(x, cli._dps(prec))
+        assert Fraction(decimal.Decimal(text)) == rounded
+        exponent = _exponent(rounded) if rounded else 0
+        assert ("e" not in text) == (-6 < exponent < 12)
+        mantissa = text.split("e")[0]
+        assert mantissa.count(".") == 1 and text.count(".") == 1
+        digits = mantissa.split(".")[1]
+        assert digits == "0" or not digits.endswith("0")
+
+    @pytest.mark.parametrize("prec", _DEC_PRECS)
+    def test_edge_values_match_mpmath(self, prec):
+        # Oracle: mpmath.nstr of an mpf holding x at 4 prec + 64 bits.  No
+        # value is a decimal tie, so the binary rounding cannot flip a digit.
+        d = cli._dps(prec)
+        edges = [
+            Fraction(0), Fraction(1), Fraction(-7), Fraction(1, 3), Fraction(-2, 3),
+            Fraction(1, 10**6), Fraction(1, 10**5), Fraction(-123, 10**8),
+            Fraction(10**11), Fraction(10**12), Fraction(-(10**12) + 1),
+            Fraction(10**12) - 4 * Fraction(10) ** (12 - d),
+            10 - Fraction(4, 10**d), 10 - Fraction(6, 10**d),
+            Fraction(1, 10**6) - Fraction(4, 10**(d + 6)),
+            Fraction(1, 10**30), Fraction(-(10**30)), Fraction(22, 7) * 10**15,
+        ]
+        for x in edges:
+            with mpmath.workprec(4 * prec + 64):
+                oracle = mpmath.nstr(
+                    mpmath.mpf(x.numerator) / x.denominator, d,
+                    strip_zeros=True, min_fixed=-6, max_fixed=12,
+                )
+            assert cli._dec(x, prec) == oracle, x
+
+
 class TestErrors:
     def test_prec_floor(self, capsys):
         code, _, err = run_cli(capsys, ["roots", "--n-max", "2", "--prec", "8"])
@@ -648,21 +730,36 @@ def test_parser_is_built_once(capsys):
     assert (info.misses, info.hits) == (1, 1)
 
 
+_STDLIB_ARGVS = (
+    ["counts", "--n", "3"],
+    ["lform", "--n", "4"],
+    ["pencil", "--n", "4"],
+    ["bounds", "--n-min", "4", "--n-max", "4", "--format", "csv"],
+    ["roots", "--n-max", "6"],
+    ["diff", "--kind", "old", "--index-max", "8"],
+    ["eigvec", "--n-max", "4"],
+    ["eigvec", "--n-max", "4", "--format", "svg"],
+)
+
+
 def test_commands_run_without_sympy():
-    # sympy is a test oracle only; importing it would add about 0.4 s to
-    # every command, so a fresh interpreter must never load it.
+    # The program needs the standard library alone: sympy and mpmath are
+    # test oracles (sympy would add about 0.4 s to every command), so a
+    # fresh interpreter without site-packages runs every command and
+    # loads neither.
     script = (
         "import contextlib, io, sys\n"
         "from eulerian_bounds.cli import main\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
-        "    assert main(['roots', '--n-max', '6']) == 0\n"
-        "    assert main(['eigvec', '--n-max', '4']) == 0\n"
+        f"    for argv in {list(_STDLIB_ARGVS)!r}:\n"
+        "        assert main(argv) == 0, argv\n"
         "assert 'sympy' not in sys.modules, 'sympy was imported'\n"
+        "assert 'mpmath' not in sys.modules, 'mpmath was imported'\n"
     )
     src = os.path.dirname(os.path.dirname(eulerian_bounds.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     done = subprocess.run(
-        [sys.executable, "-c", script], env=env, capture_output=True, text=True
+        [sys.executable, "-S", "-c", script], env=env, capture_output=True, text=True
     )
     assert done.returncode == 0, done.stderr
 

@@ -201,7 +201,7 @@ def svd_kernel_cosine(dp: DiagonalPencil, kv) -> mpmath.mpf:
         _, sigma, vt = mpmath.svd_r(a)
         k = min(range(dp.size), key=lambda i: abs(sigma[i]))
         oracle = [vt[k, j] for j in range(dp.size)]
-        v = list(kv.entries)
+        v = [mpmath.mpf(e.numerator) / e.denominator for e in kv.entries]
         return abs(mpmath.fdot(v, oracle)) / (mpmath.norm(v) * mpmath.norm(oracle))
 
 
@@ -210,8 +210,7 @@ class TestKernelVector:
         dp = eulerian_diagonal_pencil(1)
         kv = boundary_kernel_vector(dp, 128)
         assert kv.degenerate
-        norm = mpmath.norm(mpmath.matrix(kv.entries))
-        assert norm > 0
+        assert sum(e * e for e in kv.entries) > 0
 
     def test_n10_structure(self):
         dp = eulerian_diagonal_pencil(10)
@@ -256,9 +255,9 @@ class TestKernelVector:
         # x_min = -1 with kernel (1, -1), orthogonal to (1, 1): a solve with
         # a fixed all-ones right-hand side misses it and trips the guard.
         kv = boundary_kernel_vector(diag_pencil([[1, 0], [0, 1]], [[0, -1], [-1, 0]]), prec)
-        assert kv.residual <= mpmath.mpf(2) ** -(prec // 2)
+        assert kv.residual <= Fraction(1, 2 ** (prec // 2))
         sign = 1 if kv.entries[-1] > 0 else -1
-        tol = mpmath.mpf(2) ** -(prec // 4)
+        tol = Fraction(1, 2 ** (prec // 4))
         assert all(abs(sign * e - t) <= tol for e, t in zip(kv.entries, (-1, 1)))
 
     @pytest.mark.parametrize(
@@ -271,7 +270,7 @@ class TestKernelVector:
         dp = diag_pencil([[1, 1], [1, big]], [[1, 0], [0, 1]])
         kv = boundary_kernel_vector(dp, prec)
         assert kv.normalization == "sup"
-        assert kv.residual <= mpmath.mpf(2) ** -(prec // 2)
+        assert kv.residual <= Fraction(1, 2 ** (prec // 2))
         assert svd_kernel_cosine(dp, kv) >= 1 - mpmath.mpf(2) ** -(prec // 4)
 
     @pytest.mark.parametrize("n", range(2, 11))
@@ -334,7 +333,50 @@ class TestKernelVector:
     def test_residual_contract(self):
         dp = eulerian_diagonal_pencil(6)
         kv = boundary_kernel_vector(dp, 96)
-        assert kv.residual <= mpmath.mpf(2) ** (-48)
+        assert kv.residual <= Fraction(1, 2**48)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.one_of(st.integers(1, 10).map(eulerian_diagonal_pencil), psd_pencils()),
+        st.sampled_from((32, 64, 128)),
+    )
+    def test_residual_rounds_the_exact_one_up(self, dp, prec):
+        # The stored residual is the least multiple of 2**(-2 prec) not below
+        # ||M v|| / ||v||, computed exactly at the midpoint M that was checked.
+        boundaries = []
+        real = spectra.psd_boundary
+
+        def recording(p, bits):
+            boundaries.append(real(p, bits))
+            return boundaries[-1]
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(spectra, "psd_boundary", recording)
+            try:
+                kv = boundary_kernel_vector(dp, prec)
+            except ValueError:
+                assume(False)
+        m = dp.at(boundaries[-1][0].midpoint)
+        mv = [sum(e * c for e, c in zip(row, kv.entries)) for row in m.entries]
+        exact = sum(y * y for y in mv) / sum(c * c for c in kv.entries)
+        step = Fraction(1, 4**prec)
+        assert kv.residual**2 >= exact
+        assert kv.residual % step == 0
+        assert kv.residual == 0 or (kv.residual - step) ** 2 < exact
+        assert kv.residual <= Fraction(1, 2 ** (prec // 2))
+
+    @pytest.mark.parametrize("prec, sup_from", [(17, 12), (32, 17), (64, 17), (128, 17)])
+    def test_eigvec_flags(self, prec, sup_from):
+        # The flags of ``eigvec --n-max 16``: only n = 1 is degenerate, and
+        # at prec 17 the final entries from n = 12 on are negligible.
+        flags = [
+            (kv.normalization, kv.degenerate)
+            for kv in (boundary_kernel_vector(eulerian_diagonal_pencil(n), prec)
+                       for n in range(1, 17))
+        ]
+        assert flags == [("last-entry", True)] + [
+            ("last-entry" if n < sup_from else "sup", False) for n in range(2, 17)
+        ]
 
     def test_wide_enclosure_gets_refined(self, monkeypatch):
         # At low prec 2**-prec is too wide for the residual target, so the
@@ -350,7 +392,7 @@ class TestKernelVector:
         monkeypatch.setattr(spectra, "psd_boundary", recording)
         kv = boundary_kernel_vector(dp, 32)
         assert len(precs) == 1 and precs[0] > 32
-        assert kv.residual <= mpmath.mpf(2) ** (-16)
+        assert kv.residual <= Fraction(1, 2**16)
 
     def test_determinant_built_once(self, monkeypatch):
         # The enclosure and the exact corank share one determinant.
