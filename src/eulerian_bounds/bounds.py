@@ -168,7 +168,7 @@ def _critical_points(a: Rat, b: Rat, c: Rat, prec: int) -> list[AlgebraicBound]:
     # N'D - ND', the local maximum of N/D), then the other one, if any.
     if a == 0:
         raise ZeroDivisionError("degenerate optimizer: leading coefficient is 0")
-    sqf, intervals = _isolate(_integer_rows([[a, b, c]])[0])
+    sqf, intervals = _isolate(_integer_rows([[a, b, c]])[0][0])
     roots = [_refine_root(sqf, lo, hi, prec) for lo, hi in intervals]
     return roots if a > 0 else roots[::-1]
 

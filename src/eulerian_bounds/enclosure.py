@@ -19,8 +19,7 @@ __all__ = ["AlgebraicBound", "DEFAULT_PREC"]
 
 Rat = Union[int, Fraction]
 
-# Default certification precision in bits; all float work happens at
-# at least twice this.
+# Default certification precision in bits: enclosures are at most 2**-prec wide.
 DEFAULT_PREC = 128
 
 

@@ -63,22 +63,6 @@ class SymmetricRationalMatrix:
     def entry(self, i: int, j: int) -> Fraction:
         return self.entries[i][j]
 
-    def __add__(self, other: "SymmetricRationalMatrix") -> "SymmetricRationalMatrix":
-        if self.size != other.size:
-            raise ValueError("size mismatch")
-        return SymmetricRationalMatrix(
-            tuple(
-                tuple(a + b for a, b in zip(ra, rb))
-                for ra, rb in zip(self.entries, other.entries)
-            )
-        )
-
-    def scale(self, c) -> "SymmetricRationalMatrix":
-        c = Fraction(c)
-        return SymmetricRationalMatrix(
-            tuple(tuple(c * v for v in row) for row in self.entries)
-        )
-
     def quadratic_form(self, v: Sequence) -> Fraction:
         """v^T M v, exactly: the integer u^T M' u for u = d v and M' = l M,
         the vector and the rows cleared once, divided back by l d^2.
@@ -90,15 +74,9 @@ class SymmetricRationalMatrix:
         vec = [Fraction(x) for x in v]
         if len(vec) != self.size:
             raise ValueError("vector length mismatch")
-        den = math.lcm(*(x.denominator for x in vec))
-        u = [x.numerator * (den // x.denominator) for x in vec]
-        lcm = math.lcm(*(x.denominator for row in self.entries for x in row))
-        value = sum(ui * sum(r * uj for r, uj in zip(row, u) if uj)
-                    for ui, row in zip(u, _integer_rows(self.entries)) if ui)
-        return Fraction(value, lcm * den * den)
-
-    def max_abs_entry(self) -> Fraction:
-        return max(abs(v) for row in self.entries for v in row)
+        (u,), den = _integer_rows([vec])
+        rows, lcm = _integer_rows(self.entries)
+        return Fraction(_integer_form(rows, u), lcm * den * den)
 
 
 @dataclass(frozen=True)
@@ -120,9 +98,6 @@ class DiagonalPencil:
     @property
     def size(self) -> int:
         return self.a0.size
-
-    def at(self, x) -> SymmetricRationalMatrix:
-        return self.a0 + self.a_sum.scale(x)
 
 
 def build_pencil(table: LFormTable) -> LinearMatrixPencil:
@@ -184,10 +159,16 @@ class PsdResult:
         return self.is_psd
 
 
-def _integer_rows(rows) -> list[list[int]]:
-    """Rational rows times the lcm of their denominators: a positive factor."""
+def _integer_rows(rows) -> tuple[list[list[int]], int]:
+    """Rational rows times the lcm of their denominators, and that lcm."""
     lcm = math.lcm(*(v.denominator for row in rows for v in row))
-    return [[v.numerator * (lcm // v.denominator) for v in row] for row in rows]
+    return [[v.numerator * (lcm // v.denominator) for v in row] for row in rows], lcm
+
+
+def _integer_form(rows, u) -> int:
+    # u^T R u for integer rows R and an integer vector u.
+    return sum(ui * sum(r * uj for r, uj in zip(row, u) if uj)
+               for ui, row in zip(u, rows) if ui)
 
 
 def _bareiss(rows) -> Iterator[tuple[int, int, list[int]]]:
@@ -239,14 +220,15 @@ def psd_certificate(m: SymmetricRationalMatrix) -> PsdResult:
     every pivot is on the diagonal and positive, an all-zero remaining
     column being skipped.  A negative pivot, or a zero diagonal whose
     column is not zero, gives an integer witness v with v^T m v < 0,
-    verified exactly before returning.
+    verified exactly on the cleared rows just eliminated.
 
     >>> res = psd_certificate(SymmetricRationalMatrix.from_rows([[0, 1], [1, 0]]))
     >>> res.is_psd, res.witness, res.witness_value
     (False, (-1, 2), Fraction(-4, 1))
     """
+    rows, lcm = _integer_rows(m.entries)
     pivots: list[tuple[int, list[int]]] = []
-    for col, i, row in _bareiss(_integer_rows(m.entries)):
+    for col, i, row in _bareiss(rows):
         if i == col and row[col] > 0:
             pivots.append((col, row))
             continue
@@ -254,7 +236,7 @@ def psd_certificate(m: SymmetricRationalMatrix) -> PsdResult:
         # 2b (t e_col + e_i) for t = -(|a_ii| + 1) / 2b, as 2 t b + a_ii < 0.
         fixed = {col: 1} if i == col else {col: -(abs(row[i]) + 1), i: 2 * row[col]}
         witness = tuple(_back_substitute(pivots, fixed, m.size))
-        value = m.quadratic_form(witness)
+        value = Fraction(_integer_form(rows, witness), lcm)
         if not value < 0:
             raise ArithmeticError("PSD witness failed exact verification")
         return PsdResult(False, witness, value)

@@ -282,7 +282,7 @@ def psd_boundary(
     """
     if prec < 16:
         raise ValueError("prec must be >= 16")
-    rows = _integer_rows(p.a0.entries + p.a_sum.entries)
+    rows, _ = _integer_rows(p.a0.entries + p.a_sum.entries)
     if not _is_psd_at(rows, Fraction(0)):
         raise ValueError("A0 is not PSD")
     det, kernel_dim = _det_polynomial(rows), 0
@@ -317,13 +317,13 @@ class KernelVector:
     prec: int
 
 
-def _null_vector(m: SymmetricRationalMatrix) -> list[int]:
+def _null_vector(m: list[list[int]]) -> list[int]:
     # Lifted off the Bareiss echelon rows (zero left of their pivot), free columns 1.
-    pivots = [(col, row) for col, _, row in _bareiss(_integer_rows(m.entries))]
-    if len(pivots) == m.size:
+    pivots = [(col, row) for col, _, row in _bareiss(m)]
+    if len(pivots) == len(m):
         raise ArithmeticError("numerically singular boundary matrix is nonsingular")
-    free = set(range(m.size)).difference(col for col, _ in pivots)
-    return _back_substitute(pivots, dict.fromkeys(free, 1), m.size)
+    free = set(range(len(m))).difference(col for col, _ in pivots)
+    return _back_substitute(pivots, dict.fromkeys(free, 1), len(m))
 
 
 def _normalized(w: list[int], prec: int) -> tuple[list[Fraction], str]:
@@ -363,14 +363,17 @@ def boundary_kernel_vector(p: DiagonalPencil, prec: int = DEFAULT_PREC) -> Kerne
     taken off K.  For x_min = 0 the matrix is A0 itself.
     """
     target = Fraction(1, 2 ** (prec // 2))
-    width = target / (4 * p.size * max(Fraction(1), p.a_sum.max_abs_entry()))
-    bits = max(prec, int(1 / width).bit_length())
+    rows, den = _integer_rows(p.a0.entries + p.a_sum.entries)
+    a_sum_max = Fraction(max(abs(v) for row in rows[p.size:] for v in row), den)
+    bits = max(prec, int(4 * p.size * max(1, a_sum_max) / target).bit_length())
     while True:
         x, det, kernel_dim, witness = psd_boundary(p, bits)
-        matrix = p.at(x.midpoint)
+        mid = x.midpoint
+        matrix = _pencil_rows(rows, mid.numerator, mid.denominator)  # (den mid.denominator) M
         w = _null_vector(matrix) if kernel_dim else witness
-        mw = [sum(e * c for e, c in zip(row, w) if c) for row in matrix.entries]
-        scaled = math.ceil(sum(y * y for y in mw) * 16**prec / sum(c * c for c in w))
+        mw = [sum(e * c for e, c in zip(row, w) if c) for row in matrix]
+        scale = den * mid.denominator
+        scaled = -(-sum(y * y for y in mw) * 16**prec // (scale * scale * sum(c * c for c in w)))
         residual = Fraction(math.isqrt(scaled - 1) + 1 if scaled else 0, 4**prec)  # ceil sqrt
         if residual <= target or bits > 4 * prec + 64:
             break
@@ -379,7 +382,7 @@ def boundary_kernel_vector(p: DiagonalPencil, prec: int = DEFAULT_PREC) -> Kerne
         shown = decimal.Context(prec=8).divide(residual.numerator, residual.denominator)
         raise ArithmeticError(f"kernel residual {shown:g} exceeds 2^-{prec // 2}")
     v, normalization = _normalized(w, prec)
-    degenerate = _boundary_corank(p, x, det, kernel_dim) > 1
+    degenerate = _boundary_corank(rows, x, det, kernel_dim) > 1
     return KernelVector(tuple(v), normalization, degenerate, residual, prec)
 
 
@@ -412,12 +415,13 @@ def _root_multiplicity(desc: list[int], enc: AlgebraicBound) -> int:
 
 
 def _boundary_corank(
-    p: DiagonalPencil, x: AlgebraicBound, det: list[int], kernel_dim: int
+    rows: list[list[int]], x: AlgebraicBound, det: list[int], kernel_dim: int
 ) -> int:
     # Exact corank of the pencil at x_min in (x.lo, x.hi], by the rule in
-    # boundary_kernel_vector's docstring, from what psd_boundary returns.
+    # boundary_kernel_vector's docstring, for the cleared rows of [A0; A_sum].
+    a0 = rows[: len(rows) // 2]
     if x.hi == 0 and _sign_at(det, x.hi) == 0:  # x_min = 0: the matrix is A0
-        return p.size - len(list(_bareiss(_integer_rows(p.a0.entries))))
+        return len(a0) - len(list(_bareiss(a0)))
     return kernel_dim + _root_multiplicity(det, x)
 
 
@@ -495,7 +499,7 @@ def extreme_roots(
     """
     if p.degree < 1:
         raise ValueError("constant polynomial has no roots")
-    desc = _integer_rows([list(reversed(p.coeffs))])[0]
+    (desc,), _ = _integer_rows([list(reversed(p.coeffs))])
     if desc[-1] == 0:
         raise ValueError("roots are not all negative: 0 is a root")
     desc_sqf, intervals = _isolate(desc)

@@ -3,15 +3,25 @@
 ``eulerian_bounds.pencil`` decides PSD, and ``spectra`` takes
 determinants and row bases, with one fraction-free (Bareiss) kernel.
 This module keeps the Fraction elimination they replaced: an LDL^T PSD
-decision with its witness lift, an echelon row basis, and the Fraction
+decision with its witness lift, an echelon row basis, the Fraction
 double loop for v^T M v that ``SymmetricRationalMatrix.quadratic_form``
-replaced with one integer sum.  They share nothing with the kernel but
-the matrix type.
+replaced with one integer sum, and ``pencil_at``, the rational matrix
+A0 + x A_sum that the library builds only as the integer q A0 + p A_sum
+for x = p / q.  They share nothing with the kernel but the matrix types.
 """
 
 from fractions import Fraction
 
-from eulerian_bounds.pencil import PsdResult, SymmetricRationalMatrix
+from eulerian_bounds.pencil import DiagonalPencil, PsdResult, SymmetricRationalMatrix
+
+
+def pencil_at(p: DiagonalPencil, x) -> SymmetricRationalMatrix:
+    """A0 + x A_sum, entry by entry in Fractions."""
+    x = Fraction(x)
+    return SymmetricRationalMatrix(tuple(
+        tuple(Fraction(a) + x * b for a, b in zip(r0, r1))
+        for r0, r1 in zip(p.a0.entries, p.a_sum.entries)
+    ))
 
 
 def fraction_quadratic_form(m: SymmetricRationalMatrix, v) -> Fraction:

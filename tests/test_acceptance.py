@@ -12,7 +12,6 @@ import itertools
 import math
 from fractions import Fraction
 
-import mpmath
 import pytest
 
 from eulerian_bounds.bounds import (

@@ -394,17 +394,6 @@ class TestEigvec:
                   for line in out.splitlines() if 'text-anchor="end"' in line]
         assert "1.00" in labels and len(labels) == len(set(labels))
 
-    def test_runs_without_svd(self, capsys, monkeypatch):
-        # The kernel vector is the exact witness of the x_min certificate:
-        # no floating solver runs, and the SVD is a test oracle.
-        for name in ("svd_r", "inverse", "lu_solve"):
-            def no_solver(*args, name=name, **kwargs):
-                raise AssertionError(f"mpmath.{name} called")
-
-            monkeypatch.setattr(mpmath, name, no_solver)
-        code, out, _ = run_cli(capsys, ["eigvec", "--n-max", "8"])
-        assert code == 0 and len(parse_csv(out)) == sum(n + 1 for n in range(1, 9))
-
     def test_output_file(self, capsys, tmp_path):
         target = tmp_path / "eig.csv"
         code, out, _ = run_cli(
@@ -613,11 +602,9 @@ class TestErrors:
     def test_failed_witness_verification_exits_2(self, capsys, monkeypatch):
         # A refutation whose witness does not verify is an ArithmeticError,
         # reported like every other failure, not a traceback.
-        # eigvec builds no D or N, so the patched form reaches only the
-        # witness check of the refutation at x_min.lo.
-        monkeypatch.setattr(
-            pencil.SymmetricRationalMatrix, "quadratic_form", lambda m, v: Fraction(0)
-        )
+        # eigvec builds no D or N, so the patched integer form reaches only
+        # the witness check of the refutation at x_min.lo.
+        monkeypatch.setattr(pencil, "_integer_form", lambda rows, u: 0)
         args = ["eigvec", "--n-max", "4"]
         assert "witness" in self.one_line_error(capsys, args)
 

@@ -27,6 +27,7 @@ from eulerian_bounds.spectra import (
     psd_interval_left,
 )
 
+from fraction_elimination import pencil_at
 from polynomials import bisection_refine_root, polynomialize
 from surds import sqrt_enclosure
 
@@ -43,7 +44,7 @@ def overlaps(a, b) -> bool:
 
 
 def is_psd_at(p: DiagonalPencil, x) -> bool:
-    return psd_certificate(p.at(x)).is_psd
+    return psd_certificate(pencil_at(p, x)).is_psd
 
 
 def bisection_x_min(p: DiagonalPencil, prec: int) -> AlgebraicBound:
@@ -97,6 +98,16 @@ def psd_pencils(draw) -> DiagonalPencil:
     return diag_pencil(a0, a_sum)
 
 
+@st.composite
+def rescaled_pencils(draw) -> DiagonalPencil:
+    """Eulerian pencils for n <= 10 or psd_pencils, as A0 a + x A_sum b for
+    positive rationals a and b with denominators up to 12."""
+    dp = draw(st.one_of(st.integers(1, 10).map(eulerian_diagonal_pencil), psd_pencils()))
+    a, b = (Fraction(draw(st.integers(1, 12)), draw(st.integers(1, 12))) for _ in "ab")
+    return diag_pencil([[a * v for v in row] for row in dp.a0.entries],
+                       [[b * v for v in row] for row in dp.a_sum.entries])
+
+
 class TestPsdIntervalLeft:
     def test_diagonal_toy(self):
         enc = psd_interval_left(diag_pencil([[1, 0], [0, 1]], [[1, 0], [0, 2]]), 64)
@@ -142,7 +153,7 @@ class TestPsdIntervalLeft:
         # A0 = A_sum = [[1, 1], [1, 1]]: det(A0 + x A_sum) vanishes for
         # every x, and the common kernel (1, -1) has to be split off.
         dp = eulerian_diagonal_pencil(1)
-        assert all(dp.at(x).entries == ((1 + x, 1 + x), (1 + x, 1 + x)) for x in (0, 3))
+        assert all(pencil_at(dp, x).entries == ((1 + x, 1 + x), (1 + x, 1 + x)) for x in (0, 3))
         enc = psd_interval_left(dp, 64)
         assert enc == AlgebraicBound(-1 - Fraction(1, 2**64), Fraction(-1))
         assert certified_boundary(dp, enc)
@@ -195,7 +206,7 @@ def svd_kernel_cosine(dp: DiagonalPencil, kv) -> mpmath.mpf:
     """
     prec = kv.prec
     with mpmath.workprec(2 * prec + 32):
-        m = dp.at(psd_interval_left(dp, 4 * prec + 64).midpoint)
+        m = pencil_at(dp, psd_interval_left(dp, 4 * prec + 64).midpoint)
         a = mpmath.matrix([[mpmath.mpf(e.numerator) / e.denominator for e in row]
                            for row in m.entries])
         _, sigma, vt = mpmath.svd_r(a)
@@ -288,7 +299,8 @@ class TestKernelVector:
             boundary = spectra.psd_boundary(dp, prec)[:3]
         except ValueError:
             assume(False)
-        assume(spectra._boundary_corank(dp, *boundary) == 1)
+        rows, _ = _integer_rows(dp.a0.entries + dp.a_sum.entries)
+        assume(spectra._boundary_corank(rows, *boundary) == 1)
         kv = boundary_kernel_vector(dp, prec)
         assert svd_kernel_cosine(dp, kv) >= 1 - mpmath.mpf(2) ** -(prec // 4)
 
@@ -301,8 +313,8 @@ class TestKernelVector:
         ],
     )
     def test_singular_midpoint_takes_the_exact_kernel(self, monkeypatch, dp, kernel):
-        # A common kernel makes the midpoint matrix singular: mpmath cannot
-        # invert it, and the null vector comes from the exact elimination.
+        # A common kernel makes the midpoint matrix singular, and the null
+        # vector comes from the exact elimination of its integer rows.
         calls = []
         real = spectra._null_vector
 
@@ -313,8 +325,9 @@ class TestKernelVector:
         monkeypatch.setattr(spectra, "_null_vector", spy)
         kv = boundary_kernel_vector(dp, 64)
         [(m, w)] = calls
+        assert all(type(c) is int for row in m for c in row)
         assert all(type(c) is int for c in w)
-        assert all(sum(a * b for a, b in zip(row, w)) == 0 for row in m.entries)
+        assert all(sum(a * b for a, b in zip(row, w)) == 0 for row in m)
         assert kv.residual == 0 and kv.entries == kernel
 
     def test_nonsingular_matrix_has_no_exact_kernel(self, monkeypatch):
@@ -336,13 +349,11 @@ class TestKernelVector:
         assert kv.residual <= Fraction(1, 2**48)
 
     @settings(max_examples=60, deadline=None)
-    @given(
-        st.one_of(st.integers(1, 10).map(eulerian_diagonal_pencil), psd_pencils()),
-        st.sampled_from((32, 64, 128)),
-    )
+    @given(rescaled_pencils(), st.sampled_from((32, 64, 128)))
     def test_residual_rounds_the_exact_one_up(self, dp, prec):
         # The stored residual is the least multiple of 2**(-2 prec) not below
-        # ||M v|| / ||v||, computed exactly at the midpoint M that was checked.
+        # ||M v|| / ||v||, computed exactly at the midpoint M that was checked;
+        # rescaled pencils give M denominators beyond the midpoint's.
         boundaries = []
         real = spectra.psd_boundary
 
@@ -356,7 +367,7 @@ class TestKernelVector:
                 kv = boundary_kernel_vector(dp, prec)
             except ValueError:
                 assume(False)
-        m = dp.at(boundaries[-1][0].midpoint)
+        m = pencil_at(dp, boundaries[-1][0].midpoint)
         mv = [sum(e * c for e, c in zip(row, kv.entries)) for row in m.entries]
         exact = sum(y * y for y in mv) / sum(c * c for c in kv.entries)
         step = Fraction(1, 4**prec)
@@ -419,33 +430,34 @@ class TestKernelVector:
             boundary_kernel_vector(dp, 64)
 
 
-@st.composite
-def integer_or_rational_pencils(draw) -> DiagonalPencil:
-    """Eulerian pencils for n <= 10, or psd_pencils with A_sum over a denominator."""
-    if draw(st.booleans()):
-        return eulerian_diagonal_pencil(draw(st.integers(1, 10)))
-    dp, d = draw(psd_pencils()), draw(st.integers(1, 12))
-    return DiagonalPencil(dp.a0, dp.a_sum.scale(Fraction(1, d)))
-
-
 class TestIntegerPsdInput:
     @settings(max_examples=150, deadline=None)
-    @given(integer_or_rational_pencils(), st.integers(1, 200), st.data())
+    @given(rescaled_pencils(), st.integers(1, 200), st.data())
     def test_matches_the_fraction_matrix(self, dp, bits, data):
         # q A0 + p A_sum for x = p / q has the PSD status of A0 + x A_sum.
         b = data.draw(st.integers(1, 2**bits))
         x = Fraction(data.draw(st.integers(-b, b)), b)
-        rows = _integer_rows(dp.a0.entries + dp.a_sum.entries)
-        assert spectra._is_psd_at(rows, x).is_psd == psd_certificate(dp.at(x)).is_psd
+        rows, _ = _integer_rows(dp.a0.entries + dp.a_sum.entries)
+        assert spectra._is_psd_at(rows, x).is_psd == psd_certificate(pencil_at(dp, x)).is_psd
 
     def test_no_fraction_matrix_is_built(self, monkeypatch):
-        def fraction_matrix(self, x):
-            raise AssertionError("DiagonalPencil.at called")
+        # Every matrix built while x_min and the kernel vector are certified
+        # is an integer q A0 + p A_sum, never the rational A0 + x A_sum.
+        built = []
+        real = SymmetricRationalMatrix.__post_init__
 
-        monkeypatch.setattr(DiagonalPencil, "at", fraction_matrix)
-        # Both return only after their exact PSD tests at lo and hi.
-        assert psd_interval_left(eulerian_diagonal_pencil(8), 128).hi < 0
-        assert bounds.univariate_pencil_endpoint(6, 64).is_certainly_negative()
+        def spy(self):
+            built.append(self.entries)
+            real(self)
+
+        # The univariate pencil holds Fractions, the Eulerian one ints.
+        pencils = bounds._univariate_diagonal(6), eulerian_diagonal_pencil(8)
+        monkeypatch.setattr(SymmetricRationalMatrix, "__post_init__", spy)
+        for dp in pencils:
+            # Both return only after their exact PSD tests at lo and hi.
+            assert psd_interval_left(dp, 128).hi < 0
+            assert boundary_kernel_vector(dp, 64).residual <= Fraction(1, 2**32)
+        assert built and all(type(v) is int for m in built for row in m for v in row)
 
 
 class TestExtremeRoots:
