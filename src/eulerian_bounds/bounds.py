@@ -53,7 +53,6 @@ __all__ = [
     "eulerian_guess_quadratics",
     "paper_y",
     "univariate_bound",
-    "univariate_pencil_endpoint",
     "bound_report",
     "optimize_y_numeric",
     "ratio_diagnostic",
@@ -194,25 +193,18 @@ def _univariate_diagonal(n: int) -> DiagonalPencil:
     return diagonal_pencil(lform_from_truncation(t))
 
 
-def univariate_pencil_endpoint(n: int, prec: int = DEFAULT_PREC) -> AlgebraicBound:
-    """Left PSD endpoint of the 2x2 pencil of the univariate polynomial.
-
-    The same certified path as every x_min (``spectra.psd_boundary``): a
-    root of det(A0 + x A1) that is not PSD at ``lo`` and PSD at ``hi``.
-    """
-    return psd_boundary(_univariate_diagonal(n), prec)[0]
-
-
 def univariate_bound(n: int, prec: int = DEFAULT_PREC) -> AlgebraicBound:
     """un(n): the reciprocal magnitude of the univariate pencil endpoint.
 
-    A lower bound on |leftmost root| via palindromicity (a lower bound
-    for the rightmost root flips into an upper bound for the leftmost).
+    The endpoint is the x_min of the 2x2 univariate pencil, certified by
+    ``spectra.psd_boundary``.  un(n) bounds |leftmost root| from below via
+    palindromicity (a lower bound for the rightmost root flips into an
+    upper bound for the leftmost).
     """
     # The endpoint is ~2^-(n+1); taking its reciprocal amplifies the
     # enclosure width by ~2^(2n+2), hence the guard bits.
     guard = prec + 2 * n + 16
-    return (-univariate_pencil_endpoint(n, guard)).reciprocal()
+    return (-psd_boundary(_univariate_diagonal(n), guard)[0]).reciprocal()
 
 
 @lru_cache(maxsize=None)
@@ -315,11 +307,9 @@ def optimize_y_numeric(
 class RatioDiagnostic:
     """Consecutive-ratio trend data for a sequence of (index, value).
 
-    Ratios pair adjacent entries within maximal runs of same-sign
-    nonzero values and are attached to the later index; runs shorter
-    than two contribute none.  ``flagged`` reports that a sign change or
-    zero interrupted the sequence.  The normalization track holds
-    value / (prefactor * ratio^index).
+    Ratios pair neighbouring same-sign nonzero entries, at the later
+    index.  ``flagged`` reports that a sign change or zero interrupted the
+    sequence.  The normalization track holds value / (prefactor * ratio^index).
     """
 
     entries: tuple[tuple[int, float], ...]
@@ -336,31 +326,18 @@ def ratio_diagnostic(
 ) -> RatioDiagnostic:
     """Trend diagnostics of (index, value) pairs against c * r^index.
 
-    Requires at least one run of 3 same-sign nonzero entries.
+    Requires at least 3 consecutive same-sign nonzero entries.
     """
     items = [(int(idx), float(val)) for idx, val in seq]
     if len(items) < 3:
         raise ValueError("need at least 3 entries")
-
-    runs: list[list[tuple[int, float]]] = []
-    current: list[tuple[int, float]] = []
-    for idx, val in items:
-        if val == 0 or (current and (val > 0) != (current[-1][1] > 0)):
-            if current:
-                runs.append(current)
-            current = []
-        if val != 0:
-            current.append((idx, val))
-    if current:
-        runs.append(current)
-    if not runs or max(len(r) for r in runs) < 3:
+    pairs = list(zip(items, items[1:]))
+    # same[k]: entries k and k+1 are nonzero with one sign.  The sign test
+    # is (v > 0), not v0 * v1 > 0, which underflows for tiny values.
+    same = [v0 != 0 and v1 != 0 and (v0 > 0) == (v1 > 0) for (_, v0), (_, v1) in pairs]
+    if not any(a and b for a, b in zip(same, same[1:])):
         raise ValueError("need at least 3 same-sign nonzero entries")
-    flagged = len(runs) > 1 or any(v == 0 for _, v in items)
-
-    ratios: list[tuple[int, float]] = []
-    for run in runs:
-        for (i0, v0), (i1, v1) in zip(run, run[1:]):
-            ratios.append((i1, v1 / v0))
+    ratios = [(i1, v1 / v0) for ((_, v0), (i1, v1)), ok in zip(pairs, same) if ok]
     deviations = tuple(
         (i, abs(r - target_ratio) / abs(target_ratio)) for i, r in ratios
     )
@@ -372,5 +349,5 @@ def ratio_diagnostic(
         ratios=tuple(ratios),
         relative_deviations=deviations,
         normalization_track=track,
-        flagged=flagged,
+        flagged=not all(same),
     )

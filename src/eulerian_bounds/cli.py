@@ -14,10 +14,8 @@ strings; decimal cells carry their precision in the prec_bits column.
     eulerian-bounds diff --kind new --format svg --output diff.svg
     eulerian-bounds eigvec --n-max 10 --format csv
 
-Default precision is 128 bits, overridable per call with --prec or
-globally with the EULERIAN_BOUNDS_PREC environment variable.
-Precondition failures exit nonzero with a one-line JSON error on
-stderr.
+Default precision is 128 bits, overridable per call with --prec.
+Precondition failures exit 2 with a one-line JSON error on stderr.
 """
 
 from __future__ import annotations
@@ -32,7 +30,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -41,8 +38,6 @@ from . import eulerian, lform, pencil, spectra
 from .enclosure import DEFAULT_PREC, AlgebraicBound
 
 __all__ = ["main"]
-
-PREC_ENV_VAR = "EULERIAN_BOUNDS_PREC"
 
 # Desk-scale caps; --allow-large lifts them.
 MAX_BOUNDS_N = 20
@@ -253,6 +248,8 @@ def _rows_bounds(args) -> list[dict]:
         raise CliError("no (n, kind) pairs in range (new needs even n >= 4)")
     workers = _pool_size(args.jobs, len(tasks))
     if workers > 1:
+        # Imported here so that serial runs never load multiprocessing.
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             per_n = list(pool.map(_bounds_worker, tasks))
     else:
@@ -480,7 +477,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--prec",
             type=int,
-            default=None,
+            default=DEFAULT_PREC,
             help="certification precision in bits (>= 16)",
         )
         p.add_argument("--allow-large", action="store_true")
@@ -523,16 +520,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _default_prec() -> int:
-    raw = os.environ.get(PREC_ENV_VAR)
-    if raw is None:
-        return DEFAULT_PREC
-    try:
-        return int(raw)
-    except ValueError:
-        raise CliError(f"{PREC_ENV_VAR}={raw!r} is not an integer") from None
-
-
 _BUILDERS = {
     "counts": _rows_counts,
     "lform": _rows_lform,
@@ -562,8 +549,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = None
     try:
         args = _build_parser().parse_args(argv)
-        if args.prec is None:
-            args.prec = _default_prec()
         if args.prec < 16:
             raise CliError("prec must be >= 16")
         text = _emit(args, _BUILDERS[args.command](args))
@@ -572,7 +557,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 fh.write(text)
         else:
             sys.stdout.write(text)
-    except (CliError, ValueError, ZeroDivisionError, ArithmeticError, OSError) as exc:
+    except (CliError, ValueError, ArithmeticError, OSError) as exc:
         payload = {"error": str(exc), "command": getattr(args, "command", None)}
         print(json.dumps(payload), file=sys.stderr)
         return 2

@@ -61,10 +61,10 @@ class Truncation3:
 
     n: int
     degree: int
-    coeffs: Mapping[Monomial, Fraction]
+    coeffs: Mapping[Monomial, int | Fraction]
 
-    def a(self, *indices: int) -> Fraction:
-        return self.coeffs.get(tuple(sorted(indices)), Fraction(0))
+    def a(self, *indices: int) -> int | Fraction:
+        return self.coeffs.get(tuple(sorted(indices)), 0)
 
     @staticmethod
     def eulerian(n: int) -> "Truncation3":
@@ -77,12 +77,12 @@ class Truncation3:
         """
         if n < 1:
             raise ValueError("n must be >= 1")
-        coeffs: dict[Monomial, Fraction] = {}
+        coeffs: dict[Monomial, int] = {}
         for size in (1, 2, 3):
             for combo in itertools.combinations(range(1, n + 1), size):
                 c = count_formula(n, [i + 1 for i in combo], "deletion")
                 if c:
-                    coeffs[combo] = Fraction(c)
+                    coeffs[combo] = c
         return Truncation3(n=n, degree=n, coeffs=coeffs)
 
 
@@ -101,7 +101,7 @@ class LFormTable:
             raise KeyError(f"incomplete L-form table: missing {key}") from None
 
 
-def _l_square_linear(t: Truncation3, s: int, u: int) -> Fraction:
+def _l_square_linear(t: Truncation3, s: int, u: int) -> int | Fraction:
     # Degree-3 coefficient of -log(p(-x)) at x_s^2 x_u, from expanding
     # -w + w^2/2 - w^3/3 for w = p(-x) - 1:  the multinomial weight
     # binom(3; 2,1)/3 = 1 makes the coefficient equal L itself.
@@ -115,7 +115,7 @@ def _l_square_linear(t: Truncation3, s: int, u: int) -> Fraction:
 
 def lform_from_truncation(t: Truncation3) -> LFormTable:
     """Evaluate L on every monomial of degree <= 3 from a truncation."""
-    values: dict[Monomial, Fraction] = {(): Fraction(t.degree)}
+    values: dict[Monomial, int | Fraction] = {(): t.degree}
     for i in range(1, t.n + 1):
         values[(i,)] = t.a(i)
         values[(i, i)] = -2 * t.a(i, i) + t.a(i) ** 2

@@ -1,5 +1,6 @@
 """Linearized bounds: vectors, quadratics, optimal y, and diagnostics."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -19,7 +20,6 @@ from eulerian_bounds.bounds import (
     paper_y,
     ratio_diagnostic,
     univariate_bound,
-    univariate_pencil_endpoint,
 )
 from eulerian_bounds.enclosure import AlgebraicBound
 from eulerian_bounds.eulerian import univariate_eulerian
@@ -237,7 +237,7 @@ class TestCriticalPoints:
 class TestUnivariateBound:
     def test_n1_degenerate_pencil(self):
         assert univariate_bound(1, 96).contains(1)
-        assert univariate_pencil_endpoint(1, 96).contains(-1)
+        assert psd_interval_left(bounds_mod._univariate_diagonal(1), 96).contains(-1)
 
     @pytest.mark.parametrize("n", range(2, 41))
     def test_endpoint_is_the_larger_determinant_root(self, n):
@@ -249,13 +249,13 @@ class TestUnivariateBound:
         lx3 = dp.a_sum.entry(1, 1)
         c2, c1, c0 = lx * lx3 - lx2 * lx2, l1 * lx3 - lx * lx2, l1 * lx2 - lx * lx
         larger = quadratic_root_enclosure(c2, c1, c0, "+" if c2 > 0 else "-", 160)
-        assert overlaps(univariate_pencil_endpoint(n, 128), larger)
+        assert overlaps(psd_interval_left(bounds_mod._univariate_diagonal(n), 128), larger)
 
     def test_n2_exact_radical(self):
         un = univariate_bound(2, 128)
         s3 = sqrt_enclosure(3, 150)
         assert overlaps(un, 2 + s3)
-        assert overlaps(univariate_pencil_endpoint(2, 128), s3 - 2)
+        assert overlaps(psd_interval_left(bounds_mod._univariate_diagonal(2), 128), s3 - 2)
 
     def test_growth_normalization_stabilizes(self):
         norm = {
@@ -352,3 +352,35 @@ class TestRatioDiagnostic:
             ratio_diagnostic(enumerate([1.0, 2.0]), 2.0, 1.0)
         with pytest.raises(ValueError, match="same-sign"):
             ratio_diagnostic(enumerate([1.0, -1.0, 1.0, -1.0]), 2.0, 1.0)
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.integers(-5, 40),
+                st.sampled_from([0.0, -0.0, 1.0, -1.0, 1e-300, -1e-300, math.inf, -math.inf])
+                | st.floats(allow_nan=False),
+            ),
+            max_size=10,
+        )
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_contract_on_random_sequences(self, seq):
+        # The contract in a second form: windows of entries that are all
+        # positive or all negative, and whole-sequence zero and sign tests.
+        def same_sign(window):
+            return all(v > 0 for v in window) or all(v < 0 for v in window)
+
+        values = [v for _, v in seq]
+        trend = [
+            (seq[k + 1][0], values[k + 1] / values[k])
+            for k in range(len(seq) - 1)
+            if same_sign(values[k:k + 2])
+        ]
+        if not any(same_sign(values[k:k + 3]) for k in range(len(seq) - 2)):
+            with pytest.raises(ValueError, match="need at least 3"):
+                ratio_diagnostic(seq, 0.75, 0.5)
+            return
+        diag = ratio_diagnostic(seq, 0.75, 0.5)
+        both_signs = any(v > 0 for v in values) and any(v < 0 for v in values)
+        assert diag.flagged == (0 in values or both_signs)
+        assert repr(diag.ratios) == repr(tuple(trend))

@@ -295,11 +295,18 @@ class TestRoots:
             "error": "empty range: n-min 5 > n-max 3", "command": "roots"
         }
 
-    def test_env_var_sets_default_prec(self, capsys, monkeypatch):
-        monkeypatch.setenv("EULERIAN_BOUNDS_PREC", "32")
-        code, out, _ = run_cli(capsys, ["roots", "--n-max", "1", "--format", "json"])
+    def test_environment_does_not_set_prec(self, capsys, monkeypatch):
+        # --prec is the only precision input: its default is DEFAULT_PREC
+        # whatever the environment holds.
+        argv = ["roots", "--n-max", "1", "--format", "json"]
+        monkeypatch.delenv("EULERIAN_BOUNDS_PREC", raising=False)
+        code, plain, _ = run_cli(capsys, argv)
         assert code == 0
-        assert json.loads(out)["prec_bits"] == 32
+        monkeypatch.setenv("EULERIAN_BOUNDS_PREC", "32")
+        code, out, _ = run_cli(capsys, argv)
+        assert code == 0
+        assert json.loads(out)["prec_bits"] == 128
+        assert out == plain
 
 
 class TestDiff:
@@ -594,11 +601,6 @@ class TestErrors:
         args = ["bounds", "--n-min", "4", "--n-max", "4", "--output", str(target)]
         assert "No such file" in self.one_line_error(capsys, args)
 
-    def test_non_integer_prec_env_var(self, capsys, monkeypatch):
-        monkeypatch.setenv("EULERIAN_BOUNDS_PREC", "abc")
-        error = self.one_line_error(capsys, ["roots", "--n-max", "3"])
-        assert "EULERIAN_BOUNDS_PREC" in error
-
     def test_failed_witness_verification_exits_2(self, capsys, monkeypatch):
         # A refutation whose witness does not verify is an ArithmeticError,
         # reported like every other failure, not a traceback.
@@ -742,6 +744,24 @@ def test_commands_run_without_sympy():
         "        assert main(argv) == 0, argv\n"
         "assert 'sympy' not in sys.modules, 'sympy was imported'\n"
         "assert 'mpmath' not in sys.modules, 'mpmath was imported'\n"
+    )
+    src = os.path.dirname(os.path.dirname(eulerian_bounds.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", script], env=env, capture_output=True, text=True
+    )
+    assert done.returncode == 0, done.stderr
+
+
+def test_import_loads_no_process_pool():
+    # Only bounds --jobs > 1 needs the process pool, so importing the CLI
+    # loads neither concurrent.futures nor multiprocessing;
+    # TestBounds::test_jobs_match_serial covers the pool path.
+    script = (
+        "import sys\n"
+        "import eulerian_bounds.cli\n"
+        "loaded = [m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules]\n"
+        "assert not loaded, loaded\n"
     )
     src = os.path.dirname(os.path.dirname(eulerian_bounds.__file__))
     env = dict(os.environ, PYTHONPATH=src)

@@ -134,6 +134,17 @@ class TestCountTruncation:
         generic = lform_from_truncation(Truncation3.eulerian(n))
         assert generic.values == eulerian_lform_table(n).values
 
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_integral_counts_stay_int(self, n):
+        # Counts are integers, and so are L(1) and every degree <= 2 value
+        # derived from them; only x_i x_j x_k is halved by the generic route.
+        t = Truncation3.eulerian(n)
+        assert all(type(c) is int for c in t.coeffs.values())
+        table = lform_from_truncation(t)
+        for mono, value in table.values.items():
+            if len(mono) <= 2:
+                assert type(value) is int, mono
+
     @pytest.mark.parametrize("n", (0, -1))
     def test_nonpositive_n_rejected(self, n):
         with pytest.raises(ValueError, match="n must be >= 1"):
