@@ -551,7 +551,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         args = _build_parser().parse_args(argv)
         if args.prec < 16:
             raise CliError("prec must be >= 16")
-        text = _emit(args, _BUILDERS[args.command](args))
+        limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+        if limit:  # ends of --prec bits print with ~0.3 prec digits, past 4300
+            sys.set_int_max_str_digits(0)
+        try:
+            text = _emit(args, _BUILDERS[args.command](args))
+        finally:
+            if limit:
+                sys.set_int_max_str_digits(limit)
         if args.output:
             with open(args.output, "w", encoding="utf-8", newline="") as fh:
                 fh.write(text)

@@ -66,9 +66,6 @@ class UnivariatePolynomial:
             acc = acc * x + c
         return acc
 
-    def is_palindromic(self) -> bool:
-        return self.coeffs == tuple(reversed(self.coeffs))
-
     def coefficient(self, k: int) -> Fraction:
         return self.coeffs[k] if 0 <= k < len(self.coeffs) else Fraction(0)
 
@@ -153,20 +150,19 @@ def count_exact_bruteforce(n: int, X: Iterable[int]) -> int:
 
 
 def _complement_count(top: int, xs: tuple[int, ...]) -> int:
-    # Inclusion-exclusion over subsets of the complement of X inside [top]:
-    # sum over S of (-1)^|S| (top - |X u S|)! prod_i (chain_i - i).
-    complement = [v for v in range(1, top + 1) if v not in xs]
-    total = 0
-    for r in range(len(complement) + 1):
-        for S in itertools.combinations(complement, r):
-            chain = sorted(xs + S)
-            prod = 1
-            for i, v in enumerate(chain, start=1):
-                prod *= v - i
-                if prod == 0:
-                    break
-            total += (-1) ** r * math.factorial(top - len(chain)) * prod
-    return total
+    # Inclusion-exclusion over the subsets S of the complement of X inside
+    # [top]: sum over S of (-1)^|S| (top - |X u S|)! prod_i (chain_i - i),
+    # chain = sorted(X u S), as a DP over the values 1..top.  ways[j] sums
+    # the signed products over the choices so far with j values chosen: a
+    # value of X is always chosen, any other skipped or chosen with sign -1.
+    ways = [1]
+    for v in range(1, top + 1):
+        chosen = [0] + [w * (v - j) for j, w in enumerate(ways, start=1)]
+        if v in xs:
+            ways = chosen
+        else:
+            ways = [a - b for a, b in itertools.zip_longest(ways, chosen, fillvalue=0)]
+    return sum(w * math.factorial(top - j) for j, w in enumerate(ways))
 
 
 def _deletion_count(xs: tuple[int, ...]) -> int:
@@ -193,9 +189,10 @@ def count_formula(n: int, X: Iterable[int], method: str = "complement") -> int:
     fixes the offset at k = n + 1 (calibrated against enumeration for all
     n <= 6 and frozen here).
 
-    ``method`` is "complement" (inclusion-exclusion over [n+1] \\ X; work
-    grows as 2^(n+1-|X|)) or "deletion" (alternating sum over subsets of
-    X; 2^|X| terms, independent of n).
+    ``method`` is "complement" (inclusion-exclusion over [n+1] \\ X, summed
+    by a dynamic program over the values 1..n+1 in O(n^2) steps) or
+    "deletion" (alternating sum over subsets of X; 2^|X| terms,
+    independent of n).
     """
     xs = _validated_tops(n, X)
     if method == "complement":

@@ -28,8 +28,8 @@ Root isolation is integer-only: Yun's squarefree decomposition over a
 primitive-PRS gcd (skipped when a gcd modulo a prime already certifies
 the input squarefree), then continued-fraction isolation with Descartes'
 rule of signs, Taylor shifts by 1, scaling by powers of 2 and
-power-of-two root bounds.  A palindromic input's roots above 1 are the
-reciprocals of those below, so they are read off its (0, 1) run.
+power-of-two root bounds; a palindromic input's extreme roots come
+from x^-m h(x) = Q(x + 1/x), of half the degree, as reciprocal intervals.
 """
 
 from __future__ import annotations
@@ -201,19 +201,13 @@ def _positive_roots(f: list[int]) -> set[tuple[Fraction, Fraction]]:
     # of the roots >= 0 of a squarefree f.  Each stack entry is a
     # transformed g(y) whose positive roots are the roots of f at
     # x = (a y + b) / (c y + d); Descartes' rule of signs counts them.
-    # Where a palindromic f (reverse f = +-f) splits at y = 1 below, its
-    # two children are equal up to sign: only the (0, 1) one runs, and
-    # each leaf is also taken through x -> 1/x, (a, b, c, d) -> (c, d, a, b).
-    out: set[tuple[Fraction, Fraction]] = set()  # a root at 1 is its own reciprocal
-    reciprocal = (f[::-1] in (f, [-u for u in f])
-                  and _variations(f) > 1 and _root_bound(f[::-1]) > 0)
+    out: set[tuple[Fraction, Fraction]] = set()
     def leaf(y, g, a, b, c, d):
         # The image of [0, y]; None is y -> oo, cut at Kioustelidis' bound if c = 0.
-        for a, b, c, d in ((a, b, c, d), (c, d, a, b))[: 1 + reciprocal]:
-            end = Fraction(2) ** _root_bound(g) if y is None and not c else y
-            hi = Fraction(a, c) if end is None else Fraction(a * end + b) / (c * end + d)
-            out.add(tuple(sorted((Fraction(b, d), hi))))
-    stack = [(_shift1(f[::-1]), 0, 1, 1, 1) if reciprocal else (f, 1, 0, 0, 1)]
+        end = Fraction(2) ** _root_bound(g) if y is None and not c else y
+        hi = Fraction(a, c) if end is None else Fraction(a * end + b) / (c * end + d)
+        out.add(tuple(sorted((Fraction(b, d), hi))))
+    stack = [(f, 1, 0, 0, 1)]
     while stack:
         g, a, b, c, d = stack.pop()
         if g[-1] == 0:  # a root at y = 0
@@ -475,22 +469,61 @@ def _refine_root(
     return AlgebraicBound(max(lo, Fraction(a, one)), min(hi, Fraction(b, one)))
 
 
+def _half_degree(h: list[int]) -> list[int]:
+    # G(w) = Q(-2 - w), descending, for a palindromic h of degree 2m and
+    # x^-m h(x) = Q(x + 1/x) = c_m + sum_j c_(m+j) D_j(x + 1/x), by Dickson's
+    # D_0 = 2, D_1 = z, D_(j+1) = z D_j - D_(j-1) at z = -2 - w.
+    m = len(h) // 2
+    g, d_prev, d = [h[m]], [2], [-2, -1]  # ascending in w
+    for c in h[m + 1:]:
+        g = [u + c * v for u, v in itertools.zip_longest(g, d, fillvalue=0)]
+        d_prev, d = d, [-2 * u - v - e for u, v, e in zip(d + [0], [0] + d, d_prev + [0, 0])]
+    return g[::-1]
+
+
+def _palindromic_extremes(sqf: list[int]) -> tuple[tuple[Fraction, Fraction], ...] | None:
+    # Isolating intervals (p, q) of the leftmost root r* and (1/q, 1/p) of
+    # the rightmost 1/r* of a palindromic squarefree sqf = h or (x + 1) h
+    # with every root negative; None for any other input.  On t < -1,
+    # w = -(t + 1)^2 / t = -2 - (t + 1/t) falls from oo to 0: h has 2m
+    # distinct negative roots exactly when its half-degree G has m distinct
+    # positive ones, r* maps to the largest, w* in (c, d), and w(p) > d.
+    # The dyadic q is bisected until c2 < w(q) < d (c2 starts the next
+    # interval, or is 0) and G's sign at w(q) put it between G's two largest.
+    if len(sqf) < 3 or sqf != sqf[::-1]:
+        return None
+    g = _half_degree(sqf if len(sqf) % 2 else _quo(sqf, [1, 1]))
+    roots = sorted(_positive_roots(g))
+    if len(roots) != len(g) - 1:
+        return None
+    (c, d), c2 = roots[-1], roots[-2][0] if len(roots) > 1 else 0
+    inside = 1 if g[0] < 0 else -1  # G's sign between its two largest roots
+    p, lo, hi = -2 - d, Fraction(math.floor(-2 - d)), Fraction(-1)
+    while True:  # lo <= r* < r2 <= hi, r2 = -1 or h's next root
+        q = (lo + hi) / 2
+        w = -(q + 1) ** 2 / q
+        if c2 < w < d and _sign_at(g, w) == inside:
+            return (p, q), (1 / q, 1 / p)
+        lo, hi = (q, hi) if c2 < w and c <= w else (lo, q)  # w >= w*: q <= r*
+
+
 def extreme_roots(
     p: UnivariatePolynomial, prec: int = DEFAULT_PREC
 ) -> tuple[AlgebraicBound, AlgebraicBound]:
     """Enclosures of the leftmost and rightmost real roots.
 
     The input must be real-rooted with every root negative (the Eulerian
-    situation).  Disjoint isolating intervals come from continued-fraction
-    isolation over the integers (Descartes' rule of signs on Moebius
-    transforms, Collins-Akritas and Akritas-Strzebonski) of the
-    squarefree part; a palindromic input's roots below -1 are read off
-    its run on (-1, 0) through x -> 1/x.  Each extreme interval is then
-    narrowed to the dyadic cell [k, k+1] / 2**prec holding its root
-    (clipped to the isolating interval) by quadratic interval refinement
-    over the integers k with exact big-integer sign evaluation, so the
-    enclosures are certified, of width at most 2**-prec, and nest as
-    prec grows.
+    situation).  A palindromic squarefree part, h or (x + 1) h with h of
+    degree 2m, is certified so from the integer Q of degree m with
+    x^-m h(x) = Q(x + 1/x), which must have m distinct roots below -2;
+    Q's leftmost root gives isolating intervals (p, q) and (1/q, 1/p) of
+    both extreme roots, p < q < -1.  Any other input has every root of its
+    squarefree part isolated.  Isolation is by continued fractions over
+    the integers (Descartes' rule of signs on Moebius transforms,
+    Collins-Akritas and Akritas-Strzebonski).  Each extreme root is then
+    narrowed to its dyadic cell [k, k+1] / 2**prec, clipped to its
+    isolating interval, and re-checked for a sign change: the enclosures
+    are certified, of width at most 2**-prec, and nest as prec grows.
 
     >>> from eulerian_bounds.eulerian import univariate_eulerian
     >>> left, right = extreme_roots(univariate_eulerian(2), 16)  # -2 -+ sqrt(3)
@@ -502,14 +535,15 @@ def extreme_roots(
     (desc,), _ = _integer_rows([list(reversed(p.coeffs))])
     if desc[-1] == 0:
         raise ValueError("roots are not all negative: 0 is a root")
-    desc_sqf, intervals = _isolate(desc)
-    if len(intervals) != len(desc_sqf) - 1:
-        raise ValueError(
-            f"not real-rooted: {len(intervals)} distinct real roots, "
-            f"squarefree degree {len(desc_sqf) - 1}"
-        )
-    left = _refine_root(desc_sqf, *intervals[0], prec)
-    right = _refine_root(desc_sqf, *intervals[-1], prec)
+    desc_sqf = _squarefree(desc)[0]
+    ends = _palindromic_extremes(desc_sqf)
+    if ends is None:
+        _, intervals = _isolate(desc_sqf)
+        if len(intervals) != len(desc_sqf) - 1:
+            raise ValueError(f"not real-rooted: {len(intervals)} distinct real roots, "
+                             f"squarefree degree {len(desc_sqf) - 1}")
+        ends = intervals[0], intervals[-1]
+    left, right = (_refine_root(desc_sqf, lo, hi, prec) for lo, hi in ends)
     if right.hi > 0:
         raise ValueError("roots are not all negative")
     for enc in (left, right):

@@ -3,9 +3,13 @@
 ``eulerian_bounds.eulerian`` builds the descent-top distribution by an
 insertion transfer.  This module counts it the obvious way instead,
 permutation by permutation, and shares nothing with the transfer.
+``complement_count_by_subsets`` sums the complement inclusion-exclusion
+term by term over every subset, the oracle for its dynamic program in
+``eulerian.count_formula``.
 """
 
 import itertools
+import math
 from functools import lru_cache
 from typing import Sequence
 
@@ -30,3 +34,16 @@ def enumerated_descent_top_counts(n: int) -> dict[frozenset[int], int]:
         tops = descent_top_set(perm)
         counts[tops] = counts.get(tops, 0) + 1
     return counts
+
+
+def complement_count_by_subsets(top: int, xs: tuple[int, ...]) -> int:
+    """Sum over the subsets S of [top] \\ X of (-1)^|S| (top - |X u S|)!
+    prod_i (chain_i - i), chain = sorted(X u S): 2^(top - |X|) terms."""
+    complement = [v for v in range(1, top + 1) if v not in xs]
+    total = 0
+    for r in range(len(complement) + 1):
+        for S in itertools.combinations(complement, r):
+            chain = sorted(xs + S)
+            prod = math.prod(v - i for i, v in enumerate(chain, start=1))
+            total += (-1) ** r * math.factorial(top - len(chain)) * prod
+    return total

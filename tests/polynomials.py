@@ -7,7 +7,9 @@ counts instead (``Truncation3.eulerian``); ``truncation_from_multi_affine``
 cuts the same part out of the expansion, so the two routes can be
 compared.  ``polynomialize`` builds a univariate polynomial from a
 coefficient sequence.  ``bisection_refine_root`` narrows a root one bit
-per exact sign test, the oracle for ``spectra._refine_root``.
+per exact sign test, the oracle for ``spectra._refine_root``, and
+``palindromic_from_half_degree`` expands x^m Q(x + 1/x) term by term,
+the oracle for ``spectra._half_degree``.
 """
 
 import itertools
@@ -151,3 +153,18 @@ def bisection_refine_root(
             return AlgebraicBound.exact(Fraction(m, one))
         a, b = (m, b) if sign == slo else (a, m)
     return AlgebraicBound(max(lo, Fraction(a, one)), min(hi, Fraction(b, one)))
+
+
+def palindromic_from_half_degree(g: list[int]) -> list[int]:
+    """x^m Q(x + 1/x), descending, for G(w) = Q(-2 - w) given descending.
+
+    Expanded directly, with no Dickson recurrence: x + 1/x = -2 - w means
+    w = -(x + 1)^2 / x, so x^m Q(x + 1/x) = sum_k (-1)^k g_k (x + 1)^(2k)
+    x^(m - k) over the coefficients g_k of w^k, m = deg G.
+    """
+    m = len(g) - 1
+    out = [0] * (2 * m + 1)  # ascending
+    for k, gk in enumerate(reversed(g)):
+        for i in range(2 * k + 1):
+            out[m - k + i] += (-1) ** k * gk * math.comb(2 * k, i)
+    return out[::-1]

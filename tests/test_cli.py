@@ -295,6 +295,27 @@ class TestRoots:
             "error": "empty range: n-min 5 > n-max 3", "command": "roots"
         }
 
+    def test_prec_past_the_int_string_limit(self, capsys):
+        # Ends of 14400 bits print with more than 4300 digits, the default
+        # int -> str limit of Python 3.11+; main lifts it while it formats
+        # output and restores it afterwards.
+        limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+        code, out, err = run_cli(capsys, ["roots", "--n-max", "2", "--prec", "14400"])
+        assert code == 0 and not err
+        if limit is not None:
+            assert sys.get_int_max_str_digits() == limit
+            sys.set_int_max_str_digits(0)  # to parse the cells here
+        try:
+            rows = parse_csv(out)
+            assert [r["n"] for r in rows] == ["1", "2"]
+            for row in rows:
+                for key in ("q_left", "q_right"):
+                    lo, hi = Fraction(row[f"{key}_lo"]), Fraction(row[f"{key}_hi"])
+                    assert 0 <= hi - lo <= Fraction(1, 2**14400)
+        finally:
+            if limit is not None:
+                sys.set_int_max_str_digits(limit)
+
     def test_environment_does_not_set_prec(self, capsys, monkeypatch):
         # --prec is the only precision input: its default is DEFAULT_PREC
         # whatever the environment holds.

@@ -17,7 +17,12 @@ from eulerian_bounds.eulerian import (
     univariate_eulerian,
 )
 
-from enumeration import descent_top_set, enumerated_descent_top_counts, is_permutation
+from enumeration import (
+    complement_count_by_subsets,
+    descent_top_set,
+    enumerated_descent_top_counts,
+    is_permutation,
+)
 from polynomials import multivariate_eulerian, polynomialize
 
 
@@ -71,7 +76,7 @@ class TestUnivariateEulerian:
     @pytest.mark.parametrize("n", range(13))
     def test_palindromic_and_sum(self, n):
         p = univariate_eulerian(n)
-        assert p.is_palindromic()
+        assert p.coeffs == p.coeffs[::-1]
         assert sum(p.coeffs) == math.factorial(n + 1)
 
     def test_deep_n_from_a_cold_cache(self):
@@ -79,7 +84,7 @@ class TestUnivariateEulerian:
         univariate_eulerian.cache_clear()
         p = univariate_eulerian(600)
         assert p.degree == 600
-        assert p.is_palindromic()
+        assert p.coeffs == p.coeffs[::-1]
         assert sum(p.coeffs) == math.factorial(601)
 
     def test_negative_rejected(self):
@@ -243,6 +248,26 @@ class TestCounting:
         brute = count_exact_bruteforce(n, tops)
         assert count_formula(n, tops, "complement") == brute
         assert count_formula(n, tops, "deletion") == brute
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_complement_program_matches_the_subset_sum(self, n):
+        for size in range(n + 1):
+            for combo in itertools.combinations(range(2, n + 2), size):
+                assert count_formula(n, combo) == complement_count_by_subsets(n + 1, combo)
+
+    @given(
+        st.integers(min_value=1, max_value=24).flatmap(
+            lambda n: st.tuples(
+                st.just(n),
+                st.sets(st.integers(min_value=2, max_value=n + 1), max_size=min(n, 10)),
+            )
+        )
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_complement_matches_deletion(self, case):
+        # Past the enumeration cap the two formulas check each other.
+        n, tops = case
+        assert count_formula(n, tops, "complement") == count_formula(n, tops, "deletion")
 
     def test_n_stability(self):
         # The count depends only on the value set, not on the ambient group.

@@ -28,7 +28,7 @@ from eulerian_bounds.spectra import (
 )
 
 from fraction_elimination import pencil_at
-from polynomials import bisection_refine_root, polynomialize
+from polynomials import bisection_refine_root, palindromic_from_half_degree, polynomialize
 from surds import sqrt_enclosure
 
 
@@ -519,22 +519,38 @@ class TestExtremeRoots:
             extreme_roots(univariate_eulerian(4), 64)
 
     def test_palindromic_input_is_isolated_below_1_only(self, monkeypatch):
-        # A_n(-x) is palindromic, so the continued-fraction run on (1, oo)
-        # would repeat the one on (0, 1) through x -> 1/x: its Taylor shifts
-        # are not made.  The intervals below -1 are the reciprocals of those
-        # in (-1, 0), the outer end (1/0, read None) cut at a finite bound.
+        # A_n is palindromic, so its extreme roots come from the half-degree
+        # polynomial G: the Taylor shifts of isolating G are half the
+        # degree, and only the roots of G are isolated, not their mirrors.
         calls = []
         real = spectra._shift1
         monkeypatch.setattr(spectra, "_shift1", lambda f: calls.append(1) or real(f))
         extreme_roots(univariate_eulerian(32), 128)
-        assert len(calls) <= 112  # 224 when both runs are made
+        assert len(calls) <= 112  # 89 for G; 112 to isolate every root of A_32
+        monkeypatch.undo()
         for n in range(4, 41):
-            desc = [int(c) for c in reversed(univariate_eulerian(n).coeffs)]
-            intervals = [i for i in spectra._isolate(desc)[1] if i != (-1, -1)]
-            inner = [(a, b) for a, b in intervals if a >= -1]
-            outer = [(a, b) for a, b in intervals if b <= -1]
-            mirrored = [(1 / b if b else None, 1 / a) for a, b in reversed(inner)]
-            assert mirrored == [(None, outer[0][1])] + outer[1:]
+            assert_extremes_match_the_isolate_route(univariate_eulerian(n), 128)
+
+    @pytest.mark.parametrize("coeffs, message", [
+        ([1, 1, 1], "not real-rooted"),
+        ([1, 0, 0, 0, 1], "not real-rooted"),  # x^4 + 1: Q = z^2 - 2
+        ([2, 7, 9, 7, 2], "not real-rooted"),  # (x + 2)(2x + 1)(x^2 + x + 1)
+        ([1, 2, 2, 1], "not real-rooted"),  # (x + 1)(x^2 + x + 1)
+        ([2, -5, 2], "not all negative"),  # (x - 2)(2x - 1)
+        ([6, -5, -38, -5, 6], "not all negative"),  # (x + 2)(2x + 1)(x - 3)(3x - 1)
+    ])
+    def test_palindromic_input_failing_the_count_falls_back(self, coeffs, message):
+        assert coeffs == coeffs[::-1]
+        with pytest.raises(ValueError, match=message):
+            extreme_roots(polynomialize(coeffs), 64)
+
+    @pytest.mark.parametrize("n, prec", [(20, 16), (32, 32), (100, 64)])
+    def test_rightmost_root_is_certainly_negative(self, n, prec):
+        # Its interval (1/q, 1/p) ends below 0, so at low prec or large n,
+        # where the root is within 2^-prec of 0, the cell still ends below 0.
+        _, right = extreme_roots(univariate_eulerian(n), prec)
+        assert right.hi < 0 and right.is_certainly_negative()
+        assert right.width <= Fraction(1, 2**prec)
 
     def test_repeated_roots_squarefree_part(self):
         # (1+x)^2 (2+x): all roots negative, one repeated.
@@ -542,6 +558,35 @@ class TestExtremeRoots:
         left, right = extreme_roots(p, 96)
         assert left.contains(-2)
         assert right.contains(-1)
+
+
+def assert_extremes_match_the_isolate_route(p, prec):
+    """``extreme_roots`` of a negative-rooted palindromic p against the
+    cells ``_refine_root`` gives on the extreme intervals of ``_isolate``.
+
+    Both are the dyadic cell of the same root, each clipped to its own
+    isolating interval: the half-degree route's (p, q) and (1/q, 1/p).
+    An exact point of the oracle must lie in the new cell.  A squarefree
+    part x + 1 (A_1) has no half-degree part and keeps the oracle's route.
+    """
+    desc = [int(c) for c in reversed(p.coeffs)]
+    sqf, intervals = spectra._isolate(desc)
+    ends = spectra._palindromic_extremes(sqf)
+    cells = extreme_roots(p, prec)
+    if sqf == [1, 1]:
+        assert ends is None and cells == (AlgebraicBound.exact(Fraction(-1)),) * 2
+        return
+    assert ends is not None and len(intervals) == len(sqf) - 1
+    for (lo, hi), (a, b), cell in zip((intervals[0], intervals[-1]), ends, cells):
+        assert a < b < 0
+        assert cell == spectra._refine_root(sqf, a, b, prec)
+        oracle = spectra._refine_root(sqf, lo, hi, prec)
+        if oracle.lo == oracle.hi:
+            assert cell.lo <= oracle.lo <= cell.hi
+            continue
+        k = math.floor(oracle.lo * 2**prec)  # the oracle's cell, clipped or not
+        dyadic = Fraction(k, 2**prec), Fraction(k + 1, 2**prec)
+        assert cell == AlgebraicBound(max(a, dyadic[0]), min(b, dyadic[1]))
 
 
 def poly_mul(f, g):
@@ -553,7 +598,7 @@ def poly_mul(f, g):
 
 
 @st.composite
-def polynomials_with_known_roots(draw):
+def polynomials_with_known_roots(draw, negative_palindromic=False):
     """An integer polynomial (descending) and its distinct real roots.
 
     Rational roots of multiplicity 1-3, some complex pairs
@@ -561,9 +606,13 @@ def polynomials_with_known_roots(draw):
     reciprocal mode the roots are closed under r -> 1/r, so the polynomial
     is palindromic up to sign: pairs r, 1/r and roots +-1 of multiplicity
     1-3, complex pairs x^2 + b x + 1 with |b| <= 1, and no root at 0.
+    ``negative_palindromic`` forces that mode with negative roots only and
+    no complex pair: a real-rooted polynomial with f = reverse f.
     """
     roots = draw(st.lists(st.fractions(-40, 40, max_denominator=12), max_size=5, unique=True))
-    reciprocal = draw(st.booleans())
+    reciprocal = negative_palindromic or draw(st.booleans())
+    if negative_palindromic:
+        roots = list({-abs(r) for r in roots if r})
     if reciprocal:
         roots = list({s for r in roots if r for s in (r, 1 / r)})
     elif draw(st.booleans()) and 0 not in roots:
@@ -576,7 +625,7 @@ def polynomials_with_known_roots(draw):
             f = poly_mul(f, [r.denominator, -r.numerator])
             if reciprocal and abs(r) > 1:
                 f = poly_mul(f, [r.numerator, -r.denominator])
-    for _ in range(draw(st.integers(0, 2))):
+    for _ in range(draw(st.integers(0, 0 if negative_palindromic else 2))):
         b = draw(st.integers(-1, 1) if reciprocal else st.integers(-5, 5))
         c = 1 if reciprocal else draw(st.integers(b * b // 4 + 1, b * b // 4 + 20))
         f = poly_mul(f, [1, b, c])
@@ -750,3 +799,26 @@ class TestDyadicRefinement:
         cell = spectra._refine_root(sqf, lo, hi, prec)
         assert len(calls) <= most
         assert cell == bisection_refine_root(sqf, lo, hi, prec)
+
+
+class TestHalfDegreeRoute:
+    """A palindromic input's extremes from the half-degree polynomial G."""
+
+    @given(st.one_of(
+        polynomials_with_known_roots(negative_palindromic=True).map(lambda case: case[0][::-1]),
+        st.integers(2, 64).map(lambda n: univariate_eulerian(n).coeffs),
+    ), st.integers(8, 160))
+    @settings(max_examples=120, deadline=None)
+    def test_half_degree_route_matches_the_isolate_route(self, coeffs, prec):
+        assert_extremes_match_the_isolate_route(polynomialize(coeffs), prec)
+
+    @given(polynomials_with_known_roots(negative_palindromic=True))
+    @settings(max_examples=100, deadline=None)
+    def test_half_degree_polynomial_expands_back(self, case):
+        # x^m Q(x + 1/x) = h, expanded term by term, for the palindromic
+        # part h of each squarefree input (sqf = h or (x + 1) h).
+        sqf, _ = spectra._squarefree(case[0])
+        h = sqf if len(sqf) % 2 else spectra._quo(sqf, [1, 1])
+        g = spectra._half_degree(h)
+        assert len(g) == len(h) // 2 + 1
+        assert palindromic_from_half_degree(g) == h
