@@ -26,12 +26,12 @@ consecutive-ratio trend data for the asymptotic separation claims
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterable
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Optional, Union
 
-from .enclosure import DEFAULT_PREC, AlgebraicBound
+from ._record import Record
+from .enclosure import DEFAULT_PREC, AlgebraicBound, Rat
 from .eulerian import univariate_eulerian
 from .lform import Truncation3, lform_from_truncation
 from .pencil import (
@@ -58,13 +58,10 @@ __all__ = [
     "ratio_diagnostic",
 ]
 
-Rat = Union[int, Fraction]
-
 KINDS = ("old", "new")
 
 
-@dataclass(frozen=True)
-class GuessVector:
+class GuessVector(Record):
     """A linearizing vector in R^(n+1) with a free first entry.
 
     ``entries[0] is None`` marks the free parameter y; all other entries
@@ -73,7 +70,7 @@ class GuessVector:
 
     kind: str
     n: int
-    entries: tuple[Optional[Fraction], ...]
+    entries: tuple[Fraction | None, ...]
 
     def __post_init__(self):
         if len(self.entries) != self.n + 1:
@@ -105,8 +102,7 @@ def guess_vector(kind: str, n: int) -> GuessVector:
     return GuessVector(kind=kind, n=n, entries=(None,) + tail)
 
 
-@dataclass(frozen=True)
-class QuadraticInY:
+class QuadraticInY(Record):
     """c2 y^2 + c1 y + c0 with exact rational coefficients."""
 
     c2: Fraction
@@ -213,8 +209,7 @@ def eulerian_un(n: int, prec: int) -> AlgebraicBound:
     return univariate_bound(n, prec)
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(Record):
     """The linearized bound of one (n, kind) pair and its gain over un(n)."""
 
     n: int
@@ -283,7 +278,7 @@ def optimize_y_numeric(
     endpoint competitor but never wins at desk scale.
     """
     d_q, n_q = eulerian_guess_quadratics(n, kind)
-    best: Optional[tuple[AlgebraicBound, AlgebraicBound]] = None
+    best: tuple[AlgebraicBound, AlgebraicBound] | None = None
     for y in _critical_points(*_critical_coefficients(n, kind), prec + 3 * n + 64):
         d_val = d_q.at(y)
         n_val = n_q.at(y)
@@ -303,8 +298,7 @@ def optimize_y_numeric(
     return best
 
 
-@dataclass(frozen=True)
-class RatioDiagnostic:
+class RatioDiagnostic(Record):
     """Consecutive-ratio trend data for a sequence of (index, value).
 
     Ratios pair neighbouring same-sign nonzero entries, at the later

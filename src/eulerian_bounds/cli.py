@@ -30,8 +30,8 @@ import json
 import math
 import os
 import sys
+from collections.abc import Sequence
 from fractions import Fraction
-from typing import Optional, Sequence
 
 from . import bounds as bounds_mod
 from . import eulerian, lform, pencil, spectra
@@ -344,10 +344,12 @@ def _rows_eigvec(args) -> list[dict]:
 
 
 def _to_csv(rows: list[dict]) -> str:
+    header = list(rows[0])
+    if any(list(row) != header for row in rows):
+        raise ValueError(f"a CSV row's keys differ, in set or order, from the header {header}")
     buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=list(rows[0]), lineterminator="\n")
-    writer.writeheader()
-    writer.writerows(rows)
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerows(itertools.chain([header], map(dict.values, rows)))
     return buf.getvalue()
 
 
@@ -542,7 +544,7 @@ def _emit(args, rows: list[dict]) -> str:
     return emit_plot(rows, args.command)
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
+def main(argv: Sequence[str] | None = None) -> int:
     # Each command starts from an empty un cache, as a fresh process does, so
     # its work never depends on what ran before it.
     bounds_mod.eulerian_un.cache_clear()

@@ -11,20 +11,19 @@ enclosed in its dyadic cell by ``spectra``'s one refinement primitive.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
+
+from ._record import Record
 
 __all__ = ["AlgebraicBound", "DEFAULT_PREC"]
 
-Rat = Union[int, Fraction]
+Rat = int | Fraction
 
 # Default certification precision in bits: enclosures are at most 2**-prec wide.
 DEFAULT_PREC = 128
 
 
-@dataclass(frozen=True)
-class AlgebraicBound:
+class AlgebraicBound(Record):
     """A closed rational interval [lo, hi] containing a certified value."""
 
     lo: Fraction
@@ -40,10 +39,6 @@ class AlgebraicBound:
             raise TypeError(f"float {value!r} cannot enter an exact enclosure")
         v = Fraction(value)
         return AlgebraicBound(v, v)
-
-    @property
-    def width(self) -> Fraction:
-        return self.hi - self.lo
 
     @property
     def midpoint(self) -> Fraction:
@@ -64,17 +59,9 @@ class AlgebraicBound:
     def __sub__(self, other) -> "AlgebraicBound":
         return self + (-_coerce(other))
 
-    def __rsub__(self, other) -> "AlgebraicBound":
-        return _coerce(other) + (-self)
-
     def __mul__(self, other) -> "AlgebraicBound":
         other = _coerce(other)
-        products = (
-            self.lo * other.lo,
-            self.lo * other.hi,
-            self.hi * other.lo,
-            self.hi * other.hi,
-        )
+        products = (self.lo * other.lo, self.lo * other.hi, self.hi * other.lo, self.hi * other.hi)
         return AlgebraicBound(min(products), max(products))
 
     __rmul__ = __mul__
@@ -87,42 +74,15 @@ class AlgebraicBound:
     def __truediv__(self, other) -> "AlgebraicBound":
         return self * _coerce(other).reciprocal()
 
-    def __rtruediv__(self, other) -> "AlgebraicBound":
-        return _coerce(other) * self.reciprocal()
-
-    def __abs__(self) -> "AlgebraicBound":
-        if self.lo >= 0:
-            return self
-        if self.hi <= 0:
-            return -self
-        return AlgebraicBound(Fraction(0), max(-self.lo, self.hi))
-
-    def contains(self, value: Rat) -> bool:
-        return self.lo <= value <= self.hi
-
-    def encloses(self, other: "AlgebraicBound") -> bool:
-        return self.lo <= other.lo and other.hi <= self.hi
-
-    # Interval order: "possibly" means the enclosures do not refute the
-    # relation, "certainly" means they prove it.
-    def possibly_leq(self, other) -> bool:
-        return self.lo <= _coerce(other).hi
-
-    def certainly_leq(self, other) -> bool:
-        return self.hi <= _coerce(other).lo
-
+    # "Certainly" means the enclosures prove the relation.
     def certainly_lt(self, other) -> bool:
         return self.hi < _coerce(other).lo
 
     def is_certainly_positive(self) -> bool:
         return self.lo > 0
 
-    def is_certainly_negative(self) -> bool:
-        return self.hi < 0
-
 
 def _coerce(value) -> AlgebraicBound:
     if isinstance(value, AlgebraicBound):
         return value
     return AlgebraicBound.exact(value)
-

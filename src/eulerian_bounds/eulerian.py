@@ -18,10 +18,11 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from collections.abc import Iterable
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable
+
+from ._record import Record
 
 __all__ = [
     "UnivariatePolynomial",
@@ -38,8 +39,7 @@ __all__ = [
 BRUTE_FORCE_MAX_N = 9
 
 
-@dataclass(frozen=True)
-class UnivariatePolynomial:
+class UnivariatePolynomial(Record):
     """A univariate polynomial with exact rational coefficients.
 
     ``coeffs[k]`` holds the coefficient of x^k.  Trailing zeros are

@@ -24,10 +24,10 @@ Monomials are written as sorted index tuples with repetition:
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections.abc import Iterator, Mapping
 from fractions import Fraction
-from typing import Iterator, Mapping
 
+from ._record import Record
 from .eulerian import count_formula
 
 __all__ = [
@@ -50,8 +50,7 @@ def monomials_up_to_3(n: int) -> Iterator[Monomial]:
         yield from itertools.combinations_with_replacement(range(1, n + 1), d)
 
 
-@dataclass(frozen=True)
-class Truncation3:
+class Truncation3(Record):
     """Degree-<=3 truncation of a polynomial normalized to p(0) = 1.
 
     ``coeffs`` maps sorted monomial tuples of length 1..3 to their
@@ -86,8 +85,7 @@ class Truncation3:
         return Truncation3(n=n, degree=n, coeffs=coeffs)
 
 
-@dataclass(frozen=True)
-class LFormTable:
+class LFormTable(Record):
     """Total table of L(m) over all monomials of degree <= 3 in n variables."""
 
     n: int

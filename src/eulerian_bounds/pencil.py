@@ -16,11 +16,11 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from collections.abc import Iterator, Sequence
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterator, Sequence
 
+from ._record import Record
 from .lform import LFormTable, eulerian_lform_table
 
 __all__ = [
@@ -36,8 +36,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SymmetricRationalMatrix:
+class SymmetricRationalMatrix(Record):
     entries: tuple[tuple[Fraction, ...], ...]
 
     def __post_init__(self):
@@ -79,8 +78,7 @@ class SymmetricRationalMatrix:
         return Fraction(_integer_form(rows, u), lcm * den * den)
 
 
-@dataclass(frozen=True)
-class LinearMatrixPencil:
+class LinearMatrixPencil(Record):
     """A_0 + sum_i x_i A_i with symmetric (n+1) x (n+1) coefficients."""
 
     n: int
@@ -88,8 +86,7 @@ class LinearMatrixPencil:
     ai: tuple[SymmetricRationalMatrix, ...]
 
 
-@dataclass(frozen=True)
-class DiagonalPencil:
+class DiagonalPencil(Record):
     """The univariate restriction A_0 + x * A_sum of a pencil."""
 
     a0: SymmetricRationalMatrix
@@ -149,8 +146,7 @@ def eulerian_diagonal_pencil(n: int) -> DiagonalPencil:
     return diagonal_pencil(eulerian_lform_table(n))
 
 
-@dataclass(frozen=True)
-class PsdResult:
+class PsdResult(Record):
     is_psd: bool
     witness: tuple[int, ...] | None = None
     witness_value: Fraction | None = None

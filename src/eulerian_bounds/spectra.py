@@ -29,7 +29,8 @@ primitive-PRS gcd (skipped when a gcd modulo a prime already certifies
 the input squarefree), then continued-fraction isolation with Descartes'
 rule of signs, Taylor shifts by 1, scaling by powers of 2 and
 power-of-two root bounds; a palindromic input's extreme roots come
-from x^-m h(x) = Q(x + 1/x), of half the degree, as reciprocal intervals.
+from x^-m h(x) = Q(x + 1/x), of half the degree, as reciprocal intervals,
+and Q's root count certifies that input squarefree, Yun's test unneeded.
 """
 
 from __future__ import annotations
@@ -37,9 +38,9 @@ from __future__ import annotations
 import decimal
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
+from ._record import Record
 from .enclosure import DEFAULT_PREC, AlgebraicBound
 from .eulerian import UnivariatePolynomial
 from .pencil import DiagonalPencil, PsdResult, SymmetricRationalMatrix, psd_certificate
@@ -295,8 +296,7 @@ def psd_boundary(
     raise ValueError("unbounded below: pencil PSD left of every determinant root")
 
 
-@dataclass(frozen=True)
-class KernelVector:
+class KernelVector(Record):
     """Approximate null vector of the pencil at its PSD boundary, in exact
     rationals (``boundary_kernel_vector``).  ``normalization`` records
     whether the final entry was scaled to 1 or, when that is negligible,
@@ -483,16 +483,19 @@ def _half_degree(h: list[int]) -> list[int]:
 
 def _palindromic_extremes(sqf: list[int]) -> tuple[tuple[Fraction, Fraction], ...] | None:
     # Isolating intervals (p, q) of the leftmost root r* and (1/q, 1/p) of
-    # the rightmost 1/r* of a palindromic squarefree sqf = h or (x + 1) h
-    # with every root negative; None for any other input.  On t < -1,
+    # the rightmost 1/r* of a palindromic sqf = h or (x + 1) h with every
+    # root negative and simple; None for any other input.  On t < -1,
     # w = -(t + 1)^2 / t = -2 - (t + 1/t) falls from oo to 0: h has 2m
-    # distinct negative roots exactly when its half-degree G has m distinct
-    # positive ones, r* maps to the largest, w* in (c, d), and w(p) > d.
+    # distinct roots, none -1, exactly when its half-degree G, squarefree
+    # with G(0) = Q(-2) != 0, has m distinct positive ones; r* maps to the
+    # largest, w* in (c, d), and w(p) > d.
     # The dyadic q is bisected until c2 < w(q) < d (c2 starts the next
     # interval, or is 0) and G's sign at w(q) put it between G's two largest.
     if len(sqf) < 3 or sqf != sqf[::-1]:
         return None
     g = _half_degree(sqf if len(sqf) % 2 else _quo(sqf, [1, 1]))
+    if not g[-1] or len(_squarefree(g)[0]) != len(g):
+        return None
     roots = sorted(_positive_roots(g))
     if len(roots) != len(g) - 1:
         return None
@@ -517,7 +520,8 @@ def extreme_roots(
     degree 2m, is certified so from the integer Q of degree m with
     x^-m h(x) = Q(x + 1/x), which must have m distinct roots below -2;
     Q's leftmost root gives isolating intervals (p, q) and (1/q, 1/p) of
-    both extreme roots, p < q < -1.  Any other input has every root of its
+    both extreme roots, p < q < -1.  A palindromic input passing this
+    count is its own squarefree part.  Any other input has every root of its
     squarefree part isolated.  Isolation is by continued fractions over
     the integers (Descartes' rule of signs on Moebius transforms,
     Collins-Akritas and Akritas-Strzebonski).  Each extreme root is then
@@ -535,8 +539,10 @@ def extreme_roots(
     (desc,), _ = _integer_rows([list(reversed(p.coeffs))])
     if desc[-1] == 0:
         raise ValueError("roots are not all negative: 0 is a root")
-    desc_sqf = _squarefree(desc)[0]
+    desc_sqf = _primitive(desc)  # its own squarefree part if the half-degree route passes
     ends = _palindromic_extremes(desc_sqf)
+    if ends is None and (sqf := _squarefree(desc)[0]) != desc_sqf:
+        desc_sqf, ends = sqf, _palindromic_extremes(sqf)
     if ends is None:
         _, intervals = _isolate(desc_sqf)
         if len(intervals) != len(desc_sqf) - 1:

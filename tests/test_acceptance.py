@@ -40,6 +40,7 @@ from eulerian_bounds.spectra import (
 )
 
 from enumeration import enumerated_descent_top_counts
+from intervals import is_certainly_negative, magnitude, possibly_leq
 from polynomials import multivariate_eulerian, truncation_from_multi_affine
 
 PREC = 128
@@ -144,10 +145,10 @@ def test_criterion_05_soundness_chain():
         for kind in ("old", "new"):
             r = bound_report(n, kind, prec=PREC)
             chain = (
-                r.lin_bound.possibly_leq(x_min)
-                and x_min.possibly_leq(q_right)
-                and q_right.is_certainly_negative()
-                and r.mult.possibly_leq(abs(q_left))
+                possibly_leq(r.lin_bound, x_min)
+                and possibly_leq(x_min, q_right)
+                and is_certainly_negative(q_right)
+                and possibly_leq(r.mult, magnitude(q_left))
             )
             if not chain:
                 failures.append(f"chain broken at n={n} kind={kind}")

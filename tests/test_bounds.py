@@ -31,6 +31,7 @@ from eulerian_bounds.pencil import (
 from eulerian_bounds.spectra import extreme_roots, psd_interval_left
 
 from closed_forms import closed_form_DN
+from intervals import contains, encloses, is_certainly_negative, possibly_leq, rsub, width
 from surds import quadratic_root_enclosure, sqrt_enclosure
 
 SAMPLED_Y = [Fraction(0), Fraction(1), Fraction(-1), Fraction(1, 2), Fraction(-1, 2)]
@@ -139,7 +140,7 @@ class TestClosedFormAgreement:
 class TestOptimalY:
     def test_old_n2_is_one_minus_sqrt_two(self):
         y = paper_y(2, "old", 128)
-        target = 1 - sqrt_enclosure(2, 140)
+        target = rsub(1, sqrt_enclosure(2, 140))
         assert overlaps(y, target)
 
     def test_new_is_opposite_of_old(self):
@@ -157,7 +158,7 @@ class TestOptimalY:
             b = 2 * (nq.c2 * dq.c0 - nq.c0 * dq.c2)
             c = nq.c1 * dq.c0 - nq.c0 * dq.c1
             crit = a * (y * y) + b * y + AlgebraicBound.exact(c)
-            assert crit.contains(0)
+            assert contains(crit, 0)
 
     def test_cubic_terms_cancel_symbolically(self):
         # The y^3 coefficient of N'D - ND' is 2 n2 d2 - 2 d2 n2 = 0 for
@@ -213,15 +214,15 @@ class TestCriticalPoints:
         assert len(cells) == len(coarser) == (1 if b * b == 4 * a * c else 2)
         for cell, wider, branch in zip(cells, coarser, "-+"):
             assert overlaps(cell, quadratic_root_enclosure(a, b, c, branch, prec + 8))
-            assert cell.width <= Fraction(1, 2**prec)
-            assert wider.encloses(cell)
+            assert width(cell) <= Fraction(1, 2**prec)
+            assert encloses(wider, cell)
 
     @pytest.mark.parametrize("n", range(2, 29))
     def test_paper_y_is_the_minus_branch(self, n):
         a, b, c = bounds_mod._critical_coefficients(n, "old")
         y = paper_y(n, "old", 96)
         assert overlaps(y, quadratic_root_enclosure(a, b, c, "-", 104))
-        assert y.width <= Fraction(1, 2**96)
+        assert width(y) <= Fraction(1, 2**96)
 
     @pytest.mark.parametrize("policy", ["paper", "numeric-optimal"])
     def test_y_is_refined_by_the_one_primitive(self, monkeypatch, policy):
@@ -236,8 +237,8 @@ class TestCriticalPoints:
 
 class TestUnivariateBound:
     def test_n1_degenerate_pencil(self):
-        assert univariate_bound(1, 96).contains(1)
-        assert psd_interval_left(bounds_mod._univariate_diagonal(1), 96).contains(-1)
+        assert contains(univariate_bound(1, 96), 1)
+        assert contains(psd_interval_left(bounds_mod._univariate_diagonal(1), 96), -1)
 
     @pytest.mark.parametrize("n", range(2, 41))
     def test_endpoint_is_the_larger_determinant_root(self, n):
@@ -272,9 +273,9 @@ class TestBoundReport:
         r = bound_report(2, "old", prec=128)
         x_min = psd_interval_left(eulerian_diagonal_pencil(2), 128)
         _, q_right = extreme_roots(univariate_eulerian(2), 128)
-        assert r.lin_bound.possibly_leq(x_min)
-        assert x_min.possibly_leq(q_right)
-        assert q_right.is_certainly_negative()
+        assert possibly_leq(r.lin_bound, x_min)
+        assert possibly_leq(x_min, q_right)
+        assert is_certainly_negative(q_right)
         assert overlaps(r.mult, 2 + sqrt_enclosure(2, 140))
 
     def test_n10_new_positivity(self):

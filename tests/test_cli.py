@@ -21,6 +21,8 @@ from eulerian_bounds import AlgebraicBound, bound_report, cli, pencil, spectra
 from eulerian_bounds import bounds as bounds_mod
 from eulerian_bounds.cli import _pool_size, emit_plot, main
 
+from intervals import contains
+
 
 def run_cli(capsys, args):
     code = main(args)
@@ -220,10 +222,10 @@ class TestBounds:
         n1 = rows[0]
         y_policy = {"paper": "paper", "optimal": "numeric-optimal"}[policy]
         fresh = bound_report(1, "old", y_policy, 64)
-        assert enclosure(n1["mult"]) == fresh.mult and fresh.mult.contains(1)
-        assert enclosure(n1["diff"]) == fresh.difference and fresh.difference.contains(0)
+        assert enclosure(n1["mult"]) == fresh.mult and contains(fresh.mult, 1)
+        assert enclosure(n1["diff"]) == fresh.difference and contains(fresh.difference, 0)
         x_min = spectra.psd_interval_left(pencil.eulerian_diagonal_pencil(1), 64)
-        assert enclosure(n1["xmin"]) == x_min and x_min.contains(-1)
+        assert enclosure(n1["xmin"]) == x_min and contains(x_min, -1)
 
     def test_range_cap(self, capsys):
         code, out, err = run_cli(
@@ -273,6 +275,24 @@ class TestCsvHeaders:
             "q_right_lo,q_right_hi,q_left_lo,q_left_hi,un_lo,un_hi,diff_lo,diff_hi,"
             "prec_bits"
         )
+
+    CSV_ROWS = [{"a": 1, "b": "x,y", "c": None}, {"a": 2, "b": 'say "hi"', "c": True}]
+
+    def test_writer_matches_dictwriter(self):
+        buf = io.StringIO()
+        writer = csv.DictWriter(buf, fieldnames=list(self.CSV_ROWS[0]), lineterminator="\n")
+        writer.writeheader()
+        writer.writerows(self.CSV_ROWS)
+        assert cli._to_csv(self.CSV_ROWS) == buf.getvalue()
+
+    @pytest.mark.parametrize("bad", [
+        {"a": 3, "b": 4},  # DictWriter would write c as ""
+        {"a": 3, "b": 4, "c": 5, "d": 6},
+        {"b": 4, "a": 3, "c": 5},
+    ])
+    def test_every_row_repeats_the_header(self, bad):
+        with pytest.raises(ValueError, match="differ"):
+            cli._to_csv(self.CSV_ROWS + [bad])
 
 
 class TestRoots:
@@ -777,11 +797,14 @@ def test_commands_run_without_sympy():
 def test_import_loads_no_process_pool():
     # Only bounds --jobs > 1 needs the process pool, so importing the CLI
     # loads neither concurrent.futures nor multiprocessing;
-    # TestBounds::test_jobs_match_serial covers the pool path.
+    # TestBounds::test_jobs_match_serial covers the pool path.  The value
+    # types are plain records, so no code generation (dataclasses, and the
+    # inspect it loads) and no typing module are paid for at start-up.
     script = (
         "import sys\n"
         "import eulerian_bounds.cli\n"
-        "loaded = [m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules]\n"
+        "loaded = [m for m in ('dataclasses', 'inspect', 'typing', 'concurrent.futures',"
+        " 'multiprocessing') if m in sys.modules]\n"
         "assert not loaded, loaded\n"
     )
     src = os.path.dirname(os.path.dirname(eulerian_bounds.__file__))

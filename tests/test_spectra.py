@@ -28,6 +28,7 @@ from eulerian_bounds.spectra import (
 )
 
 from fraction_elimination import pencil_at
+from intervals import contains, encloses, is_certainly_negative, possibly_leq, rsub, width
 from polynomials import bisection_refine_root, palindromic_from_half_degree, polynomialize
 from surds import sqrt_enclosure
 
@@ -111,12 +112,12 @@ def rescaled_pencils(draw) -> DiagonalPencil:
 class TestPsdIntervalLeft:
     def test_diagonal_toy(self):
         enc = psd_interval_left(diag_pencil([[1, 0], [0, 1]], [[1, 0], [0, 2]]), 64)
-        assert enc.contains(Fraction(-1, 2))
-        assert enc.width <= Fraction(1, 2**64)
+        assert contains(enc, Fraction(-1, 2))
+        assert width(enc) <= Fraction(1, 2**64)
 
     def test_n1_eulerian(self):
         enc = psd_interval_left(eulerian_diagonal_pencil(1), 96)
-        assert enc.contains(-1)
+        assert contains(enc, -1)
 
     def test_n2_matches_true_root(self):
         enc = psd_interval_left(eulerian_diagonal_pencil(2), 128)
@@ -129,7 +130,7 @@ class TestPsdIntervalLeft:
         # ones complete the containment invariant.
         enc = psd_interval_left(eulerian_diagonal_pencil(n), 96)
         _, q_right = extreme_roots(univariate_eulerian(n), 96)
-        assert enc.possibly_leq(q_right)
+        assert possibly_leq(enc, q_right)
 
     def test_min_precision(self):
         with pytest.raises(ValueError):
@@ -147,7 +148,7 @@ class TestPsdIntervalLeft:
         dp = eulerian_diagonal_pencil(5)
         wide = psd_interval_left(dp, 64)
         tight = psd_interval_left(dp, 128)
-        assert wide.encloses(tight)
+        assert encloses(wide, tight)
 
     def test_n1_identically_zero_determinant(self):
         # A0 = A_sum = [[1, 1], [1, 1]]: det(A0 + x A_sum) vanishes for
@@ -162,7 +163,7 @@ class TestPsdIntervalLeft:
         dp = diag_pencil([[1, 0], [0, 1]], [[1, 0], [0, 2]])
         for prec in (16, 64):
             enc = psd_interval_left(dp, prec)
-            assert enc.hi == Fraction(-1, 2) and 0 < enc.width <= Fraction(1, 2**prec)
+            assert enc.hi == Fraction(-1, 2) and 0 < width(enc) <= Fraction(1, 2**prec)
             assert certified_boundary(dp, enc)
 
     def test_psd_set_is_a_single_point(self):
@@ -175,7 +176,7 @@ class TestPsdIntervalLeft:
     def test_lo_not_psd_hi_psd(self, n):
         dp = eulerian_diagonal_pencil(n)
         enc = psd_interval_left(dp, 128)
-        assert enc.width <= Fraction(1, 2**128)
+        assert width(enc) <= Fraction(1, 2**128)
         assert certified_boundary(dp, enc)
 
     @pytest.mark.parametrize("n", (2, 7))
@@ -194,7 +195,7 @@ class TestPsdIntervalLeft:
             return
         enc = psd_interval_left(dp, 32)
         assert overlaps(enc, oracle)
-        assert enc.width <= Fraction(1, 2**32)
+        assert width(enc) <= Fraction(1, 2**32)
         assert certified_boundary(dp, enc)
 
 
@@ -463,12 +464,12 @@ class TestIntegerPsdInput:
 class TestExtremeRoots:
     def test_a1_double_point(self):
         left, right = extreme_roots(univariate_eulerian(1), 128)
-        assert left.contains(-1) and right.contains(-1)
+        assert contains(left, -1) and contains(right, -1)
 
     def test_a2_quadratic_formula(self):
         left, right = extreme_roots(univariate_eulerian(2), 128)
         s3 = sqrt_enclosure(3, 140)
-        assert overlaps(left, -2 - s3)
+        assert overlaps(left, rsub(-2, s3))
         assert overlaps(right, s3 - 2)
 
     def test_a3_factored_form(self):
@@ -476,27 +477,27 @@ class TestExtremeRoots:
         # interior rational root -1 must not be mistaken for an extreme.
         left, right = extreme_roots(univariate_eulerian(3), 128)
         s6 = sqrt_enclosure(6, 140)
-        assert overlaps(left, -5 - 2 * s6)
+        assert overlaps(left, rsub(-5, 2 * s6))
         assert overlaps(right, 2 * s6 - 5)
 
     @pytest.mark.parametrize("n", range(2, 17))
     def test_palindromic_reciprocity(self, n):
         left, right = extreme_roots(univariate_eulerian(n), 128)
         product = left * right
-        assert product.contains(1) or abs(product.midpoint - 1) < Fraction(
+        assert contains(product, 1) or abs(product.midpoint - 1) < Fraction(
             1, 2**100
         )
 
     def test_enclosure_width(self):
         left, right = extreme_roots(univariate_eulerian(9), 128)
-        assert left.width <= Fraction(1, 2**128)
-        assert right.width <= Fraction(1, 2**128)
+        assert width(left) <= Fraction(1, 2**128)
+        assert width(right) <= Fraction(1, 2**128)
 
     def test_enclosures_nest_when_prec_doubles(self):
         wide = extreme_roots(univariate_eulerian(9), 64)
         tight = extreme_roots(univariate_eulerian(9), 128)
-        assert wide[0].encloses(tight[0])
-        assert wide[1].encloses(tight[1])
+        assert encloses(wide[0], tight[0])
+        assert encloses(wide[1], tight[1])
 
     def test_rejects_complex_roots(self):
         with pytest.raises(ValueError, match="not real-rooted"):
@@ -538,6 +539,7 @@ class TestExtremeRoots:
         ([1, 2, 2, 1], "not real-rooted"),  # (x + 1)(x^2 + x + 1)
         ([2, -5, 2], "not all negative"),  # (x - 2)(2x - 1)
         ([6, -5, -38, -5, 6], "not all negative"),  # (x + 2)(2x + 1)(x - 3)(3x - 1)
+        ([2, 1, -6, 1, 2], "not all negative"),  # (x - 1)^2 (x + 2)(2x + 1): G squarefree
     ])
     def test_palindromic_input_failing_the_count_falls_back(self, coeffs, message):
         assert coeffs == coeffs[::-1]
@@ -549,15 +551,15 @@ class TestExtremeRoots:
         # Its interval (1/q, 1/p) ends below 0, so at low prec or large n,
         # where the root is within 2^-prec of 0, the cell still ends below 0.
         _, right = extreme_roots(univariate_eulerian(n), prec)
-        assert right.hi < 0 and right.is_certainly_negative()
-        assert right.width <= Fraction(1, 2**prec)
+        assert right.hi < 0 and is_certainly_negative(right)
+        assert width(right) <= Fraction(1, 2**prec)
 
     def test_repeated_roots_squarefree_part(self):
         # (1+x)^2 (2+x): all roots negative, one repeated.
         p = polynomialize([2, 5, 4, 1])
         left, right = extreme_roots(p, 96)
-        assert left.contains(-2)
-        assert right.contains(-1)
+        assert contains(left, -2)
+        assert contains(right, -1)
 
 
 def assert_extremes_match_the_isolate_route(p, prec):
@@ -741,7 +743,7 @@ class TestDyadicRefinement:
                         max(lo, Fraction(k, 2**p)), min(hi, Fraction(k + 1, 2**p))
                     )
                 cells.append(cell)
-            assert cells[0].encloses(cells[1])
+            assert encloses(cells[0], cells[1])
             on_grid = lo == hi or (r * 2**prec).denominator == 1
             point = spectra._refine_root(sqf, lo, hi, prec, exact=True)
             assert point == (AlgebraicBound.exact(r) if on_grid else cells[1])
@@ -779,7 +781,7 @@ class TestDyadicRefinement:
         real = spectra._value
         monkeypatch.setattr(spectra, "_value", lambda *a: calls.append(1) or real(*a))
         left, right = extreme_roots(univariate_eulerian(20), 1024)
-        assert left.width <= Fraction(1, 2**1024) and right.width <= Fraction(1, 2**1024)
+        assert width(left) <= Fraction(1, 2**1024) and width(right) <= Fraction(1, 2**1024)
         assert len(calls) <= 140
 
     @pytest.mark.parametrize("prec, most", [(128, 32), (1024, 38)])
@@ -803,6 +805,36 @@ class TestDyadicRefinement:
 
 class TestHalfDegreeRoute:
     """A palindromic input's extremes from the half-degree polynomial G."""
+
+    @pytest.mark.parametrize("n", [4, 9, 16, 32])
+    def test_eulerian_input_is_certified_squarefree_on_g(self, monkeypatch, n):
+        # G is built once, and the squarefree test runs on G alone, never
+        # on the full-degree A_n.
+        calls = {"_half_degree": [], "_squarefree": []}
+        for name, seen in calls.items():
+            real = getattr(spectra, name)
+            monkeypatch.setattr(spectra, name, lambda f, real=real, seen=seen: seen.append(len(f)) or real(f))
+        extreme_roots(univariate_eulerian(n), 128)
+        h_len = n if n % 2 else n + 1  # A_n / (x + 1) for odd n
+        assert calls == {"_half_degree": [h_len], "_squarefree": [n // 2 + 1]}
+
+    @pytest.mark.parametrize("prec", [16, 128])
+    @pytest.mark.parametrize("n", [5, 8, 12])
+    def test_non_squarefree_palindromic_input_falls_back(self, monkeypatch, n, prec):
+        # A_n^2 (G not squarefree) and (x + 1)^2 A_n (G(0) = 0) are
+        # palindromic but not squarefree: Yun's decomposition of the input
+        # gives the squarefree part, whose enclosures they share.
+        a = [int(c) for c in reversed(univariate_eulerian(n).coeffs)]
+        sqf_x1 = a if n % 2 else poly_mul([1, 1], a)  # A_n(-1) = 0 for odd n
+        for f, sqf in ((poly_mul(a, a), a), (poly_mul([1, 2, 1], a), sqf_x1)):
+            assert f == f[::-1]
+            seen = []
+            real = spectra._squarefree
+            monkeypatch.setattr(spectra, "_squarefree", lambda g: seen.append(g) or real(g))
+            cells = extreme_roots(polynomialize(f[::-1]), prec)
+            monkeypatch.undo()
+            assert f in seen  # the fallback ran Yun's test on the input itself
+            assert cells == extreme_roots(polynomialize(sqf[::-1]), prec)
 
     @given(st.one_of(
         polynomials_with_known_roots(negative_palindromic=True).map(lambda case: case[0][::-1]),
