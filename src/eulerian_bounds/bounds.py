@@ -37,7 +37,7 @@ from .lform import Truncation3, lform_from_truncation
 from .pencil import (
     DiagonalPencil,
     SymmetricRationalMatrix,
-    diagonal_pencil,
+    build_pencil,
     eulerian_diagonal_pencil,
 )
 from .pencil import _integer_rows
@@ -108,10 +108,6 @@ class QuadraticInY(Record):
     c2: Fraction
     c1: Fraction
     c0: Fraction
-
-    def __call__(self, y: Rat) -> Fraction:
-        y = Fraction(y)
-        return self.c2 * y * y + self.c1 * y + self.c0
 
     def at(self, y: AlgebraicBound) -> AlgebraicBound:
         return self.c2 * (y * y) + self.c1 * y + AlgebraicBound.exact(self.c0)
@@ -184,9 +180,11 @@ def paper_y(n: int, kind: str, prec: int = DEFAULT_PREC) -> AlgebraicBound:
 
 
 def _univariate_diagonal(n: int) -> DiagonalPencil:
+    # The one-variable pencil of A_n, whose A_sum is its A_1.
     a = univariate_eulerian(n).coefficient
     t = Truncation3(n=1, degree=n, coeffs={(1,) * k: a(k) for k in (1, 2, 3)})
-    return diagonal_pencil(lform_from_truncation(t))
+    p = build_pencil(lform_from_truncation(t))
+    return DiagonalPencil(p.a0, p.ai[0])
 
 
 def univariate_bound(n: int, prec: int = DEFAULT_PREC) -> AlgebraicBound:

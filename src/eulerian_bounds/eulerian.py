@@ -27,7 +27,6 @@ from ._record import Record
 __all__ = [
     "UnivariatePolynomial",
     "univariate_eulerian",
-    "descent_top_counts",
     "count_exact_bruteforce",
     "count_formula",
     "closed_form_R",
@@ -42,29 +41,15 @@ BRUTE_FORCE_MAX_N = 9
 class UnivariatePolynomial(Record):
     """A univariate polynomial with exact rational coefficients.
 
-    ``coeffs[k]`` holds the coefficient of x^k.  Trailing zeros are
-    stripped on construction; the zero polynomial is stored as ``(0,)``.
+    ``coeffs[k]`` holds the coefficient of x^k; the last one is nonzero,
+    except in the zero polynomial ``(0,)``.
     """
 
     coeffs: tuple[Fraction, ...]
 
-    @staticmethod
-    def from_coeffs(values: Iterable) -> "UnivariatePolynomial":
-        cs = [Fraction(v) for v in values]
-        while len(cs) > 1 and cs[-1] == 0:
-            cs.pop()
-        return UnivariatePolynomial(tuple(cs))
-
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1
-
-    def __call__(self, x) -> Fraction:
-        x = Fraction(x)
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
 
     def coefficient(self, k: int) -> Fraction:
         return self.coeffs[k] if 0 <= k < len(self.coeffs) else Fraction(0)
@@ -116,20 +101,6 @@ def _descent_top_mask_counts(n: int) -> dict[int, int]:
                 step[mask | bit] = step.get(mask | bit, 0) + c
         counts = step
     return counts
-
-
-def descent_top_counts(n: int) -> dict[frozenset[int], int]:
-    """Counts of every descent-top set over S_{n+1}; values sum to (n+1)!.
-
-    >>> sorted((sorted(X), c) for X, c in descent_top_counts(2).items())
-    [([], 1), ([2], 1), ([2, 3], 1), ([3], 3)]
-    """
-    if not 1 <= n <= BRUTE_FORCE_MAX_N:
-        raise ValueError("enumeration too large")
-    out = {}
-    for mask, c in _descent_top_mask_counts(n).items():
-        out[frozenset(v for v in range(2, n + 2) if mask >> v & 1)] = c
-    return out
 
 
 def _validated_tops(n: int, X: Iterable[int]) -> tuple[int, ...]:

@@ -4,8 +4,10 @@ The linear matrix pencil of a polynomial applies its L-form entrywise to
 the rank-one mold matrix (1, x_1, ..., x_n)^T (1, x_1, ..., x_n): A_0
 takes L of each product monomial, A_i takes L of x_i times it.  Setting
 every variable equal gives A_0 + x * sum(A_i) on the diagonal line, where
-the univariate root bounds are read off; ``diagonal_pencil`` molds that
-restriction straight from the table, never building the A_i.
+the univariate root bounds are read off.  For the Eulerian family
+``eulerian_diagonal_pencil`` writes that restriction in closed form, O(n^2)
+entries of a few big-integer operations each, with no L-form table and
+no A_i; the full pencil is molded from the table only by ``build_pencil``.
 
 PSD decisions are exact, by one fraction-free (Bareiss) elimination kernel
 that also gives determinants and ranks; a negative answer carries an
@@ -14,7 +16,6 @@ integer witness vector v with v^T M v < 0.
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections.abc import Iterator, Sequence
 from fractions import Fraction
@@ -29,7 +30,6 @@ __all__ = [
     "DiagonalPencil",
     "PsdResult",
     "build_pencil",
-    "diagonal_pencil",
     "psd_certificate",
     "eulerian_pencil",
     "eulerian_diagonal_pencil",
@@ -49,12 +49,6 @@ class SymmetricRationalMatrix(Record):
                 if self.entries[i][j] != self.entries[j][i]:
                     raise ValueError(f"matrix not symmetric at ({i}, {j})")
 
-    @staticmethod
-    def from_rows(rows: Sequence[Sequence]) -> "SymmetricRationalMatrix":
-        return SymmetricRationalMatrix(
-            tuple(tuple(Fraction(v) for v in row) for row in rows)
-        )
-
     @property
     def size(self) -> int:
         return len(self.entries)
@@ -66,7 +60,7 @@ class SymmetricRationalMatrix(Record):
         """v^T M v, exactly: the integer u^T M' u for u = d v and M' = l M,
         the vector and the rows cleared once, divided back by l d^2.
 
-        >>> m = SymmetricRationalMatrix.from_rows([[1, 2], [2, 3]])
+        >>> m = SymmetricRationalMatrix(((1, 2), (2, 3)))
         >>> m.quadratic_form([Fraction(1, 2), -1])
         Fraction(5, 4)
         """
@@ -117,33 +111,40 @@ def build_pencil(table: LFormTable) -> LinearMatrixPencil:
     return LinearMatrixPencil(n=n, a0=a0, ai=ai)
 
 
-def diagonal_pencil(table: LFormTable) -> DiagonalPencil:
-    """Mold A_0 + x * A_sum from the table: for the mold's m_0 = 1, m_r = x_r,
-    A_0[r][c] = L(m_r m_c) and A_sum[r][c] = sum_i L(m_r m_c x_i) for r <= c,
-    mirrored.  Keys are built sorted: the factors of m_r m_c split 1..n into
-    ranges, and x_i goes in at the place of the range holding i.
-    """
-    n, upper = table.n, {}
-    try:
-        for r, c in itertools.combinations_with_replacement(range(n + 1), 2):
-            base = tuple(v for v in (r, c) if v)
-            ends = (0,) + base + (n,)
-            upper[r, c] = upper[c, r] = table.values[base], sum(
-                table.values[base[:j] + (i,) + base[j:]]
-                for j in range(len(base) + 1) for i in range(ends[j] + 1, ends[j + 1] + 1))
-    except KeyError as exc:
-        raise KeyError(f"incomplete L-form table: missing {exc.args[0]}") from None
-    return DiagonalPencil(*(SymmetricRationalMatrix(tuple(
-        tuple(upper[r, c][k] for c in range(n + 1)) for r in range(n + 1))) for k in (0, 1)))
-
-
 def eulerian_pencil(n: int) -> LinearMatrixPencil:
     return build_pencil(eulerian_lform_table(n))
 
 
 @lru_cache(maxsize=None)
 def eulerian_diagonal_pencil(n: int) -> DiagonalPencil:
-    return diagonal_pencil(eulerian_lform_table(n))
+    """A_0 + x * A_sum of the n-variable Eulerian pencil, in closed form.
+
+    With the L values of ``lform.eulerian_lform``, A_0[0][0] = n,
+    A_0[0][c] = 2^c - 1, A_0[r][r] = (2^r - 1)^2 and A_0[r][c] =
+    (4^r - 3^r) 2^(c-r) for 1 <= r < c.  A_sum[r][c] = sum_i L(m_r m_c x_i)
+    splits at i = r and i = c into geometric sums in 2, 3, 4 and 6, which
+    collapse to A_sum = (2^(n+1) - 1) A_0 - B, B symmetric with
+    B[0][0] = (n - 1) 2^(n+1) + 2, B[0][c] = (3^c - 2^c) 2^(n+1-c),
+    B[r][r] = (2^r - 1)(3^r - 2^r) 2^(n+1-r) and
+    B[r][c] = (3^r - 2^r) 3^(c-r) 2^(n+r-c).  Summing the table is the
+    oracle in the tests.
+    """
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    pow3 = [3**k for k in range(n + 1)]
+    a0 = [[n] + [(1 << c) - 1 for c in range(1, n + 1)]]
+    b = [[((n - 1) << (n + 1)) + 2]
+         + [(pow3[c] - (1 << c)) << (n + 1 - c) for c in range(1, n + 1)]]
+    for r in range(1, n + 1):  # columns c < r mirror the rows already built
+        g, h, e = (1 << 2 * r) - pow3[r], pow3[r] - (1 << r), (1 << r) - 1
+        a0.append([row[r] for row in a0] + [e * e] + [g << (c - r) for c in range(r + 1, n + 1)])
+        b.append([row[r] for row in b] + [e * h << (n + 1 - r)]
+                 + [h * pow3[c - r] << (n + r - c) for c in range(r + 1, n + 1)])
+    lead = (2 << n) - 1
+    a_sum = tuple(tuple(lead * u - v for u, v in zip(ra, rb)) for ra, rb in zip(a0, b))
+    return DiagonalPencil(
+        SymmetricRationalMatrix(tuple(map(tuple, a0))), SymmetricRationalMatrix(a_sum)
+    )
 
 
 class PsdResult(Record):
@@ -218,7 +219,7 @@ def psd_certificate(m: SymmetricRationalMatrix) -> PsdResult:
     column is not zero, gives an integer witness v with v^T m v < 0,
     verified exactly on the cleared rows just eliminated.
 
-    >>> res = psd_certificate(SymmetricRationalMatrix.from_rows([[0, 1], [1, 0]]))
+    >>> res = psd_certificate(SymmetricRationalMatrix(((0, 1), (1, 0))))
     >>> res.is_psd, res.witness, res.witness_value
     (False, (-1, 2), Fraction(-4, 1))
     """

@@ -491,6 +491,9 @@ def _palindromic_extremes(sqf: list[int]) -> tuple[tuple[Fraction, Fraction], ..
     # largest, w* in (c, d), and w(p) > d.
     # The dyadic q is bisected until c2 < w(q) < d (c2 starts the next
     # interval, or is 0) and G's sign at w(q) put it between G's two largest.
+    # That holds on (r*, r2), longer than half the root separation of sqf,
+    # whose log2 exceeds -(D + 1)(bits + log2(D + 1)) at degree D (Mahler
+    # 1964); past that many halvings a precondition broke.
     if len(sqf) < 3 or sqf != sqf[::-1]:
         return None
     g = _half_degree(sqf if len(sqf) % 2 else _quo(sqf, [1, 1]))
@@ -502,12 +505,14 @@ def _palindromic_extremes(sqf: list[int]) -> tuple[tuple[Fraction, Fraction], ..
     (c, d), c2 = roots[-1], roots[-2][0] if len(roots) > 1 else 0
     inside = 1 if g[0] < 0 else -1  # G's sign between its two largest roots
     p, lo, hi = -2 - d, Fraction(math.floor(-2 - d)), Fraction(-1)
-    while True:  # lo <= r* < r2 <= hi, r2 = -1 or h's next root
-        q = (lo + hi) / 2
+    bits = max(abs(v) for v in sqf).bit_length() + len(sqf).bit_length()
+    for _ in range(int(hi - lo).bit_length() + len(sqf) * bits + 2):
+        q = (lo + hi) / 2  # lo <= r* < r2 <= hi, r2 = -1 or h's next root
         w = -(q + 1) ** 2 / q
         if c2 < w < d and _sign_at(g, w) == inside:
             return (p, q), (1 / q, 1 / p)
         lo, hi = (q, hi) if c2 < w and c <= w else (lo, q)  # w >= w*: q <= r*
+    raise ArithmeticError("half-degree bisection found no point between the two leftmost roots")
 
 
 def extreme_roots(

@@ -2,7 +2,9 @@
 
 ``eulerian_bounds.eulerian`` builds the descent-top distribution by an
 insertion transfer.  This module counts it the obvious way instead,
-permutation by permutation, and shares nothing with the transfer.
+permutation by permutation, and shares nothing with the transfer;
+``descent_top_counts`` reads the transfer's bitmask counts as value sets,
+the form of the enumeration.
 ``complement_count_by_subsets`` sums the complement inclusion-exclusion
 term by term over every subset, the oracle for its dynamic program in
 ``eulerian.count_formula``.
@@ -12,6 +14,8 @@ import itertools
 import math
 from functools import lru_cache
 from typing import Sequence
+
+from eulerian_bounds.eulerian import BRUTE_FORCE_MAX_N, _descent_top_mask_counts
 
 
 def is_permutation(image: Sequence[int]) -> bool:
@@ -34,6 +38,14 @@ def enumerated_descent_top_counts(n: int) -> dict[frozenset[int], int]:
         tops = descent_top_set(perm)
         counts[tops] = counts.get(tops, 0) + 1
     return counts
+
+
+def descent_top_counts(n: int) -> dict[frozenset[int], int]:
+    """Counts of every descent-top set over S_{n+1} by the library's transfer."""
+    if not 1 <= n <= BRUTE_FORCE_MAX_N:
+        raise ValueError("enumeration too large")
+    return {frozenset(v for v in range(2, n + 2) if mask >> v & 1): c
+            for mask, c in _descent_top_mask_counts(n).items()}
 
 
 def complement_count_by_subsets(top: int, xs: tuple[int, ...]) -> int:

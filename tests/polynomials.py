@@ -6,8 +6,10 @@ recursion.  The library reads the degree <= 3 part off descent-top
 counts instead (``Truncation3.eulerian``); ``truncation_from_multi_affine``
 cuts the same part out of the expansion, so the two routes can be
 compared.  ``polynomialize`` builds a univariate polynomial from a
-coefficient sequence.  ``bisection_refine_root`` narrows a root one bit
-per exact sign test, the oracle for ``spectra._refine_root``, and
+coefficient sequence, trailing zeros stripped, and ``quadratic_at``
+evaluates a quadratic in y exactly.  ``bisection_refine_root`` narrows
+a root one bit per exact sign test, the oracle for
+``spectra._refine_root``, and
 ``palindromic_from_half_degree`` expands x^m Q(x + 1/x) term by term,
 the oracle for ``spectra._half_degree``.
 """
@@ -26,10 +28,18 @@ from eulerian_bounds.spectra import _quo, _sign_at
 
 def polynomialize(seq: Sequence) -> UnivariatePolynomial:
     """Turn a finite sequence s(0), ..., s(k) into the polynomial sum s(i) x^i."""
-    values = list(seq)
+    values = [Fraction(v) for v in seq]
     if not values:
         raise ValueError("empty sequence")
-    return UnivariatePolynomial.from_coeffs(values)
+    while len(values) > 1 and values[-1] == 0:
+        values.pop()
+    return UnivariatePolynomial(tuple(values))
+
+
+def quadratic_at(q, y) -> Fraction:
+    """The exact value of a ``bounds.QuadraticInY`` at y."""
+    y = Fraction(y)
+    return q.c2 * y * y + q.c1 * y + q.c0
 
 
 @dataclass(frozen=True)
@@ -60,7 +70,7 @@ class MultiAffinePolynomial:
         out = [0] * (self.n + 1)
         for mask, c in self.coeffs.items():
             out[mask.bit_count()] += c
-        return UnivariatePolynomial.from_coeffs(out)
+        return polynomialize(out)
 
     def level_sums(self) -> tuple[int, ...]:
         """Sum of coefficients of all monomials of each total degree."""

@@ -24,7 +24,6 @@ from eulerian_bounds.eulerian import (
     closed_form_R,
     count_exact_bruteforce,
     count_formula,
-    descent_top_counts,
     univariate_eulerian,
 )
 from eulerian_bounds.lform import (
@@ -39,7 +38,7 @@ from eulerian_bounds.spectra import (
     psd_interval_left,
 )
 
-from enumeration import enumerated_descent_top_counts
+from enumeration import descent_top_counts, enumerated_descent_top_counts
 from intervals import is_certainly_negative, magnitude, possibly_leq
 from polynomials import multivariate_eulerian, truncation_from_multi_affine
 

@@ -32,6 +32,7 @@ from eulerian_bounds.spectra import extreme_roots, psd_interval_left
 
 from closed_forms import closed_form_DN
 from intervals import contains, encloses, is_certainly_negative, possibly_leq, rsub, width
+from polynomials import quadratic_at
 from surds import quadratic_root_enclosure, sqrt_enclosure
 
 SAMPLED_Y = [Fraction(0), Fraction(1), Fraction(-1), Fraction(1, 2), Fraction(-1, 2)]
@@ -78,19 +79,19 @@ class TestGuessVector:
 class TestLinearizedDN:
     def test_concrete_identity_pencil(self):
         dp = DiagonalPencil(
-            a0=SymmetricRationalMatrix.from_rows([[1, 0], [0, 1]]),
-            a_sum=SymmetricRationalMatrix.from_rows([[1, 0], [0, 1]]),
+            a0=SymmetricRationalMatrix(((1, 0), (0, 1))),
+            a_sum=SymmetricRationalMatrix(((1, 0), (0, 1))),
         )
         v = GuessVector(kind="custom", n=1, entries=(None, Fraction(0)))
         d, nq = linearized_DN(dp, v)
         assert (d.c2, d.c1, d.c0) == (1, 0, 0)
-        assert d(1) == 1
-        assert nq(1) == 1
+        assert quadratic_at(d, 1) == 1
+        assert quadratic_at(nq, 1) == 1
 
     def test_n1_all_ones_vector(self):
         d, nq = eulerian_guess_quadratics(1, "old")
-        assert d(1) == 4 and nq(1) == 4
-        assert -d(1) / nq(1) == -1
+        assert quadratic_at(d, 1) == 4 and quadratic_at(nq, 1) == 4
+        assert -quadratic_at(d, 1) / quadratic_at(nq, 1) == -1
 
     def test_symbolic_coefficients(self):
         d, nq = eulerian_guess_quadratics(2, "old")
@@ -111,24 +112,24 @@ class TestClosedFormAgreement:
     def test_new_m2_cross_check(self):
         d_closed, n_closed = closed_form_DN("new", 4, 0)
         dq, nq = eulerian_guess_quadratics(4, "new")
-        assert d_closed == dq(0)
-        assert n_closed == nq(0)
+        assert d_closed == quadratic_at(dq, 0)
+        assert n_closed == quadratic_at(nq, 0)
 
     @pytest.mark.parametrize("n", range(1, 13))
     def test_old_agreement_probe(self, n):
         dq, nq = eulerian_guess_quadratics(n, "old")
         for y in SAMPLED_Y:
             d_closed, n_closed = closed_form_DN("old", n, y)
-            assert d_closed == dq(y), (n, y)
-            assert n_closed == nq(y), (n, y)
+            assert d_closed == quadratic_at(dq, y), (n, y)
+            assert n_closed == quadratic_at(nq, y), (n, y)
 
     @pytest.mark.parametrize("n", range(4, 13, 2))
     def test_new_agreement_probe(self, n):
         dq, nq = eulerian_guess_quadratics(n, "new")
         for y in SAMPLED_Y:
             d_closed, n_closed = closed_form_DN("new", n, y)
-            assert d_closed == dq(y), (n, y)
-            assert n_closed == nq(y), (n, y)
+            assert d_closed == quadratic_at(dq, y), (n, y)
+            assert n_closed == quadratic_at(nq, y), (n, y)
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):

@@ -17,7 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import eulerian_bounds
-from eulerian_bounds import AlgebraicBound, bound_report, cli, pencil, spectra
+from eulerian_bounds import AlgebraicBound, bound_report, cli, lform, pencil, spectra
 from eulerian_bounds import bounds as bounds_mod
 from eulerian_bounds.cli import _pool_size, emit_plot, main
 
@@ -843,14 +843,37 @@ def _spy_on_every_binding(monkeypatch, fn) -> list:
 )
 def test_diagonal_commands_never_build_the_full_pencil(capsys, monkeypatch, argv):
     # bounds, diff and eigvec read only A0 + x A_sum: molding all n
-    # coefficient matrices (build_pencil) is the pencil command's alone.
+    # coefficient matrices (build_pencil) is the pencil command's alone;
+    # un(n) molds only the one-variable pencil of A_n.
     pencil.eulerian_diagonal_pencil.cache_clear()
     bounds_mod.eulerian_guess_quadratics.cache_clear()
     full = _spy_on_every_binding(monkeypatch, pencil.build_pencil)
-    diagonal = _spy_on_every_binding(monkeypatch, pencil.diagonal_pencil)
+    diagonal = _spy_on_every_binding(monkeypatch, pencil.eulerian_diagonal_pencil)
     code, out, _ = run_cli(capsys, argv)
     assert code == 0 and out
-    assert full == [] and diagonal
+    assert all(table.n == 1 for (table,) in full) and diagonal
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["diff", "--kind", "new", "--index-max", "7"],
+        ["bounds", "--n-min", "4", "--n-max", "6", "--kind", "both"],
+        ["eigvec", "--n-max", "5"],
+    ],
+)
+def test_diagonal_commands_build_no_lform_table(capsys, monkeypatch, argv):
+    # The Eulerian diagonal pencil is written in closed form: no O(n^3)
+    # L-form table is built on the bounds, diff and eigvec path.
+    def no_table(n):
+        raise AssertionError(f"L-form table built for n = {n}")
+
+    pencil.eulerian_diagonal_pencil.cache_clear()
+    bounds_mod.eulerian_guess_quadratics.cache_clear()
+    for module in (lform, pencil):
+        monkeypatch.setattr(module, "eulerian_lform_table", no_table)
+    code, out, err = run_cli(capsys, argv)
+    assert code == 0 and out and not err
 
 
 def test_the_pencil_command_builds_the_full_pencil(capsys, monkeypatch):

@@ -13,12 +13,12 @@ from eulerian_bounds.eulerian import (
     closed_form_R,
     count_exact_bruteforce,
     count_formula,
-    descent_top_counts,
     univariate_eulerian,
 )
 
 from enumeration import (
     complement_count_by_subsets,
+    descent_top_counts,
     descent_top_set,
     enumerated_descent_top_counts,
     is_permutation,

@@ -19,7 +19,6 @@ from eulerian_bounds.lform import (
 from eulerian_bounds.pencil import (
     SymmetricRationalMatrix,
     build_pencil,
-    diagonal_pencil,
     eulerian_diagonal_pencil,
     eulerian_pencil,
     psd_certificate,
@@ -32,11 +31,11 @@ from fraction_elimination import (
     ldlt_psd_certificate,
     pencil_at,
 )
-from summed_pencil import summed_diagonal_pencil
+from summed_pencil import diagonal_pencil, summed_diagonal_pencil
 
 
 def M(rows):
-    return SymmetricRationalMatrix.from_rows(rows)
+    return SymmetricRationalMatrix(tuple(tuple(Fraction(v) for v in row) for row in rows))
 
 
 def exact_det(rows) -> Fraction:
@@ -220,6 +219,20 @@ class TestDiagonal:
         expect = summed_diagonal_pencil(eulerian_pencil(n))
         assert eulerian_diagonal_pencil(n) == expect
         assert diagonal_pencil(eulerian_lform_table(n)) == expect
+
+    @pytest.mark.parametrize("n", range(1, 65))
+    def test_closed_form_matches_the_table_sum(self, n):
+        dp = eulerian_diagonal_pencil(n)
+        assert dp == diagonal_pencil(eulerian_lform_table(n))
+        for m in (dp.a0, dp.a_sum):
+            assert all(type(v) is int for row in m.entries for v in row)
+            assert all(m.entries[r][c] == m.entries[c][r]
+                       for r in range(n + 1) for c in range(r))
+
+    @pytest.mark.parametrize("n", [0, -1, -5])
+    def test_closed_form_rejects_n_below_1(self, n):
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            eulerian_diagonal_pencil(n)
 
     @pytest.mark.parametrize(
         "missing", [(), (2,), (1, 2), (2, 2), (1, 1, 2), (1, 2, 2), (2, 2, 2)]

@@ -34,10 +34,10 @@ from surds import sqrt_enclosure
 
 
 def diag_pencil(a0_rows, sum_rows) -> DiagonalPencil:
-    return DiagonalPencil(
-        a0=SymmetricRationalMatrix.from_rows(a0_rows),
-        a_sum=SymmetricRationalMatrix.from_rows(sum_rows),
-    )
+    return DiagonalPencil(*(
+        SymmetricRationalMatrix(tuple(tuple(Fraction(v) for v in row) for row in rows))
+        for rows in (a0_rows, sum_rows)
+    ))
 
 
 def overlaps(a, b) -> bool:
@@ -854,3 +854,12 @@ class TestHalfDegreeRoute:
         g = spectra._half_degree(h)
         assert len(g) == len(h) // 2 + 1
         assert palindromic_from_half_degree(g) == h
+
+    @pytest.mark.parametrize("n", [2, 9, 20])
+    def test_bisection_that_never_lands_raises(self, monkeypatch, n):
+        # A broken precondition, here a sign test that never reads G's sign
+        # between its two largest roots, ends the bisection at its cap.
+        desc = [int(c) for c in reversed(univariate_eulerian(n).coeffs)]
+        monkeypatch.setattr(spectra, "_sign_at", lambda f, x: 0)
+        with pytest.raises(ArithmeticError, match="half-degree bisection"):
+            spectra._palindromic_extremes(desc)
