@@ -28,9 +28,11 @@ Root isolation is integer-only: Yun's squarefree decomposition over a
 primitive-PRS gcd (skipped when a gcd modulo a prime already certifies
 the input squarefree), then continued-fraction isolation with Descartes'
 rule of signs, Taylor shifts by 1, scaling by powers of 2 and
-power-of-two root bounds; a palindromic input's extreme roots come
-from x^-m h(x) = Q(x + 1/x), of half the degree, as reciprocal intervals,
-and Q's root count certifies that input squarefree, Yun's test unneeded.
+power-of-two root bounds.  A palindromic input's extreme roots come
+from x^-m h(x) = Q(x + 1/x), of half the degree, as reciprocal intervals;
+Kurtz's test on Q(-2 - w), after Graeffe root squaring, certifies Q's m
+distinct roots with none isolated, so Descartes' rule brackets Q's extreme
+root alone (a Q failing it keeps Yun's test and the isolation of all roots).
 """
 
 from __future__ import annotations
@@ -481,33 +483,93 @@ def _half_degree(h: list[int]) -> list[int]:
     return g[::-1]
 
 
+# Graeffe steps before Kurtz's test gives up.  A_n needs none up to n = 13,
+# then k steps from n = 14, 26, 52, 104 and 209 (k = 1..5) to at least 300.
+_GRAEFFE_STEPS = 5
+
+
+def _graeffe(f: list[int]) -> list[int]:
+    # F with F(w^2) = f(w) f(-w), descending, whose roots are the squares of
+    # f's: one product f(2^b) f(-2^b) = F(4^b) of Kronecker-packed integers,
+    # read off in slots of n bytes, each raised by half a slot so none borrows.
+    n = (2 * max(abs(c) for c in f).bit_length() + len(f).bit_length()) // 8 + 1
+    pos = neg = 0
+    for c in f:
+        pos, neg = (pos << 4 * n) + c, c - (neg << 4 * n)
+    half = int.from_bytes((b"\x80" + bytes(n - 1)) * len(f), "big")
+    packed = (pos * neg + half).to_bytes(n * len(f), "big")
+    return [int.from_bytes(packed[i:i + n], "big") - (1 << 8 * n - 1)
+            for i in range(0, len(packed), n)]
+
+
+def _kurtz_steps(g: list[int]) -> int | None:
+    # The least k <= _GRAEFFE_STEPS whose Graeffe iterate G_k has strictly
+    # alternating signs and passes Kurtz's test a_j^2 > 4 a_(j-1) a_(j+1)
+    # (Amer. Math. Monthly 99, 1992), or None.  G_k(-w) then has m = deg g
+    # distinct negative roots, so g has m distinct positive ones: a repeated
+    # or non-real root of g (its conjugate has the same real 2^k-th power)
+    # would repeat in G_k or stay non-real, and g's signs rule out roots <= 0.
+    for k in range(_GRAEFFE_STEPS + 1):
+        g = _graeffe(g) if k else g
+        if _variations(g) < len(g) - 1:  # a zero or a repeated sign
+            return None
+        if all(b * b > 4 * a * c for a, b, c in zip(g, g[1:], g[2:])):
+            return k
+    return None
+
+
+def _top_root(g: list[int]) -> tuple[Fraction, Fraction]:
+    # (c, d) holding the largest root of a g that _kurtz_steps certifies and
+    # no other: Descartes' rule, exact there, counts g's roots above c as the
+    # variations of g(c (1 + y)); c bisects (0, d), d = 2^u above every root,
+    # until it counts one, on [r_(m-1), r_m) ((0, r_m) if m = 1), longer than
+    # 2^-sep (Mahler 1964): past u + sep halvings a precondition broke.
+    u, m, a = _root_bound(g), len(g) - 1, Fraction(0)
+    d = b = Fraction(2) ** u
+    sep = len(g) * (max(abs(x) for x in g).bit_length() + len(g).bit_length())
+    for _ in range(u + sep + 2):
+        c = (a + b) / 2
+        j = c.denominator.bit_length() - 1  # c = num / 2^j
+        v = _variations(_shift1([x * c.numerator ** (m - k) << j * k for k, x in enumerate(g)]))
+        if v == 1:
+            return c, d
+        a, b = (c, b) if v > 1 else (a, c)
+    raise ArithmeticError("top-root bisection found no point between the two largest roots")
+
+
 def _palindromic_extremes(sqf: list[int]) -> tuple[tuple[Fraction, Fraction], ...] | None:
     # Isolating intervals (p, q) of the leftmost root r* and (1/q, 1/p) of
     # the rightmost 1/r* of a palindromic sqf = h or (x + 1) h with every
     # root negative and simple; None for any other input.  On t < -1,
     # w = -(t + 1)^2 / t = -2 - (t + 1/t) falls from oo to 0: h has 2m
-    # distinct roots, none -1, exactly when its half-degree G, squarefree
-    # with G(0) = Q(-2) != 0, has m distinct positive ones; r* maps to the
-    # largest, w* in (c, d), and w(p) > d.
-    # The dyadic q is bisected until c2 < w(q) < d (c2 starts the next
-    # interval, or is 0) and G's sign at w(q) put it between G's two largest.
-    # That holds on (r*, r2), longer than half the root separation of sqf,
-    # whose log2 exceeds -(D + 1)(bits + log2(D + 1)) at degree D (Mahler
-    # 1964); past that many halvings a precondition broke.
+    # distinct roots, none -1, exactly when its half-degree G, with
+    # G(0) = Q(-2) != 0, has m distinct positive ones; r* maps to the
+    # largest, w* in (c, d), and w(p) > d.  Kurtz's test certifies that
+    # count, c2 = c >= r_(m-1) from _top_root; else G must be squarefree
+    # with m roots isolated, c2 starting the second.  The dyadic q is
+    # bisected until c2 < w(q) < d and G's sign at w(q) put it in
+    # (max(c, r_(m-1)), w*), with |dw/dq| < 1: longer than G's separation,
+    # or than |G(c)| / max|G'| >= 1 / (den(c)^m m (m + 1) max|a_k| d^(m-1))
+    # on (0, d).  Past that many halvings a precondition broke.
     if len(sqf) < 3 or sqf != sqf[::-1]:
         return None
     g = _half_degree(sqf if len(sqf) % 2 else _quo(sqf, [1, 1]))
-    if not g[-1] or len(_squarefree(g)[0]) != len(g):
-        return None
-    roots = sorted(_positive_roots(g))
-    if len(roots) != len(g) - 1:
-        return None
-    (c, d), c2 = roots[-1], roots[-2][0] if len(roots) > 1 else 0
+    if _kurtz_steps(g) is not None:
+        c, d = _top_root(g)
+        c2 = c
+    else:
+        if not g[-1] or len(_squarefree(g)[0]) != len(g):
+            return None
+        roots = sorted(_positive_roots(g))
+        if len(roots) != len(g) - 1:
+            return None
+        (c, d), c2 = roots[-1], roots[-2][0] if len(roots) > 1 else 0
     inside = 1 if g[0] < 0 else -1  # G's sign between its two largest roots
     p, lo, hi = -2 - d, Fraction(math.floor(-2 - d)), Fraction(-1)
-    bits = max(abs(v) for v in sqf).bit_length() + len(sqf).bit_length()
-    for _ in range(int(hi - lo).bit_length() + len(sqf) * bits + 2):
-        q = (lo + hi) / 2  # lo <= r* < r2 <= hi, r2 = -1 or h's next root
+    sep = len(g) * (max(abs(v) for v in g).bit_length() + len(g).bit_length())
+    gap = len(g) * (c.denominator.bit_length() + math.ceil(d).bit_length())
+    for _ in range(int(hi - lo).bit_length() + sep + gap + 2):
+        q = (lo + hi) / 2  # lo <= r*, and the target stays in (lo, hi)
         w = -(q + 1) ** 2 / q
         if c2 < w < d and _sign_at(g, w) == inside:
             return (p, q), (1 / q, 1 / p)
@@ -523,11 +585,14 @@ def extreme_roots(
     The input must be real-rooted with every root negative (the Eulerian
     situation).  A palindromic squarefree part, h or (x + 1) h with h of
     degree 2m, is certified so from the integer Q of degree m with
-    x^-m h(x) = Q(x + 1/x), which must have m distinct roots below -2;
-    Q's leftmost root gives isolating intervals (p, q) and (1/q, 1/p) of
-    both extreme roots, p < q < -1.  A palindromic input passing this
-    count is its own squarefree part.  Any other input has every root of its
-    squarefree part isolated.  Isolation is by continued fractions over
+    x^-m h(x) = Q(x + 1/x), which must have m distinct roots below -2:
+    Kurtz's test, on Q(-2 - w) or a Graeffe root-squaring iterate,
+    certifies them with no root isolated (a Q failing it has all its roots
+    isolated), and Q's leftmost root, bracketed by Descartes' rule, gives
+    isolating intervals (p, q) and (1/q, 1/p) of both extreme roots,
+    p < q < -1.  A palindromic input passing this count is its own
+    squarefree part.  Any other input has every root of its squarefree
+    part isolated.  Isolation is by continued fractions over
     the integers (Descartes' rule of signs on Moebius transforms,
     Collins-Akritas and Akritas-Strzebonski).  Each extreme root is then
     narrowed to its dyadic cell [k, k+1] / 2**prec, clipped to its

@@ -11,7 +11,8 @@ evaluates a quadratic in y exactly.  ``bisection_refine_root`` narrows
 a root one bit per exact sign test, the oracle for
 ``spectra._refine_root``, and
 ``palindromic_from_half_degree`` expands x^m Q(x + 1/x) term by term,
-the oracle for ``spectra._half_degree``.
+the oracle for ``spectra._half_degree``, and ``graeffe_by_product``
+multiplies G(w) G(-w) out term by term, the oracle for ``spectra._graeffe``.
 """
 
 import itertools
@@ -178,3 +179,18 @@ def palindromic_from_half_degree(g: list[int]) -> list[int]:
         for i in range(2 * k + 1):
             out[m - k + i] += (-1) ** k * gk * math.comb(2 * k, i)
     return out[::-1]
+
+
+def graeffe_by_product(g: list[int]) -> list[int]:
+    """F with F(w^2) = G(w) G(-w), descending, for G given descending.
+
+    The even part of the product, multiplied out coefficient by
+    coefficient with no packing; its odd part must vanish.
+    """
+    asc = g[::-1]
+    product = [0] * (2 * len(g) - 1)  # ascending in w
+    for i, a in enumerate(asc):
+        for j, b in enumerate(asc):
+            product[i + j] += (-1) ** j * a * b
+    assert not any(product[1::2])
+    return product[::2][::-1]

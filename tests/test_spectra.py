@@ -7,8 +7,8 @@ import mpmath
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from sympy.polys.domains import ZZ
-from sympy.polys.rootisolation import dup_isolate_real_roots_sqf
+from sympy.polys.domains import QQ, ZZ
+from sympy.polys.rootisolation import dup_count_real_roots, dup_isolate_real_roots_sqf
 from sympy.polys.sqfreetools import dup_sqf_list, dup_sqf_part
 
 from eulerian_bounds import bounds, spectra
@@ -29,7 +29,12 @@ from eulerian_bounds.spectra import (
 
 from fraction_elimination import pencil_at
 from intervals import contains, encloses, is_certainly_negative, possibly_leq, rsub, width
-from polynomials import bisection_refine_root, palindromic_from_half_degree, polynomialize
+from polynomials import (
+    bisection_refine_root,
+    graeffe_by_product,
+    palindromic_from_half_degree,
+    polynomialize,
+)
 from surds import sqrt_enclosure
 
 
@@ -521,13 +526,14 @@ class TestExtremeRoots:
 
     def test_palindromic_input_is_isolated_below_1_only(self, monkeypatch):
         # A_n is palindromic, so its extreme roots come from the half-degree
-        # polynomial G: the Taylor shifts of isolating G are half the
-        # degree, and only the roots of G are isolated, not their mirrors.
+        # polynomial G, and Kurtz's test certifies G real-rooted: only the
+        # count of G's roots above each bisection point of the top-root
+        # search takes a Taylor shift, of half the degree.
         calls = []
         real = spectra._shift1
         monkeypatch.setattr(spectra, "_shift1", lambda f: calls.append(1) or real(f))
         extreme_roots(univariate_eulerian(32), 128)
-        assert len(calls) <= 112  # 89 for G; 112 to isolate every root of A_32
+        assert len(calls) <= 2  # 89 to isolate every root of G, 112 of A_32
         monkeypatch.undo()
         for n in range(4, 41):
             assert_extremes_match_the_isolate_route(univariate_eulerian(n), 128)
@@ -806,17 +812,19 @@ class TestDyadicRefinement:
 class TestHalfDegreeRoute:
     """A palindromic input's extremes from the half-degree polynomial G."""
 
-    @pytest.mark.parametrize("n", [4, 9, 16, 32])
-    def test_eulerian_input_is_certified_squarefree_on_g(self, monkeypatch, n):
-        # G is built once, and the squarefree test runs on G alone, never
-        # on the full-degree A_n.
-        calls = {"_half_degree": [], "_squarefree": []}
+    @pytest.mark.parametrize("n, steps", [(4, 0), (9, 0), (16, 1), (32, 2)])
+    def test_eulerian_input_is_certified_by_kurtz_on_g(self, monkeypatch, n, steps):
+        # G is built once and passes Kurtz's test after `steps` Graeffe
+        # steps; neither Yun's squarefree test nor the continued-fraction
+        # isolation runs, on G or on the full-degree A_n.
+        calls = {"_half_degree": [], "_kurtz_steps": [], "_squarefree": [], "_positive_roots": []}
         for name, seen in calls.items():
             real = getattr(spectra, name)
-            monkeypatch.setattr(spectra, name, lambda f, real=real, seen=seen: seen.append(len(f)) or real(f))
+            monkeypatch.setattr(spectra, name, lambda f, real=real, seen=seen: seen.append(real(f)) or seen[-1])
         extreme_roots(univariate_eulerian(n), 128)
-        h_len = n if n % 2 else n + 1  # A_n / (x + 1) for odd n
-        assert calls == {"_half_degree": [h_len], "_squarefree": [n // 2 + 1]}
+        assert [len(g) for g in calls["_half_degree"]] == [n // 2 + 1]
+        assert calls["_kurtz_steps"] == [steps]
+        assert calls["_squarefree"] == calls["_positive_roots"] == []
 
     @pytest.mark.parametrize("prec", [16, 128])
     @pytest.mark.parametrize("n", [5, 8, 12])
@@ -863,3 +871,85 @@ class TestHalfDegreeRoute:
         monkeypatch.setattr(spectra, "_sign_at", lambda f, x: 0)
         with pytest.raises(ArithmeticError, match="half-degree bisection"):
             spectra._palindromic_extremes(desc)
+
+
+def half_degree_g(n: int) -> list[int]:
+    """The half-degree G of A_n, descending, for n >= 2."""
+    desc = [int(c) for c in reversed(univariate_eulerian(n).coeffs)]
+    return spectra._half_degree(desc if len(desc) % 2 else spectra._quo(desc, [1, 1]))
+
+
+@st.composite
+def kurtz_candidates(draw) -> list[int]:
+    """An integer G (descending) with a sign variation: strictly
+    alternating signs on random magnitudes, or a product of w - r over
+    positive rationals r (distinct, or with repeats), at times with a
+    complex pair or a root <= 0 as well."""
+    if draw(st.integers(0, 3)) == 0:
+        mags = draw(st.lists(st.integers(1, 10**6), min_size=2, max_size=9))
+        return [(-1) ** k * v for k, v in enumerate(mags)]
+    rs = st.fractions(Fraction(1, 9), 60, max_denominator=9)
+    g = [draw(st.sampled_from([1, -1, 3]))]
+    for r in draw(st.lists(rs, min_size=1, max_size=7, unique=draw(st.booleans()))):
+        g = poly_mul(g, [r.denominator, -r.numerator])
+    extra = draw(st.sampled_from([[1], [1], [1], [1, 1, 5], [1, -2, 2], [1, 3], [1, 0]]))
+    return poly_mul(g, extra)
+
+
+class TestKurtzCertificate:
+    """G certified real-rooted by Kurtz's test after Graeffe root squaring."""
+
+    @given(st.one_of(
+        st.lists(st.integers(-10**30, 10**30), min_size=1, max_size=12),
+        st.integers(2, 48).map(half_degree_g),
+    ))
+    @settings(max_examples=150, deadline=None)
+    def test_graeffe_is_the_even_part_of_g_times_g_at_minus_w(self, g):
+        assert spectra._graeffe(g) == graeffe_by_product(g)
+
+    @given(kurtz_candidates())
+    @settings(max_examples=200, deadline=None)
+    def test_certified_g_has_every_root_positive_and_one_above_the_top_point(self, g):
+        # The continued-fraction isolation finds deg G distinct positive
+        # roots, and sympy's Sturm count puts exactly one root of G, its
+        # largest, in (c, d): one above c (c itself may be a root), none
+        # at d or above.
+        if spectra._kurtz_steps(g) is None:
+            return
+        roots = sorted(spectra._positive_roots(g))
+        assert len(roots) == len(g) - 1 and roots[0][0] >= 0 and roots[0] != (0, 0)
+        c, d = spectra._top_root(g)
+        zz = [ZZ(v) for v in g]
+        count = lambda x: dup_count_real_roots(zz, ZZ, inf=QQ(x.numerator, x.denominator))
+        assert 0 < c < d
+        assert count(c) - (spectra._sign_at(g, c) == 0) == 1 and count(d) == 0
+        a, b = roots[-1]  # the oracle's top interval, (a, b) or the point a = b
+        assert a < d and c < b
+
+    @pytest.mark.parametrize("g", [
+        [1, -5, 8, -6],  # (w - 3)(w^2 - 2w + 2): a complex pair
+        [100, -600, 1126, -678],  # (w - 3)(100 w^2 - 300 w + 226): a pair 0.1 off the axis
+        [1, -5, 7, -3],  # (w - 1)^2 (w - 3): a double root
+        [1, -4, 4],  # (w - 2)^2
+        [1, 0, -7, 6],  # (w - 1)(w - 2)(w + 3): a zero coefficient
+        [1, -4, 1, 6],  # (w + 1)(w - 2)(w - 3): a negative root
+        [1, -3, 2, 0],  # w (w - 1)(w - 2): a root at 0
+    ])
+    def test_certificate_refuses(self, g):
+        assert spectra._kurtz_steps(g) is None
+
+    def test_every_eulerian_g_up_to_64_is_certified_within_the_cap(self):
+        steps = {n: spectra._kurtz_steps(half_degree_g(n)) for n in range(2, 65)}
+        assert None not in steps.values()
+        assert max(steps[n] for n in range(2, 14)) == 0
+        assert (steps[14], steps[32], steps[64]) == (1, 2, 3)
+
+    @pytest.mark.parametrize("count", [0, 2])
+    @pytest.mark.parametrize("n", [2, 9, 20])
+    def test_top_root_search_that_never_counts_one_raises(self, monkeypatch, n, count):
+        # A broken precondition, here a root count that never reads 1, ends
+        # the bisection over c at its cap.
+        g = half_degree_g(n)
+        monkeypatch.setattr(spectra, "_variations", lambda f: count)
+        with pytest.raises(ArithmeticError, match="top-root bisection"):
+            spectra._top_root(g)
