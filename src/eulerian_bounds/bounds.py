@@ -153,15 +153,14 @@ def _critical_coefficients(n: int, kind: str) -> tuple[Fraction, Fraction, Fract
     return a, b, c
 
 
-def _critical_points(a: Rat, b: Rat, c: Rat, prec: int) -> list[AlgebraicBound]:
-    # The real roots of a y^2 + b y + c, cleared to integers, as dyadic
-    # cells of width <= 2**-prec: first the root where it falls (for
-    # N'D - ND', the local maximum of N/D), then the other one, if any.
+def _critical_points(a: Rat, b: Rat, c: Rat, prec: int, count: int = 2) -> list[AlgebraicBound]:
+    # The first ``count`` real roots of a y^2 + b y + c, cleared to integers,
+    # as dyadic cells of width <= 2**-prec: first the root where it falls
+    # (for N'D - ND', the local maximum of N/D), then the other one, if any.
     if a == 0:
         raise ZeroDivisionError("degenerate optimizer: leading coefficient is 0")
     sqf, intervals = _isolate(_integer_rows([[a, b, c]])[0][0])
-    roots = [_refine_root(sqf, lo, hi, prec) for lo, hi in intervals]
-    return roots if a > 0 else roots[::-1]
+    return [_refine_root(sqf, lo, hi, prec) for lo, hi in intervals[::1 if a > 0 else -1][:count]]
 
 
 def paper_y(n: int, kind: str, prec: int = DEFAULT_PREC) -> AlgebraicBound:
@@ -175,7 +174,7 @@ def paper_y(n: int, kind: str, prec: int = DEFAULT_PREC) -> AlgebraicBound:
     """
     if kind not in KINDS:
         raise ValueError(f"unknown vector kind {kind!r}")
-    root = _critical_points(*_critical_coefficients(n, "old"), prec)[0]
+    (root,) = _critical_points(*_critical_coefficients(n, "old"), prec, 1)
     return root if kind == "old" else -root
 
 

@@ -33,6 +33,7 @@ from x^-m h(x) = Q(x + 1/x), of half the degree, as reciprocal intervals;
 Kurtz's test on Q(-2 - w), after Graeffe root squaring, certifies Q's m
 distinct roots with none isolated, so Descartes' rule brackets Q's extreme
 root alone (a Q failing it keeps Yun's test and the isolation of all roots).
+The leftmost root is refined from the reciprocal of the rightmost's cell.
 """
 
 from __future__ import annotations
@@ -483,11 +484,6 @@ def _half_degree(h: list[int]) -> list[int]:
     return g[::-1]
 
 
-# Graeffe steps before Kurtz's test gives up.  A_n needs none up to n = 13,
-# then k steps from n = 14, 26, 52, 104 and 209 (k = 1..5) to at least 300.
-_GRAEFFE_STEPS = 5
-
-
 def _graeffe(f: list[int]) -> list[int]:
     # F with F(w^2) = f(w) f(-w), descending, whose roots are the squares of
     # f's: one product f(2^b) f(-2^b) = F(4^b) of Kronecker-packed integers,
@@ -503,13 +499,13 @@ def _graeffe(f: list[int]) -> list[int]:
 
 
 def _kurtz_steps(g: list[int]) -> int | None:
-    # The least k <= _GRAEFFE_STEPS whose Graeffe iterate G_k has strictly
-    # alternating signs and passes Kurtz's test a_j^2 > 4 a_(j-1) a_(j+1)
-    # (Amer. Math. Monthly 99, 1992), or None.  G_k(-w) then has m = deg g
-    # distinct negative roots, so g has m distinct positive ones: a repeated
-    # or non-real root of g (its conjugate has the same real 2^k-th power)
+    # The least k < bitlen(m), m = deg g, whose Graeffe iterate G_k has strictly
+    # alternating signs and passes Kurtz's test a_j^2 > 4 a_(j-1) a_(j+1) (Amer. Math.
+    # Monthly 99, 1992), or None; A_n with m >= 2 needs bitlen(m) - 2 at most (n <= 420).
+    # G_k(-w) then has m distinct negative roots, so g has m distinct positive ones: a
+    # repeated or non-real root of g (its conjugate has the same real 2^k-th power)
     # would repeat in G_k or stay non-real, and g's signs rule out roots <= 0.
-    for k in range(_GRAEFFE_STEPS + 1):
+    for k in range((len(g) - 1).bit_length()):
         g = _graeffe(g) if k else g
         if _variations(g) < len(g) - 1:  # a zero or a repeated sign
             return None
@@ -592,12 +588,13 @@ def extreme_roots(
     isolating intervals (p, q) and (1/q, 1/p) of both extreme roots,
     p < q < -1.  A palindromic input passing this count is its own
     squarefree part.  Any other input has every root of its squarefree
-    part isolated.  Isolation is by continued fractions over
-    the integers (Descartes' rule of signs on Moebius transforms,
-    Collins-Akritas and Akritas-Strzebonski).  Each extreme root is then
+    part isolated, by continued fractions over the integers (Descartes'
+    rule of signs on Moebius transforms, Collins-Akritas and
+    Akritas-Strzebonski).  Each extreme root, the rightmost first, is then
     narrowed to its dyadic cell [k, k+1] / 2**prec, clipped to its
     isolating interval, and re-checked for a sign change: the enclosures
-    are certified, of width at most 2**-prec, and nest as prec grows.
+    are certified, of width at most 2**-prec, and nest as prec grows.  A
+    palindromic input's leftmost root starts from the reciprocal cell.
 
     >>> from eulerian_bounds.eulerian import univariate_eulerian
     >>> left, right = extreme_roots(univariate_eulerian(2), 16)  # -2 -+ sqrt(3)
@@ -619,12 +616,16 @@ def extreme_roots(
             raise ValueError(f"not real-rooted: {len(intervals)} distinct real roots, "
                              f"squarefree degree {len(desc_sqf) - 1}")
         ends = intervals[0], intervals[-1]
-    left, right = (_refine_root(desc_sqf, lo, hi, prec) for lo, hi in ends)
-    if right.hi > 0:
-        raise ValueError("roots are not all negative")
-    for enc in (left, right):
+    cells = []
+    for lo, hi in ends[::-1]:  # the rightmost root first
+        if cells and desc_sqf == desc_sqf[::-1]:  # the leftmost is 1/(cells[0]'s root),
+            # in [1/hi, 1/lo] of it: widened to the grid, its cell clips as (p, q) does.
+            lo = max(lo, Fraction(math.floor((1 << prec) / cells[0].hi), 1 << prec))
+            hi = min(hi, Fraction(math.ceil((1 << prec) / cells[0].lo), 1 << prec))
+        cells.append(enc := _refine_root(desc_sqf, lo, hi, prec))
+        if enc.hi > 0:
+            raise ValueError("roots are not all negative")
         slo, shi = _sign_at(desc_sqf, enc.lo), _sign_at(desc_sqf, enc.hi)
-        exact_root = enc.lo == enc.hi and slo == 0
-        if not exact_root and slo * shi >= 0:
+        if not (enc.lo == enc.hi and slo == 0) and slo * shi >= 0:
             raise ArithmeticError(f"root enclosure [{enc.lo}, {enc.hi}] has no sign change")
-    return left, right
+    return cells[1], cells[0]

@@ -225,6 +225,15 @@ class TestCriticalPoints:
         assert overlaps(y, quadratic_root_enclosure(a, b, c, "-", 104))
         assert width(y) <= Fraction(1, 2**96)
 
+    @pytest.mark.parametrize("n, kind", [(5, "old"), (8, "new")])
+    def test_paper_y_refines_only_the_root_it_returns(self, monkeypatch, n, kind):
+        cells = []
+        real = spectra._refine_root
+        monkeypatch.setattr(bounds_mod, "_refine_root",
+                            lambda *a: cells.append(real(*a)) or cells[-1])
+        y = paper_y(n, kind, 64)
+        assert len(cells) == 1 and y in (cells[0], -cells[0])
+
     @pytest.mark.parametrize("policy", ["paper", "numeric-optimal"])
     def test_y_is_refined_by_the_one_primitive(self, monkeypatch, policy):
         assert bounds_mod._refine_root is spectra._refine_root

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import mpmath
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from sympy.polys.domains import QQ, ZZ
 from sympy.polys.rootisolation import dup_count_real_roots, dup_isolate_real_roots_sqf
@@ -524,6 +524,24 @@ class TestExtremeRoots:
         with pytest.raises(ArithmeticError, match="no sign change"):
             extreme_roots(univariate_eulerian(4), 64)
 
+    @pytest.mark.parametrize("n", [20, 32])
+    def test_leftmost_root_starts_from_the_rightmost_cell(self, monkeypatch, n):
+        # The rightmost root 1/r* is refined first; r* then starts from the
+        # reciprocal of its cell, about r*^2 2^-prec wide, not from (p, q),
+        # about 2^n wide, where it took 31-33 exact evaluations.
+        evaluations, per_call = [], []
+        real_value, real_refine = spectra._value, spectra._refine_root
+        def refine(*args):
+            start = len(evaluations)
+            cell = real_refine(*args)
+            per_call.append((args[1], len(evaluations) - start))
+            return cell
+        monkeypatch.setattr(spectra, "_value", lambda *a: evaluations.append(1) or real_value(*a))
+        monkeypatch.setattr(spectra, "_refine_root", refine)
+        extreme_roots(univariate_eulerian(n), 128)
+        (right_start, _), (left_start, left_count) = per_call
+        assert right_start > -1 > left_start and left_count <= 12
+
     def test_palindromic_input_is_isolated_below_1_only(self, monkeypatch):
         # A_n is palindromic, so its extreme roots come from the half-degree
         # polynomial G, and Kurtz's test certifies G real-rooted: only the
@@ -809,6 +827,20 @@ class TestDyadicRefinement:
         assert cell == bisection_refine_root(sqf, lo, hi, prec)
 
 
+@st.composite
+def reciprocal_products(draw) -> list[int]:
+    """A palindromic integer polynomial (descending) with every root
+    negative: the product of (x + a)(a x + 1) over distinct rationals
+    a > 1, sometimes times x + 1.  Some a are dyadic or reciprocals of
+    dyadics, so that -a or -1/a falls on the 2^-prec grid."""
+    dyadic = st.builds(lambda k, j: Fraction(k, 2**j), st.integers(1, 200), st.integers(0, 6))
+    a = st.one_of(dyadic, st.fractions(1, 60, max_denominator=12))
+    f = [1, 1] if draw(st.booleans()) else [1]
+    for r in {max(r, 1 / r) for r in draw(st.lists(a, min_size=1, max_size=5))} - {1}:
+        f = poly_mul(f, poly_mul([r.denominator, r.numerator], [r.numerator, r.denominator]))
+    return f if len(f) > 2 else poly_mul(f, [2, 5, 2])
+
+
 class TestHalfDegreeRoute:
     """A palindromic input's extremes from the half-degree polynomial G."""
 
@@ -851,6 +883,14 @@ class TestHalfDegreeRoute:
     @settings(max_examples=120, deadline=None)
     def test_half_degree_route_matches_the_isolate_route(self, coeffs, prec):
         assert_extremes_match_the_isolate_route(polynomialize(coeffs), prec)
+
+    @given(reciprocal_products(), st.integers(8, 160))
+    @example([2, 5, 2], 16)  # (2x + 1)(x + 2): both extreme roots on the grid
+    @example([24, 73, 24], 16)  # (3x + 8)(8x + 3): only the rightmost, -3/8
+    @example([6, 19, 19, 6], 16)  # (x + 1)(2x + 3)(3x + 2): only the leftmost, -3/2
+    @settings(max_examples=150, deadline=None)
+    def test_reciprocal_start_matches_the_isolate_route(self, desc, prec):
+        assert_extremes_match_the_isolate_route(polynomialize(desc[::-1]), prec)
 
     @given(polynomials_with_known_roots(negative_palindromic=True))
     @settings(max_examples=100, deadline=None)
@@ -943,6 +983,24 @@ class TestKurtzCertificate:
         assert None not in steps.values()
         assert max(steps[n] for n in range(2, 14)) == 0
         assert (steps[14], steps[32], steps[64]) == (1, 2, 3)
+
+    def test_first_eulerian_g_needing_k_steps_has_k_of_bitlen_m_minus_2(self):
+        # The cap of bitlen(m) - 1 steps leaves one step of margin on these.
+        first = {}
+        for n in range(2, 105):
+            first.setdefault(spectra._kurtz_steps(half_degree_g(n)), n)
+        assert first == {0: 2, 1: 14, 2: 26, 3: 52, 4: 104}
+        assert all(k == (len(half_degree_g(n)) - 1).bit_length() - 2 for k, n in first.items() if k)
+
+    @pytest.mark.parametrize("m, cap", [(2, 1), (3, 1), (8, 3), (40, 5), (64, 6)])
+    def test_graeffe_steps_are_capped_by_the_degree(self, monkeypatch, m, cap):
+        # (w - 1)^m alternates but repeats its root in every iterate, so it
+        # never passes: bitlen(m) - 1 squarings are spent, then None.
+        calls = []
+        real = spectra._graeffe
+        monkeypatch.setattr(spectra, "_graeffe", lambda f: calls.append(1) or real(f))
+        assert spectra._kurtz_steps([(-1) ** k * math.comb(m, k) for k in range(m + 1)]) is None
+        assert len(calls) == cap
 
     @pytest.mark.parametrize("count", [0, 2])
     @pytest.mark.parametrize("n", [2, 9, 20])
