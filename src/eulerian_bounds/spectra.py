@@ -12,8 +12,9 @@ Three certified quantities live here:
   that refutes PSD just left of it, with the exact corank there read off
   the multiplicity of x_min as a root of the same determinant;
 - enclosures of the extreme (leftmost / rightmost) real roots of a
-  real-rooted univariate polynomial, via exact root isolation, each
-  re-checked for a sign change before it is returned.
+  univariate polynomial whose real roots are negative, each isolated by
+  one Descartes count or by exact root isolation and re-checked for a
+  sign change before it is returned.
 
 Each root enclosure is the dyadic cell [k, k+1] / 2^prec holding the
 root, clipped to its isolating interval: a function of the root and
@@ -24,16 +25,17 @@ It is the one refinement primitive of the package: x_min, the extreme
 roots, the univariate endpoint and the linearization parameter y of
 ``bounds`` (a root of an integer quadratic) are all such cells.
 
-Root isolation is integer-only: Yun's squarefree decomposition over a
-primitive-PRS gcd (skipped when a gcd modulo a prime already certifies
-the input squarefree), then continued-fraction isolation with Descartes'
-rule of signs, Taylor shifts by 1, scaling by powers of 2 and
-power-of-two root bounds.  A palindromic input's extreme roots come
-from x^-m h(x) = Q(x + 1/x), of half the degree, as reciprocal intervals;
-Kurtz's test on Q(-2 - w), after Graeffe root squaring, certifies Q's m
-distinct roots with none isolated, so Descartes' rule brackets Q's extreme
-root alone (a Q failing it keeps Yun's test and the isolation of all roots).
-The leftmost root is refined from the reciprocal of the rightmost's cell.
+An extreme root takes one Descartes count: if f(a + w) has one sign
+variation, f has exactly one real root above a, and a sign change of f on
+(a, a/4), a < 0, isolates it there.  The point a comes from f's last two
+coefficients; the leftmost root takes the same count on the reversed
+coefficients, or, for a palindromic input, the reciprocal interval and,
+once the rightmost root is refined, the reciprocal of its cell.  An input
+failing the count keeps the isolation of every root, over the integers:
+Yun's squarefree decomposition over a primitive-PRS gcd (skipped when a
+gcd modulo a prime already certifies the input squarefree), then
+continued-fraction isolation with Descartes' rule of signs, Taylor shifts
+by 1, scaling by powers of 2 and power-of-two root bounds.
 """
 
 from __future__ import annotations
@@ -436,11 +438,14 @@ def _refine_root(
     if lo == hi:
         k = -(-lo.numerator * one // lo.denominator) - 1
         return AlgebraicBound.exact(lo) if exact else AlgebraicBound(Fraction(k, one), lo)
+    signs = []
     for r in (lo, hi):
-        while _sign_at(desc, r) == 0:
+        while not (s := _sign_at(desc, r)):
             desc = _quo(desc, [r.denominator, -r.numerator])
-    slo = _sign_at(desc, lo)
-    if slo == _sign_at(desc, hi):
+            signs = [-t for t in signs]  # the factor x - hi is negative at lo
+        signs.append(s)
+    slo, shi = signs
+    if slo == shi:
         raise ValueError("interval endpoints do not bracket a sign change")
     scaled = [c << (prec * i) for i, c in enumerate(desc)]
     a, b = lo.numerator * one // lo.denominator, -(-hi.numerator * one // hi.denominator)
@@ -472,105 +477,23 @@ def _refine_root(
     return AlgebraicBound(max(lo, Fraction(a, one)), min(hi, Fraction(b, one)))
 
 
-def _half_degree(h: list[int]) -> list[int]:
-    # G(w) = Q(-2 - w), descending, for a palindromic h of degree 2m and
-    # x^-m h(x) = Q(x + 1/x) = c_m + sum_j c_(m+j) D_j(x + 1/x), by Dickson's
-    # D_0 = 2, D_1 = z, D_(j+1) = z D_j - D_(j-1) at z = -2 - w.
-    m = len(h) // 2
-    g, d_prev, d = [h[m]], [2], [-2, -1]  # ascending in w
-    for c in h[m + 1:]:
-        g = [u + c * v for u, v in itertools.zip_longest(g, d, fillvalue=0)]
-        d_prev, d = d, [-2 * u - v - e for u, v, e in zip(d + [0], [0] + d, d_prev + [0, 0])]
-    return g[::-1]
-
-
-def _graeffe(f: list[int]) -> list[int]:
-    # F with F(w^2) = f(w) f(-w), descending, whose roots are the squares of
-    # f's: one product f(2^b) f(-2^b) = F(4^b) of Kronecker-packed integers,
-    # read off in slots of n bytes, each raised by half a slot so none borrows.
-    n = (2 * max(abs(c) for c in f).bit_length() + len(f).bit_length()) // 8 + 1
-    pos = neg = 0
-    for c in f:
-        pos, neg = (pos << 4 * n) + c, c - (neg << 4 * n)
-    half = int.from_bytes((b"\x80" + bytes(n - 1)) * len(f), "big")
-    packed = (pos * neg + half).to_bytes(n * len(f), "big")
-    return [int.from_bytes(packed[i:i + n], "big") - (1 << 8 * n - 1)
-            for i in range(0, len(packed), n)]
-
-
-def _kurtz_steps(g: list[int]) -> int | None:
-    # The least k < bitlen(m), m = deg g, whose Graeffe iterate G_k has strictly
-    # alternating signs and passes Kurtz's test a_j^2 > 4 a_(j-1) a_(j+1) (Amer. Math.
-    # Monthly 99, 1992), or None; A_n with m >= 2 needs bitlen(m) - 2 at most (n <= 420).
-    # G_k(-w) then has m distinct negative roots, so g has m distinct positive ones: a
-    # repeated or non-real root of g (its conjugate has the same real 2^k-th power)
-    # would repeat in G_k or stay non-real, and g's signs rule out roots <= 0.
-    for k in range((len(g) - 1).bit_length()):
-        g = _graeffe(g) if k else g
-        if _variations(g) < len(g) - 1:  # a zero or a repeated sign
-            return None
-        if all(b * b > 4 * a * c for a, b, c in zip(g, g[1:], g[2:])):
-            return k
-    return None
-
-
-def _top_root(g: list[int]) -> tuple[Fraction, Fraction]:
-    # (c, d) holding the largest root of a g that _kurtz_steps certifies and
-    # no other: Descartes' rule, exact there, counts g's roots above c as the
-    # variations of g(c (1 + y)); c bisects (0, d), d = 2^u above every root,
-    # until it counts one, on [r_(m-1), r_m) ((0, r_m) if m = 1), longer than
-    # 2^-sep (Mahler 1964): past u + sep halvings a precondition broke.
-    u, m, a = _root_bound(g), len(g) - 1, Fraction(0)
-    d = b = Fraction(2) ** u
-    sep = len(g) * (max(abs(x) for x in g).bit_length() + len(g).bit_length())
-    for _ in range(u + sep + 2):
-        c = (a + b) / 2
-        j = c.denominator.bit_length() - 1  # c = num / 2^j
-        v = _variations(_shift1([x * c.numerator ** (m - k) << j * k for k, x in enumerate(g)]))
-        if v == 1:
-            return c, d
-        a, b = (c, b) if v > 1 else (a, c)
-    raise ArithmeticError("top-root bisection found no point between the two largest roots")
-
-
-def _palindromic_extremes(sqf: list[int]) -> tuple[tuple[Fraction, Fraction], ...] | None:
-    # Isolating intervals (p, q) of the leftmost root r* and (1/q, 1/p) of
-    # the rightmost 1/r* of a palindromic sqf = h or (x + 1) h with every
-    # root negative and simple; None for any other input.  On t < -1,
-    # w = -(t + 1)^2 / t = -2 - (t + 1/t) falls from oo to 0: h has 2m
-    # distinct roots, none -1, exactly when its half-degree G, with
-    # G(0) = Q(-2) != 0, has m distinct positive ones; r* maps to the
-    # largest, w* in (c, d), and w(p) > d.  Kurtz's test certifies that
-    # count, c2 = c >= r_(m-1) from _top_root; else G must be squarefree
-    # with m roots isolated, c2 starting the second.  The dyadic q is
-    # bisected until c2 < w(q) < d and G's sign at w(q) put it in
-    # (max(c, r_(m-1)), w*), with |dw/dq| < 1: longer than G's separation,
-    # or than |G(c)| / max|G'| >= 1 / (den(c)^m m (m + 1) max|a_k| d^(m-1))
-    # on (0, d).  Past that many halvings a precondition broke.
-    if len(sqf) < 3 or sqf != sqf[::-1]:
+def _rightmost_interval(f: list[int]) -> tuple[Fraction, Fraction] | None:
+    # (a, a/4), a = -2^-k, k = bitlen(c_1) - bitlen(c_0) - 1, holding the
+    # rightmost real root of f (descending, f(0) = c_0 != 0) and no other
+    # real root; None if one Descartes count and two signs do not show it.
+    # One sign variation of f(a + w), by Descartes' rule, means exactly one
+    # real root above a, simple; a sign change on (a, a/4) puts it there.
+    # For c_0, c_1 > 0, a < -c_0/c_1 < a/4, so a root near -c_0/c_1 (the
+    # rightmost root of an Eulerian A_n) is caught.  f(a + w) comes, scaled
+    # to integers, from f's roots times 2^k shifted by 1 between two sign
+    # flips.
+    n, k = len(f) - 1, f[-2].bit_length() - f[-1].bit_length() - 1
+    flip = lambda g: [-c if j % 2 else c for j, c in enumerate(g)]
+    scaled = [c << k * j - min(k, 0) * n for j, c in enumerate(f)]
+    a = -Fraction(2) ** -k
+    if _variations(flip(_shift1(flip(scaled)))) != 1 or _sign_at(f, a) * _sign_at(f, a / 4) >= 0:
         return None
-    g = _half_degree(sqf if len(sqf) % 2 else _quo(sqf, [1, 1]))
-    if _kurtz_steps(g) is not None:
-        c, d = _top_root(g)
-        c2 = c
-    else:
-        if not g[-1] or len(_squarefree(g)[0]) != len(g):
-            return None
-        roots = sorted(_positive_roots(g))
-        if len(roots) != len(g) - 1:
-            return None
-        (c, d), c2 = roots[-1], roots[-2][0] if len(roots) > 1 else 0
-    inside = 1 if g[0] < 0 else -1  # G's sign between its two largest roots
-    p, lo, hi = -2 - d, Fraction(math.floor(-2 - d)), Fraction(-1)
-    sep = len(g) * (max(abs(v) for v in g).bit_length() + len(g).bit_length())
-    gap = len(g) * (c.denominator.bit_length() + math.ceil(d).bit_length())
-    for _ in range(int(hi - lo).bit_length() + sep + gap + 2):
-        q = (lo + hi) / 2  # lo <= r*, and the target stays in (lo, hi)
-        w = -(q + 1) ** 2 / q
-        if c2 < w < d and _sign_at(g, w) == inside:
-            return (p, q), (1 / q, 1 / p)
-        lo, hi = (q, hi) if c2 < w and c <= w else (lo, q)  # w >= w*: q <= r*
-    raise ArithmeticError("half-degree bisection found no point between the two leftmost roots")
+    return a, a / 4
 
 
 def extreme_roots(
@@ -578,20 +501,23 @@ def extreme_roots(
 ) -> tuple[AlgebraicBound, AlgebraicBound]:
     """Enclosures of the leftmost and rightmost real roots.
 
-    The input must be real-rooted with every root negative (the Eulerian
-    situation).  A palindromic squarefree part, h or (x + 1) h with h of
-    degree 2m, is certified so from the integer Q of degree m with
-    x^-m h(x) = Q(x + 1/x), which must have m distinct roots below -2:
-    Kurtz's test, on Q(-2 - w) or a Graeffe root-squaring iterate,
-    certifies them with no root isolated (a Q failing it has all its roots
-    isolated), and Q's leftmost root, bracketed by Descartes' rule, gives
-    isolating intervals (p, q) and (1/q, 1/p) of both extreme roots,
-    p < q < -1.  A palindromic input passing this count is its own
-    squarefree part.  Any other input has every root of its squarefree
-    part isolated, by continued fractions over the integers (Descartes'
-    rule of signs on Moebius transforms, Collins-Akritas and
-    Akritas-Strzebonski).  Each extreme root, the rightmost first, is then
-    narrowed to its dyadic cell [k, k+1] / 2**prec, clipped to its
+    Every real root must be negative (the Eulerian situation).  The
+    rightmost one is isolated by one Descartes count: with a = -2^-k,
+    k = bitlen(c_1) - bitlen(c_0) - 1 for the input's two lowest
+    coefficients, one sign variation of f(a + w) means exactly one real
+    root above a, simple, and a sign change of f on (a, a/4) puts it
+    there.  The leftmost root is the reciprocal of the reversed
+    polynomial's rightmost, so the same count on the reversed
+    coefficients isolates it in (4/a', 1/a'); a palindromic input is its
+    own reverse and needs no second count.  These intervals isolate the
+    extreme real roots whatever the other roots are: a complex pair
+    between them does not stop the count, so real-rootedness is not
+    checked on this route.  An input failing a count has every root of
+    its squarefree part isolated, by continued fractions over the
+    integers (Descartes' rule of signs on Moebius transforms,
+    Collins-Akritas and Akritas-Strzebonski), and only this route rejects
+    an input as not real-rooted.  Each extreme root, the rightmost first,
+    is then narrowed to its dyadic cell [k, k+1] / 2**prec, clipped to its
     isolating interval, and re-checked for a sign change: the enclosures
     are certified, of width at most 2**-prec, and nest as prec grows.  A
     palindromic input's leftmost root starts from the reciprocal cell.
@@ -606,26 +532,31 @@ def extreme_roots(
     (desc,), _ = _integer_rows([list(reversed(p.coeffs))])
     if desc[-1] == 0:
         raise ValueError("roots are not all negative: 0 is a root")
-    desc_sqf = _primitive(desc)  # its own squarefree part if the half-degree route passes
-    ends = _palindromic_extremes(desc_sqf)
-    if ends is None and (sqf := _squarefree(desc)[0]) != desc_sqf:
-        desc_sqf, ends = sqf, _palindromic_extremes(sqf)
-    if ends is None:
-        _, intervals = _isolate(desc_sqf)
-        if len(intervals) != len(desc_sqf) - 1:
+    f = _primitive(desc)
+    right = _rightmost_interval(f)
+    left = right if f == f[::-1] else right and _rightmost_interval(f[::-1])
+    if left:  # x -> 1/x takes the reversed f's rightmost root to f's leftmost
+        ends = (4 / left[0], 1 / left[0]), right
+    else:
+        f, intervals = _isolate(desc)
+        if len(intervals) != len(f) - 1:
             raise ValueError(f"not real-rooted: {len(intervals)} distinct real roots, "
-                             f"squarefree degree {len(desc_sqf) - 1}")
+                             f"squarefree degree {len(f) - 1}")
         ends = intervals[0], intervals[-1]
     cells = []
     for lo, hi in ends[::-1]:  # the rightmost root first
-        if cells and desc_sqf == desc_sqf[::-1]:  # the leftmost is 1/(cells[0]'s root),
-            # in [1/hi, 1/lo] of it: widened to the grid, its cell clips as (p, q) does.
+        if cells and f == f[::-1]:  # the leftmost is 1/(cells[0]'s root),
+            # in [1/hi, 1/lo] of it: widened to the grid, its cell clips as (lo, hi) does.
             lo = max(lo, Fraction(math.floor((1 << prec) / cells[0].hi), 1 << prec))
             hi = min(hi, Fraction(math.ceil((1 << prec) / cells[0].lo), 1 << prec))
-        cells.append(enc := _refine_root(desc_sqf, lo, hi, prec))
+        cells.append(enc := _refine_root(f, lo, hi, prec))
         if enc.hi > 0:
             raise ValueError("roots are not all negative")
-        slo, shi = _sign_at(desc_sqf, enc.lo), _sign_at(desc_sqf, enc.hi)
+        g = f  # an open cell may end on a neighbouring root: deflated first
+        for r in (enc.lo, enc.hi) if enc.lo < enc.hi else ():
+            while not _sign_at(g, r):
+                g = _quo(g, [r.denominator, -r.numerator])
+        slo, shi = _sign_at(g, enc.lo), _sign_at(g, enc.hi)
         if not (enc.lo == enc.hi and slo == 0) and slo * shi >= 0:
             raise ArithmeticError(f"root enclosure [{enc.lo}, {enc.hi}] has no sign change")
     return cells[1], cells[0]

@@ -9,10 +9,7 @@ compared.  ``polynomialize`` builds a univariate polynomial from a
 coefficient sequence, trailing zeros stripped, and ``quadratic_at``
 evaluates a quadratic in y exactly.  ``bisection_refine_root`` narrows
 a root one bit per exact sign test, the oracle for
-``spectra._refine_root``, and
-``palindromic_from_half_degree`` expands x^m Q(x + 1/x) term by term,
-the oracle for ``spectra._half_degree``, and ``graeffe_by_product``
-multiplies G(w) G(-w) out term by term, the oracle for ``spectra._graeffe``.
+``spectra._refine_root``.
 """
 
 import itertools
@@ -165,32 +162,3 @@ def bisection_refine_root(
         a, b = (m, b) if sign == slo else (a, m)
     return AlgebraicBound(max(lo, Fraction(a, one)), min(hi, Fraction(b, one)))
 
-
-def palindromic_from_half_degree(g: list[int]) -> list[int]:
-    """x^m Q(x + 1/x), descending, for G(w) = Q(-2 - w) given descending.
-
-    Expanded directly, with no Dickson recurrence: x + 1/x = -2 - w means
-    w = -(x + 1)^2 / x, so x^m Q(x + 1/x) = sum_k (-1)^k g_k (x + 1)^(2k)
-    x^(m - k) over the coefficients g_k of w^k, m = deg G.
-    """
-    m = len(g) - 1
-    out = [0] * (2 * m + 1)  # ascending
-    for k, gk in enumerate(reversed(g)):
-        for i in range(2 * k + 1):
-            out[m - k + i] += (-1) ** k * gk * math.comb(2 * k, i)
-    return out[::-1]
-
-
-def graeffe_by_product(g: list[int]) -> list[int]:
-    """F with F(w^2) = G(w) G(-w), descending, for G given descending.
-
-    The even part of the product, multiplied out coefficient by
-    coefficient with no packing; its odd part must vanish.
-    """
-    asc = g[::-1]
-    product = [0] * (2 * len(g) - 1)  # ascending in w
-    for i, a in enumerate(asc):
-        for j, b in enumerate(asc):
-            product[i + j] += (-1) ** j * a * b
-    assert not any(product[1::2])
-    return product[::2][::-1]

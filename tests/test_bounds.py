@@ -171,6 +171,31 @@ class TestOptimalY:
         with pytest.raises(ZeroDivisionError, match="degenerate"):
             paper_y(1, "old", 64)
 
+    # Each guard below refuses corrupt quadratics handed over in place of
+    # the vector's D(y) and N(y), given as (D, N) coefficients (c2, c1, c0).
+
+    def test_negative_discriminant_is_refused(self, monkeypatch):
+        # Interlacing roots (1, 3 against 0, 2) make the resultant of N and D,
+        # a quarter of the discriminant of N'D - ND', negative.
+        quads = QuadraticInY(1, -4, 3), QuadraticInY(1, -2, 0)
+        monkeypatch.setattr(bounds_mod, "eulerian_guess_quadratics", lambda n, kind: quads)
+        with pytest.raises(ArithmeticError, match="negative discriminant -12 for n=4 kind=old"):
+            paper_y(4, "old", 64)
+
+    def test_no_admissible_critical_point_is_refused(self, monkeypatch):
+        # D and N are not both positive at either critical point.
+        quads = QuadraticInY(1, -3, -1), QuadraticInY(1, 3, 1)
+        monkeypatch.setattr(bounds_mod, "eulerian_guess_quadratics", lambda n, kind: quads)
+        with pytest.raises(ArithmeticError, match="no admissible critical point for n=4 kind=old"):
+            optimize_y_numeric(4, "old", 64)
+
+    def test_supremum_at_infinity_is_refused(self, monkeypatch):
+        # The admissible critical point's N/D stays below the limit N.c2/D.c2 = 1.
+        quads = QuadraticInY(1, -3, -3), QuadraticInY(1, -1, -1)
+        monkeypatch.setattr(bounds_mod, "eulerian_guess_quadratics", lambda n, kind: quads)
+        with pytest.raises(ArithmeticError, match="ratio supremum escapes to infinity"):
+            optimize_y_numeric(4, "old", 64)
+
     def test_growth_magnitude(self):
         # |y| tracks 3^(n+1) / (2^(n+1) n); the sign settles positive for
         # n >= 4 (the new family then takes the negative opposite).

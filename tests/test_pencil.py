@@ -266,6 +266,12 @@ class TestPsdCertificate:
         assert not res.is_psd
         assert res.witness_value < 0
 
+    def test_witness_failing_verification_is_refused(self, monkeypatch):
+        # A quadratic form that reads 0 on the witness does not refute PSD.
+        monkeypatch.setattr(pencil, "_integer_form", lambda rows, w: 0)
+        with pytest.raises(ArithmeticError, match="PSD witness failed exact verification"):
+            psd_certificate(M([[0, 1], [1, 0]]))
+
     def test_zero_row_is_fine(self):
         assert psd_certificate(M([[0, 0], [0, 1]])).is_psd
         assert psd_certificate(M([[1, 0], [0, 0]])).is_psd

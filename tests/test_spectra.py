@@ -7,8 +7,8 @@ import mpmath
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
-from sympy.polys.domains import QQ, ZZ
-from sympy.polys.rootisolation import dup_count_real_roots, dup_isolate_real_roots_sqf
+from sympy.polys.domains import ZZ
+from sympy.polys.rootisolation import dup_isolate_real_roots_sqf
 from sympy.polys.sqfreetools import dup_sqf_list, dup_sqf_part
 
 from eulerian_bounds import bounds, spectra
@@ -29,12 +29,7 @@ from eulerian_bounds.spectra import (
 
 from fraction_elimination import pencil_at
 from intervals import contains, encloses, is_certainly_negative, possibly_leq, rsub, width
-from polynomials import (
-    bisection_refine_root,
-    graeffe_by_product,
-    palindromic_from_half_degree,
-    polynomialize,
-)
+from polynomials import bisection_refine_root, polynomialize
 from surds import sqrt_enclosure
 
 
@@ -155,6 +150,13 @@ class TestPsdIntervalLeft:
         tight = psd_interval_left(dp, 128)
         assert encloses(wide, tight)
 
+    def test_enclosure_not_psd_at_hi_is_refused(self, monkeypatch):
+        # A cell moved 1 left of x_min is not PSD at either end.
+        real = spectra._refine_root
+        monkeypatch.setattr(spectra, "_refine_root", lambda *a, **k: real(*a, **k) - 1)
+        with pytest.raises(ArithmeticError, match="x_min enclosure is not PSD at hi"):
+            psd_interval_left(eulerian_diagonal_pencil(4), 64)
+
     def test_n1_identically_zero_determinant(self):
         # A0 = A_sum = [[1, 1], [1, 1]]: det(A0 + x A_sum) vanishes for
         # every x, and the common kernel (1, -1) has to be split off.
@@ -249,6 +251,14 @@ class TestKernelVector:
             for n in range(1, 17)
         ]
         assert flags == [True] + [False] * 15
+
+    def test_enclosure_without_determinant_root_is_refused(self, monkeypatch):
+        # A squarefree decomposition whose one factor, x + 1, has its root
+        # far left of x_min leaves no root in the cell.
+        real = spectra._squarefree
+        monkeypatch.setattr(spectra, "_squarefree", lambda d: (real(d)[0], [([1, 1], 1)]))
+        with pytest.raises(ArithmeticError, match="no determinant root in the x_min enclosure"):
+            boundary_kernel_vector(eulerian_diagonal_pencil(4), 64)
 
     def test_double_root_is_degenerate(self):
         # det(I + x I) = (1 + x)^2: corank 2 at x_min = -1.
@@ -346,7 +356,7 @@ class TestKernelVector:
             return x, det, 1, witness
 
         monkeypatch.setattr(spectra, "psd_boundary", common_kernel)
-        with pytest.raises(ArithmeticError, match="nonsingular"):
+        with pytest.raises(ArithmeticError, match="numerically singular boundary matrix is nonsingular"):
             boundary_kernel_vector(eulerian_diagonal_pencil(4), 64)
 
     def test_residual_contract(self):
@@ -432,7 +442,7 @@ class TestKernelVector:
             return x - Fraction(1, 2), det, kernel_dim, witness
 
         monkeypatch.setattr(spectra, "psd_boundary", shifted)
-        with pytest.raises(ArithmeticError, match="residual"):
+        with pytest.raises(ArithmeticError, match=r"kernel residual .* exceeds 2\^-32"):
             boundary_kernel_vector(dp, 64)
 
 
@@ -508,6 +518,51 @@ class TestExtremeRoots:
         with pytest.raises(ValueError, match="not real-rooted"):
             extreme_roots(polynomialize([1, 1, 1]), 64)
 
+    def test_complex_pair_between_the_extreme_roots_passes_the_count(self):
+        # (x + 8)(8x + 1)(x^2 + x + 1): the count isolates the extreme real
+        # roots, on the grid, whatever lies between them; real-rootedness is
+        # checked only where the count fails.
+        left, right = extreme_roots(polynomialize([8, 73, 81, 73, 8]), 64)
+        assert (left, right) == (AlgebraicBound.exact(-8), AlgebraicBound.exact(Fraction(-1, 8)))
+
+    @pytest.mark.parametrize("coeffs, leftmost, counts", [
+        ([36, 51, 16, 1], -12, 2),  # (x + 1)(x + 3)(x + 12): a second count on the reversed f
+        ([30, 43, 14, 1], -10, 1),  # (x + 1)(x + 3)(x + 10): the rightmost root is a = -1 itself
+    ])
+    def test_non_palindromic_input_takes_two_counts(self, monkeypatch, coeffs, leftmost, counts):
+        # The leftmost root is the reciprocal of the reversed polynomial's
+        # rightmost; a count that fails leaves both to Yun's test and the
+        # isolation of every root.
+        calls = {"_rightmost_interval": [], "_squarefree": []}
+        for name, seen in calls.items():
+            real = getattr(spectra, name)
+            monkeypatch.setattr(spectra, name, lambda f, real=real, seen=seen: seen.append(real(f)) or seen[-1])
+        left, right = extreme_roots(polynomialize(coeffs), 64)
+        assert (left, right) == (AlgebraicBound.exact(leftmost), AlgebraicBound.exact(-1))
+        assert len(calls["_rightmost_interval"]) == counts
+        assert len(calls["_squarefree"]) == (counts == 1)
+
+    def test_inexact_division_is_refused(self, monkeypatch):
+        # A gcd that does not divide (x + 1)^2 (x + 2), which fails the count.
+        monkeypatch.setattr(spectra, "_gcd", lambda f, g, p=0: [1, 7])
+        with pytest.raises(ArithmeticError, match="inexact polynomial division"):
+            extreme_roots(polynomialize([2, 5, 4, 1]), 64)
+
+    def test_cell_clipped_to_a_neighbouring_root_passes_the_self_check(self):
+        # (33x + 1)(232x + 7)(x + 2): the rightmost root -7/232 is isolated
+        # in (-1/33, -3/100), and its cell at prec 8 is clipped to the root
+        # -1/33, where f is 0; the re-check deflates that neighbour.
+        left, right = extreme_roots(polynomialize([14, 933, 15775, 7656]), 8)
+        assert left == AlgebraicBound.exact(-2)
+        assert right == AlgebraicBound(Fraction(-1, 33), Fraction(-3, 100))
+
+    def test_count_without_a_sign_change_falls_back(self):
+        # (x - 1)(x + 1)^3: the one root above a = -1 is 1, and both counts
+        # read one, but f has no sign change on (a, a/4), so the isolation
+        # route runs and finds the positive root.
+        with pytest.raises(ValueError, match="not all negative"):
+            extreme_roots(polynomialize([-1, -2, 0, 2, 1]), 64)
+
     def test_rejects_positive_roots(self):
         with pytest.raises(ValueError, match="not all negative"):
             extreme_roots(polynomialize([-2, 1, 1]), 64)
@@ -521,14 +576,15 @@ class TestExtremeRoots:
         monkeypatch.setattr(
             spectra, "_refine_root", lambda *args: real(*args) - Fraction(1, 4)
         )
-        with pytest.raises(ArithmeticError, match="no sign change"):
+        with pytest.raises(ArithmeticError, match=r"root enclosure \[.*\] has no sign change"):
             extreme_roots(univariate_eulerian(4), 64)
 
     @pytest.mark.parametrize("n", [20, 32])
     def test_leftmost_root_starts_from_the_rightmost_cell(self, monkeypatch, n):
         # The rightmost root 1/r* is refined first; r* then starts from the
-        # reciprocal of its cell, about r*^2 2^-prec wide, not from (p, q),
-        # about 2^n wide, where it took 31-33 exact evaluations.
+        # reciprocal of its cell, about r*^2 2^-prec wide, not from its
+        # isolating interval, about 2^n wide, where it took 31-33 exact
+        # evaluations.  Each end's sign is taken once.
         evaluations, per_call = [], []
         real_value, real_refine = spectra._value, spectra._refine_root
         def refine(*args):
@@ -540,18 +596,19 @@ class TestExtremeRoots:
         monkeypatch.setattr(spectra, "_refine_root", refine)
         extreme_roots(univariate_eulerian(n), 128)
         (right_start, _), (left_start, left_count) = per_call
-        assert right_start > -1 > left_start and left_count <= 12
+        assert right_start > -1 > left_start and left_count <= 7
 
     def test_palindromic_input_is_isolated_below_1_only(self, monkeypatch):
-        # A_n is palindromic, so its extreme roots come from the half-degree
-        # polynomial G, and Kurtz's test certifies G real-rooted: only the
-        # count of G's roots above each bisection point of the top-root
-        # search takes a Taylor shift, of half the degree.
+        # A_n is palindromic, so one Descartes count, one Taylor shift,
+        # isolates its rightmost root, and the reciprocal interval its
+        # leftmost; no other root is isolated.
         calls = []
         real = spectra._shift1
         monkeypatch.setattr(spectra, "_shift1", lambda f: calls.append(1) or real(f))
-        extreme_roots(univariate_eulerian(32), 128)
-        assert len(calls) <= 2  # 89 to isolate every root of G, 112 of A_32
+        for n in (32, 200):
+            calls.clear()
+            extreme_roots(univariate_eulerian(n), 128)
+            assert len(calls) <= 1  # 112 to isolate every root of A_32
         monkeypatch.undo()
         for n in range(4, 41):
             assert_extremes_match_the_isolate_route(univariate_eulerian(n), 128)
@@ -591,19 +648,21 @@ def assert_extremes_match_the_isolate_route(p, prec):
     cells ``_refine_root`` gives on the extreme intervals of ``_isolate``.
 
     Both are the dyadic cell of the same root, each clipped to its own
-    isolating interval: the half-degree route's (p, q) and (1/q, 1/p).
-    An exact point of the oracle must lie in the new cell.  A squarefree
-    part x + 1 (A_1) has no half-degree part and keeps the oracle's route.
+    isolating interval: the count's (a, a/4) and its reciprocal
+    (4/a, 1/a).  An exact point of the oracle must lie in the new cell.
+    An input failing the count (its rightmost root repeated, or at a)
+    takes the oracle's route, so its cells are the oracle's.
     """
     desc = [int(c) for c in reversed(p.coeffs)]
     sqf, intervals = spectra._isolate(desc)
-    ends = spectra._palindromic_extremes(sqf)
+    right = spectra._rightmost_interval(spectra._primitive(desc))
     cells = extreme_roots(p, prec)
-    if sqf == [1, 1]:
-        assert ends is None and cells == (AlgebraicBound.exact(Fraction(-1)),) * 2
+    assert len(intervals) == len(sqf) - 1
+    extremes = intervals[0], intervals[-1]
+    if right is None:
+        assert cells == tuple(spectra._refine_root(sqf, lo, hi, prec) for lo, hi in extremes)
         return
-    assert ends is not None and len(intervals) == len(sqf) - 1
-    for (lo, hi), (a, b), cell in zip((intervals[0], intervals[-1]), ends, cells):
+    for (lo, hi), (a, b), cell in zip(extremes, ((4 / right[0], 1 / right[0]), right), cells):
         assert a < b < 0
         assert cell == spectra._refine_root(sqf, a, b, prec)
         oracle = spectra._refine_root(sqf, lo, hi, prec)
@@ -842,44 +901,65 @@ def reciprocal_products(draw) -> list[int]:
 
 
 class TestHalfDegreeRoute:
-    """A palindromic input's extremes from the half-degree polynomial G."""
+    """Extremes from one Descartes count, against the isolation of every root."""
 
-    @pytest.mark.parametrize("n, steps", [(4, 0), (9, 0), (16, 1), (32, 2)])
-    def test_eulerian_input_is_certified_by_kurtz_on_g(self, monkeypatch, n, steps):
-        # G is built once and passes Kurtz's test after `steps` Graeffe
-        # steps; neither Yun's squarefree test nor the continued-fraction
-        # isolation runs, on G or on the full-degree A_n.
-        calls = {"_half_degree": [], "_kurtz_steps": [], "_squarefree": [], "_positive_roots": []}
+    @pytest.mark.parametrize("n", [4, 9, 16, 32])
+    def test_eulerian_input_takes_one_count(self, monkeypatch, n):
+        # One count isolates the rightmost root, and A_n, a palindrome, needs
+        # no second one; neither Yun's squarefree test nor the
+        # continued-fraction isolation runs.
+        calls = {"_rightmost_interval": [], "_squarefree": [], "_positive_roots": []}
         for name, seen in calls.items():
             real = getattr(spectra, name)
             monkeypatch.setattr(spectra, name, lambda f, real=real, seen=seen: seen.append(real(f)) or seen[-1])
         extreme_roots(univariate_eulerian(n), 128)
-        assert [len(g) for g in calls["_half_degree"]] == [n // 2 + 1]
-        assert calls["_kurtz_steps"] == [steps]
+        assert len(calls["_rightmost_interval"]) == 1 and calls["_rightmost_interval"][0]
         assert calls["_squarefree"] == calls["_positive_roots"] == []
 
     @pytest.mark.parametrize("prec", [16, 128])
     @pytest.mark.parametrize("n", [5, 8, 12])
     def test_non_squarefree_palindromic_input_falls_back(self, monkeypatch, n, prec):
-        # A_n^2 (G not squarefree) and (x + 1)^2 A_n (G(0) = 0) are
-        # palindromic but not squarefree: Yun's decomposition of the input
-        # gives the squarefree part, whose enclosures they share.
+        # A_n^2 and (x + 1)^2 A_n are palindromic but not squarefree, and
+        # share the enclosures of their squarefree part.  A_n^2 repeats its
+        # rightmost root, so its count fails and Yun's decomposition of the
+        # input gives the squarefree part; (x + 1)^2 A_n keeps its extreme
+        # roots simple and passes the count on the input itself.
         a = [int(c) for c in reversed(univariate_eulerian(n).coeffs)]
         sqf_x1 = a if n % 2 else poly_mul([1, 1], a)  # A_n(-1) = 0 for odd n
-        for f, sqf in ((poly_mul(a, a), a), (poly_mul([1, 2, 1], a), sqf_x1)):
+        for squared, f, sqf in ((True, poly_mul(a, a), a), (False, poly_mul([1, 2, 1], a), sqf_x1)):
             assert f == f[::-1]
             seen = []
             real = spectra._squarefree
             monkeypatch.setattr(spectra, "_squarefree", lambda g: seen.append(g) or real(g))
             cells = extreme_roots(polynomialize(f[::-1]), prec)
             monkeypatch.undo()
-            assert f in seen  # the fallback ran Yun's test on the input itself
+            assert (f in seen) == squared  # the fallback ran Yun's test on the input
             assert cells == extreme_roots(polynomialize(sqf[::-1]), prec)
+
+    @given(st.lists(st.fractions(Fraction(1, 16), 50, max_denominator=16), min_size=1, max_size=6))
+    @example([Fraction(1), Fraction(3), Fraction(12)])
+    @example([Fraction(1), Fraction(3), Fraction(10)])  # the rightmost root at a: no interval
+    @settings(max_examples=200, deadline=None)
+    def test_count_isolates_the_rightmost_root_alone(self, rs):
+        # For f = prod (x + r), r > 0, any interval the count gives holds
+        # exactly one of f's roots, as _isolate counts them, and it is the
+        # rightmost, -min(rs).
+        f = [1]
+        for r in rs:
+            f = poly_mul(f, [r.denominator, r.numerator])
+        ends = spectra._rightmost_interval(f)
+        if ends is None:
+            return
+        a, b = ends
+        roots = sorted({-r for r in rs})
+        assert len(spectra._isolate(f)[1]) == len(roots)
+        assert [r for r in roots if a < r < b] == [roots[-1]]
 
     @given(st.one_of(
         polynomials_with_known_roots(negative_palindromic=True).map(lambda case: case[0][::-1]),
         st.integers(2, 64).map(lambda n: univariate_eulerian(n).coeffs),
     ), st.integers(8, 160))
+    @example([69960, 4630337, 76754930, 4630337, 69960], 8)  # a cell clipped to a neighbour root
     @settings(max_examples=120, deadline=None)
     def test_half_degree_route_matches_the_isolate_route(self, coeffs, prec):
         assert_extremes_match_the_isolate_route(polynomialize(coeffs), prec)
@@ -891,123 +971,3 @@ class TestHalfDegreeRoute:
     @settings(max_examples=150, deadline=None)
     def test_reciprocal_start_matches_the_isolate_route(self, desc, prec):
         assert_extremes_match_the_isolate_route(polynomialize(desc[::-1]), prec)
-
-    @given(polynomials_with_known_roots(negative_palindromic=True))
-    @settings(max_examples=100, deadline=None)
-    def test_half_degree_polynomial_expands_back(self, case):
-        # x^m Q(x + 1/x) = h, expanded term by term, for the palindromic
-        # part h of each squarefree input (sqf = h or (x + 1) h).
-        sqf, _ = spectra._squarefree(case[0])
-        h = sqf if len(sqf) % 2 else spectra._quo(sqf, [1, 1])
-        g = spectra._half_degree(h)
-        assert len(g) == len(h) // 2 + 1
-        assert palindromic_from_half_degree(g) == h
-
-    @pytest.mark.parametrize("n", [2, 9, 20])
-    def test_bisection_that_never_lands_raises(self, monkeypatch, n):
-        # A broken precondition, here a sign test that never reads G's sign
-        # between its two largest roots, ends the bisection at its cap.
-        desc = [int(c) for c in reversed(univariate_eulerian(n).coeffs)]
-        monkeypatch.setattr(spectra, "_sign_at", lambda f, x: 0)
-        with pytest.raises(ArithmeticError, match="half-degree bisection"):
-            spectra._palindromic_extremes(desc)
-
-
-def half_degree_g(n: int) -> list[int]:
-    """The half-degree G of A_n, descending, for n >= 2."""
-    desc = [int(c) for c in reversed(univariate_eulerian(n).coeffs)]
-    return spectra._half_degree(desc if len(desc) % 2 else spectra._quo(desc, [1, 1]))
-
-
-@st.composite
-def kurtz_candidates(draw) -> list[int]:
-    """An integer G (descending) with a sign variation: strictly
-    alternating signs on random magnitudes, or a product of w - r over
-    positive rationals r (distinct, or with repeats), at times with a
-    complex pair or a root <= 0 as well."""
-    if draw(st.integers(0, 3)) == 0:
-        mags = draw(st.lists(st.integers(1, 10**6), min_size=2, max_size=9))
-        return [(-1) ** k * v for k, v in enumerate(mags)]
-    rs = st.fractions(Fraction(1, 9), 60, max_denominator=9)
-    g = [draw(st.sampled_from([1, -1, 3]))]
-    for r in draw(st.lists(rs, min_size=1, max_size=7, unique=draw(st.booleans()))):
-        g = poly_mul(g, [r.denominator, -r.numerator])
-    extra = draw(st.sampled_from([[1], [1], [1], [1, 1, 5], [1, -2, 2], [1, 3], [1, 0]]))
-    return poly_mul(g, extra)
-
-
-class TestKurtzCertificate:
-    """G certified real-rooted by Kurtz's test after Graeffe root squaring."""
-
-    @given(st.one_of(
-        st.lists(st.integers(-10**30, 10**30), min_size=1, max_size=12),
-        st.integers(2, 48).map(half_degree_g),
-    ))
-    @settings(max_examples=150, deadline=None)
-    def test_graeffe_is_the_even_part_of_g_times_g_at_minus_w(self, g):
-        assert spectra._graeffe(g) == graeffe_by_product(g)
-
-    @given(kurtz_candidates())
-    @settings(max_examples=200, deadline=None)
-    def test_certified_g_has_every_root_positive_and_one_above_the_top_point(self, g):
-        # The continued-fraction isolation finds deg G distinct positive
-        # roots, and sympy's Sturm count puts exactly one root of G, its
-        # largest, in (c, d): one above c (c itself may be a root), none
-        # at d or above.
-        if spectra._kurtz_steps(g) is None:
-            return
-        roots = sorted(spectra._positive_roots(g))
-        assert len(roots) == len(g) - 1 and roots[0][0] >= 0 and roots[0] != (0, 0)
-        c, d = spectra._top_root(g)
-        zz = [ZZ(v) for v in g]
-        count = lambda x: dup_count_real_roots(zz, ZZ, inf=QQ(x.numerator, x.denominator))
-        assert 0 < c < d
-        assert count(c) - (spectra._sign_at(g, c) == 0) == 1 and count(d) == 0
-        a, b = roots[-1]  # the oracle's top interval, (a, b) or the point a = b
-        assert a < d and c < b
-
-    @pytest.mark.parametrize("g", [
-        [1, -5, 8, -6],  # (w - 3)(w^2 - 2w + 2): a complex pair
-        [100, -600, 1126, -678],  # (w - 3)(100 w^2 - 300 w + 226): a pair 0.1 off the axis
-        [1, -5, 7, -3],  # (w - 1)^2 (w - 3): a double root
-        [1, -4, 4],  # (w - 2)^2
-        [1, 0, -7, 6],  # (w - 1)(w - 2)(w + 3): a zero coefficient
-        [1, -4, 1, 6],  # (w + 1)(w - 2)(w - 3): a negative root
-        [1, -3, 2, 0],  # w (w - 1)(w - 2): a root at 0
-    ])
-    def test_certificate_refuses(self, g):
-        assert spectra._kurtz_steps(g) is None
-
-    def test_every_eulerian_g_up_to_64_is_certified_within_the_cap(self):
-        steps = {n: spectra._kurtz_steps(half_degree_g(n)) for n in range(2, 65)}
-        assert None not in steps.values()
-        assert max(steps[n] for n in range(2, 14)) == 0
-        assert (steps[14], steps[32], steps[64]) == (1, 2, 3)
-
-    def test_first_eulerian_g_needing_k_steps_has_k_of_bitlen_m_minus_2(self):
-        # The cap of bitlen(m) - 1 steps leaves one step of margin on these.
-        first = {}
-        for n in range(2, 105):
-            first.setdefault(spectra._kurtz_steps(half_degree_g(n)), n)
-        assert first == {0: 2, 1: 14, 2: 26, 3: 52, 4: 104}
-        assert all(k == (len(half_degree_g(n)) - 1).bit_length() - 2 for k, n in first.items() if k)
-
-    @pytest.mark.parametrize("m, cap", [(2, 1), (3, 1), (8, 3), (40, 5), (64, 6)])
-    def test_graeffe_steps_are_capped_by_the_degree(self, monkeypatch, m, cap):
-        # (w - 1)^m alternates but repeats its root in every iterate, so it
-        # never passes: bitlen(m) - 1 squarings are spent, then None.
-        calls = []
-        real = spectra._graeffe
-        monkeypatch.setattr(spectra, "_graeffe", lambda f: calls.append(1) or real(f))
-        assert spectra._kurtz_steps([(-1) ** k * math.comb(m, k) for k in range(m + 1)]) is None
-        assert len(calls) == cap
-
-    @pytest.mark.parametrize("count", [0, 2])
-    @pytest.mark.parametrize("n", [2, 9, 20])
-    def test_top_root_search_that_never_counts_one_raises(self, monkeypatch, n, count):
-        # A broken precondition, here a root count that never reads 1, ends
-        # the bisection over c at its cap.
-        g = half_degree_g(n)
-        monkeypatch.setattr(spectra, "_variations", lambda f: count)
-        with pytest.raises(ArithmeticError, match="top-root bisection"):
-            spectra._top_root(g)
