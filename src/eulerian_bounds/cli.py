@@ -391,7 +391,7 @@ def emit_plot(rows: list[dict], plot: str) -> str:
         ys = [p[1] for p in pts]
         x_lo, x_hi = 0.0, 1.0
         y_lo, y_hi = min(ys + [0.0]), max(ys + [1.0])
-    elif plot == "diff":
+    else:  # "diff"
         pts = [(int(r["index"]), float(r["difference"])) for r in rows]
         if any(v <= 0 for _, v in pts):
             raise CliError("diff plot needs positive differences (log scale)")
@@ -402,8 +402,6 @@ def emit_plot(rows: list[dict], plot: str) -> str:
         y_lo, y_hi = min(logs), max(logs)
         if x_hi == x_lo or y_hi == y_lo:
             raise CliError("diff plot needs a nondegenerate range")
-    else:
-        raise CliError(f"no plot defined for {plot!r}")
     pad = 0.05 * (y_hi - y_lo)
     y_lo, y_hi = y_lo - pad, y_hi + pad
 

@@ -9,8 +9,8 @@ Three certified quantities live here:
   grow like 8^n, so floating eigensolvers lose certification long before
   the desk-scale range ends; exact sign tests do not);
 - an approximate kernel vector at that boundary: the integer witness
-  that refutes PSD just left of it, with the exact corank there read off
-  the multiplicity of x_min as a root of the same determinant;
+  that refutes PSD just left of it, flagged degenerate (corank > 1) when
+  a common kernel or a repeated root of the same determinant shows it;
 - enclosures of the extreme (leftmost / rightmost) real roots of a
   univariate polynomial whose real roots are negative, each isolated by
   one Descartes count or by exact root isolation and re-checked for a
@@ -32,7 +32,7 @@ coefficients; the leftmost root takes the same count on the reversed
 coefficients, or, for a palindromic input, the reciprocal interval and,
 once the rightmost root is refined, the reciprocal of its cell.  An input
 failing the count keeps the isolation of every root, over the integers:
-Yun's squarefree decomposition over a primitive-PRS gcd (skipped when a
+the squarefree part f / gcd(f, f') by a primitive-PRS gcd (skipped when a
 gcd modulo a prime already certifies the input squarefree), then
 continued-fraction isolation with Descartes' rule of signs, Taylor shifts
 by 1, scaling by powers of 2 and power-of-two root bounds.
@@ -104,13 +104,14 @@ def _det_polynomial(rows: list[list[int]]) -> list[int]:
 
 
 def _range_restriction(rows: list[list[int]]) -> list[list[int]]:
-    # The Bareiss pivot rows b_1..b_r of the integer rows [A0; A_sum] span
-    # the complement of the common kernel, which every A0 + x A_sum kills;
-    # the congruence B M B^T therefore keeps the PSD status of each M.
-    # Returned stacked, [B A0 B^T; B A_sum B^T].
-    basis, s = [row for _, _, row in _bareiss(rows)], len(rows) // 2
-    return [[sum(bi * mij * cj for bi, row in zip(b, m) for mij, cj in zip(row, c))
-             for c in basis] for m in (rows[:s], rows[s:]) for b in basis]
+    # The Bareiss pivot columns J of the integer rows [A0; A_sum] are
+    # independent, so R^J is a complement of the common kernel K, which
+    # every M = A0 + x A_sum kills: v^T M v = u_J^T M_JJ u_J for v = u + k,
+    # u in R^J, k in K.  The principal block M_JJ keeps M's PSD status, and
+    # det(M_JJ) is det(B M B^T) for a basis B of K's complement up to a
+    # positive constant.  Returned stacked, [A0_JJ; A_sum_JJ].
+    cols, s = sorted(col for col, _, _ in _bareiss(rows)), len(rows) // 2
+    return [[m[i][j] for j in cols] for m in (rows[:s], rows[s:]) for i in cols]
 
 
 def _strip(f) -> list[int]:
@@ -153,29 +154,17 @@ def _quo(f: list[int], g: list[int]) -> list[int]:
     return q
 
 
-def _squarefree(desc) -> tuple[list[int], list[tuple[list[int], int]]]:
-    # The primitive squarefree part of a nonzero integer polynomial
-    # (descending coefficients) and its squarefree decomposition
-    # f = c * prod g_k^k, as (g_k, k) with deg g_k >= 1, by Yun's algorithm
-    # (1976).  Fast path: gcd(f mod p, f' mod p) = 1 for a prime p not
-    # dividing lc(f) certifies f squarefree, since the primitive gcd(f, f')
-    # over Z reduces mod p, degree kept, to a divisor of it.
+def _squarefree(desc) -> list[int]:
+    # The primitive squarefree part f / gcd(f, f') of a nonzero integer
+    # polynomial (descending coefficients).  Fast path: gcd(f mod p,
+    # f' mod p) = 1 for a prime p not dividing lc(f) certifies f squarefree,
+    # since the primitive gcd(f, f') over Z reduces mod p, degree kept, to
+    # a divisor of it.
     f, p = _primitive(_strip(desc)), 2**61 - 1
-    if len(f) == 1:
-        return f, []
     df = _derivative(f)
     if f[0] % p and len(_gcd([c % p for c in f], [c % p for c in df], p)) == 1:
-        return f, [(f, 1)]
-    a = _gcd(f, df)
-    sqf = b = _quo(f, a)
-    c, factors, k = _quo(df, a), [], 1
-    while len(b) > 1:
-        d = _strip([u - v for u, v in zip(c, _derivative(b))])
-        a = _gcd(b, d)
-        if len(a) > 1:
-            factors.append((a, k))
-        b, c, k = _quo(b, a), _quo(d, a), k + 1
-    return sqf, factors
+        return f
+    return _quo(f, _gcd(f, df))
 
 
 def _variations(f: list[int]) -> int:
@@ -252,7 +241,7 @@ def _isolate(
     # <= 0 if ``nonpositive``), left to right.  An exact rational root r
     # comes back as (r, r); every other interval is open and holds one
     # root; neighbours may share an endpoint.
-    sqf, _ = _squarefree(desc)
+    sqf = _squarefree(desc)
     n = len(sqf) - 1
     mirrored = _positive_roots([-c if (n - k) % 2 else c for k, c in enumerate(sqf)])
     positive = set() if nonpositive else _positive_roots(sqf[:-1] if sqf[-1] == 0 else sqf)
@@ -355,11 +344,12 @@ def boundary_kernel_vector(p: DiagonalPencil, prec: int = DEFAULT_PREC) -> Kerne
     block with a small eigenvalue may fail first.  So while the residual
     misses the target, the enclosure's bits are doubled, up to 4 prec + 64.
 
-    The corank behind ``degenerate`` is exact.  For x_min < 0 the PSD
-    interval has interior points, where the pencil is positive definite
-    off the common kernel K of A0 and A_sum; so the corank at x_min is
-    dim K plus the multiplicity of x_min as a root of the determinant
-    taken off K.  For x_min = 0 the matrix is A0 itself.
+    ``degenerate`` is exact.  For x_min < 0 the PSD interval has interior
+    points, where the pencil is positive definite off the common kernel K
+    of A0 and A_sum; so the corank at x_min is dim K plus the multiplicity
+    of x_min as a root of the determinant f taken off K, and exceeds 1
+    exactly when K is nonzero or x_min is also a root of f'.  For
+    x_min = 0 the matrix is A0 itself, and its corank is counted.
     """
     target = Fraction(1, 2 ** (prec // 2))
     rows, den = _integer_rows(p.a0.entries + p.a_sum.entries)
@@ -381,7 +371,7 @@ def boundary_kernel_vector(p: DiagonalPencil, prec: int = DEFAULT_PREC) -> Kerne
         shown = decimal.Context(prec=8).divide(residual.numerator, residual.denominator)
         raise ArithmeticError(f"kernel residual {shown:g} exceeds 2^-{prec // 2}")
     v, normalization = _normalized(w, prec)
-    degenerate = _boundary_corank(rows, x, det, kernel_dim) > 1
+    degenerate = _boundary_degenerate(rows, x, det, kernel_dim)
     return KernelVector(tuple(v), normalization, degenerate, residual, prec)
 
 
@@ -400,28 +390,24 @@ def _sign_at(desc: list[int], point: int | Fraction) -> int:
     return (v > 0) - (v < 0)
 
 
-def _root_multiplicity(desc: list[int], enc: AlgebraicBound) -> int:
-    # Multiplicity of the one root of desc in (lo, hi]: the power of the
-    # squarefree factor that vanishes there (a root at lo is deflated).
-    for g, k in _squarefree(desc)[1]:
-        if _sign_at(g, enc.hi) == 0:
-            return k
-        while _sign_at(g, enc.lo) == 0:
-            g = _quo(g, [enc.lo.denominator, -enc.lo.numerator])
-        if _sign_at(g, enc.lo) != _sign_at(g, enc.hi):
-            return k
-    raise ArithmeticError("no determinant root in the x_min enclosure")
-
-
-def _boundary_corank(
+def _boundary_degenerate(
     rows: list[list[int]], x: AlgebraicBound, det: list[int], kernel_dim: int
-) -> int:
-    # Exact corank of the pencil at x_min in (x.lo, x.hi], by the rule in
+) -> bool:
+    # Corank > 1 of the pencil at x_min in (x.lo, x.hi], by the rule in
     # boundary_kernel_vector's docstring, for the cleared rows of [A0; A_sum].
-    a0 = rows[: len(rows) // 2]
     if x.hi == 0 and _sign_at(det, x.hi) == 0:  # x_min = 0: the matrix is A0
-        return len(a0) - len(list(_bareiss(a0)))
-    return kernel_dim + _root_multiplicity(det, x)
+        a0 = rows[: len(rows) // 2]
+        return len(a0) - len(list(_bareiss(a0))) > 1
+    def has_root(g):  # in (lo, hi], for a squarefree g: a root at lo is deflated
+        if _sign_at(g, x.lo) == 0:
+            g = _quo(g, [x.lo.denominator, -x.lo.numerator])
+        return _sign_at(g, x.hi) == 0 or _sign_at(g, x.lo) != _sign_at(g, x.hi)
+    # h = gcd(sqf, det') has det's repeated roots, each once; 1 if det is squarefree.
+    sqf = _squarefree(det)
+    h = [1] if len(sqf) == len(_strip(det)) else _gcd(sqf, _derivative(det))
+    if not has_root(sqf):
+        raise ArithmeticError("no determinant root in the x_min enclosure")
+    return kernel_dim > 0 or has_root(h)
 
 
 def _refine_root(

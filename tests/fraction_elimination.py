@@ -7,9 +7,12 @@ decision with its witness lift, an echelon row basis, the Fraction
 double loop for v^T M v that ``SymmetricRationalMatrix.quadratic_form``
 replaced with one integer sum, and ``pencil_at``, the rational matrix
 A0 + x A_sum that the library builds only as the integer q A0 + p A_sum
-for x = p / q.  They share nothing with the kernel but the matrix types.
+for x = p / q, and ``congruence_restriction``, the congruence off a common
+kernel that ``spectra`` replaced with a principal block.  They share
+nothing with the kernel but the matrix types.
 """
 
+import math
 from fractions import Fraction
 
 from eulerian_bounds.pencil import DiagonalPencil, PsdResult, SymmetricRationalMatrix
@@ -101,3 +104,19 @@ def fraction_row_basis(rows) -> list[list[Fraction]]:
             rows = [[v - row[col] / pivot[col] * w for v, w in zip(row, pivot)]
                     for row in rows if row is not pivot]
     return basis
+
+
+def congruence_restriction(rows) -> list[list[int]]:
+    """[B A0 B^T; B A_sum B^T] for the integer rows [A0; A_sum], with B the
+    echelon basis of their row space, each row scaled to integers.
+
+    The row space is the complement of the common kernel K of A0 and A_sum
+    that is orthogonal to it, so the congruence keeps the PSD status of
+    each A0 + x A_sum and takes off exactly K.
+    """
+    s, basis = len(rows) // 2, []
+    for row in fraction_row_basis(rows):
+        den = math.lcm(*(v.denominator for v in row))
+        basis.append([int(v * den) for v in row])
+    return [[sum(bi * mij * cj for bi, r in zip(b, m) for mij, cj in zip(r, c))
+             for c in basis] for m in (rows[:s], rows[s:]) for b in basis]

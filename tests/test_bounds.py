@@ -64,15 +64,21 @@ class TestGuessVector:
         assert v.entries[1:] == (Fraction(0), Fraction(1, 2), Fraction(1), Fraction(1))
 
     def test_new_odd_rejected(self):
-        with pytest.raises(ValueError, match="even n"):
+        with pytest.raises(ValueError, match="new vector defined for even n >= 4"):
             guess_vector("new", 7)
 
+    def test_old_needs_n_at_least_1(self):
+        with pytest.raises(ValueError, match="old vector needs n >= 1"):
+            guess_vector("old", 0)
+        with pytest.raises(ValueError, match="unknown vector kind 'x'"):
+            guess_vector("x", 4)
+
     def test_validation(self):
-        with pytest.raises(ValueError, match="length"):
+        with pytest.raises(ValueError, match=r"vector length must be n \+ 1"):
             GuessVector(kind="old", n=3, entries=(None, Fraction(1)))
-        with pytest.raises(ValueError, match="first entry"):
+        with pytest.raises(ValueError, match=r"the first entry, and only it, must be the free y \(None\)"):
             GuessVector(kind="custom", n=1, entries=(Fraction(1), None))
-        with pytest.raises(ValueError, match="first entry"):
+        with pytest.raises(ValueError, match="the first entry, and only it"):
             GuessVector(kind="custom", n=1, entries=(Fraction(1), Fraction(1)))
 
 
@@ -100,7 +106,7 @@ class TestLinearizedDN:
 
     def test_length_mismatch(self):
         v = guess_vector("old", 3)
-        with pytest.raises(ValueError, match="length"):
+        with pytest.raises(ValueError, match="vector length 4 does not match pencil size 3"):
             linearized_DN(eulerian_diagonal_pencil(2), v)
 
 
@@ -336,8 +342,10 @@ class TestBoundReport:
             bound_report(4, "old", y_policy="given")
         with pytest.raises(ValueError, match="even"):
             bound_report(5, "new")
-        with pytest.raises(ValueError, match="kind"):
+        with pytest.raises(ValueError, match="unknown vector kind 'weird'"):
             bound_report(4, "weird")
+        with pytest.raises(ValueError, match="unknown vector kind 'x'"):
+            paper_y(4, "x")
 
 
 class TestOptimizeY:

@@ -291,7 +291,7 @@ class TestCsvHeaders:
         {"b": 4, "a": 3, "c": 5},
     ])
     def test_every_row_repeats_the_header(self, bad):
-        with pytest.raises(ValueError, match="differ"):
+        with pytest.raises(ValueError, match="a CSV row's keys differ, in set or order, from the header"):
             cli._to_csv(self.CSV_ROWS + [bad])
 
 
@@ -537,7 +537,7 @@ class TestErrors:
     def test_prec_floor(self, capsys):
         code, _, err = run_cli(capsys, ["roots", "--n-max", "2", "--prec", "8"])
         assert code == 2
-        assert "prec" in json.loads(err)["error"]
+        assert json.loads(err)["error"] == "prec must be >= 16"
 
     def test_counts_cap(self, capsys):
         code, _, err = run_cli(capsys, ["counts", "--n", "12"])
@@ -620,8 +620,9 @@ class TestErrors:
     def test_counts_cap_ignores_allow_large(self, capsys):
         plain = self.one_line_error(capsys, ["counts", "--n", "10"])
         lifted = self.one_line_error(capsys, ["counts", "--n", "10", "--allow-large"])
-        assert plain == lifted
-        assert "brute force" in plain and "does not lift" in plain
+        assert plain == lifted == (
+            "counts needs brute force; n=10 exceeds the cap 9, which --allow-large does not lift"
+        )
 
     @pytest.mark.parametrize("jobs", ("0", "-2"))
     def test_jobs_below_one(self, capsys, jobs):
@@ -651,9 +652,30 @@ class TestErrors:
         args = ["eigvec", "--n-max", "4"]
         assert "witness" in self.one_line_error(capsys, args)
 
+    @pytest.mark.parametrize(
+        "args, error",
+        (
+            (["bounds", "--n-min", "1", "--n-max", "3", "--kind", "new"],
+             "no (n, kind) pairs in range (new needs even n >= 4)"),
+            (["eigvec", "--n-max", "0"], "n-max must be >= 1"),
+            # The old family's differences at n = 2..4 are negative: no log scale.
+            (["diff", "--kind", "old", "--index-min", "1", "--index-max", "4", "--format", "svg"],
+             "diff plot needs positive differences (log scale)"),
+        ),
+    )
+    def test_refusal_message(self, capsys, args, error):
+        assert self.one_line_error(capsys, args) == error
+
     def test_empty_plot_rejected(self):
         with pytest.raises(Exception, match="empty data"):
             emit_plot([], "eigvec")
+
+    def test_flat_diff_plot_rejected(self):
+        # Equal differences leave the log axis no range; diff's own rows
+        # never do, since the difference moves geometrically.
+        rows = [{"index": i, "difference": "1.0e-03"} for i in (1, 2, 3)]
+        with pytest.raises(cli.CliError, match="diff plot needs a nondegenerate range"):
+            emit_plot(rows, "diff")
 
 
 SMALL = st.integers(-2, 8)

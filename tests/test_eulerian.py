@@ -88,7 +88,7 @@ class TestUnivariateEulerian:
         assert sum(p.coeffs) == math.factorial(601)
 
     def test_negative_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="n must be >= 0"):
             univariate_eulerian(-1)
 
 
@@ -176,9 +176,9 @@ class TestCounting:
             count_exact_bruteforce(10, {3})
 
     def test_invalid_tops(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"descent tops must lie in \{2, \.\.\., 3\}, got \(1,\)"):
             count_exact_bruteforce(2, {1})
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"descent tops must lie in \{2, \.\.\., 3\}, got \(5,\)"):
             count_formula(2, {5})
 
     @pytest.mark.parametrize("n", range(1, 9))
@@ -291,3 +291,5 @@ class TestClosedForm:
             closed_form_R({2, 3, 4, 5})
         with pytest.raises(ValueError):
             closed_form_R(set())
+        with pytest.raises(ValueError, match="descent tops must be >= 2"):
+            closed_form_R({1})

@@ -27,7 +27,7 @@ from eulerian_bounds.spectra import (
     psd_interval_left,
 )
 
-from fraction_elimination import pencil_at
+from fraction_elimination import congruence_restriction, pencil_at
 from intervals import contains, encloses, is_certainly_negative, possibly_leq, rsub, width
 from polynomials import bisection_refine_root, polynomialize
 from surds import sqrt_enclosure
@@ -100,6 +100,35 @@ def psd_pencils(draw) -> DiagonalPencil:
 
 
 @st.composite
+def mixed_kernel_pencils(draw) -> DiagonalPencil:
+    """psd_pencils bordered by one or two zero rows and columns, then mixed
+    as U^T (.) U by a unimodular U, a product of column operations
+    col_j += c col_i: their common kernel U^-1 (0, ..., 0, *) is in general
+    not a coordinate subspace."""
+    dp, z = draw(psd_pencils()), draw(st.integers(1, 2))
+    size = dp.size + z
+    u = [[int(i == j) for j in range(size)] for i in range(size)]
+    for _ in range(draw(st.integers(1, 4))):
+        i, j = draw(st.permutations(range(size)))[:2]
+        c = draw(st.sampled_from((-2, -1, 1, 2)))
+        for row in u:
+            row[j] += c * row[i]
+    mixed = []
+    for m in (dp.a0, dp.a_sum):
+        bordered = [list(row) + [0] * z for row in m.entries] + [[0] * size] * z
+        mixed.append(transpose_product(u, transpose_product(bordered, u)))
+    return diag_pencil(*mixed)
+
+
+def boundary_route(dp: DiagonalPencil, prec: int):
+    """psd_boundary and boundary_kernel_vector, or the ValueError refusing dp."""
+    try:
+        return spectra.psd_boundary(dp, prec), boundary_kernel_vector(dp, prec)
+    except ValueError as exc:
+        return str(exc)
+
+
+@st.composite
 def rescaled_pencils(draw) -> DiagonalPencil:
     """Eulerian pencils for n <= 10 or psd_pencils, as A0 a + x A_sum b for
     positive rationals a and b with denominators up to 12."""
@@ -133,7 +162,7 @@ class TestPsdIntervalLeft:
         assert possibly_leq(enc, q_right)
 
     def test_min_precision(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="prec must be >= 16"):
             psd_interval_left(eulerian_diagonal_pencil(1), 8)
 
     def test_a0_must_be_psd(self):
@@ -224,6 +253,48 @@ def svd_kernel_cosine(dp: DiagonalPencil, kv) -> mpmath.mpf:
         return abs(mpmath.fdot(v, oracle)) / (mpmath.norm(v) * mpmath.norm(oracle))
 
 
+class TestRangeRestriction:
+    """The principal block on the pivot columns of [A0; A_sum] against the
+    congruence B M B^T that takes off the common kernel."""
+
+    @staticmethod
+    def assert_positive_multiple(f, g):
+        f, g = spectra._strip(f), spectra._strip(g)  # both [] if identically 0
+        assert len(f) == len(g) and (not f or f[0] * g[0] > 0)
+        assert [a * g[0] for a in f] == [b * f[0] for b in g]
+
+    @given(mixed_kernel_pencils(), st.sampled_from((32, 64)))
+    @example(diag_pencil([[1, 0, 1], [0, 2, 0], [1, 0, 1]], [[1, 0, 1], [0, 1, 0], [1, 0, 1]]), 32)
+    @settings(max_examples=60, deadline=None)
+    def test_principal_block_matches_the_congruence(self, dp, prec):
+        rows, _ = _integer_rows(dp.a0.entries + dp.a_sum.entries)
+        block, oracle = spectra._range_restriction(rows), congruence_restriction(rows)
+        assert len(block) == len(oracle) < len(rows)
+        self.assert_positive_multiple(spectra._det_polynomial(block), spectra._det_polynomial(oracle))
+        ours = boundary_route(dp, prec)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(spectra, "_range_restriction", congruence_restriction)
+            theirs = boundary_route(dp, prec)
+        if isinstance(ours, str):
+            assert ours == theirs
+            return
+        (x, det, kernel_dim, witness), kv = ours
+        (x_o, det_o, kernel_dim_o, witness_o), kv_o = theirs
+        assert (x, kernel_dim, witness, kv) == (x_o, kernel_dim_o, witness_o, kv_o)
+        assert kernel_dim == len(rows) // 2 - len(block) // 2
+        self.assert_positive_multiple(det, det_o)
+
+    def test_kernel_off_the_coordinate_axes(self):
+        # diag(1, 2, 0) and diag(1, 1, 0) mixed by col_2 += col_0: the common
+        # kernel is (-1, 0, 1), and the pivot columns {0, 1} still complement it.
+        dp = diag_pencil([[1, 0, 1], [0, 2, 0], [1, 0, 1]], [[1, 0, 1], [0, 1, 0], [1, 0, 1]])
+        rows, _ = _integer_rows(dp.a0.entries + dp.a_sum.entries)
+        assert spectra._range_restriction(rows) == [[1, 0], [0, 2], [1, 0], [0, 1]]
+        kv = boundary_kernel_vector(dp, 64)
+        assert kv.entries == (-1, 0, 1) and kv.degenerate and kv.residual == 0
+        assert contains(psd_interval_left(dp, 64), -1)
+
+
 class TestKernelVector:
     def test_n1_degenerate(self):
         dp = eulerian_diagonal_pencil(1)
@@ -253,12 +324,54 @@ class TestKernelVector:
         assert flags == [True] + [False] * 15
 
     def test_enclosure_without_determinant_root_is_refused(self, monkeypatch):
-        # A squarefree decomposition whose one factor, x + 1, has its root
-        # far left of x_min leaves no root in the cell.
-        real = spectra._squarefree
-        monkeypatch.setattr(spectra, "_squarefree", lambda d: (real(d)[0], [([1, 1], 1)]))
+        # A squarefree part x + 1, whose root lies far left of x_min,
+        # leaves no root in the cell.
+        dp = eulerian_diagonal_pencil(4)
+        rows, _ = _integer_rows(dp.a0.entries + dp.a_sum.entries)
+        boundary = spectra.psd_boundary(dp, 64)[:3]
+        monkeypatch.setattr(spectra, "_squarefree", lambda d: [1, 1])
         with pytest.raises(ArithmeticError, match="no determinant root in the x_min enclosure"):
-            boundary_kernel_vector(eulerian_diagonal_pencil(4), 64)
+            spectra._boundary_degenerate(rows, *boundary)
+
+    @given(
+        st.dictionaries(
+            st.one_of(
+                st.builds(lambda k, j: Fraction(-k, 2**j), st.integers(1, 64), st.integers(0, 4)),
+                st.fractions(-20, Fraction(-1, 12), max_denominator=12),
+            ),
+            st.integers(1, 3), min_size=1, max_size=4,
+        ),
+        st.sampled_from((4, 6, 10)),
+        st.booleans(),
+        st.sampled_from((1, -1, 2, -3)),
+    )
+    @example({Fraction(-47, 48): 1}, 4, True, 1)  # its cell (-1, -15/16] starts on the root -1
+    @example({Fraction(-3, 2): 2, Fraction(-47, 32): 1}, 4, False, -1)  # a repeated root at lo
+    @settings(max_examples=150, deadline=None)
+    def test_repeated_root_predicate_matches_sympy(self, roots, prec, neighbours, lead):
+        # For f = lead prod (x - r)^k, the flag at the cell of each root r
+        # reads k > 1 (sympy's squarefree multiplicities) with no common
+        # kernel, and always reads true with one.  Each cell is refined on
+        # the interval between r's neighbours, so a neighbour in r's grid
+        # cell is the cell's lo; ``neighbours`` adds the grid point left of
+        # each root as a double root.
+        if neighbours:
+            roots = {Fraction(math.floor(r * 2**prec), 2**prec): 2 for r in roots} | roots
+        f, sqf = [lead], [1]
+        for r, k in roots.items():
+            sqf = poly_mul(sqf, [r.denominator, -r.numerator])
+            for _ in range(k):
+                f = poly_mul(f, [r.denominator, -r.numerator])
+        _, factors = dup_sqf_list([ZZ(c) for c in f], ZZ)
+        ordered = sorted(roots)
+        for i, r in enumerate(ordered):
+            lo = ordered[i - 1] if i else 2 * r
+            hi = ordered[i + 1] if i + 1 < len(ordered) else r / 2
+            cell = spectra._refine_root(sqf, lo, hi, prec, exact=False)
+            assert cell.lo < r <= cell.hi
+            [k] = [k for g, k in factors if spectra._sign_at([int(c) for c in g], r) == 0]
+            assert spectra._boundary_degenerate([], cell, f, 0) == (k > 1)
+            assert spectra._boundary_degenerate([], cell, f, 1)
 
     def test_double_root_is_degenerate(self):
         # det(I + x I) = (1 + x)^2: corank 2 at x_min = -1.
@@ -316,7 +429,7 @@ class TestKernelVector:
         except ValueError:
             assume(False)
         rows, _ = _integer_rows(dp.a0.entries + dp.a_sum.entries)
-        assume(spectra._boundary_corank(rows, *boundary) == 1)
+        assume(not spectra._boundary_degenerate(rows, *boundary))
         kv = boundary_kernel_vector(dp, prec)
         assert svd_kernel_cosine(dp, kv) >= 1 - mpmath.mpf(2) ** -(prec // 4)
 
@@ -422,7 +535,7 @@ class TestKernelVector:
         assert kv.residual <= Fraction(1, 2**16)
 
     def test_determinant_built_once(self, monkeypatch):
-        # The enclosure and the exact corank share one determinant.
+        # The enclosure and the degenerate flag share one determinant.
         calls = []
         real = spectra._det_polynomial
         monkeypatch.setattr(
@@ -531,8 +644,8 @@ class TestExtremeRoots:
     ])
     def test_non_palindromic_input_takes_two_counts(self, monkeypatch, coeffs, leftmost, counts):
         # The leftmost root is the reciprocal of the reversed polynomial's
-        # rightmost; a count that fails leaves both to Yun's test and the
-        # isolation of every root.
+        # rightmost; a count that fails leaves both to the squarefree part
+        # and the isolation of every root.
         calls = {"_rightmost_interval": [], "_squarefree": []}
         for name, seen in calls.items():
             real = getattr(spectra, name)
@@ -564,11 +677,15 @@ class TestExtremeRoots:
             extreme_roots(polynomialize([-1, -2, 0, 2, 1]), 64)
 
     def test_rejects_positive_roots(self):
-        with pytest.raises(ValueError, match="not all negative"):
+        with pytest.raises(ValueError, match="roots are not all negative$"):
             extreme_roots(polynomialize([-2, 1, 1]), 64)
 
+    def test_rejects_a_root_at_zero(self):
+        with pytest.raises(ValueError, match="roots are not all negative: 0 is a root"):
+            extreme_roots(polynomialize([0, 1, 1]), 64)
+
     def test_rejects_constants(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="constant polynomial has no roots"):
             extreme_roots(polynomialize([5]), 64)
 
     def test_self_check_rejects_enclosure_without_sign_change(self, monkeypatch):
@@ -778,14 +895,19 @@ class TestIsolationAgainstSympy:
     @given(polynomials_with_known_roots())
     @settings(max_examples=100, deadline=None)
     def test_squarefree_decomposition(self, poly):
+        # The primitive squarefree part is the product of sympy's squarefree
+        # factors, whatever their multiplicities.
         f, _ = poly
         _, oracle = dup_sqf_list([ZZ(c) for c in f], ZZ)
-        expected = sorted((tuple(int(c) for c in g), k) for g, k in oracle)
-        assert sorted((tuple(g), k) for g, k in spectra._squarefree(f)[1]) == expected
+        expected = [1]
+        for g, _ in oracle:
+            expected = poly_mul(expected, [int(c) for c in g])
+        assert spectra._squarefree(f) == spectra._primitive(expected)
 
     def test_modular_fast_path_falls_back_on_repeated_roots(self):
-        # (x - 1)^2 (x + 2) is not squarefree mod any prime: Yun finds both.
-        assert spectra._squarefree([-2, 0, 6, -4])[1] == [([1, 2], 1), ([1, -1], 2)]
+        # -2 (x - 1)^2 (x + 2) is not squarefree mod any prime: the gcd over
+        # Z takes the repeated factor out.
+        assert spectra._squarefree([-2, 0, 6, -4]) == [1, 1, -2]
 
     @pytest.mark.parametrize("n", [24, 40, 64])
     def test_eulerian_roots_past_the_cli_cap(self, n):
@@ -832,6 +954,13 @@ class TestDyadicRefinement:
             assert point == (AlgebraicBound.exact(r) if on_grid else cells[1])
             if on_grid:
                 assert cells[1].hi == r
+
+    @pytest.mark.parametrize("lo, hi", [(0, 1), (-3, -2), (-1, -1 + Fraction(1, 3))])
+    def test_interval_without_a_sign_change_is_refused(self, lo, hi):
+        # x + 1 keeps one sign on (0, 1) and on (-3, -2); on (-1, -2/3) the
+        # root at lo is deflated, which leaves no sign change either.
+        with pytest.raises(ValueError, match="interval endpoints do not bracket a sign change"):
+            spectra._refine_root([1, 1], Fraction(lo), Fraction(hi), 16)
 
     def test_refine_root_clips_the_cell_to_the_interval(self):
         # The root 1/3 lies in the cell (85, 86] / 2^8, which starts left of lo.
@@ -906,7 +1035,7 @@ class TestHalfDegreeRoute:
     @pytest.mark.parametrize("n", [4, 9, 16, 32])
     def test_eulerian_input_takes_one_count(self, monkeypatch, n):
         # One count isolates the rightmost root, and A_n, a palindrome, needs
-        # no second one; neither Yun's squarefree test nor the
+        # no second one; neither the squarefree part nor the
         # continued-fraction isolation runs.
         calls = {"_rightmost_interval": [], "_squarefree": [], "_positive_roots": []}
         for name, seen in calls.items():
@@ -921,8 +1050,8 @@ class TestHalfDegreeRoute:
     def test_non_squarefree_palindromic_input_falls_back(self, monkeypatch, n, prec):
         # A_n^2 and (x + 1)^2 A_n are palindromic but not squarefree, and
         # share the enclosures of their squarefree part.  A_n^2 repeats its
-        # rightmost root, so its count fails and Yun's decomposition of the
-        # input gives the squarefree part; (x + 1)^2 A_n keeps its extreme
+        # rightmost root, so its count fails and the fallback takes the
+        # input's squarefree part; (x + 1)^2 A_n keeps its extreme
         # roots simple and passes the count on the input itself.
         a = [int(c) for c in reversed(univariate_eulerian(n).coeffs)]
         sqf_x1 = a if n % 2 else poly_mul([1, 1], a)  # A_n(-1) = 0 for odd n
@@ -933,7 +1062,7 @@ class TestHalfDegreeRoute:
             monkeypatch.setattr(spectra, "_squarefree", lambda g: seen.append(g) or real(g))
             cells = extreme_roots(polynomialize(f[::-1]), prec)
             monkeypatch.undo()
-            assert (f in seen) == squared  # the fallback ran Yun's test on the input
+            assert (f in seen) == squared  # the fallback took the input's squarefree part
             assert cells == extreme_roots(polynomialize(sqf[::-1]), prec)
 
     @given(st.lists(st.fractions(Fraction(1, 16), 50, max_denominator=16), min_size=1, max_size=6))
