@@ -140,6 +140,7 @@ def eulerian_guess_quadratics(n: int, kind: str) -> tuple[QuadraticInY, Quadrati
     return linearized_DN(eulerian_diagonal_pencil(n), guess_vector(kind, n))
 
 
+@lru_cache(maxsize=None)
 def _critical_coefficients(n: int, kind: str) -> tuple[Fraction, Fraction, Fraction]:
     # N'D - N D' of the vector's quadratics is exactly quadratic: the cubic
     # coefficients cancel (2 n2 d2 - 2 d2 n2 = 0), leaving a y^2 + b y + c.

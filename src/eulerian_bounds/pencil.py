@@ -180,20 +180,29 @@ def _bareiss(rows) -> Iterator[tuple[int, int, list[int]]]:
     pivot of a nonsingular square matrix is its determinant up to the
     sign of the pivot-row order.  Yields (col, input index of the pivot
     row, that row) lazily, before eliminating with it.
+
+    The half-bandwidth b (largest |i - j| of a nonzero entry) is read off
+    the input: row i stays zero left of column i - b, so only rows up to
+    col + b meet column col, and pivot rows end by col + 2b.  A row enters
+    that window scaled by the factors d / prev it skipped, whose product is
+    the current leading minor.  b = size - 1 is the dense loop.
     """
-    remaining = [(i, list(row)) for i, row in enumerate(rows)]
-    prev = 1
+    b = max((abs(i - j) for i, row in enumerate(rows) for j, v in enumerate(row) if v), default=0)
+    remaining, prev, entered = [], 1, 0
     for col in range(len(rows[0]) if rows else 0):
+        window = min(len(rows), col + b + 1)
+        remaining += [(i, [v * prev for v in rows[i]]) for i in range(entered, window)]
+        entered = window
         at = next((k for k, (_, row) in enumerate(remaining) if row[col]), None)
         if at is None:
             continue
         i, pivot = remaining.pop(at)
         yield col, i, pivot
-        d = pivot[col]
+        d, end = pivot[col], col + 2 * b + 1
         for _, row in remaining:
             f = row[col]
-            row[col:] = [
-                (v * d - f * w) // prev for v, w in zip(row[col:], pivot[col:])
+            row[col:end] = [
+                (v * d - f * w) // prev for v, w in zip(row[col:end], pivot[col:end])
             ]
         prev = d
 

@@ -2,18 +2,19 @@
 
 Three certified quantities live here:
 
-- the left endpoint x_min of the PSD interval of a diagonal pencil, read
-  off the roots of the integer polynomial det(A0 + x A_sum) and certified
-  by two exact PSD tests; the tests, the determinant and the rank all
-  come from the fraction-free elimination kernel of ``pencil`` (entries
-  grow like 8^n, so floating eigensolvers lose certification long before
-  the desk-scale range ends; exact sign tests do not);
+- the left endpoint x_min of the PSD interval of a diagonal pencil, a
+  root of the integer polynomial det(A0 + x A_sum) certified by two exact
+  PSD tests; the tests, the determinant and the rank all come from the
+  fraction-free elimination kernel of ``pencil`` (entries grow like 8^n,
+  so floating eigensolvers lose certification long before the desk-scale
+  range ends; exact sign tests do not), run on a banded congruent copy of
+  the pencil wherever only a sign is needed;
 - an approximate kernel vector at that boundary: the integer witness
   that refutes PSD just left of it, flagged degenerate (corank > 1) when
   a common kernel or a repeated root of the same determinant shows it;
 - enclosures of the extreme (leftmost / rightmost) real roots of a
   univariate polynomial whose real roots are negative, each isolated by
-  one Descartes count or by exact root isolation and re-checked for a
+  Descartes counts or by exact root isolation and re-checked for a
   sign change before it is returned.
 
 Each root enclosure is the dyadic cell [k, k+1] / 2^prec holding the
@@ -25,13 +26,13 @@ It is the one refinement primitive of the package: x_min, the extreme
 roots, the univariate endpoint and the linearization parameter y of
 ``bounds`` (a root of an integer quadratic) are all such cells.
 
-An extreme root takes one Descartes count: if f(a + w) has one sign
-variation, f has exactly one real root above a, and a sign change of f on
-(a, a/4), a < 0, isolates it there.  The point a comes from f's last two
-coefficients; the leftmost root takes the same count on the reversed
-coefficients, or, for a palindromic input, the reciprocal interval and,
-once the rightmost root is refined, the reciprocal of its cell.  An input
-failing the count keeps the isolation of every root, over the integers:
+A rightmost root takes a short search of Descartes counts: if f(a + w)
+has one sign variation, f has exactly one real root above a, and a sign
+change of f on (a, b), b < 0, isolates it there.  It finds x_min, the
+determinant's rightmost root, and the extreme roots: the leftmost by the
+same search on the reversed coefficients or, for a palindromic input, as
+the reciprocal of the rightmost.  Any other input keeps the isolation of
+every root, over the integers:
 the squarefree part f / gcd(f, f') by a primitive-PRS gcd (skipped when a
 gcd modulo a prime already certifies the input squarefree), then
 continued-fraction isolation with Descartes' rule of signs, Taylor shifts
@@ -101,6 +102,20 @@ def _det_polynomial(rows: list[list[int]]) -> list[int]:
         desc = [c - j * d for c, d in zip(desc + [0], [0] + desc)]
         desc[-1] += newton[j]
     return desc
+
+
+def _banded(rows: list[list[int]]) -> list[list[int]]:
+    # [T^T A0 T; T^T A_sum T] for the cleared rows [A0; A_sum]: T's three
+    # bidiagonal factors (det T = 2^(s-2)) annihilate the Eulerian entries'
+    # geometric terms in the column index, ratios 2, 3/2 and 1, leaving a band.
+    def cut(row):  # row T: c_j -= 2 c_(j-1), c_j = 2 c_j - 3 c_(j-1), c_j -= c_(j-1)
+        r = list(row)
+        for p, q, start in ((2, 1, 2), (3, 2, 2), (1, 1, 1)):
+            for j in range(len(r) - 1, start - 1, -1):  # c_(j-1) still the old entry
+                r[j] = q * r[j] - p * r[j - 1]
+        return r
+    s = len(rows) // 2
+    return [cut(r) for half in (rows[:s], rows[s:]) for r in zip(*map(cut, half))]
 
 
 def _range_restriction(rows: list[list[int]]) -> list[list[int]]:
@@ -264,29 +279,37 @@ def psd_boundary(
     common kernel of A0 and A_sum, the pencil is nonsingular except at its
     ends; so x_min is a nonpositive root of f(x) = det(A0 + x A_sum) taken
     on that complement (descending integer coefficients, up to a positive
-    factor).  The roots of f are isolated exactly and walked right to
-    left: the first whose enclosure is not PSD at ``lo`` is x_min.  The
-    answer rests only on the two exact tests, not PSD at ``lo`` and PSD
-    at ``hi``, so x_min lies in (lo, hi].
+    factor).  f and the PSD tests at 0 and ``hi`` (a yes or no) come from
+    the congruent copy ``_banded``; the test at ``lo`` runs on the pencil
+    itself, so the witness is its own.  A simple rightmost root of f below
+    0, isolated by ``_rightmost_interval``, is x_min: the pencil is
+    positive definite from 0 down to it, and not PSD where f changes sign.
+    Any other f has its roots isolated and walked right to left: the first
+    not PSD at its ``lo`` is x_min.  The answer rests only on the two exact
+    tests, not PSD at ``lo`` and PSD at ``hi``, so x_min lies in (lo, hi].
     """
     if prec < 16:
         raise ValueError("prec must be >= 16")
     rows, _ = _integer_rows(p.a0.entries + p.a_sum.entries)
-    if not _is_psd_at(rows, Fraction(0)):
+    band = _banded(rows)
+    if not _is_psd_at(band, Fraction(0)):
         raise ValueError("A0 is not PSD")
-    det, kernel_dim = _det_polynomial(rows), 0
+    det, kernel_dim = _det_polynomial(band), 0
     if not any(det):  # A0 and A_sum share a kernel: restrict to its complement.
-        restricted = _range_restriction(rows)
-        det, kernel_dim = _det_polynomial(restricted), (len(rows) - len(restricted)) // 2
+        restricted = _range_restriction(band)
+        det, kernel_dim = _det_polynomial(restricted), (len(band) - len(restricted)) // 2
     # Still singular everywhere: the PSD set has no interior, so it is {0}.
-    desc_sqf, intervals = _isolate(det if any(det) else [1, 0], nonpositive=True)
+    one = _rightmost_interval(f := _primitive(_strip(det)) if any(det) else [1, 0])
+    f, intervals = (f, [one]) if one else _isolate(f, nonpositive=True)
     for a, b in reversed(intervals):
-        enc = _refine_root(desc_sqf, a, b, prec, exact=False)
+        enc = _refine_root(f, a, b, prec, exact=False)
         at_lo = _is_psd_at(rows, enc.lo)
         if not at_lo:
-            if not _is_psd_at(rows, enc.hi):
+            if not _is_psd_at(band, enc.hi):
                 raise ArithmeticError("x_min enclosure is not PSD at hi")
             return enc, det, kernel_dim, at_lo.witness
+        if one:
+            raise ArithmeticError("a simple rightmost determinant root is PSD at lo")
     raise ValueError("unbounded below: pencil PSD left of every determinant root")
 
 
@@ -410,6 +433,17 @@ def _boundary_degenerate(
     return kernel_dim > 0 or has_root(h)
 
 
+def _end_signs(desc: list[int], lo: Fraction, hi: Fraction) -> tuple[list[int], int, int]:
+    # desc with its roots at lo and hi deflated, and its signs there.
+    signs = []
+    for r in (lo, hi):
+        while not (s := _sign_at(desc, r)):
+            desc = _quo(desc, [r.denominator, -r.numerator])
+            signs = [-t for t in signs]  # the factor x - hi is negative at lo
+        signs.append(s)
+    return desc, *signs
+
+
 def _refine_root(
     desc: list[int], lo: Fraction, hi: Fraction, prec: int, exact: bool = True
 ) -> AlgebraicBound:
@@ -424,13 +458,7 @@ def _refine_root(
     if lo == hi:
         k = -(-lo.numerator * one // lo.denominator) - 1
         return AlgebraicBound.exact(lo) if exact else AlgebraicBound(Fraction(k, one), lo)
-    signs = []
-    for r in (lo, hi):
-        while not (s := _sign_at(desc, r)):
-            desc = _quo(desc, [r.denominator, -r.numerator])
-            signs = [-t for t in signs]  # the factor x - hi is negative at lo
-        signs.append(s)
-    slo, shi = signs
+    desc, slo, shi = _end_signs(desc, lo, hi)
     if slo == shi:
         raise ValueError("interval endpoints do not bracket a sign change")
     scaled = [c << (prec * i) for i, c in enumerate(desc)]
@@ -464,22 +492,33 @@ def _refine_root(
 
 
 def _rightmost_interval(f: list[int]) -> tuple[Fraction, Fraction] | None:
-    # (a, a/4), a = -2^-k, k = bitlen(c_1) - bitlen(c_0) - 1, holding the
-    # rightmost real root of f (descending, f(0) = c_0 != 0) and no other
-    # real root; None if one Descartes count and two signs do not show it.
-    # One sign variation of f(a + w), by Descartes' rule, means exactly one
-    # real root above a, simple; a sign change on (a, a/4) puts it there.
-    # For c_0, c_1 > 0, a < -c_0/c_1 < a/4, so a root near -c_0/c_1 (the
-    # rightmost root of an Eulerian A_n) is caught.  f(a + w) comes, scaled
-    # to integers, from f's roots times 2^k shifted by 1 between two sign
-    # flips.
-    n, k = len(f) - 1, f[-2].bit_length() - f[-1].bit_length() - 1
-    flip = lambda g: [-c if j % 2 else c for j, c in enumerate(g)]
-    scaled = [c << k * j - min(k, 0) * n for j, c in enumerate(f)]
-    a = -Fraction(2) ** -k
-    if _variations(flip(_shift1(flip(scaled)))) != 1 or _sign_at(f, a) * _sign_at(f, a / 4) >= 0:
+    # (a, b), b < 0, holding the rightmost real root of f (descending,
+    # one-signed, f(0) != 0) and no other, or (r, r) for that root r; None if
+    # a short search does not show it.  One sign variation of f(a + |a| w)
+    # means exactly one real root above a, simple (Descartes' rule); a sign
+    # change on (a, b) puts it there.  a = -2^-k, k = bitlen(c_1) - bitlen(c_0)
+    # - 1, and b = a/4 first bracket -c_0/c_1, at or right of the rightmost
+    # of real negative roots.  A count of 0 moves b to a and a four times left
+    # (to (y + a)/2 after a count >= 2 at y); a count >= 2 bisects (a, b).
+    if len(f) < 2 or not f[-1] or _variations(f):
         return None
-    return a, a / 4
+    n, y, flip = len(f) - 1, None, lambda g: [-c if j % 2 else c for j, c in enumerate(g)]
+    a = -Fraction(2) ** (f[-1].bit_length() + 1 - f[-2].bit_length())
+    b = a / 4
+    for _ in range(64):  # a repeated rightmost root never counts 1
+        p, q = -a.numerator, a.denominator  # g = f(a + |a| w) q^n: roots over |a| shifted by 1
+        g = flip(_shift1(flip([c * p ** (n - j) * q**j for j, c in enumerate(f)])))
+        v = _variations(g)  # and g[-1] has the sign of f(a)
+        if v == 1 and g[-1]:
+            s = _sign_at(f, b)
+            return (b, b) if not s else (a, b) if (s > 0) != (g[-1] > 0) else None
+        if v == 0 and not g[-1]:  # a is a root, and no root lies above it
+            return (a, a) if g[-2] else None
+        if v == 0:
+            b, a = a, 4 * a if y is None else (y + a) / 2
+        else:
+            y, a = a, (a + b) / 2
+    return None
 
 
 def extreme_roots(
@@ -488,22 +527,16 @@ def extreme_roots(
     """Enclosures of the leftmost and rightmost real roots.
 
     Every real root must be negative (the Eulerian situation).  The
-    rightmost one is isolated by one Descartes count: with a = -2^-k,
-    k = bitlen(c_1) - bitlen(c_0) - 1 for the input's two lowest
-    coefficients, one sign variation of f(a + w) means exactly one real
-    root above a, simple, and a sign change of f on (a, a/4) puts it
-    there.  The leftmost root is the reciprocal of the reversed
-    polynomial's rightmost, so the same count on the reversed
-    coefficients isolates it in (4/a', 1/a'); a palindromic input is its
-    own reverse and needs no second count.  These intervals isolate the
-    extreme real roots whatever the other roots are: a complex pair
-    between them does not stop the count, so real-rootedness is not
-    checked on this route.  An input failing a count has every root of
-    its squarefree part isolated, by continued fractions over the
-    integers (Descartes' rule of signs on Moebius transforms,
-    Collins-Akritas and Akritas-Strzebonski), and only this route rejects
-    an input as not real-rooted.  Each extreme root, the rightmost first,
-    is then narrowed to its dyadic cell [k, k+1] / 2**prec, clipped to its
+    rightmost one is isolated in (a, b), b < 0, or as a point, by the
+    Descartes counts of ``_rightmost_interval``; the leftmost, the
+    reciprocal of the reversed polynomial's rightmost, in (1/b', 1/a'),
+    and a palindromic input is its own reverse.  These intervals isolate
+    the extreme real roots whatever the other roots are, so real-rootedness
+    is checked only for an input failing a count: every root of its
+    squarefree part is isolated, by continued fractions over the integers
+    (Descartes' rule on Moebius transforms, Collins-Akritas and
+    Akritas-Strzebonski).  Each extreme root, the rightmost first, is then
+    narrowed to its dyadic cell [k, k+1] / 2**prec, clipped to its
     isolating interval, and re-checked for a sign change: the enclosures
     are certified, of width at most 2**-prec, and nest as prec grows.  A
     palindromic input's leftmost root starts from the reciprocal cell.
@@ -522,7 +555,7 @@ def extreme_roots(
     right = _rightmost_interval(f)
     left = right if f == f[::-1] else right and _rightmost_interval(f[::-1])
     if left:  # x -> 1/x takes the reversed f's rightmost root to f's leftmost
-        ends = (4 / left[0], 1 / left[0]), right
+        ends = (1 / left[1], 1 / left[0]), right
     else:
         f, intervals = _isolate(desc)
         if len(intervals) != len(f) - 1:
@@ -538,11 +571,8 @@ def extreme_roots(
         cells.append(enc := _refine_root(f, lo, hi, prec))
         if enc.hi > 0:
             raise ValueError("roots are not all negative")
-        g = f  # an open cell may end on a neighbouring root: deflated first
-        for r in (enc.lo, enc.hi) if enc.lo < enc.hi else ():
-            while not _sign_at(g, r):
-                g = _quo(g, [r.denominator, -r.numerator])
-        slo, shi = _sign_at(g, enc.lo), _sign_at(g, enc.hi)
-        if not (enc.lo == enc.hi and slo == 0) and slo * shi >= 0:
+        if enc.lo < enc.hi:  # an open cell may end on a neighbouring root: deflated first
+            _, slo, shi = _end_signs(f, enc.lo, enc.hi)
+        if _sign_at(f, enc.lo) if enc.lo == enc.hi else slo == shi:  # a point must be a root
             raise ArithmeticError(f"root enclosure [{enc.lo}, {enc.hi}] has no sign change")
     return cells[1], cells[0]

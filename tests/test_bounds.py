@@ -1,5 +1,6 @@
 """Linearized bounds: vectors, quadratics, optimal y, and diagnostics."""
 
+import functools
 import math
 from fractions import Fraction
 
@@ -180,25 +181,42 @@ class TestOptimalY:
     # Each guard below refuses corrupt quadratics handed over in place of
     # the vector's D(y) and N(y), given as (D, N) coefficients (c2, c1, c0).
 
+    @staticmethod
+    def corrupt(monkeypatch, quads):
+        # The critical coefficients are cached per (n, kind): a fresh cache
+        # reads the corrupt quadratics and leaves the shared one clean.
+        monkeypatch.setattr(bounds_mod, "eulerian_guess_quadratics", lambda n, kind: quads)
+        fresh = functools.lru_cache(bounds_mod._critical_coefficients.__wrapped__)
+        monkeypatch.setattr(bounds_mod, "_critical_coefficients", fresh)
+
+    def test_critical_coefficients_computed_once_per_pair(self, monkeypatch):
+        # bound_report's test that N/D depends on y and paper_y, which reads
+        # the old family's coefficients for both kinds, share one computation.
+        fresh = functools.lru_cache(bounds_mod._critical_coefficients.__wrapped__)
+        monkeypatch.setattr(bounds_mod, "_critical_coefficients", fresh)
+        for kind in ("old", "new"):
+            bound_report(10, kind, "paper", 64)
+        assert fresh.cache_info()[:2] == (2, 2)  # hits, misses: (10, old) and (10, new)
+
     def test_negative_discriminant_is_refused(self, monkeypatch):
         # Interlacing roots (1, 3 against 0, 2) make the resultant of N and D,
         # a quarter of the discriminant of N'D - ND', negative.
         quads = QuadraticInY(1, -4, 3), QuadraticInY(1, -2, 0)
-        monkeypatch.setattr(bounds_mod, "eulerian_guess_quadratics", lambda n, kind: quads)
+        self.corrupt(monkeypatch, quads)
         with pytest.raises(ArithmeticError, match="negative discriminant -12 for n=4 kind=old"):
             paper_y(4, "old", 64)
 
     def test_no_admissible_critical_point_is_refused(self, monkeypatch):
         # D and N are not both positive at either critical point.
         quads = QuadraticInY(1, -3, -1), QuadraticInY(1, 3, 1)
-        monkeypatch.setattr(bounds_mod, "eulerian_guess_quadratics", lambda n, kind: quads)
+        self.corrupt(monkeypatch, quads)
         with pytest.raises(ArithmeticError, match="no admissible critical point for n=4 kind=old"):
             optimize_y_numeric(4, "old", 64)
 
     def test_supremum_at_infinity_is_refused(self, monkeypatch):
         # The admissible critical point's N/D stays below the limit N.c2/D.c2 = 1.
         quads = QuadraticInY(1, -3, -3), QuadraticInY(1, -1, -1)
-        monkeypatch.setattr(bounds_mod, "eulerian_guess_quadratics", lambda n, kind: quads)
+        self.corrupt(monkeypatch, quads)
         with pytest.raises(ArithmeticError, match="ratio supremum escapes to infinity"):
             optimize_y_numeric(4, "old", 64)
 

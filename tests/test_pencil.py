@@ -5,7 +5,7 @@ import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from eulerian_bounds import pencil
@@ -109,6 +109,40 @@ def tall_integer_matrices(draw):
     if not r:
         return [[0] * s for _ in left]
     return [[sum(a * b for a, b in zip(row, col)) for col in zip(*right)] for row in left]
+
+
+@st.composite
+def banded_integer_matrices(draw, symmetric=False):
+    """Integer matrices zero outside a band |i - j| <= b, b < size, often
+    with zero and repeated entries so that pivots vanish or fall off the
+    diagonal; with ``symmetric`` square, else with up to two extra rows."""
+    size = draw(st.integers(min_value=1, max_value=8))
+    b = draw(st.integers(min_value=0, max_value=size - 1))
+    extra = 0 if symmetric else draw(st.integers(min_value=0, max_value=2))
+    value = st.sampled_from((0, 0, 0, 1, -1, 2, -3))
+    rows = [[draw(value) if abs(i - j) <= b else 0 for j in range(size)]
+            for i in range(size + extra)]
+    if symmetric:
+        rows = [[rows[min(i, j)][max(i, j)] for j in range(size)] for i in range(size)]
+    return rows
+
+
+def dense_bareiss(rows):
+    """The Bareiss loop before it read the band: every remaining row is
+    eliminated at every step, over its whole tail."""
+    remaining = [(i, list(row)) for i, row in enumerate(rows)]
+    prev = 1
+    for col in range(len(rows[0]) if rows else 0):
+        at = next((k for k, (_, row) in enumerate(remaining) if row[col]), None)
+        if at is None:
+            continue
+        i, pivot = remaining.pop(at)
+        yield col, i, pivot
+        d = pivot[col]
+        for _, row in remaining:
+            f = row[col]
+            row[col:] = [(v * d - f * w) // prev for v, w in zip(row[col:], pivot[col:])]
+        prev = d
 
 
 class TestMatrixType:
@@ -397,6 +431,28 @@ class TestEliminationKernel:
         v = _null_vector(pencil._integer_rows(m)[0])
         assert all(type(e) is int for e in v) and any(v)
         assert all(sum(a * b for a, b in zip(row, v)) == 0 for row in m)
+
+    @given(banded_integer_matrices())
+    @example([[0, 1, 0], [1, 0, 1], [0, 1, 0]])  # zero pivots, a pivot below the diagonal
+    @example([[2, 1, 0, 0], [1, 2, 1, 0], [0, 1, 2, 1], [0, 0, 1, 2], [0, 0, 0, 1]])
+    @settings(max_examples=300, deadline=None)
+    def test_band_window_matches_the_dense_loop(self, rows):
+        # Same pivots, pivot rows and order, so the same determinant and rank.
+        assert list(pencil._bareiss(rows)) == list(dense_bareiss(rows))
+        if len(rows) == len(rows[0]):
+            assert _det(rows) == exact_det(rows)
+
+    @given(banded_integer_matrices(symmetric=True))
+    @example([[0, 1, 0], [1, 0, 1], [0, 1, 0]])  # a zero diagonal coupled below it
+    @example([[1, 2, 0], [2, 1, 3], [0, 3, 1]])  # a negative pivot
+    @settings(max_examples=300, deadline=None)
+    def test_band_window_keeps_the_witness(self, rows):
+        # The PSD decision and its witness lift are those of the dense loop.
+        ours = psd_certificate(M(rows))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(pencil, "_bareiss", dense_bareiss)
+            assert ours == psd_certificate(M(rows))
+        assert ours.is_psd == principal_minors_nonnegative(rows)
 
     def test_pivot_rows_come_from_the_input_in_order(self):
         # Column 0 is zero in row 0, so row 1 pivots there and row 0 in

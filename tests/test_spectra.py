@@ -1,6 +1,7 @@
 """Certified PSD endpoints, boundary kernel vectors, extreme roots."""
 
 import math
+import re
 from fractions import Fraction
 
 import mpmath
@@ -559,6 +560,99 @@ class TestKernelVector:
             boundary_kernel_vector(dp, 64)
 
 
+def congruence_factor(s: int) -> list[list[int]]:
+    """T = T1 T2 T3 as an explicit s x s integer matrix: column j of T1 is
+    e_j - 2 e_(j-1), of T2 2 e_j - 3 e_(j-1), for j >= 2, and of T3
+    e_j - e_(j-1) for j >= 1; every other column is e_j."""
+    def factor(p, q, start):
+        return [[(q if i == j else -p if i == j - 1 else 0) if j >= start else int(i == j)
+                 for j in range(s)] for i in range(s)]
+    t = [[int(i == j) for j in range(s)] for i in range(s)]
+    for f in (factor(2, 1, 2), factor(3, 2, 2), factor(1, 1, 1)):
+        t = [[sum(t[i][k] * f[k][j] for k in range(s)) for j in range(s)] for i in range(s)]
+    return t
+
+
+def half_bandwidth(m) -> int:
+    return max((abs(i - j) for i, row in enumerate(m) for j, v in enumerate(row) if v), default=0)
+
+
+def walked(dp: DiagonalPencil, prec: int):
+    """psd_boundary with the count route closed: every f takes the walk."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(spectra, "_rightmost_interval", lambda f: None)
+        return spectra.psd_boundary(dp, prec)
+
+
+class TestBandedPencil:
+    """x_min from one count on the banded congruent copy of the pencil."""
+
+    @pytest.mark.parametrize("n", range(1, 65))
+    def test_eulerian_congruent_pencil_is_banded(self, n):
+        # The band is evidence, not a theorem: checked exactly, entry by
+        # entry, against T^T M T with T written out.
+        rows, _ = _integer_rows(eulerian_diagonal_pencil(n).a0.entries
+                                + eulerian_diagonal_pencil(n).a_sum.entries)
+        s, band = n + 1, spectra._banded(rows)
+        t = congruence_factor(s)
+        for half, m in zip((band[:s], band[s:]), (rows[:s], rows[s:])):
+            assert half == transpose_product(t, transpose_product(m, t))
+            assert (half_bandwidth(half) == 3) if n >= 5 else (half_bandwidth(half) <= 3)
+
+    @staticmethod
+    def assert_count_matches_the_walk(dp, prec, clipped=False):
+        """The same dyadic cell, kernel dimension and witness on both routes,
+        and a determinant that is a positive multiple of the pencil's own.
+        With ``clipped`` the cells may differ where one is clipped to its
+        isolating interval (or ends at an exact root), and then only their
+        grid cell must agree."""
+        try:
+            walk = walked(dp, prec)
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=re.escape(str(exc))):
+                spectra.psd_boundary(dp, prec)
+            return
+        x, det, kernel_dim, witness = spectra.psd_boundary(dp, prec)
+        assert kernel_dim == walk[2] and det == walk[1]
+        if clipped and x != walk[0]:
+            assert math.ceil(x.hi * 2**prec) == math.ceil(walk[0].hi * 2**prec)
+            assert min(width(x), width(walk[0])) < Fraction(1, 2**prec)
+        else:
+            assert (x, witness) == (walk[0], walk[3])
+        rows, _ = _integer_rows(dp.a0.entries + dp.a_sum.entries)
+        own = spectra._det_polynomial(rows if not kernel_dim else spectra._range_restriction(rows))
+        TestRangeRestriction.assert_positive_multiple(det, own)
+
+    @pytest.mark.parametrize("n", range(1, 25))
+    def test_eulerian_count_route_matches_the_walk(self, n):
+        self.assert_count_matches_the_walk(eulerian_diagonal_pencil(n), 128)
+
+    @given(st.one_of(psd_pencils(), mixed_kernel_pencils()), st.sampled_from((16, 64)))
+    @settings(max_examples=150, deadline=None)
+    def test_generic_count_route_matches_the_walk(self, dp, prec):
+        self.assert_count_matches_the_walk(dp, prec, clipped=True)
+
+    @pytest.mark.parametrize("n", range(4, 21))
+    def test_eulerian_input_takes_one_search(self, monkeypatch, n):
+        # A simple rightmost determinant root: neither the squarefree part
+        # nor the continued-fraction isolation runs.
+        calls = {"_rightmost_interval": [], "_squarefree": [], "_positive_roots": []}
+        for name, seen in calls.items():
+            real = getattr(spectra, name)
+            monkeypatch.setattr(spectra, name, lambda *a, real=real, seen=seen: seen.append(real(*a)) or seen[-1])
+        spectra.psd_boundary(eulerian_diagonal_pencil(n), 128)
+        assert len(calls["_rightmost_interval"]) == 1 and calls["_rightmost_interval"][0]
+        assert calls["_squarefree"] == calls["_positive_roots"] == []
+
+    def test_simple_root_psd_at_lo_is_refused(self, monkeypatch):
+        # A cell moved right of x_min is PSD at lo, which a simple rightmost
+        # root of the determinant rules out: no second root is walked to.
+        real = spectra._refine_root
+        monkeypatch.setattr(spectra, "_refine_root", lambda *a, **k: real(*a, **k) + Fraction(1, 2**40))
+        with pytest.raises(ArithmeticError, match="a simple rightmost determinant root is PSD at lo"):
+            psd_interval_left(eulerian_diagonal_pencil(4), 64)
+
+
 class TestIntegerPsdInput:
     @settings(max_examples=150, deadline=None)
     @given(rescaled_pencils(), st.integers(1, 200), st.data())
@@ -638,9 +732,19 @@ class TestExtremeRoots:
         left, right = extreme_roots(polynomialize([8, 73, 81, 73, 8]), 64)
         assert (left, right) == (AlgebraicBound.exact(-8), AlgebraicBound.exact(Fraction(-1, 8)))
 
+    def test_count_of_three_bisects_toward_the_rightmost_root(self):
+        # (x + 2)(2x + 1)(x^2 + x + 1): the complex pair and -1/2 make the
+        # count at a = -1 read 3; the search bisects to a = -5/8, where it
+        # reads 1, and isolates -1/2 in (-5/8, -1/4) without the fallback.
+        f = [2, 7, 9, 7, 2]
+        assert spectra._rightmost_interval(f) == (Fraction(-5, 8), Fraction(-1, 4))
+        left, right = extreme_roots(polynomialize(f), 64)
+        assert (left, right) == (AlgebraicBound.exact(-2), AlgebraicBound.exact(Fraction(-1, 2)))
+
     @pytest.mark.parametrize("coeffs, leftmost, counts", [
         ([36, 51, 16, 1], -12, 2),  # (x + 1)(x + 3)(x + 12): a second count on the reversed f
-        ([30, 43, 14, 1], -10, 1),  # (x + 1)(x + 3)(x + 10): the rightmost root is a = -1 itself
+        ([30, 43, 14, 1], -10, 2),  # (x + 1)(x + 3)(x + 10): the rightmost root is a = -1 itself
+        ([2, 5, 4, 1], -2, 1),  # (x + 1)^2 (x + 2): the rightmost root is repeated
     ])
     def test_non_palindromic_input_takes_two_counts(self, monkeypatch, coeffs, leftmost, counts):
         # The leftmost root is the reciprocal of the reversed polynomial's
@@ -662,16 +766,18 @@ class TestExtremeRoots:
             extreme_roots(polynomialize([2, 5, 4, 1]), 64)
 
     def test_cell_clipped_to_a_neighbouring_root_passes_the_self_check(self):
-        # (33x + 1)(232x + 7)(x + 2): the rightmost root -7/232 is isolated
-        # in (-1/33, -3/100), and its cell at prec 8 is clipped to the root
+        # (33x + 1)(232x + 7)^2 (x + 2): the repeated rightmost root fails
+        # the count; the isolation of the squarefree part puts -7/232 in
+        # (-1/33, -3/100), and its cell at prec 8 is clipped to the root
         # -1/33, where f is 0; the re-check deflates that neighbour.
-        left, right = extreme_roots(polynomialize([14, 933, 15775, 7656]), 8)
+        left, right = extreme_roots(polynomialize([98, 9779, 326881, 3713392, 1776192]), 8)
         assert left == AlgebraicBound.exact(-2)
         assert right == AlgebraicBound(Fraction(-1, 33), Fraction(-3, 100))
 
     def test_count_without_a_sign_change_falls_back(self):
-        # (x - 1)(x + 1)^3: the one root above a = -1 is 1, and both counts
-        # read one, but f has no sign change on (a, a/4), so the isolation
+        # (x - 1)(x + 1)^3: the one root above a = -1 is 1, so a count there
+        # reads one, and only the sign change on (a, b) would refuse it; its
+        # coefficients change sign, so no count is made, and the isolation
         # route runs and finds the positive root.
         with pytest.raises(ValueError, match="not all negative"):
             extreme_roots(polynomialize([-1, -2, 0, 2, 1]), 64)
@@ -733,7 +839,7 @@ class TestExtremeRoots:
     @pytest.mark.parametrize("coeffs, message", [
         ([1, 1, 1], "not real-rooted"),
         ([1, 0, 0, 0, 1], "not real-rooted"),  # x^4 + 1: Q = z^2 - 2
-        ([2, 7, 9, 7, 2], "not real-rooted"),  # (x + 2)(2x + 1)(x^2 + x + 1)
+        ([1, 3, 4, 3, 1], "not real-rooted"),  # (x + 1)^2 (x^2 + x + 1): -1 repeated
         ([1, 2, 2, 1], "not real-rooted"),  # (x + 1)(x^2 + x + 1)
         ([2, -5, 2], "not all negative"),  # (x - 2)(2x - 1)
         ([6, -5, -38, -5, 6], "not all negative"),  # (x + 2)(2x + 1)(x - 3)(3x - 1)
@@ -765,8 +871,8 @@ def assert_extremes_match_the_isolate_route(p, prec):
     cells ``_refine_root`` gives on the extreme intervals of ``_isolate``.
 
     Both are the dyadic cell of the same root, each clipped to its own
-    isolating interval: the count's (a, a/4) and its reciprocal
-    (4/a, 1/a).  An exact point of the oracle must lie in the new cell.
+    isolating interval: the count's (a, b) and its reciprocal
+    (1/b, 1/a).  An exact point of the oracle must lie in the new cell.
     An input failing the count (its rightmost root repeated, or at a)
     takes the oracle's route, so its cells are the oracle's.
     """
@@ -779,8 +885,8 @@ def assert_extremes_match_the_isolate_route(p, prec):
     if right is None:
         assert cells == tuple(spectra._refine_root(sqf, lo, hi, prec) for lo, hi in extremes)
         return
-    for (lo, hi), (a, b), cell in zip(extremes, ((4 / right[0], 1 / right[0]), right), cells):
-        assert a < b < 0
+    for (lo, hi), (a, b), cell in zip(extremes, ((1 / right[1], 1 / right[0]), right), cells):
+        assert a <= b < 0
         assert cell == spectra._refine_root(sqf, a, b, prec)
         oracle = spectra._refine_root(sqf, lo, hi, prec)
         if oracle.lo == oracle.hi:
@@ -1067,22 +1173,24 @@ class TestHalfDegreeRoute:
 
     @given(st.lists(st.fractions(Fraction(1, 16), 50, max_denominator=16), min_size=1, max_size=6))
     @example([Fraction(1), Fraction(3), Fraction(12)])
-    @example([Fraction(1), Fraction(3), Fraction(10)])  # the rightmost root at a: no interval
+    @example([Fraction(1), Fraction(3), Fraction(10)])  # the rightmost root at a: a point
     @settings(max_examples=200, deadline=None)
     def test_count_isolates_the_rightmost_root_alone(self, rs):
-        # For f = prod (x + r), r > 0, any interval the count gives holds
+        # For f = prod (x + r), r > 0, the interval the count gives holds
         # exactly one of f's roots, as _isolate counts them, and it is the
-        # rightmost, -min(rs).
+        # rightmost, -min(rs); a point interval is that root.  Only a
+        # repeated rightmost root leaves the count without an interval.
         f = [1]
         for r in rs:
             f = poly_mul(f, [r.denominator, r.numerator])
         ends = spectra._rightmost_interval(f)
         if ends is None:
+            assert rs.count(min(rs)) > 1
             return
         a, b = ends
         roots = sorted({-r for r in rs})
         assert len(spectra._isolate(f)[1]) == len(roots)
-        assert [r for r in roots if a < r < b] == [roots[-1]]
+        assert [r for r in roots if a <= r <= b] == [roots[-1]] and b < 0
 
     @given(st.one_of(
         polynomials_with_known_roots(negative_palindromic=True).map(lambda case: case[0][::-1]),
