@@ -7,11 +7,10 @@ Three certified quantities live here:
   PSD tests; the tests, the determinant and the rank all come from the
   fraction-free elimination kernel of ``pencil`` (entries grow like 8^n,
   so floating eigensolvers lose certification long before the desk-scale
-  range ends; exact sign tests do not), run on a banded congruent copy of
-  the pencil wherever only a sign is needed;
-- an approximate kernel vector at that boundary: the integer witness
-  that refutes PSD just left of it, flagged degenerate (corank > 1) when
-  a common kernel or a repeated root of the same determinant shows it;
+  range ends; exact sign tests do not), all on a banded congruent copy;
+- an approximate kernel vector at that boundary: the integer witness of
+  the one dense PSD test, just left of it, flagged degenerate (corank > 1)
+  when a common kernel or a repeated root of the same determinant shows it;
 - enclosures of the extreme (leftmost / rightmost) real roots of a
   univariate polynomial whose real roots are negative, each isolated by
   Descartes counts or by exact root isolation and re-checked for a
@@ -270,28 +269,26 @@ def psd_interval_left(p: DiagonalPencil, prec: int = DEFAULT_PREC) -> AlgebraicB
 
 def psd_boundary(
     p: DiagonalPencil, prec: int = DEFAULT_PREC
-) -> tuple[AlgebraicBound, list[int], int, tuple[int, ...]]:
+) -> tuple[AlgebraicBound, list[int], int]:
     """x_min as ``psd_interval_left`` encloses it, the determinant f it is a
-    root of, the dimension of the common kernel f is taken off, and the
-    verified integer witness w, w^T (A0 + lo A_sum) w < 0.
+    root of, and the dimension of the common kernel f is taken off.
 
     The PSD set on the line is an interval containing 0 on which, off the
     common kernel of A0 and A_sum, the pencil is nonsingular except at its
     ends; so x_min is a nonpositive root of f(x) = det(A0 + x A_sum) taken
     on that complement (descending integer coefficients, up to a positive
-    factor).  f and the PSD tests at 0 and ``hi`` (a yes or no) come from
-    the congruent copy ``_banded``; the test at ``lo`` runs on the pencil
-    itself, so the witness is its own.  A simple rightmost root of f below
-    0, isolated by ``_rightmost_interval``, is x_min: the pencil is
-    positive definite from 0 down to it, and not PSD where f changes sign.
-    Any other f has its roots isolated and walked right to left: the first
-    not PSD at its ``lo`` is x_min.  The answer rests only on the two exact
-    tests, not PSD at ``lo`` and PSD at ``hi``, so x_min lies in (lo, hi].
+    factor).  f and the PSD tests at 0, ``lo`` and ``hi`` (a yes or no
+    each) come from the congruent copy ``_banded``.  A simple rightmost
+    root of f below 0, isolated by ``_rightmost_interval``, is x_min: the
+    pencil is positive definite from 0 down to it, and not PSD where f
+    changes sign.  Any other f has its roots isolated and walked right to
+    left: the first not PSD at its ``lo`` is x_min.  The answer rests only
+    on the two exact tests, not PSD at ``lo`` and PSD at ``hi``, so x_min
+    lies in (lo, hi].
     """
     if prec < 16:
         raise ValueError("prec must be >= 16")
-    rows, _ = _integer_rows(p.a0.entries + p.a_sum.entries)
-    band = _banded(rows)
+    band = _banded(_integer_rows(p.a0.entries + p.a_sum.entries)[0])
     if not _is_psd_at(band, Fraction(0)):
         raise ValueError("A0 is not PSD")
     det, kernel_dim = _det_polynomial(band), 0
@@ -303,11 +300,10 @@ def psd_boundary(
     f, intervals = (f, [one]) if one else _isolate(f, nonpositive=True)
     for a, b in reversed(intervals):
         enc = _refine_root(f, a, b, prec, exact=False)
-        at_lo = _is_psd_at(rows, enc.lo)
-        if not at_lo:
+        if not _is_psd_at(band, enc.lo):
             if not _is_psd_at(band, enc.hi):
                 raise ArithmeticError("x_min enclosure is not PSD at hi")
-            return enc, det, kernel_dim, at_lo.witness
+            return enc, det, kernel_dim
         if one:
             raise ArithmeticError("a simple rightmost determinant root is PSD at lo")
     raise ValueError("unbounded below: pencil PSD left of every determinant root")
@@ -350,13 +346,14 @@ def _normalized(w: list[int], prec: int) -> tuple[list[Fraction], str]:
 def boundary_kernel_vector(p: DiagonalPencil, prec: int = DEFAULT_PREC) -> KernelVector:
     """Kernel direction of A0 + x A_sum at its PSD boundary x_min.
 
-    The direction is the witness refuting PSD at the enclosure's lo: at a
-    corank-1 boundary with unit kernel v, the first leading block to fail
-    ends at v's last nonzero entry v_k (a PSD matrix's leading-block
-    kernel vector, zero-padded, is its own), and the witness, that
-    block's adjugate column, tends to v as the enclosure shrinks.  A
-    common kernel of A0 and A_sum makes the midpoint M singular (among
-    Eulerian pencils only at n = 1); M's exact null vector is taken there.
+    The direction is the witness of a dense PSD test on the pencil's own
+    rows, refuting PSD at the enclosure's lo: at a corank-1 boundary with
+    unit kernel v, the first leading block to fail ends at v's last nonzero
+    entry v_k (a PSD matrix's leading-block kernel vector, zero-padded, is
+    its own), and the witness, that block's adjugate column, tends to v as
+    the enclosure shrinks.  A common kernel of A0 and A_sum makes the
+    midpoint M singular (among Eulerian pencils only at n = 1); M's exact
+    null vector is taken there.
 
     The integer vector w is checked and normalized exactly: ||M w|| / ||w||,
     rounded up to a multiple of 2**(-2 prec), must meet 2**(-prec/2).  The
@@ -379,10 +376,10 @@ def boundary_kernel_vector(p: DiagonalPencil, prec: int = DEFAULT_PREC) -> Kerne
     a_sum_max = Fraction(max(abs(v) for row in rows[p.size:] for v in row), den)
     bits = max(prec, int(4 * p.size * max(1, a_sum_max) / target).bit_length())
     while True:
-        x, det, kernel_dim, witness = psd_boundary(p, bits)
+        x, det, kernel_dim = psd_boundary(p, bits)
         mid = x.midpoint
         matrix = _pencil_rows(rows, mid.numerator, mid.denominator)  # (den mid.denominator) M
-        w = _null_vector(matrix) if kernel_dim else witness
+        w = _null_vector(matrix) if kernel_dim else _is_psd_at(rows, x.lo).witness
         mw = [sum(e * c for e, c in zip(row, w) if c) for row in matrix]
         scale = den * mid.denominator
         scaled = -(-sum(y * y for y in mw) * 16**prec // (scale * scale * sum(c * c for c in w)))
@@ -498,14 +495,17 @@ def _rightmost_interval(f: list[int]) -> tuple[Fraction, Fraction] | None:
     # means exactly one real root above a, simple (Descartes' rule); a sign
     # change on (a, b) puts it there.  a = -2^-k, k = bitlen(c_1) - bitlen(c_0)
     # - 1, and b = a/4 first bracket -c_0/c_1, at or right of the rightmost
-    # of real negative roots.  A count of 0 moves b to a and a four times left
-    # (to (y + a)/2 after a count >= 2 at y); a count >= 2 bisects (a, b).
-    if len(f) < 2 or not f[-1] or _variations(f):
-        return None
+    # root if f is real-rooted.  A count of 0 moves b to a and a four times left
+    # (to (y + a)/2 after a count >= 2 at y); a count >= 2 bisects (a, b).  Every
+    # real root lies above floor, Kioustelidis' bound for f(-x), and none is real
+    # if f(-x) has no sign variation; b only moves left, so b <= floor ends the
+    # search, as does (a, b) narrower than |b| 2^-32: a repeated root never counts 1.
     n, y, flip = len(f) - 1, None, lambda g: [-c if j % 2 else c for j, c in enumerate(g)]
+    if n < 1 or not f[-1] or _variations(f) or not _variations(flip(f)):
+        return None
     a = -Fraction(2) ** (f[-1].bit_length() + 1 - f[-2].bit_length())
-    b = a / 4
-    for _ in range(64):  # a repeated rightmost root never counts 1
+    b, floor = a / 4, -Fraction(2) ** _root_bound(flip(f))
+    while floor < b and (b - a) * 2**32 >= -b:
         p, q = -a.numerator, a.denominator  # g = f(a + |a| w) q^n: roots over |a| shifted by 1
         g = flip(_shift1(flip([c * p ** (n - j) * q**j for j, c in enumerate(f)])))
         v = _variations(g)  # and g[-1] has the sign of f(a)

@@ -121,10 +121,21 @@ def mixed_kernel_pencils(draw) -> DiagonalPencil:
     return diag_pencil(*mixed)
 
 
+def lo_witness(dp: DiagonalPencil, x: AlgebraicBound) -> tuple[int, ...]:
+    """The witness of the dense PSD test on dp's own rows at x.lo, the
+    direction boundary_kernel_vector starts from."""
+    rows, _ = _integer_rows(dp.a0.entries + dp.a_sum.entries)
+    at_lo = spectra._is_psd_at(rows, x.lo)
+    assert not at_lo
+    return at_lo.witness
+
+
 def boundary_route(dp: DiagonalPencil, prec: int):
-    """psd_boundary and boundary_kernel_vector, or the ValueError refusing dp."""
+    """psd_boundary with the witness at its lo, and boundary_kernel_vector;
+    or the ValueError refusing dp."""
     try:
-        return spectra.psd_boundary(dp, prec), boundary_kernel_vector(dp, prec)
+        x, det, kernel_dim = spectra.psd_boundary(dp, prec)
+        return (x, det, kernel_dim, lo_witness(dp, x)), boundary_kernel_vector(dp, prec)
     except ValueError as exc:
         return str(exc)
 
@@ -329,7 +340,7 @@ class TestKernelVector:
         # leaves no root in the cell.
         dp = eulerian_diagonal_pencil(4)
         rows, _ = _integer_rows(dp.a0.entries + dp.a_sum.entries)
-        boundary = spectra.psd_boundary(dp, 64)[:3]
+        boundary = spectra.psd_boundary(dp, 64)
         monkeypatch.setattr(spectra, "_squarefree", lambda d: [1, 1])
         with pytest.raises(ArithmeticError, match="no determinant root in the x_min enclosure"):
             spectra._boundary_degenerate(rows, *boundary)
@@ -426,7 +437,7 @@ class TestKernelVector:
     )
     def test_property_matches_svd(self, dp, prec):
         try:
-            boundary = spectra.psd_boundary(dp, prec)[:3]
+            boundary = spectra.psd_boundary(dp, prec)
         except ValueError:
             assume(False)
         rows, _ = _integer_rows(dp.a0.entries + dp.a_sum.entries)
@@ -466,8 +477,8 @@ class TestKernelVector:
         real = spectra.psd_boundary
 
         def common_kernel(p, prec):
-            x, det, _, witness = real(p, prec)
-            return x, det, 1, witness
+            x, det, _ = real(p, prec)
+            return x, det, 1
 
         monkeypatch.setattr(spectra, "psd_boundary", common_kernel)
         with pytest.raises(ArithmeticError, match="numerically singular boundary matrix is nonsingular"):
@@ -552,8 +563,8 @@ class TestKernelVector:
         real = spectra.psd_boundary
 
         def shifted(p, prec):
-            x, det, kernel_dim, witness = real(p, prec)
-            return x - Fraction(1, 2), det, kernel_dim, witness
+            x, det, kernel_dim = real(p, prec)
+            return x - Fraction(1, 2), det, kernel_dim
 
         monkeypatch.setattr(spectra, "psd_boundary", shifted)
         with pytest.raises(ArithmeticError, match=r"kernel residual .* exceeds 2\^-32"):
@@ -612,13 +623,13 @@ class TestBandedPencil:
             with pytest.raises(ValueError, match=re.escape(str(exc))):
                 spectra.psd_boundary(dp, prec)
             return
-        x, det, kernel_dim, witness = spectra.psd_boundary(dp, prec)
+        x, det, kernel_dim = spectra.psd_boundary(dp, prec)
         assert kernel_dim == walk[2] and det == walk[1]
         if clipped and x != walk[0]:
             assert math.ceil(x.hi * 2**prec) == math.ceil(walk[0].hi * 2**prec)
             assert min(width(x), width(walk[0])) < Fraction(1, 2**prec)
         else:
-            assert (x, witness) == (walk[0], walk[3])
+            assert (x, lo_witness(dp, x)) == (walk[0], lo_witness(dp, walk[0]))
         rows, _ = _integer_rows(dp.a0.entries + dp.a_sum.entries)
         own = spectra._det_polynomial(rows if not kernel_dim else spectra._range_restriction(rows))
         TestRangeRestriction.assert_positive_multiple(det, own)
@@ -651,6 +662,60 @@ class TestBandedPencil:
         monkeypatch.setattr(spectra, "_refine_root", lambda *a, **k: real(*a, **k) + Fraction(1, 2**40))
         with pytest.raises(ArithmeticError, match="a simple rightmost determinant root is PSD at lo"):
             psd_interval_left(eulerian_diagonal_pencil(4), 64)
+
+
+class TestBandedDecisions:
+    """Every PSD decision of psd_boundary runs on the band; the one dense
+    test is boundary_kernel_vector's, for its witness."""
+
+    @staticmethod
+    def assert_dense_test_only_for_the_witness(dp, prec):
+        rows, _ = _integer_rows(dp.a0.entries + dp.a_sum.entries)
+        band, log = spectra._banded(rows), []
+        real_test, real_boundary = spectra._is_psd_at, spectra.psd_boundary
+
+        def test(m, x):
+            log.append(("test", m, x))
+            return real_test(m, x)
+
+        def boundary(p, bits):
+            start = len(log)
+            try:
+                result = real_boundary(p, bits)
+            finally:  # psd_boundary's own tests, each on the band, leave the log
+                assert log[start:] and all(m == band for _, m, _ in log[start:])
+                del log[start:]
+            log.append(("boundary", result))
+            return result
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(spectra, "_is_psd_at", test)
+            mp.setattr(spectra, "psd_boundary", boundary)
+            try:
+                psd_interval_left(dp, prec)
+            except ValueError:
+                return
+            assert [tag for tag, *_ in log] == ["boundary"]  # no test outside psd_boundary
+            log.clear()
+            boundary_kernel_vector(dp, prec)
+        # Each psd_boundary call is followed by one test on the pencil's own
+        # rows at its enclosure's lo, or by none where the common kernel's
+        # exact null vector is taken instead.
+        expected = []
+        for tag, *entry in log:
+            if tag == "boundary":
+                x, _, kernel_dim = entry[0]
+                expected += [(tag, *entry)] + ([] if kernel_dim else [("test", rows, x.lo)])
+        assert log == expected
+
+    @pytest.mark.parametrize("n", range(1, 25))
+    def test_eulerian(self, n):
+        self.assert_dense_test_only_for_the_witness(eulerian_diagonal_pencil(n), 64)
+
+    @given(st.one_of(psd_pencils(), mixed_kernel_pencils()), st.sampled_from((16, 64)))
+    @settings(max_examples=100, deadline=None)
+    def test_generic(self, dp, prec):
+        self.assert_dense_test_only_for_the_witness(dp, prec)
 
 
 class TestIntegerPsdInput:
@@ -1150,6 +1215,27 @@ class TestHalfDegreeRoute:
         extreme_roots(univariate_eulerian(n), 128)
         assert len(calls["_rightmost_interval"]) == 1 and calls["_rightmost_interval"][0]
         assert calls["_squarefree"] == calls["_positive_roots"] == []
+
+    @pytest.mark.parametrize("f", [
+        [1, 0, 0, 0, 1],  # x^4 + 1: f(-x) has no sign variation, so no root is real
+        [1, 1, 8],  # x^2 + x + 8: the first bracket (-16, -4) lies below floor = -2
+    ])
+    def test_no_real_root_to_search_takes_no_count(self, monkeypatch, f):
+        # Kioustelidis' bound for f(-x) puts every real root of f above floor,
+        # and b only moves left: neither input is given a Taylor shift.
+        shifts = []
+        monkeypatch.setattr(spectra, "_shift1", lambda g, real=spectra._shift1: shifts.append(g) or real(g))
+        assert spectra._rightmost_interval(f) is None and shifts == []
+
+    def test_repeated_rightmost_root_stops_at_a_narrow_bracket(self, monkeypatch):
+        # A repeated rightmost root never counts 1: the counts bisect towards
+        # it until (a, b) is narrower than |b| 2^-32, 33 counts from the first.
+        a20 = [int(c) for c in univariate_eulerian(20).coeffs]
+        shifts = []
+        monkeypatch.setattr(spectra, "_shift1", lambda g, real=spectra._shift1: shifts.append(g) or real(g))
+        for f in ([1, 3, 4, 3, 1], poly_mul(a20, a20)):  # (x^2 + x + 1)(x + 1)^2 and A_20^2
+            shifts.clear()
+            assert spectra._rightmost_interval(f) is None and len(shifts) == 33
 
     @pytest.mark.parametrize("prec", [16, 128])
     @pytest.mark.parametrize("n", [5, 8, 12])
