@@ -9,12 +9,13 @@ vectors are built in, both with a free first entry y:
 - "old":  (y, 1, -1, ..., -1),
 - "new":  (y, (-2^(m-i))_{i=3..m}, 0, 1/2, 1, ..., 1) for n = 2m.
 
-D(y) and N(y) are exact quadratics in y.  The optimal y is a root of
-the integer quadratic N'D - ND', enclosed like every other certified
-root: isolated and refined to its dyadic cell by ``spectra``.  The new
-family deliberately reuses the optimum derived from the old family's
-quadratics (with the opposite sign), which is the choice that makes its
-D and N positive.
+D(y) and N(y) are exact quadratics in y, read off the pencil cleared to
+integers once; at a cell y they and N/D take integer ends over one
+denominator, not a Fraction per operation.  The optimal y is a root of
+the integer quadratic N'D - ND', isolated and refined to its dyadic cell
+by ``spectra`` like every other certified root.  The new family reuses
+the optimum of the old family's quadratics with the opposite sign, the
+choice that makes its D and N positive.
 
 The univariate reference bound un(n) comes from the 2x2 pencil of the
 univariate Eulerian polynomial; its PSD endpoint is certified by the
@@ -40,7 +41,7 @@ from .pencil import (
     build_pencil,
     eulerian_diagonal_pencil,
 )
-from .pencil import _integer_rows
+from .pencil import _integer_form, _integer_rows
 from .spectra import _isolate, _refine_root, psd_boundary
 
 __all__ = [
@@ -110,7 +111,14 @@ class QuadraticInY(Record):
     c0: Fraction
 
     def at(self, y: AlgebraicBound) -> AlgebraicBound:
-        return self.c2 * (y * y) + self.c1 * y + AlgebraicBound.exact(self.c0)
+        """The natural interval extension c2 [y] [y] + c1 [y] + c0: each end one
+        integer over q^3, q the lcm of the coefficients' and y's denominators."""
+        ((k2, k1, k0, a, b),), q = _integer_rows([(self.c2, self.c1, self.c0, y.lo, y.hi)])
+        squares = (a * a, a * b, b * b)
+        ends = (k2 * min(squares), k2 * max(squares)), (k1 * q * a, k1 * q * b)
+        const, den = k0 * q * q, q * q * q
+        return AlgebraicBound(Fraction(sum(map(min, ends)) + const, den),
+                              Fraction(sum(map(max, ends)) + const, den))
 
 
 def linearized_DN(
@@ -121,16 +129,18 @@ def linearized_DN(
     Only the first entry is symbolic, so the y^2 coefficient is the
     matrix corner, the y coefficient is twice the first row paired with
     the concrete tail, and the constant is the quadratic form of the tail.
+    With the tail cleared once to u / t (u[0] = 0) and each matrix to R / l,
+    c2 = R00 / l, c1 = 2 R0.u / lt and c0 = u^T R u / lt^2.
     """
     if len(v.entries) != p.size:
-        raise ValueError(
-            f"vector length {len(v.entries)} does not match pencil size {p.size}"
-        )
+        raise ValueError(f"vector length {len(v.entries)} does not match pencil size {p.size}")
+    (u,), t = _integer_rows([(0,) + v.entries[1:]])
 
     def expand(mat: SymmetricRationalMatrix) -> QuadraticInY:
-        tail = v.entries[1:]
-        cross = sum(r * t for r, t in zip(mat.entries[0][1:], tail))
-        return QuadraticInY(mat.entry(0, 0), 2 * cross, mat.quadratic_form((0,) + tail))
+        rows, lcm = _integer_rows(mat.entries)
+        cross = sum(r * x for r, x in zip(rows[0], u))
+        return QuadraticInY(Fraction(rows[0][0], lcm), Fraction(2 * cross, lcm * t),
+                            Fraction(_integer_form(rows, u), lcm * t * t))
 
     return expand(p.a0), expand(p.a_sum)
 

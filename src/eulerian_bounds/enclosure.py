@@ -72,7 +72,15 @@ class AlgebraicBound(Record):
         return AlgebraicBound(1 / self.hi, 1 / self.lo)
 
     def __truediv__(self, other) -> "AlgebraicBound":
-        return self * _coerce(other).reciprocal()
+        # Two of the four end quotients, no reciprocal: over [c, d] > 0 a quotient
+        # rises with the dividend, and falls with the divisor if the dividend >= 0.
+        other = _coerce(other)
+        if other.lo <= 0 <= other.hi:
+            raise ZeroDivisionError("enclosure contains zero")
+        if other.hi < 0:
+            return -self / -other
+        lo, hi, c, d = self.lo, self.hi, other.lo, other.hi
+        return AlgebraicBound(lo / (d if lo >= 0 else c), hi / (c if hi >= 0 else d))
 
     # "Certainly" means the enclosures prove the relation.
     def certainly_lt(self, other) -> bool:

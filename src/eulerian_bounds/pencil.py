@@ -17,7 +17,7 @@ integer witness vector v with v^T M v < 0.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterator
 from fractions import Fraction
 from functools import lru_cache
 
@@ -52,24 +52,6 @@ class SymmetricRationalMatrix(Record):
     @property
     def size(self) -> int:
         return len(self.entries)
-
-    def entry(self, i: int, j: int) -> Fraction:
-        return self.entries[i][j]
-
-    def quadratic_form(self, v: Sequence) -> Fraction:
-        """v^T M v, exactly: the integer u^T M' u for u = d v and M' = l M,
-        the vector and the rows cleared once, divided back by l d^2.
-
-        >>> m = SymmetricRationalMatrix(((1, 2), (2, 3)))
-        >>> m.quadratic_form([Fraction(1, 2), -1])
-        Fraction(5, 4)
-        """
-        vec = [Fraction(x) for x in v]
-        if len(vec) != self.size:
-            raise ValueError("vector length mismatch")
-        (u,), den = _integer_rows([vec])
-        rows, lcm = _integer_rows(self.entries)
-        return Fraction(_integer_form(rows, u), lcm * den * den)
 
 
 class LinearMatrixPencil(Record):

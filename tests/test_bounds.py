@@ -5,12 +5,14 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from eulerian_bounds import bounds as bounds_mod
 from eulerian_bounds import spectra
 from eulerian_bounds.bounds import (
+    KINDS,
+    BoundReport,
     GuessVector,
     QuadraticInY,
     bound_report,
@@ -32,7 +34,16 @@ from eulerian_bounds.pencil import (
 from eulerian_bounds.spectra import extreme_roots, psd_interval_left
 
 from closed_forms import closed_form_DN
-from intervals import contains, encloses, is_certainly_negative, possibly_leq, rsub, width
+from fraction_elimination import fraction_quadratic_form
+from intervals import (
+    contains,
+    dyadic_intervals,
+    encloses,
+    is_certainly_negative,
+    possibly_leq,
+    rsub,
+    width,
+)
 from polynomials import quadratic_at
 from surds import quadratic_root_enclosure, sqrt_enclosure
 
@@ -109,6 +120,30 @@ class TestLinearizedDN:
         v = guess_vector("old", 3)
         with pytest.raises(ValueError, match="vector length 4 does not match pencil size 3"):
             linearized_DN(eulerian_diagonal_pencil(2), v)
+
+
+# Coefficients of every sign, zero included: integers, rationals and dyadics.
+COEFFICIENTS = (
+    st.just(0)
+    | st.integers(-(10**30), 10**30)
+    | st.fractions(-(2**70), 2**70, max_denominator=2**64)
+    | dyadic_intervals(st.just("point")).map(lambda b: b.lo)
+)
+
+
+def operator_at(q: QuadraticInY, y: AlgebraicBound) -> AlgebraicBound:
+    """c2 [y]^2 + c1 [y] + c0 by the interval operators, a Fraction per step."""
+    return q.c2 * (y * y) + q.c1 * y + AlgebraicBound.exact(q.c0)
+
+
+class TestQuadraticAt:
+    @given(COEFFICIENTS, COEFFICIENTS, COEFFICIENTS, dyadic_intervals())
+    # Across 0, [y] [y] is [lo hi, max(lo^2, hi^2)], not the range of y^2.
+    @example(1, -2, 1, AlgebraicBound(Fraction(-1), Fraction(1, 2)))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_operator_extension(self, c2, c1, c0, y):
+        q = QuadraticInY(c2, c1, c0)
+        assert q.at(y) == operator_at(q, y)
 
 
 class TestClosedFormAgreement:
@@ -306,7 +341,7 @@ class TestUnivariateBound:
         # (at n = 1 it vanishes identically; see the test above).
         dp = bounds_mod._univariate_diagonal(n)
         (l1, lx), (_, lx2) = dp.a0.entries
-        lx3 = dp.a_sum.entry(1, 1)
+        lx3 = dp.a_sum.entries[1][1]
         c2, c1, c0 = lx * lx3 - lx2 * lx2, l1 * lx3 - lx * lx2, l1 * lx2 - lx * lx
         larger = quadratic_root_enclosure(c2, c1, c0, "+" if c2 > 0 else "-", 160)
         assert overlaps(psd_interval_left(bounds_mod._univariate_diagonal(n), 128), larger)
@@ -364,6 +399,41 @@ class TestBoundReport:
             bound_report(4, "weird")
         with pytest.raises(ValueError, match="unknown vector kind 'x'"):
             paper_y(4, "x")
+
+
+def operator_report(r: BoundReport) -> BoundReport:
+    """``r`` rebuilt on its own y and un(n) with Fraction and operator
+    arithmetic: the guess quadratics by the Fraction double loop, D(y) and
+    N(y) by ``operator_at``, and each quotient as the product with the
+    divisor's reciprocal interval."""
+    p, v = eulerian_diagonal_pencil(r.n), guess_vector(r.kind, r.n)
+    tail = v.entries[1:]
+
+    def value(m: SymmetricRationalMatrix) -> AlgebraicBound:
+        corner, *row = m.entries[0]
+        cross = sum((Fraction(a) * t for a, t in zip(row, tail)), Fraction(0))
+        q = QuadraticInY(Fraction(corner), 2 * cross, fraction_quadratic_form(m, (0,) + tail))
+        return operator_at(q, r.y)
+
+    d, n = value(p.a0), value(p.a_sum)
+    mult = n * d.reciprocal()
+    return BoundReport(n=r.n, kind=r.kind, y_policy=r.y_policy, prec=r.prec, y=r.y,
+                       d_value=d, n_value=n, lin_bound=-(d * n.reciprocal()), mult=mult,
+                       un=r.un, difference=mult - r.un)
+
+
+class TestIntegerReports:
+    # Reports are computed on integers over one denominator per step; every
+    # field must stay the exact enclosure of the operator arithmetic.
+    @pytest.mark.parametrize("prec", (16, 128))
+    @pytest.mark.parametrize("policy", ("paper", "numeric-optimal"))
+    def test_every_field_matches_the_operator_arithmetic(self, policy, prec):
+        for n in range(1, 25):
+            for kind in KINDS if n >= 4 and n % 2 == 0 else ("old",):
+                r = bound_report(n, kind, policy, prec)
+                rebuilt = operator_report(r)
+                for field in BoundReport._fields:
+                    assert getattr(r, field) == getattr(rebuilt, field), (n, kind, field)
 
 
 class TestOptimizeY:

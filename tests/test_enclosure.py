@@ -8,7 +8,16 @@ from hypothesis import strategies as st
 
 from eulerian_bounds.enclosure import AlgebraicBound
 
-from intervals import certainly_leq, contains, magnitude, possibly_leq, rsub, rtruediv, width
+from intervals import (
+    certainly_leq,
+    contains,
+    dyadic_intervals,
+    magnitude,
+    possibly_leq,
+    rsub,
+    rtruediv,
+    width,
+)
 from surds import quadratic_root_enclosure, sqrt_enclosure
 
 fractions = st.fractions(
@@ -51,6 +60,19 @@ def test_division_sign_checks():
     assert rtruediv(1, a).lo == Fraction(1, 2)
     with pytest.raises(ZeroDivisionError):
         z.reciprocal()
+
+
+@given(dyadic_intervals(), dyadic_intervals())
+@settings(max_examples=300, deadline=None)
+def test_quotient_is_the_product_with_the_reciprocal(p, q):
+    # Division picks two of the four end quotients by sign; the product
+    # with the reciprocal interval is the oracle, end for end.
+    if q.lo <= 0 <= q.hi:
+        with pytest.raises(ZeroDivisionError, match="enclosure contains zero"):
+            p / q
+    else:
+        assert p / q == p * q.reciprocal()
+        assert p / q.lo == p * AlgebraicBound.exact(q.lo).reciprocal()
 
 
 def test_order_predicates():

@@ -359,13 +359,15 @@ class TestKernelVector:
     )
     @example({Fraction(-47, 48): 1}, 4, True, 1)  # its cell (-1, -15/16] starts on the root -1
     @example({Fraction(-3, 2): 2, Fraction(-47, 32): 1}, 4, False, -1)  # a repeated root at lo
+    @example({Fraction(-1, 16): 2, Fraction(-1, 12): 1}, 4, False, 1)  # a repeated root at hi
     @settings(max_examples=150, deadline=None)
     def test_repeated_root_predicate_matches_sympy(self, roots, prec, neighbours, lead):
         # For f = lead prod (x - r)^k, the flag at the cell of each root r
-        # reads k > 1 (sympy's squarefree multiplicities) with no common
-        # kernel, and always reads true with one.  Each cell is refined on
-        # the interval between r's neighbours, so a neighbour in r's grid
-        # cell is the cell's lo; ``neighbours`` adds the grid point left of
+        # reads whether a root in the cell (lo, hi] has k > 1 (sympy's
+        # squarefree multiplicities) with no common kernel, and always reads
+        # true with one.  Each cell is refined on the interval between r's
+        # neighbours, so a neighbour in r's grid cell is the cell's lo, left
+        # out, or its hi, counted; ``neighbours`` adds the grid point left of
         # each root as a double root.
         if neighbours:
             roots = {Fraction(math.floor(r * 2**prec), 2**prec): 2 for r in roots} | roots
@@ -381,8 +383,9 @@ class TestKernelVector:
             hi = ordered[i + 1] if i + 1 < len(ordered) else r / 2
             cell = spectra._refine_root(sqf, lo, hi, prec, exact=False)
             assert cell.lo < r <= cell.hi
-            [k] = [k for g, k in factors if spectra._sign_at([int(c) for c in g], r) == 0]
-            assert spectra._boundary_degenerate([], cell, f, 0) == (k > 1)
+            ks = [k for s in ordered if cell.lo < s <= cell.hi
+                  for g, k in factors if spectra._sign_at([int(c) for c in g], s) == 0]
+            assert spectra._boundary_degenerate([], cell, f, 0) == (max(ks) > 1)
             assert spectra._boundary_degenerate([], cell, f, 1)
 
     def test_double_root_is_degenerate(self):
