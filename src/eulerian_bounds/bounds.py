@@ -18,8 +18,8 @@ the optimum of the old family's quadratics with the opposite sign, the
 choice that makes its D and N positive.
 
 The univariate reference bound un(n) comes from the 2x2 pencil of the
-univariate Eulerian polynomial; its PSD endpoint is certified by the
-same determinant-root path as x_min.
+univariate Eulerian polynomial: its PSD endpoint is the root of an integer
+quadratic, checked by two 2x2 PSD tests.
 ``ratio_diagnostic`` turns sequences of bound differences into
 consecutive-ratio trend data for the asymptotic separation claims
 (old: differences decay like (3/4)^n; new: they grow like (9/8)^m).
@@ -34,15 +34,9 @@ from functools import lru_cache
 from ._record import Record
 from .enclosure import DEFAULT_PREC, AlgebraicBound, Rat
 from .eulerian import univariate_eulerian
-from .lform import Truncation3, lform_from_truncation
-from .pencil import (
-    DiagonalPencil,
-    SymmetricRationalMatrix,
-    build_pencil,
-    eulerian_diagonal_pencil,
-)
+from .pencil import DiagonalPencil, SymmetricRationalMatrix, eulerian_diagonal_pencil
 from .pencil import _integer_form, _integer_rows
-from .spectra import _isolate, _refine_root, psd_boundary
+from .spectra import _is_psd_at, _isolate, _primitive, _refine_root, _rightmost_interval, _strip
 
 __all__ = [
     "GuessVector",
@@ -189,26 +183,30 @@ def paper_y(n: int, kind: str, prec: int = DEFAULT_PREC) -> AlgebraicBound:
     return root if kind == "old" else -root
 
 
-def _univariate_diagonal(n: int) -> DiagonalPencil:
-    # The one-variable pencil of A_n, whose A_sum is its A_1.
-    a = univariate_eulerian(n).coefficient
-    t = Truncation3(n=1, degree=n, coeffs={(1,) * k: a(k) for k in (1, 2, 3)})
-    p = build_pencil(lform_from_truncation(t))
-    return DiagonalPencil(p.a0, p.ai[0])
-
-
 def univariate_bound(n: int, prec: int = DEFAULT_PREC) -> AlgebraicBound:
     """un(n): the reciprocal magnitude of the univariate pencil endpoint.
 
-    The endpoint is the x_min of the 2x2 univariate pencil, certified by
-    ``spectra.psd_boundary``.  un(n) bounds |leftmost root| from below via
-    palindromicity (a lower bound for the rightmost root flips into an
-    upper bound for the leftmost).
+    The 2x2 pencil of A_n is [[L0, L1], [L1, L2]] + x [[L1, L2], [L2, L3]]:
+    L0 = n, L1 = a1, L2 = a1^2 - 2 a2 and L3 = 3 a3 - 3 a1 a2 + a1^3 for the
+    Eulerian numbers a_k.  Its endpoint is the root of an integer quadratic,
+    det(A0 + x A1), checked by two 2x2 PSD tests: not PSD at the cell's lo,
+    PSD at hi.  un(n) bounds |leftmost root| from below via palindromicity.
     """
-    # The endpoint is ~2^-(n+1); taking its reciprocal amplifies the
-    # enclosure width by ~2^(2n+2), hence the guard bits.
-    guard = prec + 2 * n + 16
-    return (-psd_boundary(_univariate_diagonal(n), guard)[0]).reciprocal()
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    a1, a2, a3 = (int(univariate_eulerian(n).coefficient(k)) for k in (1, 2, 3))
+    l0, l1, l2, l3 = n, a1, a1 * a1 - 2 * a2, 3 * a3 - 3 * a1 * a2 + a1**3
+    det = [l1 * l3 - l2 * l2, l0 * l3 - l1 * l2, l0 * l2 - l1 * l1]
+    # det = 0 at n = 1, where the pencil is (1 + x) J: take J's 1x1 block L0 + x L1.
+    f = _primitive(_strip(det) if any(det) else [l1, l0])
+    one = _rightmost_interval(f)
+    f, intervals = (f, [one]) if one else _isolate(f, nonpositive=True)
+    # The endpoint is ~2^-(n+1): its reciprocal widens the cell ~2^(2n+2)-fold.
+    x = _refine_root(f, *intervals[-1], prec + 2 * n + 16, exact=False)
+    rows = [[l0, l1], [l1, l2], [l1, l2], [l2, l3]]
+    if _is_psd_at(rows, x.lo) or not _is_psd_at(rows, x.hi):
+        raise ArithmeticError(f"un({n}) endpoint cell ({x.lo}, {x.hi}] fails its PSD tests")
+    return (-x).reciprocal()
 
 
 @lru_cache(maxsize=None)

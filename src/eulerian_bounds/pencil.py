@@ -16,6 +16,7 @@ integer witness vector v with v^T M v < 0.
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections.abc import Iterator
 from fractions import Fraction
@@ -76,21 +77,20 @@ class DiagonalPencil(Record):
 def build_pencil(table: LFormTable) -> LinearMatrixPencil:
     """Mold the L-form table into the relaxation pencil.
 
-    Row/column r of the mold carries the monomial 1 (r = 0) or x_r, so
-    entries depend only on the product monomial; a missing table value
-    raises (the table must be total up to degree 3).
+    Row/column r of the mold carries the monomial 1 (r = 0) or x_r, so each
+    entry is L of the product monomial, looked up once for r <= c and mirrored;
+    a missing table value raises (the table must be total up to degree 3).
     """
-    n = table.n
-    row_monos: list[tuple[int, ...]] = [()] + [(r,) for r in range(1, n + 1)]
+    n, values = table.n, table.values
 
     def molded(extra: tuple[int, ...]) -> SymmetricRationalMatrix:
-        return SymmetricRationalMatrix(tuple(
-            tuple(table(mr + mc + extra) for mc in row_monos) for mr in row_monos
-        ))
+        rows = [[0] * (n + 1) for _ in range(n + 1)]
+        for r, c in itertools.combinations_with_replacement(range(n + 1), 2):
+            key = tuple(sorted((r, c) + extra))[(r == 0) + (c == 0):]  # 0, for 1, sorts first
+            rows[r][c] = rows[c][r] = values[key] if key in values else table(key)
+        return SymmetricRationalMatrix(tuple(map(tuple, rows)))
 
-    a0 = molded(())
-    ai = tuple(molded((i,)) for i in range(1, n + 1))
-    return LinearMatrixPencil(n=n, a0=a0, ai=ai)
+    return LinearMatrixPencil(n, molded(()), tuple(molded((i,)) for i in range(1, n + 1)))
 
 
 def eulerian_pencil(n: int) -> LinearMatrixPencil:
@@ -139,7 +139,9 @@ class PsdResult(Record):
 
 
 def _integer_rows(rows) -> tuple[list[list[int]], int]:
-    """Rational rows times the lcm of their denominators, and that lcm."""
+    """Rational rows times the lcm of their denominators, and that lcm; fresh lists."""
+    if all(type(v) is int for row in rows for v in row):
+        return [list(row) for row in rows], 1
     lcm = math.lcm(*(v.denominator for row in rows for v in row))
     return [[v.numerator * (lcm // v.denominator) for v in row] for row in rows], lcm
 

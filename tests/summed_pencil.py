@@ -1,4 +1,4 @@
-"""The diagonal pencil summed from L values: test oracles.
+"""Pencils molded from L values: test oracles.
 
 ``eulerian_bounds.pencil.eulerian_diagonal_pencil`` writes A_0 + x * A_sum
 of the Eulerian family in closed form, with no L-form table.  Two routes
@@ -9,16 +9,50 @@ here build the same restriction from a table instead:
 - ``summed_diagonal_pencil`` is what restricting the full pencil to the
   diagonal means: build every coefficient matrix with ``build_pencil``
   and add them up.
+
+``molded_pencil`` is ``build_pencil``'s oracle: one table call per entry,
+on the concatenated product monomial.  ``univariate_un`` is the oracle of
+``bounds.univariate_bound``: the x_min route, ``psd_boundary`` on the 2x2
+pencil molded from the truncation of A_n in one variable.
 """
 
 import itertools
 
-from eulerian_bounds.lform import LFormTable
+from eulerian_bounds.eulerian import univariate_eulerian
+from eulerian_bounds.lform import LFormTable, Truncation3, lform_from_truncation
 from eulerian_bounds.pencil import (
     DiagonalPencil,
     LinearMatrixPencil,
     SymmetricRationalMatrix,
 )
+from eulerian_bounds.spectra import psd_boundary
+
+
+def molded_pencil(table: LFormTable) -> LinearMatrixPencil:
+    """A_0[r][c] = L(m_r m_c) and A_i[r][c] = L(m_r m_c x_i), each a table call."""
+    n = table.n
+    row_monos = [()] + [(r,) for r in range(1, n + 1)]
+
+    def molded(extra):
+        return SymmetricRationalMatrix(tuple(
+            tuple(table(mr + mc + extra) for mc in row_monos) for mr in row_monos
+        ))
+
+    return LinearMatrixPencil(n=n, a0=molded(()), ai=tuple(molded((i,)) for i in range(1, n + 1)))
+
+
+def univariate_diagonal(n: int) -> DiagonalPencil:
+    """The one-variable pencil of A_n, whose A_sum is its A_1."""
+    a = univariate_eulerian(n).coefficient
+    t = Truncation3(n=1, degree=n, coeffs={(1,) * k: a(k) for k in (1, 2, 3)})
+    p = molded_pencil(lform_from_truncation(t))
+    return DiagonalPencil(p.a0, p.ai[0])
+
+
+def univariate_un(n: int, prec: int):
+    """un(n) as the reciprocal magnitude of x_min of ``univariate_diagonal(n)``,
+    certified at prec + 2n + 16 bits."""
+    return (-psd_boundary(univariate_diagonal(n), prec + 2 * n + 16)[0]).reciprocal()
 
 
 def summed_diagonal_pencil(p: LinearMatrixPencil) -> DiagonalPencil:

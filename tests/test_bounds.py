@@ -45,6 +45,7 @@ from intervals import (
     width,
 )
 from polynomials import quadratic_at
+from summed_pencil import univariate_diagonal, univariate_un
 from surds import quadratic_root_enclosure, sqrt_enclosure
 
 SAMPLED_Y = [Fraction(0), Fraction(1), Fraction(-1), Fraction(1, 2), Fraction(-1, 2)]
@@ -324,7 +325,7 @@ class TestCriticalPoints:
         cells = []
         real = spectra._refine_root
         monkeypatch.setattr(bounds_mod, "_refine_root",
-                            lambda *a: cells.append(real(*a)) or cells[-1])
+                            lambda *a, **k: cells.append(real(*a, **k)) or cells[-1])
         for n, kind in ((5, "old"), (8, "new")):
             assert bound_report(n, kind, policy, prec=64).y in (cells + [-c for c in cells])
 
@@ -332,25 +333,52 @@ class TestCriticalPoints:
 class TestUnivariateBound:
     def test_n1_degenerate_pencil(self):
         assert contains(univariate_bound(1, 96), 1)
-        assert contains(psd_interval_left(bounds_mod._univariate_diagonal(1), 96), -1)
+        assert contains(psd_interval_left(univariate_diagonal(1), 96), -1)
 
     @pytest.mark.parametrize("n", range(2, 41))
     def test_endpoint_is_the_larger_determinant_root(self, n):
         # The 2x2 determinant (L1 + x Lx)(Lx2 + x Lx3) - (Lx + x Lx2)^2 is
         # a quadratic whose larger root is the endpoint, enclosed as a surd
         # (at n = 1 it vanishes identically; see the test above).
-        dp = bounds_mod._univariate_diagonal(n)
+        dp = univariate_diagonal(n)
         (l1, lx), (_, lx2) = dp.a0.entries
         lx3 = dp.a_sum.entries[1][1]
         c2, c1, c0 = lx * lx3 - lx2 * lx2, l1 * lx3 - lx * lx2, l1 * lx2 - lx * lx
         larger = quadratic_root_enclosure(c2, c1, c0, "+" if c2 > 0 else "-", 160)
-        assert overlaps(psd_interval_left(bounds_mod._univariate_diagonal(n), 128), larger)
+        assert overlaps(psd_interval_left(dp, 128), larger)
+        assert overlaps(univariate_bound(n, 128), (-larger).reciprocal())
+
+    @pytest.mark.parametrize("prec", [16, 64, 128, 300])
+    def test_matches_the_x_min_route(self, prec):
+        # The same cell as psd_boundary on the molded 2x2 pencil, n = 1..64.
+        for n in range(1, 65):
+            assert univariate_bound(n, prec) == univariate_un(n, prec), n
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_rejects_n_below_1(self, n):
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            univariate_bound(n)
+
+    @pytest.mark.parametrize("side", [-1, 1])
+    def test_a_wrong_cell_fails_the_psd_tests(self, monkeypatch, side):
+        # The cell next to the endpoint's, left (not PSD at either end) or
+        # right (PSD at both), is refused.
+        real = spectra._refine_root
+
+        def neighbour(*args, **kwargs):
+            cell = real(*args, **kwargs)
+            step = side * (cell.hi - cell.lo)
+            return AlgebraicBound(cell.lo + step, cell.hi + step)
+
+        monkeypatch.setattr(bounds_mod, "_refine_root", neighbour)
+        with pytest.raises(ArithmeticError, match=r"un\(5\) endpoint cell .* fails its PSD"):
+            univariate_bound(5, 64)
 
     def test_n2_exact_radical(self):
         un = univariate_bound(2, 128)
         s3 = sqrt_enclosure(3, 150)
         assert overlaps(un, 2 + s3)
-        assert overlaps(psd_interval_left(bounds_mod._univariate_diagonal(2), 128), s3 - 2)
+        assert overlaps(psd_interval_left(univariate_diagonal(2), 128), s3 - 2)
 
     def test_growth_normalization_stabilizes(self):
         norm = {

@@ -190,14 +190,18 @@ class TestBounds:
         assert [dp.size for dp, _ in calls] == [5, 5]
 
     def test_both_kinds_share_one_un(self, capsys, monkeypatch):
-        calls = spy(monkeypatch, bounds_mod, "psd_boundary")
+        calls, real = [], spectra._refine_root
+        monkeypatch.setattr(bounds_mod, "_refine_root",
+                            lambda *a, **k: calls.append((a, k)) or real(*a, **k))
         args = ["bounds", "--n-min", "10", "--n-max", "10", "--kind", "both",
                 "--prec", "64"]
         for _ in range(2):
             code, _, _ = run_cli(capsys, args)
             assert code == 0
-        # The univariate 2x2 endpoint once per command, not once per kind.
-        assert [(dp.size, prec) for dp, prec in calls] == [(2, 64 + 2 * 10 + 16)] * 2
+        # The univariate endpoint, the one refinement without exact roots,
+        # once per command, not once per kind.
+        un = [a[3] for a, k in calls if k == {"exact": False}]
+        assert un == [64 + 2 * 10 + 16] * 2
 
     def test_both_kinds_share_the_extreme_roots(self, capsys, monkeypatch):
         calls = spy(monkeypatch, spectra, "extreme_roots")
@@ -865,15 +869,15 @@ def _spy_on_every_binding(monkeypatch, fn) -> list:
 )
 def test_diagonal_commands_never_build_the_full_pencil(capsys, monkeypatch, argv):
     # bounds, diff and eigvec read only A0 + x A_sum: molding all n
-    # coefficient matrices (build_pencil) is the pencil command's alone;
-    # un(n) molds only the one-variable pencil of A_n.
+    # coefficient matrices (build_pencil) is the pencil command's alone,
+    # and un(n) reads its 2x2 pencil off the Eulerian numbers of A_n.
     pencil.eulerian_diagonal_pencil.cache_clear()
     bounds_mod.eulerian_guess_quadratics.cache_clear()
     full = _spy_on_every_binding(monkeypatch, pencil.build_pencil)
     diagonal = _spy_on_every_binding(monkeypatch, pencil.eulerian_diagonal_pencil)
     code, out, _ = run_cli(capsys, argv)
     assert code == 0 and out
-    assert all(table.n == 1 for (table,) in full) and diagonal
+    assert not full and diagonal
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,7 @@
 """Pencil assembly and the exact PSD certificate."""
 
 import itertools
+import math
 import re
 from fractions import Fraction
 
@@ -34,7 +35,7 @@ from fraction_elimination import (
     pencil_at,
 )
 from polynomials import quadratic_at
-from summed_pencil import diagonal_pencil, summed_diagonal_pencil
+from summed_pencil import diagonal_pencil, molded_pencil, summed_diagonal_pencil
 
 
 def M(rows):
@@ -148,6 +149,24 @@ def dense_bareiss(rows):
         prev = d
 
 
+class TestIntegerRows:
+    @given(st.lists(st.lists(INTS | RATIONALS, min_size=1, max_size=4), min_size=1, max_size=4),
+           st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_clears_int_fraction_and_mixed_rows(self, rows, as_tuples):
+        # The lcm route is the oracle: every input, all-int or not, comes
+        # back as the same int values over the same lcm, in fresh lists.
+        given_rows = tuple(map(tuple, rows)) if as_tuples else rows
+        before = [list(row) for row in rows]
+        out, lcm = pencil._integer_rows(given_rows)
+        assert lcm == math.lcm(*(Fraction(v).denominator for row in rows for v in row))
+        assert out == [[v * lcm for v in row] for row in rows]
+        assert all(type(v) is int for row in out for v in row)
+        for row in out:
+            row.append(1)
+        assert [list(row) for row in given_rows] == before
+
+
 class TestMatrixType:
     def test_symmetry_enforced(self):
         with pytest.raises(ValueError, match=r"matrix not symmetric at \(1, 0\)"):
@@ -190,6 +209,18 @@ class TestQuadraticForm:
             assert quadratic_at(q, v[0]) == fraction_quadratic_form(m, v)
 
 
+@st.composite
+def truncations(draw):
+    # Generic degree-3 truncations: any subset of the monomials, with
+    # integer or non-integer rational coefficients.
+    n = draw(st.integers(min_value=1, max_value=5))
+    coeffs = {}
+    for mono in monomials_up_to_3(n):
+        if mono and draw(st.booleans()):
+            coeffs[mono] = Fraction(draw(st.one_of(INTS, RATIONALS)))
+    return Truncation3(n=n, degree=draw(st.integers(1, 9)), coeffs=coeffs)
+
+
 class TestBuildPencil:
     def test_n1_eulerian(self):
         p = eulerian_pencil(1)
@@ -215,24 +246,26 @@ class TestBuildPencil:
                 assert p.ai[i - 1].entries[0][j] == p.a0.entries[i][j]
 
     def test_incomplete_table(self):
+        # A missing key is named in the table's own message.
         table = eulerian_lform_table(2)
-        broken = LFormTable(
-            n=2, values={k: v for k, v in table.values.items() if k != (1, 2)}
-        )
-        with pytest.raises(KeyError, match="incomplete L-form table"):
-            build_pencil(broken)
+        for missing in [(), (2,), (1, 2), (2, 2), (1, 1, 2), (1, 2, 2), (2, 2, 2)]:
+            broken = LFormTable(
+                n=2, values={k: v for k, v in table.values.items() if k != missing}
+            )
+            message = f"incomplete L-form table: missing {missing}"
+            with pytest.raises(KeyError, match=re.escape(message)):
+                build_pencil(broken)
 
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_eulerian_matches_the_molded_oracle(self, n):
+        table = eulerian_lform_table(n)
+        assert build_pencil(table) == molded_pencil(table)
 
-@st.composite
-def truncations(draw):
-    # Generic degree-3 truncations: any subset of the monomials, with
-    # integer or non-integer rational coefficients.
-    n = draw(st.integers(min_value=1, max_value=5))
-    coeffs = {}
-    for mono in monomials_up_to_3(n):
-        if mono and draw(st.booleans()):
-            coeffs[mono] = Fraction(draw(st.one_of(INTS, RATIONALS)))
-    return Truncation3(n=n, degree=draw(st.integers(1, 9)), coeffs=coeffs)
+    @given(truncations())
+    @settings(max_examples=80, deadline=None)
+    def test_truncation_tables_match_the_molded_oracle(self, t):
+        table = lform_from_truncation(t)
+        assert build_pencil(table) == molded_pencil(table)
 
 
 class TestDiagonal:

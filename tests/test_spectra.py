@@ -12,7 +12,7 @@ from sympy.polys.domains import ZZ
 from sympy.polys.rootisolation import dup_isolate_real_roots_sqf
 from sympy.polys.sqfreetools import dup_sqf_list, dup_sqf_part
 
-from eulerian_bounds import bounds, spectra
+from eulerian_bounds import spectra
 from eulerian_bounds.enclosure import AlgebraicBound
 from eulerian_bounds.eulerian import univariate_eulerian
 from eulerian_bounds.pencil import (
@@ -31,6 +31,7 @@ from eulerian_bounds.spectra import (
 from fraction_elimination import congruence_restriction, pencil_at
 from intervals import contains, encloses, is_certainly_negative, possibly_leq, rsub, width
 from polynomials import bisection_refine_root, polynomialize
+from summed_pencil import univariate_diagonal
 from surds import sqrt_enclosure
 
 
@@ -742,7 +743,7 @@ class TestIntegerPsdInput:
             real(self)
 
         # The univariate pencil holds Fractions, the Eulerian one ints.
-        pencils = bounds._univariate_diagonal(6), eulerian_diagonal_pencil(8)
+        pencils = univariate_diagonal(6), eulerian_diagonal_pencil(8)
         monkeypatch.setattr(SymmetricRationalMatrix, "__post_init__", spy)
         for dp in pencils:
             # Both return only after their exact PSD tests at lo and hi.
