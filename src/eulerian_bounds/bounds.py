@@ -131,7 +131,7 @@ def linearized_DN(
     (u,), t = _integer_rows([(0,) + v.entries[1:]])
 
     def expand(mat: SymmetricRationalMatrix) -> QuadraticInY:
-        rows, lcm = _integer_rows(mat.entries)
+        rows, lcm = _integer_rows([row[i:] for i, row in enumerate(mat.entries)])  # upper rows
         cross = sum(r * x for r, x in zip(rows[0], u))
         return QuadraticInY(Fraction(rows[0][0], lcm), Fraction(2 * cross, lcm * t),
                             Fraction(_integer_form(rows, u), lcm * t * t))

@@ -9,9 +9,9 @@ the univariate root bounds are read off.  For the Eulerian family
 entries of a few big-integer operations each, with no L-form table and
 no A_i; the full pencil is molded from the table only by ``build_pencil``.
 
-PSD decisions are exact, by one fraction-free (Bareiss) elimination kernel
-that also gives determinants and ranks; a negative answer carries an
-integer witness vector v with v^T M v < 0.
+PSD decisions and determinants are exact, by fraction-free elimination on
+the upper band rows, and row bases and ranks by Bareiss's row-exchanging
+kernel; a negative answer carries an integer witness v with v^T M v < 0.
 """
 
 from __future__ import annotations
@@ -146,53 +146,59 @@ def _integer_rows(rows) -> tuple[list[list[int]], int]:
     return [[v.numerator * (lcm // v.denominator) for v in row] for row in rows], lcm
 
 
-def _integer_form(rows, u) -> int:
-    # u^T R u for integer rows R and an integer vector u.
-    return sum(ui * sum(r * uj for r, uj in zip(row, u) if uj)
-               for ui, row in zip(u, rows) if ui)
+def _integer_form(upper, u) -> int:
+    # u^T M u for integer upper band rows [m_ii, m_i,i+1, ...] of M and integer u.
+    return sum(ui * (2 * sum(r * uj for r, uj in zip(row, u[i:]) if uj) - row[0] * ui)
+               for i, (ui, row) in enumerate(zip(u, upper)) if ui)
 
 
 def _bareiss(rows) -> Iterator[tuple[int, int, list[int]]]:
     """Fraction-free elimination (Bareiss, Math. Comp. 22, 1968).
 
-    The rows are integers (callers holding rationals clear them once, by
-    ``_integer_rows``).  Each column's pivot row is the first remaining
-    row nonzero there (an all-zero column is skipped); every other
-    remaining row r becomes (d r - r[col] p) / prev, an exact division by
-    the previous pivot.  Remaining entries are then minors of the input,
-    so the pivot rows are an echelon basis of the row space and the last
-    pivot of a nonsingular square matrix is its determinant up to the
-    sign of the pivot-row order.  Yields (col, input index of the pivot
-    row, that row) lazily, before eliminating with it.
-
-    The half-bandwidth b (largest |i - j| of a nonzero entry) is read off
-    the input: row i stays zero left of column i - b, so only rows up to
-    col + b meet column col, and pivot rows end by col + 2b.  A row enters
-    that window scaled by the factors d / prev it skipped, whose product is
-    the current leading minor.  b = size - 1 is the dense loop.
+    On integer rows, each column's pivot row is the first remaining row
+    nonzero there (an all-zero column is skipped); every other remaining row
+    r becomes (d r - r[col] p) / prev, exact.  Remaining entries are then
+    minors of the input, so the pivot rows are an echelon basis of the row
+    space and the last pivot of a nonsingular square matrix is its
+    determinant up to the sign of the pivot-row order.  Yields (col, input
+    index of the pivot row, that row) lazily, before eliminating with it.
     """
-    b = max((abs(i - j) for i, row in enumerate(rows) for j, v in enumerate(row) if v), default=0)
-    remaining, prev, entered = [], 1, 0
+    remaining, prev = [(i, list(row)) for i, row in enumerate(rows)], 1
     for col in range(len(rows[0]) if rows else 0):
-        window = min(len(rows), col + b + 1)
-        remaining += [(i, [v * prev for v in rows[i]]) for i in range(entered, window)]
-        entered = window
         at = next((k for k, (_, row) in enumerate(remaining) if row[col]), None)
         if at is None:
             continue
         i, pivot = remaining.pop(at)
         yield col, i, pivot
-        d, end = pivot[col], col + 2 * b + 1
+        d = pivot[col]
         for _, row in remaining:
             f = row[col]
-            row[col:end] = [
-                (v * d - f * w) // prev for v, w in zip(row[col:end], pivot[col:end])
-            ]
+            row[col:] = [(v * d - f * w) // prev for v, w in zip(row[col:], pivot[col:])]
         prev = d
 
 
+def _ldl(upper) -> Iterator[tuple[int, list[list[int]]]]:
+    """Bareiss without row exchanges on the upper band rows [a_ii, ..., a_i,i+b]
+    of a symmetric integer matrix, b = len(upper[0]) - 1: pivot d = a_cc sets
+    a_rj = (d a_rj - a_cr a_cj) / prev, c < r <= j <= c + b; column c + b enters
+    scaled by prev.  A zero row is skipped, a zero pivot in a nonzero row ends
+    it.  Yields (col, its copy of the rows) before eliminating with rows[col]."""
+    rows, prev, b = [list(row) for row in upper], 1, len(upper[0]) - 1 if upper else 0
+    for col in range(len(rows)):
+        for r in range(col, col + b + 1) if col + b < len(rows) else ():
+            rows[r][col + b - r] *= prev
+        yield col, rows
+        if d := (pivot := rows[col])[0]:
+            for k in range(1, len(pivot)):
+                f, row = pivot[k], rows[col + k]
+                row[: len(pivot) - k] = [(v * d - f * w) // prev for v, w in zip(row, pivot[k:])]
+            prev = d
+        elif any(pivot):
+            return
+
+
 def _back_substitute(pivots: list[tuple[int, list[int]]], fixed: dict, size: int) -> list[int]:
-    # w with r . w = 0 for each Bareiss pivot row (col, r), the fixed entries
+    # w with r . w = 0 for each fraction-free pivot row (col, r), the fixed entries
     # times |last pivot|, the minor on the pivot rows and columns: so by
     # Cramer's rule w is integral and each // exact (Nakos et al. 1997).
     scale = abs(pivots[-1][1][pivots[-1][0]]) if pivots else 1
@@ -202,32 +208,35 @@ def _back_substitute(pivots: list[tuple[int, list[int]]], fixed: dict, size: int
     return w
 
 
-def psd_certificate(m: SymmetricRationalMatrix) -> PsdResult:
-    """Exact PSD decision by symmetric fraction-free elimination.
+def _psd_upper(upper: list[list[int]], lcm: int = 1) -> PsdResult:
+    # psd_certificate of the matrix with integer upper band rows upper / lcm.
+    pivots, size = [], len(upper)
+    for col, rows in _ldl(upper):
+        if (row := rows[col])[0] > 0:
+            pivots.append((col, [0] * col + row + [0] * (size - col - len(row))))
+        elif any(row):  # a negative pivot refutes e_col; a zero diagonal coupled to
+            # row i = col + k, 2b (t e_col + e_i) for t = -(|a_ii| + 1) / 2b: 2 t b + a_ii < 0.
+            k = next(k for k, v in enumerate(row) if v)
+            fixed = {col: 1} if not k else {col: -(abs(rows[col + k][0]) + 1), col + k: 2 * row[k]}
+            witness = tuple(_back_substitute(pivots, fixed, size))
+            value = Fraction(_integer_form(upper, witness), lcm)
+            if not value < 0:
+                raise ArithmeticError("PSD witness failed exact verification")
+            return PsdResult(False, witness, value)
+    return PsdResult(True)
 
-    A diagonal pivot is, up to a positive factor, the principal minor on
-    its column and the earlier pivot columns, so m is PSD exactly when
-    every pivot is on the diagonal and positive, an all-zero remaining
-    column being skipped.  A negative pivot, or a zero diagonal whose
-    column is not zero, gives an integer witness v with v^T m v < 0,
-    verified exactly on the cleared rows just eliminated.
+
+def psd_certificate(m: SymmetricRationalMatrix) -> PsdResult:
+    """Exact PSD decision by ``_ldl`` on the cleared upper triangle.
+
+    A pivot is, up to a positive factor, the principal minor on its column
+    and the earlier pivot columns: m is PSD exactly when every pivot is
+    positive, all-zero rows skipped.  A negative pivot, or a zero diagonal in
+    a nonzero row, gives an integer witness v, v^T m v < 0, lifted off the
+    zero-padded pivot rows and verified exactly on the cleared rows.
 
     >>> res = psd_certificate(SymmetricRationalMatrix(((0, 1), (1, 0))))
     >>> res.is_psd, res.witness, res.witness_value
     (False, (-1, 2), Fraction(-4, 1))
     """
-    rows, lcm = _integer_rows(m.entries)
-    pivots: list[tuple[int, list[int]]] = []
-    for col, i, row in _bareiss(rows):
-        if i == col and row[col] > 0:
-            pivots.append((col, row))
-            continue
-        # A negative pivot refutes e_col; a zero diagonal coupled to row i,
-        # 2b (t e_col + e_i) for t = -(|a_ii| + 1) / 2b, as 2 t b + a_ii < 0.
-        fixed = {col: 1} if i == col else {col: -(abs(row[i]) + 1), i: 2 * row[col]}
-        witness = tuple(_back_substitute(pivots, fixed, m.size))
-        value = Fraction(_integer_form(rows, witness), lcm)
-        if not value < 0:
-            raise ArithmeticError("PSD witness failed exact verification")
-        return PsdResult(False, witness, value)
-    return PsdResult(True)
+    return _psd_upper(*_integer_rows([row[i:] for i, row in enumerate(m.entries)]))

@@ -4,10 +4,10 @@ Three certified quantities live here:
 
 - the left endpoint x_min of the PSD interval of a diagonal pencil, a
   root of the integer polynomial det(A0 + x A_sum) certified by two exact
-  PSD tests; the tests, the determinant and the rank all come from the
-  fraction-free elimination kernel of ``pencil`` (entries grow like 8^n,
-  so floating eigensolvers lose certification long before the desk-scale
-  range ends; exact sign tests do not), all on a banded congruent copy;
+  PSD tests, which with the determinant's values come from the symmetric
+  fraction-free elimination of ``pencil`` on the upper band of a congruent
+  copy (entries grow like 8^n, so floating eigensolvers lose certification
+  long before the desk-scale range ends; exact sign tests do not);
 - an approximate kernel vector at that boundary: the integer witness of
   the one dense PSD test, just left of it, flagged degenerate (corank > 1)
   when a common kernel or a repeated root of the same determinant shows it;
@@ -31,11 +31,11 @@ change of f on (a, b), b < 0, isolates it there.  It finds x_min, the
 determinant's rightmost root, and the extreme roots: the leftmost by the
 same search on the reversed coefficients or, for a palindromic input, as
 the reciprocal of the rightmost.  Any other input keeps the isolation of
-every root, over the integers:
-the squarefree part f / gcd(f, f') by a primitive-PRS gcd (skipped when a
-gcd modulo a prime already certifies the input squarefree), then
-continued-fraction isolation with Descartes' rule of signs, Taylor shifts
-by 1, scaling by powers of 2 and power-of-two root bounds.
+every root, over the integers: the squarefree part f / gcd(f, f') by a
+primitive-PRS gcd (skipped when a gcd modulo a prime already certifies the
+input squarefree), then continued-fraction isolation with Descartes' rule
+of signs, Taylor shifts by 1, scaling by powers of 2 and power-of-two
+root bounds.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ from ._record import Record
 from .enclosure import DEFAULT_PREC, AlgebraicBound
 from .eulerian import UnivariatePolynomial
 from .pencil import DiagonalPencil, PsdResult, SymmetricRationalMatrix, psd_certificate
-from .pencil import _back_substitute, _bareiss, _integer_rows
+from .pencil import _back_substitute, _bareiss, _integer_rows, _ldl, _psd_upper
 
 __all__ = [
     "KernelVector",
@@ -62,8 +62,8 @@ __all__ = [
 
 
 def _pencil_rows(rows: list[list[int]], num: int, den: int) -> tuple[tuple[int, ...], ...]:
-    # den A0 + num A_sum from the cleared rows of [A0; A_sum]: a positive
-    # multiple of A0 + (num/den) A_sum, in integers.
+    # den A0 + num A_sum from the cleared rows, full or upper band, of
+    # [A0; A_sum]: a positive multiple of A0 + (num/den) A_sum, in integers.
     return tuple(tuple(den * u + num * v for u, v in zip(r0, r1))
                  for r0, r1 in zip(rows, rows[len(rows) // 2:]))
 
@@ -75,24 +75,45 @@ def _is_psd_at(rows: list[list[int]], x: Fraction) -> PsdResult:
     return psd_certificate(SymmetricRationalMatrix(m))
 
 
-def _det(a: list[list[int]]) -> int:
+def _band_psd_at(band: list[list[int]], x: Fraction) -> PsdResult:
+    # _is_psd_at for the upper band rows of [A0; A_sum].
+    return _psd_upper(_pencil_rows(band, x.numerator, x.denominator))
+
+
+def _upper_band(rows: list[list[int]]) -> list[list[int]]:
+    # Upper band rows [a_ii, ..., a_i,i+b] of both halves of [A0; A_sum], b read off.
+    s = len(rows) // 2
+    b = max((j - i % s for i, row in enumerate(rows) for j, v in enumerate(row) if v), default=0)
+    return [row[i % s: i % s + b + 1] for i, row in enumerate(rows)]
+
+
+def _det(upper: list[list[int]]) -> int:
+    # The last pivot of _ldl on a symmetric matrix's upper band rows; a zero
+    # row makes it singular, and a vanishing leading minor takes _bareiss_det.
+    d, s = 1, len(upper)
+    for col, rows in _ldl(upper):
+        if not (d := rows[col][0]):
+            full = [[0] * i + list(r) + [0] * (s - i - len(r)) for i, r in enumerate(upper)]
+            return _bareiss_det([[full[min(i, j)][max(i, j)] for j in range(s)]
+                                 for i in range(s)]) if any(rows[col]) else 0
+    return d
+
+
+def _bareiss_det(a: list[list[int]]) -> int:
     # The last Bareiss pivot, signed by the parity of the pivot-row order;
     # fewer pivots than rows means a singular matrix.
     pivots = list(_bareiss(a))
-    if len(pivots) < len(a):
-        return 0
     order = [i for _, i, _ in pivots]
-    inversions = sum(x > y for k, x in enumerate(order) for y in order[k + 1:])
-    return (-1) ** inversions * pivots[-1][2][-1] if pivots else 1
+    sign = (-1) ** sum(x > y for k, x in enumerate(order) for y in order[k + 1:])
+    return 0 if len(pivots) < len(a) else sign * pivots[-1][2][-1] if pivots else 1
 
 
-def _det_polynomial(rows: list[list[int]]) -> list[int]:
-    # Descending integer coefficients of det(A0 + x A_sum) up to a positive
-    # factor, degree <= s, for the integer rows of [A0; A_sum]: values at
-    # x = 0..s, Newton forward differences (the j-th is divisible by j!),
-    # then Horner in the falling factorials.
-    s, newton = len(rows) // 2, []
-    values = [_det(_pencil_rows(rows, k, 1)) for k in range(s + 1)]
+def _det_polynomial(band: list[list[int]]) -> list[int]:
+    # Descending integer coefficients of det(A0 + x A_sum) up to a positive factor,
+    # degree <= s, for the integer upper band rows of [A0; A_sum]: values at x = 0..s,
+    # Newton forward differences (the j-th divisible by j!), Horner in falling factorials.
+    s, newton = len(band) // 2, []
+    values = [_det(_pencil_rows(band, k, 1)) for k in range(s + 1)]
     for j in range(s + 1):
         newton.append(values[0] // math.factorial(j))
         values = [b - a for a, b in zip(values, values[1:])]
@@ -278,30 +299,30 @@ def psd_boundary(
     ends; so x_min is a nonpositive root of f(x) = det(A0 + x A_sum) taken
     on that complement (descending integer coefficients, up to a positive
     factor).  f and the PSD tests at 0, ``lo`` and ``hi`` (a yes or no
-    each) come from the congruent copy ``_banded``.  A simple rightmost
-    root of f below 0, isolated by ``_rightmost_interval``, is x_min: the
-    pencil is positive definite from 0 down to it, and not PSD where f
-    changes sign.  Any other f has its roots isolated and walked right to
-    left: the first not PSD at its ``lo`` is x_min.  The answer rests only
-    on the two exact tests, not PSD at ``lo`` and PSD at ``hi``, so x_min
-    lies in (lo, hi].
+    each) run on the upper band rows of the congruent copy ``_banded``.  A
+    simple rightmost root of f below 0, isolated by ``_rightmost_interval``,
+    is x_min: the pencil is positive definite from 0 down to it, and not PSD
+    where f changes sign.  Any other f has its roots isolated and walked
+    right to left: the first not PSD at its ``lo`` is x_min.  The answer
+    rests only on the two exact tests, not PSD at ``lo`` and PSD at ``hi``,
+    so x_min lies in (lo, hi].
     """
     if prec < 16:
         raise ValueError("prec must be >= 16")
-    band = _banded(_integer_rows(p.a0.entries + p.a_sum.entries)[0])
-    if not _is_psd_at(band, Fraction(0)):
+    band = _upper_band(banded := _banded(_integer_rows(p.a0.entries + p.a_sum.entries)[0]))
+    if not _band_psd_at(band, Fraction(0)):
         raise ValueError("A0 is not PSD")
     det, kernel_dim = _det_polynomial(band), 0
     if not any(det):  # A0 and A_sum share a kernel: restrict to its complement.
-        restricted = _range_restriction(band)
+        restricted = _upper_band(_range_restriction(banded))
         det, kernel_dim = _det_polynomial(restricted), (len(band) - len(restricted)) // 2
     # Still singular everywhere: the PSD set has no interior, so it is {0}.
     one = _rightmost_interval(f := _primitive(_strip(det)) if any(det) else [1, 0])
     f, intervals = (f, [one]) if one else _isolate(f, nonpositive=True)
     for a, b in reversed(intervals):
         enc = _refine_root(f, a, b, prec, exact=False)
-        if not _is_psd_at(band, enc.lo):
-            if not _is_psd_at(band, enc.hi):
+        if not _band_psd_at(band, enc.lo):
+            if not _band_psd_at(band, enc.hi):
                 raise ArithmeticError("x_min enclosure is not PSD at hi")
             return enc, det, kernel_dim
         if one:

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from eulerian_bounds import pencil
+from eulerian_bounds import pencil, spectra
 from eulerian_bounds.bounds import GuessVector, linearized_DN
 from eulerian_bounds.lform import (
     LFormTable,
@@ -26,7 +26,9 @@ from eulerian_bounds.pencil import (
     eulerian_pencil,
     psd_certificate,
 )
-from eulerian_bounds.spectra import _det, _null_vector, psd_interval_left
+from eulerian_bounds.spectra import _bareiss_det, _det, _null_vector, psd_interval_left
+
+from bareiss_certificate import bareiss_psd_certificate
 
 from fraction_elimination import (
     fraction_quadratic_form,
@@ -131,22 +133,11 @@ def banded_integer_matrices(draw, symmetric=False):
     return rows
 
 
-def dense_bareiss(rows):
-    """The Bareiss loop before it read the band: every remaining row is
-    eliminated at every step, over its whole tail."""
-    remaining = [(i, list(row)) for i, row in enumerate(rows)]
-    prev = 1
-    for col in range(len(rows[0]) if rows else 0):
-        at = next((k for k, (_, row) in enumerate(remaining) if row[col]), None)
-        if at is None:
-            continue
-        i, pivot = remaining.pop(at)
-        yield col, i, pivot
-        d = pivot[col]
-        for _, row in remaining:
-            f = row[col]
-            row[col:] = [(v * d - f * w) // prev for v, w in zip(row[col:], pivot[col:])]
-        prev = d
+def upper_band(rows) -> list[list[int]]:
+    """The upper band rows [a_ii, ..., a_i,i+b] of a symmetric matrix, b its
+    half-bandwidth."""
+    b = max((j - i for i, row in enumerate(rows) for j, v in enumerate(row) if v), default=0)
+    return [row[i:i + b + 1] for i, row in enumerate(rows)]
 
 
 class TestIntegerRows:
@@ -445,7 +436,27 @@ class TestEliminationKernel:
     @given(square_integer_matrices())
     @settings(max_examples=150, deadline=None)
     def test_determinant_matches_exact_det(self, rows):
-        assert _det(rows) == exact_det(rows)
+        assert _bareiss_det(rows) == exact_det(rows)
+
+    @given(st.one_of(symmetric_matrices(), banded_integer_matrices(symmetric=True)))
+    @example([[0, 1], [1, 0]])  # a vanishing leading minor: the row-exchanging fallback
+    @example([[0, 1, 0], [1, 0, 1], [0, 1, 0]])
+    @settings(max_examples=300, deadline=None)
+    def test_symmetric_determinant_matches_exact_det(self, rows):
+        assert _det(upper_band(rows)) == exact_det(rows)
+
+    def test_leading_minor_vanishing_at_every_x(self, monkeypatch):
+        # A0 = diag(0, 1), A_sum = [[0, 1], [1, 0]]: det(A0 + x A_sum) = -x^2,
+        # its 1x1 leading minor 0 at every x, so each value takes the fallback.
+        dp = DiagonalPencil(M([[0, 0], [0, 1]]), M([[0, 1], [1, 0]]))
+        band = [[0, 0], [1], [0, 1], [0]]
+        fallbacks = []
+        real = spectra._bareiss_det
+        monkeypatch.setattr(spectra, "_bareiss_det", lambda a: fallbacks.append(a) or real(a))
+        assert [_det(spectra._pencil_rows(band, x, 1)) for x in range(4)] == [0, -1, -4, -9]
+        assert spectra._det_polynomial(band) == [-1, 0, 0] and len(fallbacks) == 5
+        x_min = psd_interval_left(dp, 64)
+        assert x_min.hi == 0 and x_min.lo < 0
 
     @given(tall_integer_matrices())
     @settings(max_examples=150, deadline=None)
@@ -476,21 +487,18 @@ class TestEliminationKernel:
     @example([[2, 1, 0, 0], [1, 2, 1, 0], [0, 1, 2, 1], [0, 0, 1, 2], [0, 0, 0, 1]])
     @settings(max_examples=300, deadline=None)
     def test_band_window_matches_the_dense_loop(self, rows):
-        # Same pivots, pivot rows and order, so the same determinant and rank.
-        assert list(pencil._bareiss(rows)) == list(dense_bareiss(rows))
+        # The row-exchanging determinant of banded, often singular input.
         if len(rows) == len(rows[0]):
-            assert _det(rows) == exact_det(rows)
+            assert _bareiss_det(rows) == exact_det(rows)
 
     @given(banded_integer_matrices(symmetric=True))
     @example([[0, 1, 0], [1, 0, 1], [0, 1, 0]])  # a zero diagonal coupled below it
     @example([[1, 2, 0], [2, 1, 3], [0, 3, 1]])  # a negative pivot
     @settings(max_examples=300, deadline=None)
     def test_band_window_keeps_the_witness(self, rows):
-        # The PSD decision and its witness lift are those of the dense loop.
+        # The PSD decision, witness and value of the row-exchanging certificate.
         ours = psd_certificate(M(rows))
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(pencil, "_bareiss", dense_bareiss)
-            assert ours == psd_certificate(M(rows))
+        assert ours == bareiss_psd_certificate(M(rows))
         assert ours.is_psd == principal_minors_nonnegative(rows)
 
     def test_pivot_rows_come_from_the_input_in_order(self):
@@ -498,5 +506,5 @@ class TestEliminationKernel:
         # column 1; row 2 is twice row 0, so column 2 gets no pivot.
         rows = [[0, 2, 1], [3, 1, 0], [0, 4, 2]]
         assert [(col, i) for col, i, _ in pencil._bareiss(rows)] == [(0, 1), (1, 0)]
-        assert _det(rows) == 0
-        assert _det(rows[:2] + [[0, 0, 1]]) == -6
+        assert _bareiss_det(rows) == 0
+        assert _bareiss_det(rows[:2] + [[0, 0, 1]]) == -6

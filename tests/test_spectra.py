@@ -28,6 +28,7 @@ from eulerian_bounds.spectra import (
     psd_interval_left,
 )
 
+from bareiss_certificate import bareiss_psd_certificate
 from fraction_elimination import congruence_restriction, pencil_at
 from intervals import contains, encloses, is_certainly_negative, possibly_leq, rsub, width
 from polynomials import bisection_refine_root, polynomialize
@@ -283,7 +284,8 @@ class TestRangeRestriction:
         rows, _ = _integer_rows(dp.a0.entries + dp.a_sum.entries)
         block, oracle = spectra._range_restriction(rows), congruence_restriction(rows)
         assert len(block) == len(oracle) < len(rows)
-        self.assert_positive_multiple(spectra._det_polynomial(block), spectra._det_polynomial(oracle))
+        self.assert_positive_multiple(spectra._det_polynomial(spectra._upper_band(block)),
+                                      spectra._det_polynomial(spectra._upper_band(oracle)))
         ours = boundary_route(dp, prec)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(spectra, "_range_restriction", congruence_restriction)
@@ -635,7 +637,8 @@ class TestBandedPencil:
         else:
             assert (x, lo_witness(dp, x)) == (walk[0], lo_witness(dp, walk[0]))
         rows, _ = _integer_rows(dp.a0.entries + dp.a_sum.entries)
-        own = spectra._det_polynomial(rows if not kernel_dim else spectra._range_restriction(rows))
+        own = spectra._det_polynomial(
+            spectra._upper_band(rows if not kernel_dim else spectra._range_restriction(rows)))
         TestRangeRestriction.assert_positive_multiple(det, own)
 
     @pytest.mark.parametrize("n", range(1, 25))
@@ -675,12 +678,14 @@ class TestBandedDecisions:
     @staticmethod
     def assert_dense_test_only_for_the_witness(dp, prec):
         rows, _ = _integer_rows(dp.a0.entries + dp.a_sum.entries)
-        band, log = spectra._banded(rows), []
-        real_test, real_boundary = spectra._is_psd_at, spectra.psd_boundary
+        band, log = spectra._upper_band(spectra._banded(rows)), []
+        real_boundary = spectra.psd_boundary
 
-        def test(m, x):
-            log.append(("test", m, x))
-            return real_test(m, x)
+        def spy(real_test):  # the band-level test and the dense one log alike
+            def test(m, x):
+                log.append(("test", m, x))
+                return real_test(m, x)
+            return test
 
         def boundary(p, bits):
             start = len(log)
@@ -693,7 +698,8 @@ class TestBandedDecisions:
             return result
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(spectra, "_is_psd_at", test)
+            for name in ("_band_psd_at", "_is_psd_at"):
+                mp.setattr(spectra, name, spy(getattr(spectra, name)))
             mp.setattr(spectra, "psd_boundary", boundary)
             try:
                 psd_interval_left(dp, prec)
@@ -750,6 +756,42 @@ class TestIntegerPsdInput:
             assert psd_interval_left(dp, 128).hi < 0
             assert boundary_kernel_vector(dp, 64).residual <= Fraction(1, 2**32)
         assert built and all(type(v) is int for m in built for row in m for v in row)
+
+
+@st.composite
+def dense_symmetric_matrices(draw) -> SymmetricRationalMatrix:
+    """Integer symmetric matrices of size <= 7: a Gram matrix G^T G (PSD,
+    often singular), or free upper entries, often zero."""
+    s = draw(st.integers(1, 7))
+    value = st.one_of(st.sampled_from((0, 0, 1, -1, 2, -3)), st.integers(-(2**40), 2**40))
+    if draw(st.booleans()):
+        g = draw(st.lists(st.lists(value, min_size=s, max_size=s), min_size=1, max_size=s))
+        return SymmetricRationalMatrix(tuple(map(tuple, transpose_product(g, g))))
+    upper = {(i, j): draw(value) for i in range(s) for j in range(i, s)}
+    return SymmetricRationalMatrix(tuple(tuple(upper[min(i, j), max(i, j)] for j in range(s))
+                                         for i in range(s)))
+
+
+class TestSymmetricElimination:
+    """The PSD decision, witness and value of the symmetric elimination on
+    upper band rows equal those of the row-exchanging Bareiss certificate."""
+
+    @given(st.one_of(psd_pencils(), mixed_kernel_pencils()),
+           st.one_of(st.integers(-3, 3).map(Fraction), st.fractions(-4, 4, max_denominator=64)))
+    @settings(max_examples=200, deadline=None)
+    def test_pencils_at_a_point(self, dp, x):
+        m = pencil_at(dp, x)
+        assert psd_certificate(m) == bareiss_psd_certificate(m)
+        # The band-level test of psd_boundary, on the banded congruent copy.
+        banded = spectra._banded(_integer_rows(dp.a0.entries + dp.a_sum.entries)[0])
+        at = spectra._pencil_rows(banded, x.numerator, x.denominator)
+        ours = spectra._band_psd_at(spectra._upper_band(banded), x)
+        assert ours == bareiss_psd_certificate(SymmetricRationalMatrix(at))
+
+    @given(dense_symmetric_matrices())
+    @settings(max_examples=300, deadline=None)
+    def test_dense_symmetric_matrices(self, m):
+        assert psd_certificate(m) == bareiss_psd_certificate(m)
 
 
 class TestExtremeRoots:
