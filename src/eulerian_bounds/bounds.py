@@ -158,10 +158,12 @@ def _critical_coefficients(n: int, kind: str) -> tuple[Fraction, Fraction, Fract
     return a, b, c
 
 
+@lru_cache(maxsize=None)
 def _critical_points(a: Rat, b: Rat, c: Rat, prec: int, count: int = 2) -> list[AlgebraicBound]:
     # The first ``count`` real roots of a y^2 + b y + c, cleared to integers,
     # as dyadic cells of width <= 2**-prec: first the root where it falls
     # (for N'D - ND', the local maximum of N/D), then the other one, if any.
+    # Cached: both kinds of paper_y at one (n, prec) refine one quadratic.
     if a == 0:
         raise ZeroDivisionError("degenerate optimizer: leading coefficient is 0")
     sqf, intervals = _isolate(_integer_rows([[a, b, c]])[0][0])

@@ -120,15 +120,8 @@ def _rows_counts(args) -> list[dict]:
             comp = eulerian.count_formula(n, combo, "complement")
             dele = eulerian.count_formula(n, combo, "deletion")
             closed = eulerian.closed_form_R(combo) if 1 <= size <= 3 else ""
-            rows.append(
-                {
-                    "X": "{" + ",".join(map(str, combo)) + "}",
-                    "brute_force": brute,
-                    "complement": comp,
-                    "deletion": dele,
-                    "closed_form": closed,
-                }
-            )
+            rows.append({"X": "{" + ",".join(map(str, combo)) + "}", "brute_force": brute,
+                         "complement": comp, "deletion": dele, "closed_form": closed})
     return rows
 
 
@@ -148,25 +141,15 @@ def _rows_lform(args) -> list[dict]:
     generic = lform.lform_from_truncation(lform.Truncation3.eulerian(n))
     rows = []
     for mono in lform.monomials_up_to_3(n):
-        closed = lform.eulerian_lform(n, mono)
-        gen = generic(mono)
-        rows.append(
-            {
-                "monomial": _mono_str(mono),
-                "closed_form": str(closed),
-                "from_truncation": str(gen),
-                "equal": closed == gen,
-            }
-        )
+        closed, gen = lform.eulerian_lform(n, mono), generic(mono)
+        rows.append({"monomial": _mono_str(mono), "closed_form": str(closed),
+                     "from_truncation": str(gen), "equal": closed == gen})
     return rows
 
 
 def _matrix_rows(name: str, m: pencil.SymmetricRationalMatrix) -> list[dict]:
-    out = []
-    for i, row in enumerate(m.entries):
-        for j, v in enumerate(row):
-            out.append({"matrix": name, "row": i, "col": j, "value": str(v)})
-    return out
+    return [{"matrix": name, "row": i, "col": j, "value": str(v)}
+            for i, row in enumerate(m.entries) for j, v in enumerate(row)]
 
 
 def _rows_pencil(args) -> list[dict]:
@@ -543,9 +526,10 @@ def _emit(args, rows: list[dict]) -> str:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    # Each command starts from an empty un cache, as a fresh process does, so
-    # its work never depends on what ran before it.
+    # Each command starts from empty un and critical-point caches, as a fresh
+    # process does, so its work never depends on what ran before it.
     bounds_mod.eulerian_un.cache_clear()
+    bounds_mod._critical_points.cache_clear()
     args = None
     try:
         args = _build_parser().parse_args(argv)

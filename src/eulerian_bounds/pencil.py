@@ -208,9 +208,10 @@ def _back_substitute(pivots: list[tuple[int, list[int]]], fixed: dict, size: int
     return w
 
 
-def _psd_upper(upper: list[list[int]], lcm: int = 1) -> PsdResult:
-    # psd_certificate of the matrix with integer upper band rows upper / lcm.
-    pivots, size = [], len(upper)
+def _psd_upper(upper: list[list[int]], lcm: int = 1) -> tuple[PsdResult, int]:
+    # psd_certificate of the matrix with integer upper band rows upper / lcm and,
+    # if PSD, the integer matrix's determinant: the last pivot, 0 past a zero row.
+    pivots, size, det = [], len(upper), 1
     for col, rows in _ldl(upper):
         if (row := rows[col])[0] > 0:
             pivots.append((col, [0] * col + row + [0] * (size - col - len(row))))
@@ -222,8 +223,9 @@ def _psd_upper(upper: list[list[int]], lcm: int = 1) -> PsdResult:
             value = Fraction(_integer_form(upper, witness), lcm)
             if not value < 0:
                 raise ArithmeticError("PSD witness failed exact verification")
-            return PsdResult(False, witness, value)
-    return PsdResult(True)
+            return PsdResult(False, witness, value), 0
+        det = det and row[0]
+    return PsdResult(True), det
 
 
 def psd_certificate(m: SymmetricRationalMatrix) -> PsdResult:
@@ -239,4 +241,4 @@ def psd_certificate(m: SymmetricRationalMatrix) -> PsdResult:
     >>> res.is_psd, res.witness, res.witness_value
     (False, (-1, 2), Fraction(-4, 1))
     """
-    return _psd_upper(*_integer_rows([row[i:] for i, row in enumerate(m.entries)]))
+    return _psd_upper(*_integer_rows([row[i:] for i, row in enumerate(m.entries)]))[0]

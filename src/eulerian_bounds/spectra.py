@@ -9,8 +9,8 @@ Three certified quantities live here:
   copy (entries grow like 8^n, so floating eigensolvers lose certification
   long before the desk-scale range ends; exact sign tests do not);
 - an approximate kernel vector at that boundary: the integer witness of
-  the one dense PSD test, just left of it, flagged degenerate (corank > 1)
-  when a common kernel or a repeated root of the same determinant shows it;
+  the banded PSD test just left of it, mapped back to the pencil, flagged
+  degenerate (corank > 1) when a common kernel or a repeated root shows it;
 - enclosures of the extreme (leftmost / rightmost) real roots of a
   univariate polynomial whose real roots are negative, each isolated by
   Descartes counts or by exact root isolation and re-checked for a
@@ -49,7 +49,7 @@ from ._record import Record
 from .enclosure import DEFAULT_PREC, AlgebraicBound
 from .eulerian import UnivariatePolynomial
 from .pencil import DiagonalPencil, PsdResult, SymmetricRationalMatrix, psd_certificate
-from .pencil import _back_substitute, _bareiss, _integer_rows, _ldl, _psd_upper
+from .pencil import _back_substitute, _bareiss, _integer_form, _integer_rows, _ldl, _psd_upper
 
 __all__ = [
     "KernelVector",
@@ -61,22 +61,23 @@ __all__ = [
 ]
 
 
-def _pencil_rows(rows: list[list[int]], num: int, den: int) -> tuple[tuple[int, ...], ...]:
+def _pencil_rows(rows: list[list[int]], num: int, den: int) -> list[list[int]]:
     # den A0 + num A_sum from the cleared rows, full or upper band, of
     # [A0; A_sum]: a positive multiple of A0 + (num/den) A_sum, in integers.
-    return tuple(tuple(den * u + num * v for u, v in zip(r0, r1))
-                 for r0, r1 in zip(rows, rows[len(rows) // 2:]))
+    return [[den * u + num * v for u, v in zip(r0, r1)]
+            for r0, r1 in zip(rows, rows[len(rows) // 2:])]
 
 
 def _is_psd_at(rows: list[list[int]], x: Fraction) -> PsdResult:
     # Truthy exactly when A0 + x A_sum is PSD, for the cleared rows of
-    # [A0; A_sum]; a witness refutes it too.
+    # [A0; A_sum]; a witness refutes it too.  The dense test of un(n)'s 2x2 pencil.
     m = _pencil_rows(rows, x.numerator, x.denominator)
-    return psd_certificate(SymmetricRationalMatrix(m))
+    return psd_certificate(SymmetricRationalMatrix(tuple(map(tuple, m))))
 
 
-def _band_psd_at(band: list[list[int]], x: Fraction) -> PsdResult:
-    # _is_psd_at for the upper band rows of [A0; A_sum].
+def _band_psd_at(band: list[list[int]], x: Fraction) -> tuple[PsdResult, int]:
+    # The PSD test of A0 + x A_sum on the integer upper band rows of [A0; A_sum],
+    # and the determinant of its integer multiple if PSD (``_psd_upper``).
     return _psd_upper(_pencil_rows(band, x.numerator, x.denominator))
 
 
@@ -108,12 +109,12 @@ def _bareiss_det(a: list[list[int]]) -> int:
     return 0 if len(pivots) < len(a) else sign * pivots[-1][2][-1] if pivots else 1
 
 
-def _det_polynomial(band: list[list[int]]) -> list[int]:
+def _det_polynomial(band: list[list[int]], at_zero: int) -> list[int]:
     # Descending integer coefficients of det(A0 + x A_sum) up to a positive factor,
-    # degree <= s, for the integer upper band rows of [A0; A_sum]: values at x = 0..s,
-    # Newton forward differences (the j-th divisible by j!), Horner in falling factorials.
+    # degree <= s, for the integer upper band rows of [A0; A_sum]: values at x = 0..s
+    # (det A0 given), Newton differences (the j-th divisible by j!), falling factorials.
     s, newton = len(band) // 2, []
-    values = [_det(_pencil_rows(band, k, 1)) for k in range(s + 1)]
+    values = [at_zero] + [_det(_pencil_rows(band, k, 1)) for k in range(1, s + 1)]
     for j in range(s + 1):
         newton.append(values[0] // math.factorial(j))
         values = [b - a for a, b in zip(values, values[1:])]
@@ -124,18 +125,31 @@ def _det_polynomial(band: list[list[int]]) -> list[int]:
     return desc
 
 
+_CUTS = ((2, 1, 2), (3, 2, 2), (1, 1, 1))  # (p, q, start) of T1, T2 and T3
+
+
 def _banded(rows: list[list[int]]) -> list[list[int]]:
-    # [T^T A0 T; T^T A_sum T] for the cleared rows [A0; A_sum]: T's three
-    # bidiagonal factors (det T = 2^(s-2)) annihilate the Eulerian entries'
-    # geometric terms in the column index, ratios 2, 3/2 and 1, leaving a band.
+    # [T^T A0 T; T^T A_sum T] for the cleared rows [A0; A_sum]: T = T1 T2 T3, column
+    # j >= start of each factor q e_j - p e_(j-1), annihilates (det T = 2^(s-2)) the
+    # Eulerian entries' geometric terms in the column index, ratios 2, 3/2 and 1.
     def cut(row):  # row T: c_j -= 2 c_(j-1), c_j = 2 c_j - 3 c_(j-1), c_j -= c_(j-1)
         r = list(row)
-        for p, q, start in ((2, 1, 2), (3, 2, 2), (1, 1, 1)):
+        for p, q, start in _CUTS:
             for j in range(len(r) - 1, start - 1, -1):  # c_(j-1) still the old entry
                 r[j] = q * r[j] - p * r[j - 1]
         return r
     s = len(rows) // 2
     return [cut(r) for half in (rows[:s], rows[s:]) for r in zip(*map(cut, half))]
+
+
+def _unband(w) -> list[int]:
+    # T w, a vector of the pencil, for a vector w of _banded's copy: T3, T2, T1 in turn.
+    v = list(w)
+    for p, q, start in reversed(_CUTS):
+        for j in range(start, len(v)):  # column j is q e_j - p e_(j-1); v_j still the old entry
+            v[j - 1] -= p * v[j]
+            v[j] *= q
+    return v
 
 
 def _range_restriction(rows: list[list[int]]) -> list[list[int]]:
@@ -290,41 +304,43 @@ def psd_interval_left(p: DiagonalPencil, prec: int = DEFAULT_PREC) -> AlgebraicB
 
 def psd_boundary(
     p: DiagonalPencil, prec: int = DEFAULT_PREC
-) -> tuple[AlgebraicBound, list[int], int]:
+) -> tuple[AlgebraicBound, list[int], int, tuple[int, ...]]:
     """x_min as ``psd_interval_left`` encloses it, the determinant f it is a
-    root of, and the dimension of the common kernel f is taken off.
+    root of, the dimension of the common kernel f is taken off, and a witness.
 
     The PSD set on the line is an interval containing 0 on which, off the
     common kernel of A0 and A_sum, the pencil is nonsingular except at its
     ends; so x_min is a nonpositive root of f(x) = det(A0 + x A_sum) taken
     on that complement (descending integer coefficients, up to a positive
-    factor).  f and the PSD tests at 0, ``lo`` and ``hi`` (a yes or no
-    each) run on the upper band rows of the congruent copy ``_banded``.  A
+    factor).  f and the PSD tests at 0 (which gives f(0) = det A0 too), ``lo``
+    and ``hi`` run on the upper band rows of the congruent copy ``_banded``.  A
     simple rightmost root of f below 0, isolated by ``_rightmost_interval``,
     is x_min: the pencil is positive definite from 0 down to it, and not PSD
     where f changes sign.  Any other f has its roots isolated and walked
     right to left: the first not PSD at its ``lo`` is x_min.  The answer
     rests only on the two exact tests, not PSD at ``lo`` and PSD at ``hi``,
-    so x_min lies in (lo, hi].
+    so x_min lies in (lo, hi]; the first one's integer witness w, a vector of
+    the copy T^T M T, maps to T w (``_unband``), which refutes PSD at ``lo``.
     """
     if prec < 16:
         raise ValueError("prec must be >= 16")
     band = _upper_band(banded := _banded(_integer_rows(p.a0.entries + p.a_sum.entries)[0]))
-    if not _band_psd_at(band, Fraction(0)):
+    at_zero, a0_det = _band_psd_at(band, Fraction(0))
+    if not at_zero:
         raise ValueError("A0 is not PSD")
-    det, kernel_dim = _det_polynomial(band), 0
+    det, kernel_dim = _det_polynomial(band, a0_det), 0
     if not any(det):  # A0 and A_sum share a kernel: restrict to its complement.
-        restricted = _upper_band(_range_restriction(banded))
-        det, kernel_dim = _det_polynomial(restricted), (len(band) - len(restricted)) // 2
+        r = _upper_band(_range_restriction(banded))
+        det, kernel_dim = _det_polynomial(r, _det(r[: len(r) // 2])), (len(band) - len(r)) // 2
     # Still singular everywhere: the PSD set has no interior, so it is {0}.
     one = _rightmost_interval(f := _primitive(_strip(det)) if any(det) else [1, 0])
     f, intervals = (f, [one]) if one else _isolate(f, nonpositive=True)
     for a, b in reversed(intervals):
         enc = _refine_root(f, a, b, prec, exact=False)
-        if not _band_psd_at(band, enc.lo):
-            if not _band_psd_at(band, enc.hi):
+        if not (at_lo := _band_psd_at(band, enc.lo)[0]):
+            if not _band_psd_at(band, enc.hi)[0]:
                 raise ArithmeticError("x_min enclosure is not PSD at hi")
-            return enc, det, kernel_dim
+            return enc, det, kernel_dim, at_lo.witness
         if one:
             raise ArithmeticError("a simple rightmost determinant root is PSD at lo")
     raise ValueError("unbounded below: pencil PSD left of every determinant root")
@@ -367,14 +383,16 @@ def _normalized(w: list[int], prec: int) -> tuple[list[Fraction], str]:
 def boundary_kernel_vector(p: DiagonalPencil, prec: int = DEFAULT_PREC) -> KernelVector:
     """Kernel direction of A0 + x A_sum at its PSD boundary x_min.
 
-    The direction is the witness of a dense PSD test on the pencil's own
-    rows, refuting PSD at the enclosure's lo: at a corank-1 boundary with
-    unit kernel v, the first leading block to fail ends at v's last nonzero
-    entry v_k (a PSD matrix's leading-block kernel vector, zero-padded, is
-    its own), and the witness, that block's adjugate column, tends to v as
-    the enclosure shrinks.  A common kernel of A0 and A_sum makes the
-    midpoint M singular (among Eulerian pencils only at n = 1); M's exact
-    null vector is taken there.
+    The direction is T w, for the witness w of ``psd_boundary``'s banded test
+    at the enclosure's lo, checked to refute PSD on the pencil's own rows.
+    Both eliminations fail first at one leading block (T is upper triangular,
+    so T^T M T's leading minors are M's times det(T_k)^2 > 0), and after a
+    negative pivot T w is that block's adjugate column, up to a positive
+    factor.  At a corank-1 boundary with unit kernel v the block ends at v's
+    last nonzero entry v_k (a PSD matrix's leading-block kernel vector,
+    zero-padded, is its own), and the witness tends to v as the enclosure
+    shrinks.  A common kernel of A0 and A_sum makes the midpoint M singular
+    (among Eulerian pencils only at n = 1); its exact null vector is taken.
 
     The integer vector w is checked and normalized exactly: ||M w|| / ||w||,
     rounded up to a multiple of 2**(-2 prec), must meet 2**(-prec/2).  The
@@ -394,13 +412,17 @@ def boundary_kernel_vector(p: DiagonalPencil, prec: int = DEFAULT_PREC) -> Kerne
     """
     target = Fraction(1, 2 ** (prec // 2))
     rows, den = _integer_rows(p.a0.entries + p.a_sum.entries)
+    upper = [row[i % p.size:] for i, row in enumerate(rows)]
     a_sum_max = Fraction(max(abs(v) for row in rows[p.size:] for v in row), den)
     bits = max(prec, int(4 * p.size * max(1, a_sum_max) / target).bit_length())
     while True:
-        x, det, kernel_dim = psd_boundary(p, bits)
+        x, det, kernel_dim, witness = psd_boundary(p, bits)
         mid = x.midpoint
         matrix = _pencil_rows(rows, mid.numerator, mid.denominator)  # (den mid.denominator) M
-        w = _null_vector(matrix) if kernel_dim else _is_psd_at(rows, x.lo).witness
+        w = _null_vector(matrix) if kernel_dim else _unband(witness)
+        at_lo = _pencil_rows(upper, x.lo.numerator, x.lo.denominator)  # upper rows, scaled M(lo)
+        if not kernel_dim and _integer_form(at_lo, w) >= 0:
+            raise ArithmeticError("mapped witness T w does not refute PSD at lo")
         mw = [sum(e * c for e, c in zip(row, w) if c) for row in matrix]
         scale = den * mid.denominator
         scaled = -(-sum(y * y for y in mw) * 16**prec // (scale * scale * sum(c * c for c in w)))

@@ -55,6 +55,13 @@ def overlaps(a, b) -> bool:
     return a.lo <= b.hi and b.lo <= a.hi
 
 
+def fresh_cells(monkeypatch):
+    """An empty cache of critical points for this test, the shared one untouched."""
+    fresh = functools.lru_cache(bounds_mod._critical_points.__wrapped__)
+    monkeypatch.setattr(bounds_mod, "_critical_points", fresh)
+    return fresh
+
+
 class TestGuessVector:
     def test_old_n4(self):
         v = guess_vector("old", 4)
@@ -219,11 +226,13 @@ class TestOptimalY:
 
     @staticmethod
     def corrupt(monkeypatch, quads):
-        # The critical coefficients are cached per (n, kind): a fresh cache
-        # reads the corrupt quadratics and leaves the shared one clean.
+        # The critical coefficients are cached per (n, kind) and their roots per
+        # (coefficients, prec): fresh caches read the corrupt quadratics and leave
+        # the shared ones clean.
         monkeypatch.setattr(bounds_mod, "eulerian_guess_quadratics", lambda n, kind: quads)
         fresh = functools.lru_cache(bounds_mod._critical_coefficients.__wrapped__)
         monkeypatch.setattr(bounds_mod, "_critical_coefficients", fresh)
+        fresh_cells(monkeypatch)
 
     def test_critical_coefficients_computed_once_per_pair(self, monkeypatch):
         # bound_report's test that N/D depends on y and paper_y, which reads
@@ -312,6 +321,7 @@ class TestCriticalPoints:
 
     @pytest.mark.parametrize("n, kind", [(5, "old"), (8, "new")])
     def test_paper_y_refines_only_the_root_it_returns(self, monkeypatch, n, kind):
+        fresh_cells(monkeypatch)
         cells = []
         real = spectra._refine_root
         monkeypatch.setattr(bounds_mod, "_refine_root",
@@ -322,6 +332,7 @@ class TestCriticalPoints:
     @pytest.mark.parametrize("policy", ["paper", "numeric-optimal"])
     def test_y_is_refined_by_the_one_primitive(self, monkeypatch, policy):
         assert bounds_mod._refine_root is spectra._refine_root
+        fresh_cells(monkeypatch)
         cells = []
         real = spectra._refine_root
         monkeypatch.setattr(bounds_mod, "_refine_root",
@@ -411,6 +422,12 @@ class TestBoundReport:
             new = bound_report(n, "new", prec=128)
             assert old.difference.is_certainly_positive()
             assert (new.difference - old.difference).is_certainly_positive()
+
+    def test_both_kinds_share_one_paper_root(self, monkeypatch):
+        # The new family's y is the old one's cell negated, refined once.
+        fresh = fresh_cells(monkeypatch)
+        old, new = (bound_report(10, kind, "paper", prec=64).y for kind in ("old", "new"))
+        assert new == -old and fresh.cache_info()[:2] == (1, 1)  # hits, misses
 
     def test_numeric_optimal_y_is_guarded_once(self):
         # Both policies enclose the same old-family y at the same width.

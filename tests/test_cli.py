@@ -203,6 +203,20 @@ class TestBounds:
         un = [a[3] for a, k in calls if k == {"exact": False}]
         assert un == [64 + 2 * 10 + 16] * 2
 
+    def test_both_kinds_share_one_paper_y(self, capsys, monkeypatch):
+        calls, real = [], spectra._refine_root
+        monkeypatch.setattr(bounds_mod, "_refine_root",
+                            lambda *a, **k: calls.append((a, k)) or real(*a, **k))
+        args = ["bounds", "--n-min", "10", "--n-max", "10", "--kind", "both",
+                "--prec", "64"]
+        for _ in range(2):
+            code, _, _ = run_cli(capsys, args)
+            assert code == 0
+        # The old family's critical root, the one refinement with exact roots,
+        # once per command, not once per kind: the new family negates it.
+        paper = [a[3] for a, k in calls if not k]
+        assert paper == [64 + 3 * 10 + 64] * 2
+
     def test_both_kinds_share_the_extreme_roots(self, capsys, monkeypatch):
         calls = spy(monkeypatch, spectra, "extreme_roots")
         args = ["bounds", "--n-min", "10", "--n-max", "10", "--kind", "both",

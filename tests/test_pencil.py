@@ -454,7 +454,7 @@ class TestEliminationKernel:
         real = spectra._bareiss_det
         monkeypatch.setattr(spectra, "_bareiss_det", lambda a: fallbacks.append(a) or real(a))
         assert [_det(spectra._pencil_rows(band, x, 1)) for x in range(4)] == [0, -1, -4, -9]
-        assert spectra._det_polynomial(band) == [-1, 0, 0] and len(fallbacks) == 5
+        assert spectra._det_polynomial(band, 0) == [-1, 0, 0] and len(fallbacks) == 5
         x_min = psd_interval_left(dp, 64)
         assert x_min.hi == 0 and x_min.lo < 0
 

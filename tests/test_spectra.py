@@ -12,7 +12,7 @@ from sympy.polys.domains import ZZ
 from sympy.polys.rootisolation import dup_isolate_real_roots_sqf
 from sympy.polys.sqfreetools import dup_sqf_list, dup_sqf_part
 
-from eulerian_bounds import spectra
+from eulerian_bounds import pencil, spectra
 from eulerian_bounds.enclosure import AlgebraicBound
 from eulerian_bounds.eulerian import univariate_eulerian
 from eulerian_bounds.pencil import (
@@ -29,7 +29,8 @@ from eulerian_bounds.spectra import (
 )
 
 from bareiss_certificate import bareiss_psd_certificate
-from fraction_elimination import congruence_restriction, pencil_at
+from dense_kernel import dense_kernel_vector
+from fraction_elimination import congruence_restriction, fraction_quadratic_form, pencil_at
 from intervals import contains, encloses, is_certainly_negative, possibly_leq, rsub, width
 from polynomials import bisection_refine_root, polynomialize
 from summed_pencil import univariate_diagonal
@@ -123,21 +124,16 @@ def mixed_kernel_pencils(draw) -> DiagonalPencil:
     return diag_pencil(*mixed)
 
 
-def lo_witness(dp: DiagonalPencil, x: AlgebraicBound) -> tuple[int, ...]:
-    """The witness of the dense PSD test on dp's own rows at x.lo, the
-    direction boundary_kernel_vector starts from."""
-    rows, _ = _integer_rows(dp.a0.entries + dp.a_sum.entries)
-    at_lo = spectra._is_psd_at(rows, x.lo)
-    assert not at_lo
-    return at_lo.witness
+def det_polynomial(band):
+    """spectra._det_polynomial with det(A0) from _det, not from a PSD test."""
+    return spectra._det_polynomial(band, spectra._det(band[: len(band) // 2]))
 
 
 def boundary_route(dp: DiagonalPencil, prec: int):
-    """psd_boundary with the witness at its lo, and boundary_kernel_vector;
+    """psd_boundary, with the witness at its lo, and boundary_kernel_vector;
     or the ValueError refusing dp."""
     try:
-        x, det, kernel_dim = spectra.psd_boundary(dp, prec)
-        return (x, det, kernel_dim, lo_witness(dp, x)), boundary_kernel_vector(dp, prec)
+        return spectra.psd_boundary(dp, prec), boundary_kernel_vector(dp, prec)
     except ValueError as exc:
         return str(exc)
 
@@ -284,8 +280,8 @@ class TestRangeRestriction:
         rows, _ = _integer_rows(dp.a0.entries + dp.a_sum.entries)
         block, oracle = spectra._range_restriction(rows), congruence_restriction(rows)
         assert len(block) == len(oracle) < len(rows)
-        self.assert_positive_multiple(spectra._det_polynomial(spectra._upper_band(block)),
-                                      spectra._det_polynomial(spectra._upper_band(oracle)))
+        self.assert_positive_multiple(det_polynomial(spectra._upper_band(block)),
+                                      det_polynomial(spectra._upper_band(oracle)))
         ours = boundary_route(dp, prec)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(spectra, "_range_restriction", congruence_restriction)
@@ -346,7 +342,7 @@ class TestKernelVector:
         boundary = spectra.psd_boundary(dp, 64)
         monkeypatch.setattr(spectra, "_squarefree", lambda d: [1, 1])
         with pytest.raises(ArithmeticError, match="no determinant root in the x_min enclosure"):
-            spectra._boundary_degenerate(rows, *boundary)
+            spectra._boundary_degenerate(rows, *boundary[:3])
 
     @given(
         st.dictionaries(
@@ -447,7 +443,7 @@ class TestKernelVector:
         except ValueError:
             assume(False)
         rows, _ = _integer_rows(dp.a0.entries + dp.a_sum.entries)
-        assume(not spectra._boundary_degenerate(rows, *boundary))
+        assume(not spectra._boundary_degenerate(rows, *boundary[:3]))
         kv = boundary_kernel_vector(dp, prec)
         assert svd_kernel_cosine(dp, kv) >= 1 - mpmath.mpf(2) ** -(prec // 4)
 
@@ -483,8 +479,8 @@ class TestKernelVector:
         real = spectra.psd_boundary
 
         def common_kernel(p, prec):
-            x, det, _ = real(p, prec)
-            return x, det, 1
+            x, det, _, witness = real(p, prec)
+            return x, det, 1, witness
 
         monkeypatch.setattr(spectra, "psd_boundary", common_kernel)
         with pytest.raises(ArithmeticError, match="numerically singular boundary matrix is nonsingular"):
@@ -569,8 +565,8 @@ class TestKernelVector:
         real = spectra.psd_boundary
 
         def shifted(p, prec):
-            x, det, kernel_dim = real(p, prec)
-            return x - Fraction(1, 2), det, kernel_dim
+            x, det, kernel_dim, witness = real(p, prec)
+            return x - Fraction(1, 2), det, kernel_dim, witness
 
         monkeypatch.setattr(spectra, "psd_boundary", shifted)
         with pytest.raises(ArithmeticError, match=r"kernel residual .* exceeds 2\^-32"):
@@ -629,15 +625,15 @@ class TestBandedPencil:
             with pytest.raises(ValueError, match=re.escape(str(exc))):
                 spectra.psd_boundary(dp, prec)
             return
-        x, det, kernel_dim = spectra.psd_boundary(dp, prec)
+        x, det, kernel_dim, witness = spectra.psd_boundary(dp, prec)
         assert kernel_dim == walk[2] and det == walk[1]
         if clipped and x != walk[0]:
             assert math.ceil(x.hi * 2**prec) == math.ceil(walk[0].hi * 2**prec)
             assert min(width(x), width(walk[0])) < Fraction(1, 2**prec)
         else:
-            assert (x, lo_witness(dp, x)) == (walk[0], lo_witness(dp, walk[0]))
+            assert (x, witness) == (walk[0], walk[3])
         rows, _ = _integer_rows(dp.a0.entries + dp.a_sum.entries)
-        own = spectra._det_polynomial(
+        own = det_polynomial(
             spectra._upper_band(rows if not kernel_dim else spectra._range_restriction(rows)))
         TestRangeRestriction.assert_positive_multiple(det, own)
 
@@ -672,60 +668,64 @@ class TestBandedPencil:
 
 
 class TestBandedDecisions:
-    """Every PSD decision of psd_boundary runs on the band; the one dense
-    test is boundary_kernel_vector's, for its witness."""
+    """Every PSD test of psd_interval_left and boundary_kernel_vector runs on
+    the band, inside psd_boundary: the kernel vector maps its witness back."""
 
     @staticmethod
-    def assert_dense_test_only_for_the_witness(dp, prec):
+    def assert_every_test_on_the_band(dp, prec):
         rows, _ = _integer_rows(dp.a0.entries + dp.a_sum.entries)
         band, log = spectra._upper_band(spectra._banded(rows)), []
-        real_boundary = spectra.psd_boundary
+        real_boundary, real_test = spectra.psd_boundary, spectra._band_psd_at
+        real_elimination = spectra._psd_upper
 
-        def spy(real_test):  # the band-level test and the dense one log alike
-            def test(m, x):
-                log.append(("test", m, x))
-                return real_test(m, x)
-            return test
+        def band_test(m, x):
+            log.append(("band", m))
+            return real_test(m, x)
+
+        def elimination(*args):  # every PSD test, on the band or not
+            log.append(("elimination", None))
+            return real_elimination(*args)
 
         def boundary(p, bits):
             start = len(log)
             try:
-                result = real_boundary(p, bits)
-            finally:  # psd_boundary's own tests, each on the band, leave the log
-                assert log[start:] and all(m == band for _, m, _ in log[start:])
-                del log[start:]
-            log.append(("boundary", result))
-            return result
+                return real_boundary(p, bits)
+            finally:  # each elimination a band test on this band, collapsed to one entry
+                inside = log[start:]
+                assert inside and inside == [("band", band), ("elimination", None)] * (len(inside) // 2)
+                log[start:] = ["boundary"]
 
         with pytest.MonkeyPatch.context() as mp:
-            for name in ("_band_psd_at", "_is_psd_at"):
-                mp.setattr(spectra, name, spy(getattr(spectra, name)))
+            mp.setattr(spectra, "_band_psd_at", band_test)
+            for module in (spectra, pencil):  # pencil's for psd_certificate
+                mp.setattr(module, "_psd_upper", elimination)
             mp.setattr(spectra, "psd_boundary", boundary)
             try:
                 psd_interval_left(dp, prec)
             except ValueError:
                 return
-            assert [tag for tag, *_ in log] == ["boundary"]  # no test outside psd_boundary
-            log.clear()
             boundary_kernel_vector(dp, prec)
-        # Each psd_boundary call is followed by one test on the pencil's own
-        # rows at its enclosure's lo, or by none where the common kernel's
-        # exact null vector is taken instead.
-        expected = []
-        for tag, *entry in log:
-            if tag == "boundary":
-                x, _, kernel_dim = entry[0]
-                expected += [(tag, *entry)] + ([] if kernel_dim else [("test", rows, x.lo)])
-        assert log == expected
+        assert log and set(log) == {"boundary"}
 
     @pytest.mark.parametrize("n", range(1, 25))
     def test_eulerian(self, n):
-        self.assert_dense_test_only_for_the_witness(eulerian_diagonal_pencil(n), 64)
+        self.assert_every_test_on_the_band(eulerian_diagonal_pencil(n), 64)
 
     @given(st.one_of(psd_pencils(), mixed_kernel_pencils()), st.sampled_from((16, 64)))
     @settings(max_examples=100, deadline=None)
     def test_generic(self, dp, prec):
-        self.assert_dense_test_only_for_the_witness(dp, prec)
+        self.assert_every_test_on_the_band(dp, prec)
+
+    @pytest.mark.parametrize("n", (4, 11))
+    def test_a0_is_eliminated_once(self, monkeypatch, n):
+        # det(A0), the determinant's value at 0, comes from the PSD test at 0:
+        # _det runs only at x = 1..s.
+        rows, _ = _integer_rows(eulerian_diagonal_pencil(n).a0.entries
+                                + eulerian_diagonal_pencil(n).a_sum.entries)
+        band, seen, real = spectra._upper_band(spectra._banded(rows)), [], spectra._det
+        monkeypatch.setattr(spectra, "_det", lambda m: seen.append(m) or real(m))
+        spectra.psd_boundary(eulerian_diagonal_pencil(n), 64)
+        assert seen == [spectra._pencil_rows(band, k, 1) for k in range(1, n + 2)]
 
 
 class TestIntegerPsdInput:
@@ -739,8 +739,8 @@ class TestIntegerPsdInput:
         assert spectra._is_psd_at(rows, x).is_psd == psd_certificate(pencil_at(dp, x)).is_psd
 
     def test_no_fraction_matrix_is_built(self, monkeypatch):
-        # Every matrix built while x_min and the kernel vector are certified
-        # is an integer q A0 + p A_sum, never the rational A0 + x A_sum.
+        # x_min and the kernel vector are certified on integer rows q A0 +
+        # p A_sum alone: no matrix record, let alone the rational A0 + x A_sum.
         built = []
         real = SymmetricRationalMatrix.__post_init__
 
@@ -755,7 +755,7 @@ class TestIntegerPsdInput:
             # Both return only after their exact PSD tests at lo and hi.
             assert psd_interval_left(dp, 128).hi < 0
             assert boundary_kernel_vector(dp, 64).residual <= Fraction(1, 2**32)
-        assert built and all(type(v) is int for m in built for row in m for v in row)
+        assert built == []
 
 
 @st.composite
@@ -785,13 +785,84 @@ class TestSymmetricElimination:
         # The band-level test of psd_boundary, on the banded congruent copy.
         banded = spectra._banded(_integer_rows(dp.a0.entries + dp.a_sum.entries)[0])
         at = spectra._pencil_rows(banded, x.numerator, x.denominator)
-        ours = spectra._band_psd_at(spectra._upper_band(banded), x)
+        ours, _ = spectra._band_psd_at(spectra._upper_band(banded), x)
         assert ours == bareiss_psd_certificate(SymmetricRationalMatrix(at))
 
     @given(dense_symmetric_matrices())
     @settings(max_examples=300, deadline=None)
     def test_dense_symmetric_matrices(self, m):
         assert psd_certificate(m) == bareiss_psd_certificate(m)
+
+
+def failing_pivot(m: SymmetricRationalMatrix) -> tuple[int, bool]:
+    """The dense elimination's first pivot that is not positive, in a nonzero
+    row, and whether a zero row was skipped before it."""
+    upper, _ = _integer_rows([row[i:] for i, row in enumerate(m.entries)])
+    skipped = False
+    for col, rows in pencil._ldl(upper):
+        if rows[col][0] <= 0 and any(rows[col]):
+            return rows[col][0], skipped
+        skipped = skipped or not any(rows[col])
+    raise AssertionError("no failing pivot")
+
+
+def positive_multiple(v, w) -> bool:
+    return (all(a * d == b * c for a, b in zip(v, w) for c, d in zip(v, w))
+            and sum(a * b for a, b in zip(v, w)) > 0)
+
+
+def zero_pencil_at_0(m: SymmetricRationalMatrix) -> tuple[DiagonalPencil, Fraction]:
+    """(m + x 0, 0): the pencil whose test at 0 is a PSD test of m."""
+    return DiagonalPencil(m, SymmetricRationalMatrix(((0,) * m.size,) * m.size)), Fraction(0)
+
+
+class TestBandWitness:
+    """T w, for the witness w of the banded test, refutes PSD on the pencil's
+    own rows; after a negative pivot it is the dense witness times a positive
+    factor (T is upper triangular, so both eliminations fail at one block)."""
+
+    @given(st.integers(1, 9), st.lists(st.integers(-(2**20), 2**20), min_size=9, max_size=9))
+    def test_unband_is_t_times_w(self, s, w):
+        t = congruence_factor(s)
+        assert spectra._unband(w[:s]) == [sum(t[i][j] * w[j] for j in range(s)) for i in range(s)]
+
+    @staticmethod
+    def assert_maps_to_the_dense_witness(dp: DiagonalPencil, x: Fraction):
+        band = spectra._upper_band(spectra._banded(_integer_rows(dp.a0.entries + dp.a_sum.entries)[0]))
+        ours, m = spectra._band_psd_at(band, x)[0], pencil_at(dp, x)
+        dense = psd_certificate(m)
+        assert bool(ours) == bool(dense)
+        if ours:
+            return
+        v = spectra._unband(ours.witness)
+        assert fraction_quadratic_form(m, v) < 0
+        pivot, skipped = failing_pivot(m)
+        if pivot < 0 and not skipped:
+            assert positive_multiple(v, dense.witness)
+
+    @given(st.one_of(psd_pencils(), mixed_kernel_pencils()),
+           st.one_of(st.integers(-3, 3).map(Fraction), st.fractions(-4, 4, max_denominator=64)))
+    @settings(max_examples=200, deadline=None)
+    def test_pencils_at_a_point(self, dp, x):
+        self.assert_maps_to_the_dense_witness(dp, x)
+
+    @given(dense_symmetric_matrices())
+    @settings(max_examples=200, deadline=None)
+    def test_symmetric_integer_matrices(self, m):
+        self.assert_maps_to_the_dense_witness(*zero_pencil_at_0(m))
+
+    @pytest.mark.parametrize("n", [*range(1, 25), 28, 32, 36, 40])
+    def test_eulerian_matches_the_dense_route(self, n):
+        # The same vector, flags and residual as the dense witness at lo gives.
+        dp = eulerian_diagonal_pencil(n)
+        assert boundary_kernel_vector(dp, 128) == dense_kernel_vector(dp, 128)
+
+    def test_a_witness_not_mapped_back_is_refused(self, monkeypatch):
+        # w itself, a vector of the banded copy, does not refute PSD on the
+        # pencil's own rows at n = 4.
+        monkeypatch.setattr(spectra, "_unband", list)
+        with pytest.raises(ArithmeticError, match="mapped witness T w does not refute PSD at lo"):
+            boundary_kernel_vector(eulerian_diagonal_pencil(4), 64)
 
 
 class TestExtremeRoots:
