@@ -70,11 +70,6 @@ def _enc(b: AlgebraicBound) -> dict[str, str]:
     return {"lo": str(b.lo), "hi": str(b.hi)}
 
 
-def _split(key: str, cell: dict[str, str]) -> dict[str, str]:
-    """An enclosure cell as the flat columns <key>_lo, <key>_hi."""
-    return {f"{key}_{end}": value for end, value in cell.items()}
-
-
 def _dps(prec: int) -> int:
     return int(math.ceil(prec * math.log10(2))) + 2
 
@@ -96,14 +91,18 @@ _REPORT_FIELDS = (
     ("y", "y"), ("D", "d_value"), ("N", "n_value"), ("lin_bound", "lin_bound"),
     ("mult", "mult"), ("un", "un"), ("diff", "difference"),
 )
+_BOUNDS_COLUMNS = ("n", "kind", "y_policy", "prec_bits", *dict(_REPORT_FIELDS),
+                   "xmin", "q_left", "q_right")
+
+Rows = tuple[tuple[str, ...], list[tuple]]
 
 
 # ---------------------------------------------------------------------------
-# Subcommand row builders.  Each returns a nonempty list of rows whose
-# keys, in order, are the command's columns.
+# Subcommand row builders.  Each returns the command's columns once and a
+# nonempty list of rows, each a tuple of values in column order.
 
 
-def _rows_counts(args) -> list[dict]:
+def _rows_counts(args) -> Rows:
     n = args.n
     if n < 1:
         raise CliError("n must be >= 1")
@@ -120,9 +119,8 @@ def _rows_counts(args) -> list[dict]:
             comp = eulerian.count_formula(n, combo, "complement")
             dele = eulerian.count_formula(n, combo, "deletion")
             closed = eulerian.closed_form_R(combo) if 1 <= size <= 3 else ""
-            rows.append({"X": "{" + ",".join(map(str, combo)) + "}", "brute_force": brute,
-                         "complement": comp, "deletion": dele, "closed_form": closed})
-    return rows
+            rows.append(("{" + ",".join(map(str, combo)) + "}", brute, comp, dele, closed))
+    return ("X", "brute_force", "complement", "deletion", "closed_form"), rows
 
 
 def _mono_str(mono: tuple[int, ...]) -> str:
@@ -135,49 +133,42 @@ def _mono_str(mono: tuple[int, ...]) -> str:
     return "*".join(parts)
 
 
-def _rows_lform(args) -> list[dict]:
+def _rows_lform(args) -> Rows:
     n = args.n
     _cap(args, "n=", n, MAX_BOUNDS_N)
     generic = lform.lform_from_truncation(lform.Truncation3.eulerian(n))
     rows = []
     for mono in lform.monomials_up_to_3(n):
         closed, gen = lform.eulerian_lform(n, mono), generic(mono)
-        rows.append({"monomial": _mono_str(mono), "closed_form": str(closed),
-                     "from_truncation": str(gen), "equal": closed == gen})
-    return rows
+        rows.append((_mono_str(mono), str(closed), str(gen), closed == gen))
+    return ("monomial", "closed_form", "from_truncation", "equal"), rows
 
 
-def _matrix_rows(name: str, m: pencil.SymmetricRationalMatrix) -> list[dict]:
-    return [{"matrix": name, "row": i, "col": j, "value": str(v)}
-            for i, row in enumerate(m.entries) for j, v in enumerate(row)]
-
-
-def _rows_pencil(args) -> list[dict]:
+def _rows_pencil(args) -> Rows:
     n = args.n
     _cap(args, "n=", n, MAX_BOUNDS_N)
     p = pencil.eulerian_pencil(n)
     cert = pencil.psd_certificate(p.a0)
-    rows = _matrix_rows("A0", p.a0)
-    for i, ai in enumerate(p.ai, start=1):
-        rows.extend(_matrix_rows(f"A{i}", ai))
-    rows.extend(_matrix_rows("ASum", pencil.eulerian_diagonal_pencil(n).a_sum))
-    rows.append({"matrix": "psd_A0", "row": "", "col": "", "value": "PSD" if cert else "NOT_PSD"})
-    return rows
+    named = [("A0", p.a0), *((f"A{i}", ai) for i, ai in enumerate(p.ai, start=1)),
+             ("ASum", pencil.eulerian_diagonal_pencil(n).a_sum)]
+    rows = [(name, i, j, str(v)) for name, m in named
+            for i, row in enumerate(m.entries) for j, v in enumerate(row)]
+    rows.append(("psd_A0", "", "", "PSD" if cert else "NOT_PSD"))
+    return ("matrix", "row", "col", "value"), rows
 
 
-def _bounds_worker(task: tuple[int, tuple[str, ...], str, int]) -> list[dict]:
+def _bounds_worker(task: tuple[int, tuple[str, ...], str, int]) -> list[tuple]:
     # Every kind at one n in one process: x_min and the extreme roots of A_n
     # depend on n alone, so they are certified once and end every row.
     n, kinds, policy, prec = task
     x_min = spectra.psd_interval_left(pencil.eulerian_diagonal_pencil(n), prec)
     q_left, q_right = spectra.extreme_roots(eulerian.univariate_eulerian(n), prec)
-    per_n = {"xmin": _enc(x_min), "q_left": _enc(q_left), "q_right": _enc(q_right)}
+    per_n = (_enc(x_min), _enc(q_left), _enc(q_right))
     rows = []
     for kind in kinds:
         r = bounds_mod.bound_report(n, kind, y_policy=policy, prec=prec)
-        row = {"n": r.n, "kind": r.kind, "y_policy": r.y_policy, "prec_bits": r.prec}
-        row.update((key, _enc(getattr(r, attr))) for key, attr in _REPORT_FIELDS)
-        rows.append(row | per_n)
+        rows.append((r.n, r.kind, r.y_policy, r.prec,
+                     *(_enc(getattr(r, attr)) for _, attr in _REPORT_FIELDS), *per_n))
     return rows
 
 
@@ -189,17 +180,22 @@ _CSV_KEYS = (
 )
 
 
-def _bounds_row_to_csv(row: dict, prec: int) -> dict:
-    flat = {}
-    for key in _CSV_KEYS:
-        value = row[key]
-        if key in ("D", "N"):
-            flat[key] = _dec((Fraction(value["lo"]) + Fraction(value["hi"])) / 2, prec)
-        elif isinstance(value, dict):
-            flat.update(_split(key, value))
-        else:
-            flat[key] = value
-    return flat
+def _bounds_csv(columns: tuple[str, ...], rows: list[tuple], prec: int) -> Rows:
+    """bounds' CSV columns and rows, read off its JSON ones."""
+    at = [columns.index(key) for key in _CSV_KEYS]
+
+    def cells(row):
+        for key, i in zip(_CSV_KEYS, at):
+            value = row[i]
+            if key in ("D", "N"):
+                yield key, _dec((Fraction(value["lo"]) + Fraction(value["hi"])) / 2, prec)
+            elif isinstance(value, dict):
+                yield from ((f"{key}_{end}", v) for end, v in value.items())
+            else:
+                yield key, value
+
+    flat = [tuple(zip(*cells(row))) for row in rows]
+    return flat[0][0], [values for _, values in flat]
 
 
 def _pool_size(jobs: int, tasks: int) -> int:
@@ -215,7 +211,7 @@ def _n_range(args) -> range:
     return range(args.n_min, args.n_max + 1)
 
 
-def _rows_bounds(args) -> list[dict]:
+def _rows_bounds(args) -> Rows:
     n_range = _n_range(args)
     _cap(args, "n-max ", args.n_max, MAX_BOUNDS_N)
     if args.jobs < 1:
@@ -237,20 +233,17 @@ def _rows_bounds(args) -> list[dict]:
             per_n = list(pool.map(_bounds_worker, tasks))
     else:
         per_n = [_bounds_worker(t) for t in tasks]
-    return sorted((r for rs in per_n for r in rs), key=lambda r: (r["n"], r["kind"]))
+    return _BOUNDS_COLUMNS, sorted((r for rs in per_n for r in rs), key=lambda r: r[:2])
 
 
-def _rows_roots(args) -> list[dict]:
+def _rows_roots(args) -> Rows:
     n_range = _n_range(args)
     _cap(args, "n-max ", args.n_max, MAX_ROOTS_N)
     rows = []
     for n in n_range:
         ql, qr = spectra.extreme_roots(eulerian.univariate_eulerian(n), args.prec)
-        rows.append(
-            {"n": n, **_split("q_left", _enc(ql)), **_split("q_right", _enc(qr)),
-             "prec_bits": args.prec}
-        )
-    return rows
+        rows.append((n, str(ql.lo), str(ql.hi), str(qr.lo), str(qr.hi), args.prec))
+    return ("n", "q_left_lo", "q_left_hi", "q_right_lo", "q_right_hi", "prec_bits"), rows
 
 
 # Per family: n per index step, least index, default index range, target
@@ -259,7 +252,7 @@ def _rows_roots(args) -> list[dict]:
 _DIFF_FAMILIES = {"old": (1, 1, 6, 20, 3 / 4, 1 / 2), "new": (2, 2, 5, 12, 9 / 8, 3 / 8)}
 
 
-def _rows_diff(args) -> list[dict]:
+def _rows_diff(args) -> Rows:
     step, least, lo, hi, ratio, prefactor = _DIFF_FAMILIES[args.kind]
     if args.index_max is not None:
         _cap(args, "index max ", args.index_max, MAX_DIFF_N // step,
@@ -285,54 +278,38 @@ def _rows_diff(args) -> list[dict]:
     def cell(at: dict[int, float], idx: int) -> str:
         return f"{at[idx]:.9f}" if idx in at else ""
 
-    rows = []
-    for idx, value in diag.entries:
-        rows.append(
-            {
-                "index": idx,
-                "difference": f"{value:.12e}",
-                "ratio": cell(ratio_at, idx),
-                "target_ratio": f"{diag.target_ratio:.9f}",
-                "relative_deviation": cell(dev_at, idx),
-                "normalization_track": cell(track_at, idx),
-            }
-        )
-    return rows
+    rows = [
+        (idx, f"{value:.12e}", cell(ratio_at, idx), f"{diag.target_ratio:.9f}",
+         cell(dev_at, idx), cell(track_at, idx))
+        for idx, value in diag.entries
+    ]
+    return ("index", "difference", "ratio", "target_ratio", "relative_deviation",
+            "normalization_track"), rows
 
 
-def _rows_eigvec(args) -> list[dict]:
+def _rows_eigvec(args) -> Rows:
     if args.n_max < 1:
         raise CliError("n-max must be >= 1")
     _cap(args, "n-max ", args.n_max, MAX_EIGVEC_N)
     rows = []
     for n in range(1, args.n_max + 1):
         kv = spectra.boundary_kernel_vector(pencil.eulerian_diagonal_pencil(n), args.prec)
-        for idx, entry in enumerate(kv.entries):
-            rows.append(
-                {
-                    "n": n,
-                    "index": idx,
-                    "position": f"{idx / n:.9f}",
-                    "entry": _dec(entry, args.prec),
-                    "normalization": kv.normalization,
-                    "degenerate": kv.degenerate,
-                    "prec_bits": args.prec,
-                }
-            )
-    return rows
+        rows.extend((n, idx, f"{idx / n:.9f}", _dec(entry, args.prec), kv.normalization,
+                     kv.degenerate, args.prec) for idx, entry in enumerate(kv.entries))
+    return ("n", "index", "position", "entry", "normalization", "degenerate", "prec_bits"), rows
 
 
 # ---------------------------------------------------------------------------
 # Emitters
 
 
-def _to_csv(rows: list[dict]) -> str:
-    header = list(rows[0])
-    if any(list(row) != header for row in rows):
-        raise ValueError(f"a CSV row's keys differ, in set or order, from the header {header}")
+def _to_csv(columns: tuple[str, ...], rows: list[tuple]) -> str:
+    if not {len(columns)}.issuperset(map(len, rows)):
+        raise ValueError(f"a CSV row's length differs from its header's, {len(columns)}")
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerows(itertools.chain([header], map(dict.values, rows)))
+    writer.writerow(columns)
+    writer.writerows(rows)
     return buf.getvalue()
 
 
@@ -514,15 +491,16 @@ _BUILDERS = {
 }
 
 
-def _emit(args, rows: list[dict]) -> str:
+def _emit(args, columns: tuple[str, ...], rows: list[tuple]) -> str:
     if args.format == "csv":
         if args.command == "bounds":
-            rows = [_bounds_row_to_csv(r, args.prec) for r in rows]
-        return _to_csv(rows)
+            columns, rows = _bounds_csv(columns, rows, args.prec)
+        return _to_csv(columns, rows)
+    records = [dict(zip(columns, row)) for row in rows]
     if args.format == "json":
-        doc = {"command": args.command, "rows": rows, "prec_bits": args.prec}
+        doc = {"command": args.command, "rows": records, "prec_bits": args.prec}
         return json.dumps(doc, indent=2, sort_keys=False) + "\n"
-    return emit_plot(rows, args.command)
+    return emit_plot(records, args.command)
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -539,11 +517,11 @@ def main(argv: Sequence[str] | None = None) -> int:
         if limit:  # ends of --prec bits print with ~0.3 prec digits, past 4300
             sys.set_int_max_str_digits(0)
         try:
-            text = _emit(args, _BUILDERS[args.command](args))
+            text = _emit(args, *_BUILDERS[args.command](args))
         finally:
             if limit:
                 sys.set_int_max_str_digits(limit)
-        if args.output:
+        if args.output is not None:
             with open(args.output, "w", encoding="utf-8", newline="") as fh:
                 fh.write(text)
         else:

@@ -609,7 +609,8 @@ def extreme_roots(
     for lo, hi in ends[::-1]:  # the rightmost root first
         if cells and f == f[::-1]:  # the leftmost is 1/(cells[0]'s root),
             # in [1/hi, 1/lo] of it: widened to the grid, its cell clips as (lo, hi) does.
-            lo = max(lo, Fraction(math.floor((1 << prec) / cells[0].hi), 1 << prec))
+            if cells[0].hi:  # a cell ending at 0 bounds 1/root above only
+                lo = max(lo, Fraction(math.floor((1 << prec) / cells[0].hi), 1 << prec))
             hi = min(hi, Fraction(math.ceil((1 << prec) / cells[0].lo), 1 << prec))
         cells.append(enc := _refine_root(f, lo, hi, prec))
         if enc.hi > 0:

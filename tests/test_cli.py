@@ -21,6 +21,7 @@ from eulerian_bounds import AlgebraicBound, bound_report, cli, lform, pencil, sp
 from eulerian_bounds import bounds as bounds_mod
 from eulerian_bounds.cli import _pool_size, emit_plot, main
 
+import dict_rows
 from intervals import contains
 
 
@@ -294,23 +295,48 @@ class TestCsvHeaders:
             "prec_bits"
         )
 
-    CSV_ROWS = [{"a": 1, "b": "x,y", "c": None}, {"a": 2, "b": 'say "hi"', "c": True}]
+    CSV_COLUMNS = ("a", "b", "c")
+    CSV_ROWS = [(1, "x,y", None), (2, 'say "hi"', True)]
 
     def test_writer_matches_dictwriter(self):
         buf = io.StringIO()
-        writer = csv.DictWriter(buf, fieldnames=list(self.CSV_ROWS[0]), lineterminator="\n")
+        writer = csv.DictWriter(buf, fieldnames=self.CSV_COLUMNS, lineterminator="\n")
         writer.writeheader()
-        writer.writerows(self.CSV_ROWS)
-        assert cli._to_csv(self.CSV_ROWS) == buf.getvalue()
+        writer.writerows(dict(zip(self.CSV_COLUMNS, row)) for row in self.CSV_ROWS)
+        assert cli._to_csv(self.CSV_COLUMNS, self.CSV_ROWS) == buf.getvalue()
 
     @pytest.mark.parametrize("bad", [
-        {"a": 3, "b": 4},  # DictWriter would write c as ""
-        {"a": 3, "b": 4, "c": 5, "d": 6},
-        {"b": 4, "a": 3, "c": 5},
+        (3, 4),  # DictWriter would write c as ""
+        (3, 4, 5, 6),
+        (),
     ])
-    def test_every_row_repeats_the_header(self, bad):
-        with pytest.raises(ValueError, match="a CSV row's keys differ, in set or order, from the header"):
-            cli._to_csv(self.CSV_ROWS + [bad])
+    def test_a_row_of_the_wrong_length_raises(self, bad):
+        with pytest.raises(ValueError, match="a CSV row's length differs from its header's, 3"):
+            cli._to_csv(self.CSV_COLUMNS, self.CSV_ROWS + [bad])
+
+    @pytest.mark.parametrize("args", (
+        ["counts", "--n", "4"],  # quoted {2,3} cells
+        ["lform", "--n", "4"],
+        ["pencil", "--n", "3"],
+        ["bounds", "--n-min", "3", "--n-max", "4", "--kind", "both"],
+        ["roots", "--n-max", "5"],
+        ["diff", "--kind", "old", "--index-min", "2", "--index-max", "6"],
+        ["eigvec", "--n-max", "3"],
+    ), ids=lambda args: args[0])
+    def test_csv_matches_the_dict_row_oracle(self, capsys, args):
+        # The same rows as dicts, read off the JSON output, through the
+        # dict-row writer: bounds flattened by its CSV keys.
+        code, out, _ = run_cli(capsys, args)
+        assert code == 0
+        code, text, _ = run_cli(capsys, args + ["--format", "json"])
+        assert code == 0
+        doc = json.loads(text)
+        rows = doc["rows"]
+        if args[0] == "bounds":
+            rows = [dict_rows.flatten_bounds(row, doc["prec_bits"]) for row in rows]
+        assert out == dict_rows.to_csv(rows)
+        if args[0] == "counts":
+            assert '"{2,3}"' in out
 
 
 class TestRoots:
@@ -660,6 +686,12 @@ class TestErrors:
         target = tmp_path / "missing" / "x.csv"
         args = ["bounds", "--n-min", "4", "--n-max", "4", "--output", str(target)]
         assert "No such file" in self.one_line_error(capsys, args)
+
+    def test_empty_output_path(self, capsys):
+        # An empty path names no file: refused like any unwritable one,
+        # never taken for stdout.
+        args = ["roots", "--n-max", "2", "--output", ""]
+        assert self.one_line_error(capsys, args) == "[Errno 2] No such file or directory: ''"
 
     def test_failed_witness_verification_exits_2(self, capsys, monkeypatch):
         # A refutation whose witness does not verify is an ArithmeticError,

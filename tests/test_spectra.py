@@ -1040,6 +1040,21 @@ class TestExtremeRoots:
         assert right.hi < 0 and is_certainly_negative(right)
         assert width(right) <= Fraction(1, 2**prec)
 
+    @pytest.mark.parametrize("c", [1, 2])
+    def test_rightmost_cell_may_end_at_zero(self, c):
+        # (x^2 + 200000 x + c)^2: its repeated irrational rightmost root, near
+        # -c/200000, fails the count and lies within 2^-16 of 0, so its cell
+        # is clipped to the isolating interval (-1, 0) and ends at 0.  At
+        # c = 1 the input is palindromic: that cell bounds the leftmost root,
+        # its reciprocal, from above only.
+        def value(x):
+            return x * x + 200000 * x + c
+
+        q = [c, 200000, 1]
+        left, right = extreme_roots(polynomialize(poly_mul(q, q)), 16)
+        assert right.hi == 0 and value(right.lo) < 0 < value(right.hi)
+        assert value(left.lo) > 0 > value(left.hi)
+
     def test_repeated_roots_squarefree_part(self):
         # (1+x)^2 (2+x): all roots negative, one repeated.
         p = polynomialize([2, 5, 4, 1])
@@ -1377,6 +1392,7 @@ class TestHalfDegreeRoute:
     @given(st.lists(st.fractions(Fraction(1, 16), 50, max_denominator=16), min_size=1, max_size=6))
     @example([Fraction(1), Fraction(3), Fraction(12)])
     @example([Fraction(1), Fraction(3), Fraction(10)])  # the rightmost root at a: a point
+    @example([Fraction(1), Fraction(1, 2)])  # the first a, -1, is the other root: bisected past
     @settings(max_examples=200, deadline=None)
     def test_count_isolates_the_rightmost_root_alone(self, rs):
         # For f = prod (x + r), r > 0, the interval the count gives holds
