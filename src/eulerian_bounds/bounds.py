@@ -9,13 +9,13 @@ vectors are built in, both with a free first entry y:
 - "old":  (y, 1, -1, ..., -1),
 - "new":  (y, (-2^(m-i))_{i=3..m}, 0, 1/2, 1, ..., 1) for n = 2m.
 
-D(y) and N(y) are exact quadratics in y, read off the pencil cleared to
-integers once; at a cell y they and N/D take integer ends over one
-denominator, not a Fraction per operation.  The optimal y is a root of
-the integer quadratic N'D - ND', isolated and refined to its dyadic cell
-by ``spectra`` like every other certified root.  The new family reuses
-the optimum of the old family's quadratics with the opposite sign, the
-choice that makes its D and N positive.
+D(y) and N(y) are exact quadratics in y, O(n) integer sums over the
+closed-form entries of ``pencil.eulerian_diagonal_pencil``, no pencil built;
+at a cell y they and N/D take integer ends over one denominator.  The
+optimal y is a root of the integer quadratic N'D - ND', split from the other
+at its vertex and refined to its dyadic cell by ``spectra`` like every other
+certified root.  The new family reuses the optimum of the old family's
+quadratics with the opposite sign, the choice that makes its D and N positive.
 
 The univariate reference bound un(n) comes from the 2x2 pencil of the
 univariate Eulerian polynomial: its PSD endpoint is the root of an integer
@@ -34,8 +34,7 @@ from functools import lru_cache
 from ._record import Record
 from .enclosure import DEFAULT_PREC, AlgebraicBound, Rat
 from .eulerian import univariate_eulerian
-from .pencil import DiagonalPencil, SymmetricRationalMatrix, eulerian_diagonal_pencil
-from .pencil import _integer_form, _integer_rows
+from .pencil import _integer_rows
 from .spectra import _is_psd_at, _isolate, _primitive, _refine_root, _rightmost_interval, _strip
 
 __all__ = [
@@ -44,7 +43,6 @@ __all__ = [
     "BoundReport",
     "RatioDiagnostic",
     "guess_vector",
-    "linearized_DN",
     "eulerian_guess_quadratics",
     "paper_y",
     "univariate_bound",
@@ -113,33 +111,29 @@ class QuadraticInY(Record):
                               Fraction(sum(map(max, ends)) + const, den))
 
 
-def linearized_DN(
-    p: DiagonalPencil, v: GuessVector
-) -> tuple[QuadraticInY, QuadraticInY]:
-    """Expand D = v^T A0 v and N = v^T A_sum v as quadratics in y.
-
-    Only the first entry is symbolic, so the y^2 coefficient is the
-    matrix corner, the y coefficient is twice the first row paired with
-    the concrete tail, and the constant is the quadratic form of the tail.
-    With the tail cleared once to u / t (u[0] = 0) and each matrix to R / l,
-    c2 = R00 / l, c1 = 2 R0.u / lt and c0 = u^T R u / lt^2.
-    """
-    if len(v.entries) != p.size:
-        raise ValueError(f"vector length {len(v.entries)} does not match pencil size {p.size}")
-    (u,), t = _integer_rows([(0,) + v.entries[1:]])
-
-    def expand(mat: SymmetricRationalMatrix) -> QuadraticInY:
-        rows, lcm = _integer_rows([row[i:] for i, row in enumerate(mat.entries)])  # upper rows
-        cross = sum(r * x for r, x in zip(rows[0], u))
-        return QuadraticInY(Fraction(rows[0][0], lcm), Fraction(2 * cross, lcm * t),
-                            Fraction(_integer_form(rows, u), lcm * t * t))
-
-    return expand(p.a0), expand(p.a_sum)
+def _eulerian_DN(tail: Sequence[Rat]) -> tuple[QuadraticInY, QuadraticInY]:
+    # D = v^T A0 v and N = v^T A_sum v, v = (y, tail), n = len(tail), in O(n) integer
+    # operations on pencil.eulerian_diagonal_pencil's closed forms (A_sum = L A0 - B),
+    # the tail as u / t, u_0 = 0.  Off the diagonal: 2 sum u_c P_c and 2 sum u_c W_c 2^-c
+    # for running sums P_c = sum_(r<c) u_r A0[r][c] and W_c = 2^c sum_(r<c) u_r B[r][c].
+    (u,), t = _integer_rows([(0, *tail)])
+    n, row_a, row_b, form_a, form_b, p, w = len(tail), 0, 0, 0, 0, 0, 0
+    for c in range(1, n + 1):
+        uc, pow3 = u[c], 3**c
+        g, h, e = (1 << 2 * c) - pow3, pow3 - (1 << c), (1 << c) - 1
+        row_a, row_b = row_a + e * uc, row_b + (h * uc << (n + 1 - c))
+        form_a += uc * (uc * e * e + 2 * p)
+        form_b += uc * ((uc * e * h << (n + 1 - c)) + 2 * (w >> c))
+        p, w = 2 * (p + uc * g), 3 * w + (3 * uc * h << (n + c))
+    a0, b = (n, 2 * row_a, form_a), (((n - 1) << (n + 1)) + 2, 2 * row_b, form_b)
+    lead = (2 << n) - 1
+    return tuple(QuadraticInY(Fraction(k2), Fraction(k1, t), Fraction(k0, t * t))
+                 for k2, k1, k0 in (a0, [lead * x - y for x, y in zip(a0, b)]))
 
 
 @lru_cache(maxsize=None)
 def eulerian_guess_quadratics(n: int, kind: str) -> tuple[QuadraticInY, QuadraticInY]:
-    return linearized_DN(eulerian_diagonal_pencil(n), guess_vector(kind, n))
+    return _eulerian_DN(guess_vector(kind, n).entries[1:])
 
 
 def _critical_coefficients(n: int, kind: str) -> tuple[Fraction, Fraction, Fraction]:
@@ -156,13 +150,19 @@ def _critical_coefficients(n: int, kind: str) -> tuple[Fraction, Fraction, Fract
 
 
 def _critical_points(a: Rat, b: Rat, c: Rat, prec: int, count: int = 2) -> list[AlgebraicBound]:
-    # The first ``count`` real roots of a y^2 + b y + c, cleared to integers,
-    # as dyadic cells of width <= 2**-prec: first the root where it falls
-    # (for N'D - ND', the local maximum of N/D), then the other one, if any.
+    # The first ``count`` real roots of a y^2 + b y + c as dyadic cells of width
+    # <= 2**-prec: first the root where it falls (for N'D - ND', the local maximum
+    # of N/D), then the other, if any.  The primitive f = [a, b, c], a > 0, has one
+    # on each side of v = -b/2a, within 2^ceil(bitlen(disc)/2) / 2a > sqrt(disc)/2a.
     if a == 0:
         raise ZeroDivisionError("degenerate optimizer: leading coefficient is 0")
-    sqf, intervals = _isolate(_integer_rows([[a, b, c]])[0][0])
-    return [_refine_root(sqf, lo, hi, prec) for lo, hi in intervals[::1 if a > 0 else -1][:count]]
+    f = _primitive(_integer_rows([[a, b, c]])[0][0])
+    v, disc = Fraction(-f[1], 2 * f[0]), f[1] * f[1] - 4 * f[0] * f[2]
+    if disc == 0:
+        return [AlgebraicBound.exact(v)]
+    r = Fraction(1 << -(-disc.bit_length() // 2), 2 * f[0])
+    ends = [(v - r, v), (v, v + r)][:: 1 if a > 0 else -1]
+    return [_refine_root(f, lo, hi, prec) for lo, hi in ends[:count]]
 
 
 def paper_y(n: int, kind: str, prec: int = DEFAULT_PREC) -> AlgebraicBound:
@@ -340,7 +340,7 @@ def ratio_diagnostic(
     # is (v > 0), not v0 * v1 > 0, which underflows for tiny values.
     same = [v0 != 0 and v1 != 0 and (v0 > 0) == (v1 > 0) for (_, v0), (_, v1) in pairs]
     if not any(a and b for a, b in zip(same, same[1:])):
-        raise ValueError("need at least 3 same-sign nonzero entries")
+        raise ValueError(f"need at least 3 same-sign nonzero entries in a row, got {items}")
     ratios = [(i1, v1 / v0) for ((_, v0), (i1, v1)), ok in zip(pairs, same) if ok]
     deviations = tuple(
         (i, abs(r - target_ratio) / abs(target_ratio)) for i, r in ratios

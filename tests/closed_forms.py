@@ -1,9 +1,10 @@
 """Fully expanded D and N of both guess-vector families: a test oracle.
 
 ``closed_form_DN`` is a second, independent entry of the quadratics that
-``eulerian_bounds.bounds.linearized_DN`` builds from the pencil.  Its
-exact agreement with them is a tested invariant; the quadratic form is
-normative on any disagreement.
+``eulerian_bounds.bounds.eulerian_guess_quadratics`` sums over the
+closed-form pencil entries, and that ``summed_pencil.linearized_DN``
+expands from the dense pencil.  Its exact agreement with them is a tested
+invariant; the quadratic form is normative on any disagreement.
 """
 
 from fractions import Fraction
@@ -19,10 +20,10 @@ def _pow(base: int, e: int) -> Fraction:
 def closed_form_DN(kind: str, n: int, y: Rat) -> tuple[Fraction, Fraction]:
     """Evaluate the expanded D and N expressions exactly at rational y.
 
-    A deliberate second entry of the quantities ``linearized_DN``
-    computes (old family in n, new family in m = n/2), kept term by term
-    and unsimplified so the agreement probe catches transcription slips
-    in either route.
+    A deliberate second entry of the quantities ``linearized_DN`` and
+    ``eulerian_guess_quadratics`` compute (old family in n, new family in
+    m = n/2), kept term by term and unsimplified so the agreement probe
+    catches transcription slips in any route.
     """
     y = Fraction(y)
     if kind == "old":

@@ -4,8 +4,9 @@
 determinants and row bases, with one fraction-free (Bareiss) kernel.
 This module keeps the Fraction elimination they replaced: an LDL^T PSD
 decision with its witness lift, an echelon row basis, the Fraction
-double loop for v^T M v that ``bounds.linearized_DN`` and the PSD witness
-check replaced with one integer sum, and ``pencil_at``, the rational matrix
+double loop for v^T M v that the PSD witness check and the dense
+guess-quadratic oracle ``summed_pencil.linearized_DN`` replaced with one
+integer sum, and ``pencil_at``, the rational matrix
 A0 + x A_sum that the library builds only as the integer q A0 + p A_sum
 for x = p / q, and ``congruence_restriction``, the congruence off a common
 kernel that ``spectra`` replaced with a principal block.  They share

@@ -11,19 +11,26 @@ here build the same restriction from a table instead:
   and add them up.
 
 ``molded_pencil`` is ``build_pencil``'s oracle: one table call per entry,
-on the concatenated product monomial.  ``univariate_un`` is the oracle of
+on the concatenated product monomial.  ``linearized_DN`` is the oracle of
+``bounds.eulerian_guess_quadratics``, which reads D(y) and N(y) off the
+closed-form entries in O(n) sums: it expands the two quadratic forms over
+any pencil's dense matrices.  ``univariate_un`` is the oracle of
 ``bounds.univariate_bound``: the x_min route, ``psd_boundary`` on the 2x2
 pencil molded from the truncation of A_n in one variable.
 """
 
 import itertools
+from fractions import Fraction
 
+from eulerian_bounds.bounds import GuessVector, QuadraticInY
 from eulerian_bounds.eulerian import univariate_eulerian
 from eulerian_bounds.lform import LFormTable, Truncation3, lform_from_truncation
 from eulerian_bounds.pencil import (
     DiagonalPencil,
     LinearMatrixPencil,
     SymmetricRationalMatrix,
+    _integer_form,
+    _integer_rows,
 )
 from eulerian_bounds.spectra import psd_boundary
 
@@ -82,3 +89,25 @@ def diagonal_pencil(table: LFormTable) -> DiagonalPencil:
         raise KeyError(f"incomplete L-form table: missing {exc.args[0]}") from None
     return DiagonalPencil(*(SymmetricRationalMatrix(tuple(
         tuple(upper[r, c][k] for c in range(n + 1)) for r in range(n + 1))) for k in (0, 1)))
+
+
+def linearized_DN(p: DiagonalPencil, v: GuessVector) -> tuple[QuadraticInY, QuadraticInY]:
+    """Expand D = v^T A0 v and N = v^T A_sum v as quadratics in y.
+
+    Only the first entry is symbolic, so the y^2 coefficient is the
+    matrix corner, the y coefficient is twice the first row paired with
+    the concrete tail, and the constant is the quadratic form of the tail.
+    With the tail cleared once to u / t (u[0] = 0) and each matrix to R / l,
+    c2 = R00 / l, c1 = 2 R0.u / lt and c0 = u^T R u / lt^2.
+    """
+    if len(v.entries) != p.size:
+        raise ValueError(f"vector length {len(v.entries)} does not match pencil size {p.size}")
+    (u,), t = _integer_rows([(0,) + v.entries[1:]])
+
+    def expand(mat: SymmetricRationalMatrix) -> QuadraticInY:
+        rows, lcm = _integer_rows([row[i:] for i, row in enumerate(mat.entries)])  # upper rows
+        cross = sum(r * x for r, x in zip(rows[0], u))
+        return QuadraticInY(Fraction(rows[0][0], lcm), Fraction(2 * cross, lcm * t),
+                            Fraction(_integer_form(rows, u), lcm * t * t))
+
+    return expand(p.a0), expand(p.a_sum)

@@ -17,7 +17,6 @@ from eulerian_bounds.bounds import (
     bound_reports,
     eulerian_guess_quadratics,
     guess_vector,
-    linearized_DN,
     optimize_y_numeric,
     paper_y,
     ratio_diagnostic,
@@ -44,7 +43,7 @@ from intervals import (
     width,
 )
 from polynomials import quadratic_at
-from summed_pencil import univariate_diagonal, univariate_un
+from summed_pencil import linearized_DN, univariate_diagonal, univariate_un
 from surds import quadratic_root_enclosure, sqrt_enclosure
 
 SAMPLED_Y = [Fraction(0), Fraction(1), Fraction(-1), Fraction(1, 2), Fraction(-1, 2)]
@@ -128,6 +127,31 @@ class TestLinearizedDN:
         v = guess_vector("old", 3)
         with pytest.raises(ValueError, match="vector length 4 does not match pencil size 3"):
             linearized_DN(eulerian_diagonal_pencil(2), v)
+
+    # eulerian_guess_quadratics reads D and N off the closed-form entries in
+    # O(n) running sums; the dense quadratic forms of the pencil are the oracle.
+
+    @pytest.mark.parametrize("n", range(1, 65))
+    def test_old_family_matches_the_dense_oracle(self, n):
+        oracle = linearized_DN(eulerian_diagonal_pencil(n), guess_vector("old", n))
+        assert eulerian_guess_quadratics(n, "old") == oracle
+
+    @pytest.mark.parametrize("n", range(4, 65, 2))
+    def test_new_family_matches_the_dense_oracle(self, n):
+        oracle = linearized_DN(eulerian_diagonal_pencil(n), guess_vector("new", n))
+        assert eulerian_guess_quadratics(n, "new") == oracle
+
+    @given(st.integers(1, 24).flatmap(lambda n: st.lists(
+        st.integers(-(10**12), 10**12) | st.fractions(-(2**40), 2**40, max_denominator=2**30),
+        min_size=n, max_size=n)))
+    @example([0])
+    @example([Fraction(-1, 3), 0, Fraction(5, 7)])
+    @settings(max_examples=150, deadline=None)
+    def test_closed_form_sums_match_the_dense_oracle_for_any_tail(self, tail):
+        n, tail = len(tail), tuple(Fraction(t) for t in tail)
+        vector = GuessVector(kind="custom", n=n, entries=(None,) + tail)
+        oracle = linearized_DN(eulerian_diagonal_pencil(n), vector)
+        assert bounds_mod._eulerian_DN(tail) == oracle
 
 
 # Coefficients of every sign, zero included: integers, rationals and dyadics.
@@ -312,6 +336,42 @@ class TestCriticalPoints:
             assert overlaps(cell, quadratic_root_enclosure(a, b, c, branch, prec + 8))
             assert width(cell) <= Fraction(1, 2**prec)
             assert encloses(wider, cell)
+
+    # The vertex split against the continued-fraction route it replaced:
+    # _refine_root on _isolate's intervals, in the same order.
+    @settings(max_examples=200, deadline=None)
+    @given(integer_quadratics().filter(lambda q: q[1] * q[1] > 4 * q[0] * q[2]),
+           st.integers(16, 200), st.sampled_from([1, 2]))
+    # Both roots in one 2^-16 cell: each route clips it at its own interval ends.
+    @example((1000999, 2001, 1), 16, 2)
+    @example((-1000999, -2001, -1), 24, 2)
+    @example((3, -4, 1), 16, 2)  # _isolate returns the root 1 as the point (1, 1)
+    def test_vertex_split_matches_the_isolate_route(self, quadratic, prec, count):
+        a, b, c = quadratic
+        sqf, intervals = spectra._isolate([a, b, c])
+        expect = [spectra._refine_root(sqf, lo, hi, prec)
+                  for lo, hi in intervals[::1 if a > 0 else -1][:count]]
+        cells = bounds_mod._critical_points(a, b, c, prec, count)
+        assert len(cells) == len(expect) == count
+        for cell, old in zip(cells, expect):
+            if old.lo == old.hi or cell.lo == cell.hi:  # an exact rational root
+                assert contains(cell, old.lo) and contains(old, cell.lo)
+            elif cell != old:
+                # The same dyadic cell [k, k+1] / 2^prec of the root, clipped
+                # to an isolating interval whose end falls inside it.
+                grid = [math.ceil(e.hi * 2**prec) - 1 for e in (cell, old)]
+                assert grid[0] == grid[1]
+                assert min(width(cell), width(old)) < Fraction(1, 2**prec)
+                assert grid[0] <= cell.lo * 2**prec and cell.hi * 2**prec <= grid[0] + 1
+
+    @pytest.mark.parametrize("count", [1, 2])
+    @pytest.mark.parametrize("a, b, c, root", [
+        (4, -4, 1, Fraction(1, 2)),
+        (-9, 6, -1, Fraction(1, 3)),  # _isolate gave a cell here, not the point
+        (Fraction(1, 4), 1, 1, Fraction(-2)),
+    ])
+    def test_double_root_is_the_exact_vertex(self, a, b, c, root, count):
+        assert bounds_mod._critical_points(a, b, c, 64, count) == [AlgebraicBound.exact(root)]
 
     @pytest.mark.parametrize("n", range(2, 29))
     def test_paper_y_is_the_minus_branch(self, n):

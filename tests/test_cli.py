@@ -455,6 +455,19 @@ class TestDiff:
             "error": "empty range: index-min 10 > index-max 5", "command": "diff"
         }
 
+    def test_mixed_signs_are_listed_in_the_refusal(self, capsys):
+        # At n = 1 the difference is a tiny positive midpoint, at n = 2 and 3
+        # it is negative: no three in a row share a sign, and the error says so.
+        code, out, err = run_cli(
+            capsys, ["diff", "--kind", "old", "--index-min", "1", "--index-max", "3"]
+        )
+        assert code == 2 and not out and err.count("\n") == 1
+        payload = json.loads(err)
+        assert payload["command"] == "diff"
+        assert payload["error"].startswith(
+            "need at least 3 same-sign nonzero entries in a row, got [(1, 5.6")
+        assert "(2, -0.3178" in payload["error"] and "(3, -0.1040" in payload["error"]
+
 
 class TestEigvec:
     def test_marks_and_tail(self, capsys):
@@ -892,9 +905,9 @@ def _spy_on_every_binding(monkeypatch, fn) -> list:
     # through any import path is seen.
     calls = []
 
-    def spy(*args):
+    def spy(*args, **kwargs):
         calls.append(args)
-        return fn(*args)
+        return fn(*args, **kwargs)
 
     for name, module in list(sys.modules.items()):
         if name == "eulerian_bounds" or name.startswith("eulerian_bounds."):
@@ -914,16 +927,49 @@ def _spy_on_every_binding(monkeypatch, fn) -> list:
     ],
 )
 def test_diagonal_commands_never_build_the_full_pencil(capsys, monkeypatch, argv):
-    # bounds, diff and eigvec read only A0 + x A_sum: molding all n
-    # coefficient matrices (build_pencil) is the pencil command's alone,
-    # and un(n) reads its 2x2 pencil off the Eulerian numbers of A_n.
+    # bounds and eigvec read only A0 + x A_sum: molding all n coefficient
+    # matrices (build_pencil) is the pencil command's alone, and un(n) reads
+    # its 2x2 pencil off the Eulerian numbers of A_n.  diff needs no pencil:
+    # the guess quadratics are sums over the closed-form entries.
     pencil.eulerian_diagonal_pencil.cache_clear()
     bounds_mod.eulerian_guess_quadratics.cache_clear()
     full = _spy_on_every_binding(monkeypatch, pencil.build_pencil)
     diagonal = _spy_on_every_binding(monkeypatch, pencil.eulerian_diagonal_pencil)
     code, out, _ = run_cli(capsys, argv)
     assert code == 0 and out
-    assert not full and diagonal
+    assert not full and bool(diagonal) == (argv[0] != "diff")
+
+
+def test_bound_reports_build_no_pencil(monkeypatch):
+    # D(y) and N(y) are sums over the closed-form entries, and un(n) reads
+    # a1..a3: no (n+1) x (n+1) pencil is built for a report.
+    bounds_mod.eulerian_guess_quadratics.cache_clear()
+    diagonal = _spy_on_every_binding(monkeypatch, pencil.eulerian_diagonal_pencil)
+    for n in (4, 10, 16):
+        for policy in ("paper", "numeric-optimal"):
+            assert len(bounds_mod.bound_reports(n, ("old", "new"), policy, 64)) == 2
+        for kind in ("old", "new"):
+            bounds_mod.optimize_y_numeric(n, kind, 64)
+    assert diagonal == []
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bounds", "--n-min", "1", "--n-max", "20", "--kind", "both"],
+        ["bounds", "--n-min", "1", "--n-max", "20", "--kind", "both", "--y", "optimal"],
+        ["diff", "--kind", "old"],
+        ["diff", "--kind", "new"],
+    ],
+)
+def test_desk_commands_never_isolate_by_continued_fractions(capsys, monkeypatch, argv):
+    # The critical points split at their vertex, and un(n), x_min and the
+    # root cells come from the Descartes count search: the continued-fraction
+    # fallback is reached by none of them.
+    bounds_mod.eulerian_guess_quadratics.cache_clear()
+    calls = _spy_on_every_binding(monkeypatch, spectra._isolate)
+    code, out, _ = run_cli(capsys, argv)
+    assert code == 0 and out and calls == []
 
 
 @pytest.mark.parametrize(

@@ -10,7 +10,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from eulerian_bounds import pencil, spectra
-from eulerian_bounds.bounds import GuessVector, linearized_DN
+from eulerian_bounds.bounds import GuessVector
 from eulerian_bounds.lform import (
     LFormTable,
     Truncation3,
@@ -37,7 +37,7 @@ from fraction_elimination import (
     pencil_at,
 )
 from polynomials import quadratic_at
-from summed_pencil import diagonal_pencil, molded_pencil, summed_diagonal_pencil
+from summed_pencil import diagonal_pencil, linearized_DN, molded_pencil, summed_diagonal_pencil
 
 
 def M(rows):
@@ -181,8 +181,9 @@ def matrices_and_vectors(draw):
 
 
 class TestQuadraticForm:
-    # The guess quadratics clear the tail and each matrix once and read each
-    # coefficient off one integer sum; the Fraction double loop is the oracle.
+    # The dense guess-quadratic oracle clears the tail and each matrix once and
+    # reads each coefficient off one integer sum; the Fraction double loop
+    # checks it on any symmetric matrix.
     @given(matrices_and_vectors())
     @example((M([[1, 2], [2, 3]]), [Fraction(1, 2), -1]))
     @example((M([[Fraction(1, 3), Fraction(2, 5)], [Fraction(2, 5), Fraction(-7, 6)]]),
