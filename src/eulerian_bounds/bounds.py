@@ -190,7 +190,7 @@ def univariate_bound(n: int, prec: int = DEFAULT_PREC) -> AlgebraicBound:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    a1, a2, a3 = (int(univariate_eulerian(n).coefficient(k)) for k in (1, 2, 3))
+    a1, a2, a3 = (univariate_eulerian(n).coefficient(k) for k in (1, 2, 3))
     l0, l1, l2, l3 = n, a1, a1 * a1 - 2 * a2, 3 * a3 - 3 * a1 * a2 + a1**3
     det = [l1 * l3 - l2 * l2, l0 * l3 - l1 * l2, l0 * l2 - l1 * l1]
     # det = 0 at n = 1, where the pencil is (1 + x) J: take J's 1x1 block L0 + x L1.

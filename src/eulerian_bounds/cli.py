@@ -265,10 +265,9 @@ def _rows_diff(args) -> Rows:
     if hi - lo < 2:
         count = f"{hi - lo + 1} {'index' if hi == lo else 'indices'}"
         raise CliError(f"index-min {lo} to index-max {hi} gives {count}; diff needs at least 3")
-    seq = [
-        (i, float(bounds_mod.bound_report(step * i, args.kind, prec=args.prec).difference))
-        for i in range(lo, hi + 1)
-    ]
+    cells = [(i, bounds_mod.bound_report(step * i, args.kind, prec=args.prec).difference)
+             for i in range(lo, hi + 1)]  # a cell holding 0 certifies no sign: it reads 0
+    seq = [(i, 0.0 if d.lo <= 0 <= d.hi else float(d)) for i, d in cells]
     diag = bounds_mod.ratio_diagnostic(seq, ratio, prefactor)
     ratio_at = dict(diag.ratios)
     dev_at = dict(diag.relative_deviations)

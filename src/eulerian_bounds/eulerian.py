@@ -39,49 +39,48 @@ BRUTE_FORCE_MAX_N = 9
 
 
 class UnivariatePolynomial(Record):
-    """A univariate polynomial with exact rational coefficients.
+    """A univariate polynomial with exact coefficients, ints or Fractions.
 
     ``coeffs[k]`` holds the coefficient of x^k; the last one is nonzero,
     except in the zero polynomial ``(0,)``.
     """
 
-    coeffs: tuple[Fraction, ...]
+    coeffs: tuple[int | Fraction, ...]
 
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1
 
-    def coefficient(self, k: int) -> Fraction:
-        return self.coeffs[k] if 0 <= k < len(self.coeffs) else Fraction(0)
+    def coefficient(self, k: int) -> int | Fraction:
+        return self.coeffs[k] if 0 <= k < len(self.coeffs) else 0
+
+
+# The coefficients of A_m for the largest m built so far: a function of m alone,
+# so callers see it only in the time a build takes, and nothing need reset it.
+_largest = [[1]]
 
 
 @lru_cache(maxsize=None)
 def univariate_eulerian(n: int) -> UnivariatePolynomial:
-    """The n-th Eulerian polynomial A_n, with A_0 = 1.
+    """The n-th Eulerian polynomial A_n, with A_0 = 1, on int coefficients.
 
     Its coefficients are the Eulerian numbers; they are positive,
     palindromic and sum to (n+1)!.  The recurrence
     A_n = (n+1) x A_{n-1} + (1-x) (x A_{n-1})' reads
     a_k = (k+1) a'_k + (n+1-k) a'_{k-1} on coefficients, run bottom-up
-    over integers, with no recursion however large n is.
+    over integers, with no recursion however large n is, from the largest
+    row built so far unless it is past A_n: O(n) steps per ascending n.
 
-    >>> [int(c) for c in univariate_eulerian(4).coeffs]
-    [1, 26, 66, 26, 1]
+    >>> univariate_eulerian(4).coeffs
+    (1, 26, 66, 26, 1)
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    row = [1]
-    for m in range(1, n + 1):
-        prev = [0] + row + [0]
-        row = [(k + 1) * prev[k + 1] + (m + 1 - k) * prev[k] for k in range(m + 1)]
-    return UnivariatePolynomial(tuple(map(Fraction, row)))
-
-
-def _iter_bits(mask: int):
-    while mask:
-        bit = mask & -mask
-        yield bit
-        mask ^= bit
+    row = _largest[0] if len(_largest[0]) <= n + 1 else [1]
+    for m in range(len(row), n + 1):  # a'_k and a'_(k-1) zipped
+        row = [(k + 1) * u + (m + 1 - k) * v for k, (u, v) in enumerate(zip(row + [0], [0] + row))]
+    _largest[0] = max(_largest[0], row, key=len)
+    return UnivariatePolynomial(tuple(row))
 
 
 @lru_cache(maxsize=None)
@@ -97,7 +96,10 @@ def _descent_top_mask_counts(n: int) -> dict[int, int]:
         step: dict[int, int] = {}
         for mask, c in counts.items():
             step[mask] = step.get(mask, 0) + (1 + mask.bit_count()) * c
-            for bit in _iter_bits(placed & ~mask):
+            free = placed & ~mask
+            while free:  # each free bit, lowest first
+                bit = free & -free
+                free ^= bit
                 step[mask | bit] = step.get(mask | bit, 0) + c
         counts = step
     return counts

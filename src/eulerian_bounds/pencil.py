@@ -77,20 +77,19 @@ class DiagonalPencil(Record):
 def build_pencil(table: LFormTable) -> LinearMatrixPencil:
     """Mold the L-form table into the relaxation pencil.
 
-    Row/column r of the mold carries the monomial 1 (r = 0) or x_r, so each
-    entry is L of the product monomial, looked up once for r <= c and mirrored;
+    Row/column r of the mold carries the monomial m_r, 1 (r = 0) or x_r, and
+    row r of A_i is L(m_i m_r m_c): row i of A_r, with A_0 the case i = 0.  So
+    each row is looked up once per pair i <= r, keys built sorted, and shared;
     a missing table value raises (the table must be total up to degree 3).
     """
     n, values = table.n, table.values
-
-    def molded(extra: tuple[int, ...]) -> SymmetricRationalMatrix:
-        rows = [[0] * (n + 1) for _ in range(n + 1)]
-        for r, c in itertools.combinations_with_replacement(range(n + 1), 2):
-            key = tuple(sorted((r, c) + extra))[(r == 0) + (c == 0):]  # 0, for 1, sorts first
-            rows[r][c] = rows[c][r] = values[key] if key in values else table(key)
-        return SymmetricRationalMatrix(tuple(map(tuple, rows)))
-
-    return LinearMatrixPencil(n, molded(()), tuple(molded((i,)) for i in range(1, n + 1)))
+    rows = [[()] * (n + 1) for _ in range(n + 1)]
+    for i, r in itertools.combinations_with_replacement(range(n + 1), 2):
+        keys = ((c, i, r) if c <= i else (i, c, r) if c <= r else (i, r, c) for c in range(n + 1))
+        rows[i][r] = rows[r][i] = tuple(  # 0, for 1, sorts first and drops out
+            values[k] if (k := key[key.count(0):]) in values else table(k) for key in keys)
+    a0, *ai = (SymmetricRationalMatrix(tuple(m)) for m in rows)
+    return LinearMatrixPencil(n, a0, tuple(ai))
 
 
 def eulerian_pencil(n: int) -> LinearMatrixPencil:

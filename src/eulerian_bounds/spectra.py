@@ -19,8 +19,10 @@ Three certified quantities live here:
 Each root enclosure is the dyadic cell [k, k+1] / 2^prec holding the
 root, clipped to its isolating interval: a function of the root and
 prec alone, nesting as prec grows.  Quadratic interval refinement finds
-it: once its secant guesses trap the root, each step squares the factor
-by which the cell shrinks, so exact evaluations grow like log2(prec).
+k, reading each sign, the interval ends' and the re-check's too, off the
+polynomial scaled by 2^prec at a grid integer (an end off the grid
+excepted): once its secant guesses trap the root, each step squares the
+factor by which the cell shrinks, so exact evaluations grow like log2(prec).
 It is the one refinement primitive of the package: x_min, the extreme
 roots, the univariate endpoint and the linearization parameter y of
 ``bounds`` (a root of an integer quadratic) are all such cells.
@@ -439,9 +441,13 @@ def boundary_kernel_vector(p: DiagonalPencil, prec: int = DEFAULT_PREC) -> Kerne
 
 
 def _value(desc: list[int], point: int | Fraction) -> int:
-    # p(num/den) * den^deg, an integer with the sign of p(num/den).
+    # The integer p(num/den) den^deg, signed as p(num/den); no den powers if den = 1.
     num, den = point.numerator, point.denominator
     acc, dpow = desc[0], 1
+    if den == 1:
+        for c in desc[1:]:
+            acc = acc * num + c
+        return acc
     for c in desc[1:]:
         dpow *= den
         acc = acc * num + c * dpow
@@ -473,15 +479,15 @@ def _boundary_degenerate(
     return kernel_dim > 0 or has_root(h)
 
 
-def _end_signs(desc: list[int], lo: Fraction, hi: Fraction) -> tuple[list[int], int, int]:
-    # desc with its roots at lo and hi deflated, and its signs there.
-    signs = []
+def _end_values(desc: list[int], lo: Fraction, hi: Fraction) -> tuple[list[int], int, int]:
+    # desc with its roots at lo and hi deflated, and its values there (``_value``).
+    values = []
     for r in (lo, hi):
-        while not (s := _sign_at(desc, r)):
+        while not (v := _value(desc, r)):
             desc = _quo(desc, [r.denominator, -r.numerator])
-            signs = [-t for t in signs]  # the factor x - hi is negative at lo
-        signs.append(s)
-    return desc, *signs
+            values = [_value(desc, lo) for _ in values]  # lo's, if taken, on the new desc
+        values.append(v)
+    return desc, *values
 
 
 def _refine_root(
@@ -490,26 +496,29 @@ def _refine_root(
     # The dyadic cell [k, k+1] / 2^prec, k = ceil(r 2^prec) - 1, of the one
     # root r in the isolating interval, clipped to it; k is found over the
     # integers by quadratic interval refinement (Abbott 2014), each probe
-    # judged by its exact Horner sign on coefficients scaled by 2^prec.
-    # Endpoints that are other roots (neighbours share them) are deflated.
+    # judged by its exact Horner sign on coefficients scaled by 2^prec, as
+    # are the ends (an on-grid end's value is the loop's f(a) or f(b)); an
+    # end that is another root (neighbours share them) is deflated there.
     # With ``exact`` a root on the grid, or an exact isolated root, is a
     # point; without it the root is the hi end of its cell.
     if prec < 0:
         raise ValueError(f"prec must be >= 0, got {prec}")
     one = 1 << prec
     if lo == hi:
-        k = -(-lo.numerator * one // lo.denominator) - 1
+        k = math.ceil(lo * one) - 1
         return AlgebraicBound.exact(lo) if exact else AlgebraicBound(Fraction(k, one), lo)
-    desc, slo, shi = _end_signs(desc, lo, hi)
-    if slo == shi:
+    ends = [x.numerator * (one // x.denominator) if one % x.denominator == 0 else x * one
+            for x in (lo, hi)]  # lo 2^prec and hi 2^prec, ints on the grid
+    scaled, fa, fb = _end_values([c << (prec * i) for i, c in enumerate(desc)], *ends)
+    if (fa > 0) == (fb > 0):
         raise ValueError("interval endpoints do not bracket a sign change")
-    scaled = [c << (prec * i) for i, c in enumerate(desc)]
-    a, b = lo.numerator * one // lo.denominator, -(-hi.numerator * one // hi.denominator)
+    slo, a, b = fa, math.floor(ends[0]), math.ceil(ends[1])
     # Each step probes the secant point of f(a), f(b) (values cut to the
     # bits b - a needs), then its neighbour w = max(1, (b - a) // subs) toward
     # r; or the midpoint alone, if their signs agree or a miss left subs at 4.
     # Trapping r squares subs; missing it takes its square root, down to 4.
-    fa, fb, subs, bisect = _value(scaled, a), _value(scaled, b), 4, False
+    fa = fa if ends[0].denominator == 1 else _value(scaled, a)
+    fb, subs, bisect = fb if ends[1].denominator == 1 else _value(scaled, b), 4, False
     while b - a > 1:  # r in (max(lo, a / 2^prec), min(hi, b / 2^prec)]
         w = max(1, (b - a) // subs)
         k = max(0, (fa - fb).bit_length() - (b - a).bit_length() - 16)
@@ -551,11 +560,12 @@ def _rightmost_interval(f: list[int]) -> tuple[Fraction, Fraction] | None:
     a = -Fraction(2) ** (f[-1].bit_length() + 1 - f[-2].bit_length())
     b, floor = a / 4, -Fraction(2) ** _root_bound(flip(f))
     while floor < b and (b - a) * 2**32 >= -b:
-        p, q = -a.numerator, a.denominator  # g = f(a + |a| w) q^n: roots over |a| shifted by 1
-        g = flip(_shift1(flip([c * p ** (n - j) * q**j for j, c in enumerate(f)])))
+        # g = f(a + |a| w) 2^(e n), a = -p / 2^e dyadic: roots over |a| shifted by 1.
+        p, e = -a.numerator, a.denominator.bit_length() - 1
+        g = flip(_shift1(flip([c * p ** (n - j) << e * j for j, c in enumerate(f)])))
         v = _variations(g)  # and g[-1] has the sign of f(a)
         if v == 1 and g[-1]:
-            s = _sign_at(f, b)
+            s = _value(f, b)
             return (b, b) if not s else (a, b) if (s > 0) != (g[-1] > 0) else None
         if v == 0 and not g[-1]:  # a is a root, and no root lies above it
             return (a, a) if g[-2] else None
@@ -582,7 +592,8 @@ def extreme_roots(
     (Descartes' rule on Moebius transforms, Collins-Akritas and
     Akritas-Strzebonski).  Each extreme root, the rightmost first, is then
     narrowed to its dyadic cell [k, k+1] / 2**prec, clipped to its
-    isolating interval, and re-checked for a sign change: the enclosures
+    isolating interval, and re-checked for a sign change, on f scaled by
+    2**prec at the cell's ends, grid integers unless clipped: the enclosures
     are certified, of width at most 2**-prec, and nest as prec grows.  A
     palindromic input's leftmost root starts from the reciprocal cell.
 
@@ -607,18 +618,19 @@ def extreme_roots(
             raise ValueError(f"not real-rooted: {len(intervals)} distinct real roots, "
                              f"squarefree degree {len(f) - 1}")
         ends = intervals[0], intervals[-1]
-    cells = []
+    cells, scaled = [], None
     for lo, hi in ends[::-1]:  # the rightmost root first
         if cells and f == f[::-1]:  # the leftmost is 1/(cells[0]'s root),
             # in [1/hi, 1/lo] of it: widened to the grid, its cell clips as (lo, hi) does.
             if cells[0].hi:  # a cell ending at 0 bounds 1/root above only
-                lo = max(lo, Fraction(math.floor((1 << prec) / cells[0].hi), 1 << prec))
-            hi = min(hi, Fraction(math.ceil((1 << prec) / cells[0].lo), 1 << prec))
-        cells.append(enc := _refine_root(f, lo, hi, prec))
+                lo = max(lo, Fraction(math.floor(one / cells[0].hi), one))
+            hi = min(hi, Fraction(math.ceil(one / cells[0].lo), one))
+        cells.append(enc := _refine_root(f, lo, hi, prec))  # which refuses a negative prec
         if enc.hi > 0:
             raise ValueError("roots are not all negative")
-        if enc.lo < enc.hi:  # an open cell may end on a neighbouring root: deflated first
-            _, slo, shi = _end_signs(f, enc.lo, enc.hi)
-        if _sign_at(f, enc.lo) if enc.lo == enc.hi else slo == shi:  # a point must be a root
+        one, scaled = 1 << prec, scaled or [c << (prec * i) for i, c in enumerate(f)]
+        # A root at an end, a neighbour's or a point cell's own, is deflated first.
+        g, slo, shi = _end_values(scaled, enc.lo * one, enc.hi * one)
+        if len(g) == len(scaled) if enc.lo == enc.hi else (slo > 0) == (shi > 0):
             raise ArithmeticError(f"root enclosure [{enc.lo}, {enc.hi}] has no sign change")
     return cells[1], cells[0]

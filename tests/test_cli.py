@@ -3,6 +3,7 @@
 import contextlib
 import csv
 import decimal
+import hashlib
 import io
 import json
 import math
@@ -456,8 +457,9 @@ class TestDiff:
         }
 
     def test_mixed_signs_are_listed_in_the_refusal(self, capsys):
-        # At n = 1 the difference is a tiny positive midpoint, at n = 2 and 3
-        # it is negative: no three in a row share a sign, and the error says so.
+        # At n = 1 the difference is exactly 0, a cell [0, 1.1e-44] that
+        # certifies no sign, at n = 2 and 3 it is negative: no three in a row
+        # share a sign, and the error says so, listing the first as 0.
         code, out, err = run_cli(
             capsys, ["diff", "--kind", "old", "--index-min", "1", "--index-max", "3"]
         )
@@ -465,8 +467,21 @@ class TestDiff:
         payload = json.loads(err)
         assert payload["command"] == "diff"
         assert payload["error"].startswith(
-            "need at least 3 same-sign nonzero entries in a row, got [(1, 5.6")
+            "need at least 3 same-sign nonzero entries in a row, got [(1, 0.0), ")
         assert "(2, -0.3178" in payload["error"] and "(3, -0.1040" in payload["error"]
+
+    def test_a_difference_cell_holding_zero_reads_zero(self, capsys):
+        # un(1) = 1 is refined with exact=False, so the n = 1 difference, exactly
+        # 0, is a cell [0, 2^-k]: its midpoint is no certified positive value.
+        cell = bound_report(1, "old").difference
+        assert cell.lo == 0 < cell.hi
+        code, out, _ = run_cli(
+            capsys, ["diff", "--kind", "old", "--index-min", "1", "--index-max", "4"]
+        )
+        rows = parse_csv(out)
+        assert code == 0 and rows[0]["difference"] == f"{0.0:.12e}"
+        assert [r["ratio"] != "" for r in rows] == [False, False, True, True]
+        assert rows[0]["normalization_track"] == ""
 
 
 class TestEigvec:
@@ -998,3 +1013,40 @@ def test_the_pencil_command_builds_the_full_pencil(capsys, monkeypatch):
     full = _spy_on_every_binding(monkeypatch, pencil.build_pencil)
     code, _, _ = run_cli(capsys, ["pencil", "--n", "4"])
     assert code == 0 and len(full) == 1
+
+
+# The sha256 of stdout for every benchmark item and one large roots call,
+# pinned at the integer-grid root refinement.  The digests agree under
+# CPython 3.10-3.13, so every interpreter of the CI matrix checks them; an
+# intended change to the bytes updates its digest here.
+_STDOUT_SHA256 = {
+    "roots --n-max 32": "6f4460ddf789ca04cf9e6802aea5e0add1c6276e80f6151f65f2c69e61531208",
+    "diff --kind old": "a2a3c494d9b21e44e11f8f9b1249ab007b5846ff74d7035054994fd5971725bd",
+    "diff --kind new": "006f5394dfbd2198e009b614f383ccb982dd1ffd6e3d2112c5b37be2601ef590",
+    "pencil --n 20": "5073f94ad3b936ca3726ac753cf4766d87334f799d08ad081f94468ec602abb6",
+    **{f"bounds --n-min {n} --n-max {n} --kind both --y paper --format json": digest
+       for n, digest in zip(range(4, 12), (
+           "bcd42671b85a614ec5482a44d77ac162c58675d0808078a30d13a593a4f2c764",
+           "39d7f3a1f99d1818620d2ec955e55772f98a6a912012bc58510790c34f615839",
+           "2dc2be4c0d35906751c29440990509d4837dae87e1a5b9f02f66d41e05fc3a8f",
+           "5967aabeef7e22784d14a94aff67564c9feac8ebb07d4e493fed14ced003c5d6",
+           "c4d8e25bcef74479f4b03ee1f95bc2ce9c2ce2a6d71cc38343f4bc8fbb4a5baf",
+           "581dbbe87f49220c2c8a53ac86c5b4fccfe62a2d4a3ebd6f52940334e661e577",
+           "225e28749f42ef37a5bacd93b71ce8deb77e0b519b89ef8316a46f74e01fde37",
+           "c8624354319a2ebd47647cd1bf32c527193d8ba91f376e8f9f45e5a3466e22c7",
+       ))},
+    "eigvec --n-max 7": "401ecfc80db892ad9b4fe4c2dc86c42ee27fb7455206ac6512afcfb0f79b9a3d",
+    "lform --n 11": "726a200a770eb1b3ca152ebc4a3f5b57a9448013212556e382e80fc37ac3250f",
+    "lform --n 12": "817636c49eb6d29a2c3c30d206590eedf0e2935462874fa00f564e2cf5839560",
+    "counts --n 8": "9484d6e76041f0ea2e9709d04b75d4a1368c481b9b0b1894313d1b18823b9b22",
+    "counts --n 9": "920cc1f97744ca5a08e67582e72205de69f4dbcd5040b143c7f3ae24d890f034",
+    "roots --n-min 200 --n-max 200 --allow-large":
+        "e8e3ac843c9111e0d10f9eb8815e9c4833f5b500d24db308f1d7cfe9bf900c32",
+}
+
+
+@pytest.mark.parametrize("command", list(_STDOUT_SHA256))
+def test_stdout_digest(capsys, command):
+    code, out, err = run_cli(capsys, command.split())
+    assert code == 0 and not err
+    assert hashlib.sha256(out.encode()).hexdigest() == _STDOUT_SHA256[command]

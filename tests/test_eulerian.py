@@ -91,6 +91,21 @@ class TestUnivariateEulerian:
         with pytest.raises(ValueError, match="n must be >= 0"):
             univariate_eulerian(-1)
 
+    @given(st.lists(st.integers(0, 60), min_size=1, max_size=8))
+    @settings(max_examples=60, deadline=None)
+    def test_any_order_of_n_gives_the_explicit_sum(self, ns):
+        # A_n continues from the largest row built so far, whatever order the
+        # n come in: each one, from a cold cache, is the explicit Eulerian sum
+        # <n+1, k> = sum_j (-1)^j C(n+2, j) (k+1-j)^(n+1), in ints.
+        for n in ns:
+            univariate_eulerian.cache_clear()
+            coeffs = univariate_eulerian(n).coeffs
+            assert all(type(c) is int for c in coeffs)
+            assert list(coeffs) == [
+                sum((-1) ** j * math.comb(n + 2, j) * (k + 1 - j) ** (n + 1) for j in range(k + 1))
+                for k in range(n + 1)
+            ]
+
 
 class TestMultivariateEulerian:
     def test_n1(self):

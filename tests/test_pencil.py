@@ -248,7 +248,7 @@ class TestBuildPencil:
             with pytest.raises(KeyError, match=re.escape(message)):
                 build_pencil(broken)
 
-    @pytest.mark.parametrize("n", range(1, 13))
+    @pytest.mark.parametrize("n", [*range(1, 13), 20])
     def test_eulerian_matches_the_molded_oracle(self, n):
         table = eulerian_lform_table(n)
         assert build_pencil(table) == molded_pencil(table)

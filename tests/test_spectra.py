@@ -2,6 +2,7 @@
 
 import math
 import re
+import sys
 from fractions import Fraction
 
 import mpmath
@@ -1003,6 +1004,29 @@ class TestExtremeRoots:
         (right_start, _), (left_start, left_count) = per_call
         assert right_start > -1 > left_start and left_count <= 7
 
+    def test_eulerian_route_evaluates_at_grid_integers(self, monkeypatch):
+        # Over A_1..A_32 at prec 128 the route makes 686 exact evaluations:
+        # an on-grid end's value is the loop's f(a) or f(b).  Each one in
+        # _refine_root and in the re-check is at an integer of the 2^-prec
+        # grid; only _rightmost_interval's sign at its b, a dyadic Fraction,
+        # is not.
+        calls = []
+        real = spectra._value
+
+        def value(desc, point):
+            frame = sys._getframe(1)
+            if frame.f_code.co_name in ("_sign_at", "_end_values"):
+                frame = frame.f_back
+            calls.append((frame.f_code.co_name, point.denominator == 1))
+            return real(desc, point)
+
+        monkeypatch.setattr(spectra, "_value", value)
+        for n in range(1, 33):
+            extreme_roots(univariate_eulerian(n), 128)
+        assert len(calls) <= 690
+        assert {name for name, _ in calls} == {"_refine_root", "extreme_roots", "_rightmost_interval"}
+        assert {name for name, integer in calls if not integer} == {"_rightmost_interval"}
+
     def test_palindromic_input_is_isolated_below_1_only(self, monkeypatch):
         # A_n is palindromic, so one Descartes count, one Taylor shift,
         # isolates its rightmost root, and the reciprocal interval its
@@ -1173,6 +1197,43 @@ def isolating_intervals(draw):
     return sqf, lo, hi
 
 
+@st.composite
+def grid_ended_intervals(draw):
+    """A real-rooted integer polynomial, a prec and an interval (lo, hi)
+    holding one simple root of it, each end a neighbouring root (deflated by
+    the refinement), a point of the 2^-prec grid or a point off it.
+
+    The roots are distinct rationals, some dyadic, so that the target root
+    too may lie on the grid; every other root has multiplicity 1 or 2.
+    """
+    prec = draw(st.integers(8, 160))
+    dyadic = st.builds(lambda k, j: Fraction(k, 2**j), st.integers(-300, 300), st.integers(0, 10))
+    rational = st.one_of(dyadic, st.fractions(-40, 40, max_denominator=12))
+    roots = sorted(draw(st.lists(rational, min_size=1, max_size=5, unique=True)))
+    i = draw(st.integers(0, len(roots) - 1))
+    f = [draw(st.sampled_from([1, -1, 3]))]
+    for j, r in enumerate(roots):
+        for _ in range(1 if j == i else draw(st.integers(1, 2))):
+            f = poly_mul(f, [r.denominator, -r.numerator])
+    r = roots[i]
+
+    def end(neighbour, side):
+        kind = draw(st.sampled_from(["root", "grid", "off"]))
+        if neighbour is None:  # no root beyond: the end is in (r - 8, r) or (r, r + 8)
+            neighbour = r + side * draw(st.integers(1, 8))
+        elif kind == "root":
+            return neighbour
+        below, above = sorted((neighbour * 2**prec, r * 2**prec))
+        ks = range(math.floor(below) + 1, math.ceil(above))
+        if kind == "grid" and ks:
+            return Fraction(draw(st.integers(ks.start, ks.stop - 1)), 2**prec)
+        return neighbour + (r - neighbour) * Fraction(draw(st.integers(1, 6)), 7)
+
+    lo = end(roots[i - 1] if i else None, -1)
+    hi = end(roots[i + 1] if i + 1 < len(roots) else None, 1)
+    return f, lo, hi, prec
+
+
 class TestIsolationAgainstSympy:
     """The integer isolation and squarefree routines against sympy's."""
 
@@ -1287,6 +1348,17 @@ class TestDyadicRefinement:
             assert spectra._refine_root(sqf, lo, hi, 1024) == bisection_refine_root(
                 sqf, lo, hi, 1024
             )
+
+    @given(grid_ended_intervals(), st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_grid_end_signs_match_the_bisection_oracle(self, case, exact):
+        # The end signs are read on the polynomial scaled by 2^prec, at grid
+        # integers or off the grid, and a neighbouring root at an end is
+        # deflated there; the oracle deflates and signs the unscaled one.
+        f, lo, hi, prec = case
+        assert spectra._refine_root(f, lo, hi, prec, exact) == bisection_refine_root(
+            f, lo, hi, prec, exact
+        )
 
     def test_refinement_converges_quadratically(self, monkeypatch):
         # Both extreme roots of A_20 at prec 1024 take about 70 exact
