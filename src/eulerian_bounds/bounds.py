@@ -190,6 +190,8 @@ def univariate_bound(n: int, prec: int = DEFAULT_PREC) -> AlgebraicBound:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
+    if prec < 0:  # checked here, as the guard bits below could hide it
+        raise ValueError(f"prec must be >= 0, got {prec}")
     a1, a2, a3 = (univariate_eulerian(n).coefficient(k) for k in (1, 2, 3))
     l0, l1, l2, l3 = n, a1, a1 * a1 - 2 * a2, 3 * a3 - 3 * a1 * a2 + a1**3
     det = [l1 * l3 - l2 * l2, l0 * l3 - l1 * l2, l0 * l2 - l1 * l1]
@@ -287,6 +289,8 @@ def optimize_y_numeric(
     N.c2/D.c2, attained by the degenerate vector e_0, is checked as the
     endpoint competitor but never wins at desk scale.
     """
+    if prec < 0:
+        raise ValueError(f"prec must be >= 0, got {prec}")
     d_q, n_q = eulerian_guess_quadratics(n, kind)
     best: tuple[AlgebraicBound, AlgebraicBound] | None = None
     for y in _critical_points(*_critical_coefficients(n, kind), prec + 3 * n + 64):

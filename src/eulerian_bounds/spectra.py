@@ -13,8 +13,7 @@ Three certified quantities live here:
   degenerate (corank > 1) when a common kernel or a repeated root shows it;
 - enclosures of the extreme (leftmost / rightmost) real roots of a
   univariate polynomial whose real roots are negative, each isolated by
-  Descartes counts or by exact root isolation and re-checked for a
-  sign change before it is returned.
+  Descartes counts and re-checked for a sign change before it is returned.
 
 Each root enclosure is the dyadic cell [k, k+1] / 2^prec holding the
 root, clipped to its isolating interval: a function of the root and
@@ -32,12 +31,11 @@ has one sign variation, f has exactly one real root above a, and a sign
 change of f on (a, b), b < 0, isolates it there.  It finds x_min, the
 determinant's rightmost root, and the extreme roots: the leftmost by the
 same search on the reversed coefficients or, for a palindromic input, as
-the reciprocal of the rightmost.  Any other input keeps the isolation of
-every root, over the integers: the squarefree part f / gcd(f, f') by a
-primitive-PRS gcd (skipped when a gcd modulo a prime already certifies the
-input squarefree), then continued-fraction isolation with Descartes' rule
-of signs, Taylor shifts by 1, scaling by powers of 2 and power-of-two
-root bounds.
+the reciprocal of the rightmost.  Any other input has every root isolated,
+over the integers: the squarefree part f / gcd(f, f') by a primitive-PRS
+gcd (skipped when a gcd modulo a prime already certifies the input
+squarefree), then a Descartes bisection of dyadic intervals below a
+power-of-two root bound, on the same counts and Taylor shifts by 1.
 """
 
 from __future__ import annotations
@@ -243,44 +241,26 @@ def _root_bound(f: list[int]) -> int:
 
 
 def _positive_roots(f: list[int]) -> set[tuple[Fraction, Fraction]]:
-    # Continued-fraction isolation (Collins-Akritas, Akritas-Strzebonski)
-    # of the roots >= 0 of a squarefree f.  Each stack entry is a
-    # transformed g(y) whose positive roots are the roots of f at
-    # x = (a y + b) / (c y + d); Descartes' rule of signs counts them.
+    # Descartes bisection (Vincent-Collins-Akritas) of the roots >= 0 of a
+    # squarefree f, scaled to g(y) = f(2^u y) with its positive roots in (0, 1).
+    # A piece (c, k) is x in 2^u (c, c + 1) / 2^k, x = 2^u (c + y) / 2^k for y in
+    # (0, 1); (1 + y)^n g(1 / (1 + y)) counts its roots there.  Its halves are
+    # 2^n g(y / 2) and that shifted by 1; a zero constant term is a root at the
+    # piece's left end, which for a right half is the parent's midpoint.
     out: set[tuple[Fraction, Fraction]] = set()
-    def leaf(y, g, a, b, c, d):
-        # The image of [0, y]; None is y -> oo, cut at Kioustelidis' bound if c = 0.
-        end = Fraction(2) ** _root_bound(g) if y is None and not c else y
-        hi = Fraction(a, c) if end is None else Fraction(a * end + b) / (c * end + d)
-        out.add(tuple(sorted((Fraction(b, d), hi))))
-    stack = [(f, 1, 0, 0, 1)]
+    u = max(_root_bound(f), 0) if _variations(f) else 0
+    stack = [([c << u * (len(f) - 1 - k) for k, c in enumerate(f)], 0, 0)]
     while stack:
-        g, a, b, c, d = stack.pop()
-        if g[-1] == 0:  # a root at y = 0
-            leaf(0, g, a, b, c, d)
+        g, c, k = stack.pop()
+        if g[-1] == 0:
+            out.add((Fraction(c << u, 1 << k),) * 2)
             g = g[:-1]
-        v = _variations(g)
+        v = _variations(_shift1(g[::-1]))
         if v == 1:
-            leaf(None, g, a, b, c, d)
-        if v <= 1:
-            continue
-        e = -_root_bound(g[::-1])  # every positive root exceeds 2**e
-        if e >= 0:  # y -> 2**e (y + 1)
-            g = _shift1([u << e * (len(g) - 1 - k) for k, u in enumerate(g)])
-            a, c = a << e, c << e
-            stack.append((g, a, a + b, c, c + d))
-            continue
-        # Split at y = 1: y -> y + 1 holds the roots above 1, y -> 1/(y + 1)
-        # those below.  By Budan's theorem the roots in (0, 1) number
-        # v - v1 - [g(1) = 0] less an even count.
-        g1 = _shift1(g)
-        stack.append((g1, a, a + b, c, c + d))
-        below = v - _variations(g1) - (g1[-1] == 0)
-        if below == 1:
-            leaf(1, g, a, b, c, d)
-        elif below > 1:
-            g2 = _shift1(g[::-1])
-            stack.append((g2 if g2[-1] else g2[:-1], b, a + b, d, c + d))
+            out.add((Fraction(c << u, 1 << k), Fraction(c + 1 << u, 1 << k)))
+        elif v > 1:
+            half = [a << j for j, a in enumerate(g)]
+            stack += [(half, 2 * c, k + 1), (_shift1(half), 2 * c + 1, k + 1)]
     return out
 
 
@@ -289,13 +269,13 @@ def _isolate(
 ) -> tuple[list[int], list[tuple[Fraction, Fraction]]]:
     # The squarefree part of an integer polynomial (descending
     # coefficients) and isolating intervals of its real roots (only those
-    # <= 0 if ``nonpositive``), left to right.  An exact rational root r
-    # comes back as (r, r); every other interval is open and holds one
-    # root; neighbours may share an endpoint.
+    # <= 0 if ``nonpositive``), left to right, with dyadic ends.  A root at 0
+    # or at a bisection midpoint r comes back as (r, r); every other
+    # interval is open and holds one root; neighbours may share an endpoint.
     sqf = _squarefree(desc)
     n = len(sqf) - 1
     mirrored = _positive_roots([-c if (n - k) % 2 else c for k, c in enumerate(sqf)])
-    positive = set() if nonpositive else _positive_roots(sqf[:-1] if sqf[-1] == 0 else sqf)
+    positive = set() if nonpositive else _positive_roots(sqf)  # a root at 0: (0, 0) in both
     return sqf, sorted({(-b, -a) for a, b in mirrored} | positive)
 
 
@@ -588,9 +568,8 @@ def extreme_roots(
     and a palindromic input is its own reverse.  These intervals isolate
     the extreme real roots whatever the other roots are, so real-rootedness
     is checked only for an input failing a count: every root of its
-    squarefree part is isolated, by continued fractions over the integers
-    (Descartes' rule on Moebius transforms, Collins-Akritas and
-    Akritas-Strzebonski).  Each extreme root, the rightmost first, is then
+    squarefree part is isolated, by Descartes bisection over the integers
+    (``_isolate``).  Each extreme root, the rightmost first, is then
     narrowed to its dyadic cell [k, k+1] / 2**prec, clipped to its
     isolating interval, and re-checked for a sign change, on f scaled by
     2**prec at the cell's ends, grid integers unless clipped: the enclosures

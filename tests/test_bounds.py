@@ -337,15 +337,15 @@ class TestCriticalPoints:
             assert width(cell) <= Fraction(1, 2**prec)
             assert encloses(wider, cell)
 
-    # The vertex split against the continued-fraction route it replaced:
-    # _refine_root on _isolate's intervals, in the same order.
+    # The vertex split against the isolation route it replaced: _refine_root
+    # on the Descartes bisection intervals of _isolate, in the same order.
     @settings(max_examples=200, deadline=None)
     @given(integer_quadratics().filter(lambda q: q[1] * q[1] > 4 * q[0] * q[2]),
            st.integers(16, 200), st.sampled_from([1, 2]))
     # Both roots in one 2^-16 cell: each route clips it at its own interval ends.
     @example((1000999, 2001, 1), 16, 2)
     @example((-1000999, -2001, -1), 24, 2)
-    @example((3, -4, 1), 16, 2)  # _isolate returns the root 1 as the point (1, 1)
+    @example((3, -4, 1), 16, 2)  # the root 1 is a bisection midpoint: _isolate's point (1, 1)
     def test_vertex_split_matches_the_isolate_route(self, quadratic, prec, count):
         a, b, c = quadratic
         sqf, intervals = spectra._isolate([a, b, c])
@@ -367,7 +367,7 @@ class TestCriticalPoints:
     @pytest.mark.parametrize("count", [1, 2])
     @pytest.mark.parametrize("a, b, c, root", [
         (4, -4, 1, Fraction(1, 2)),
-        (-9, 6, -1, Fraction(1, 3)),  # _isolate gave a cell here, not the point
+        (-9, 6, -1, Fraction(1, 3)),  # not dyadic: _isolate gives (0, 2), a cell, not the point
         (Fraction(1, 4), 1, 1, Fraction(-2)),
     ])
     def test_double_root_is_the_exact_vertex(self, a, b, c, root, count):
@@ -645,11 +645,21 @@ class TestRatioDiagnostic:
         (lambda prec: bound_report(4, "old", prec=prec), -100),
         (lambda prec: univariate_bound(4, prec), -100),
         (lambda prec: optimize_y_numeric(4, "old", prec), -100),
+        (lambda prec: bound_report(4, "old", prec=prec), -1),
+        (lambda prec: bound_report(4, "old", "numeric-optimal", prec), -1),
+        (lambda prec: univariate_bound(4, prec), -1),
+        (lambda prec: optimize_y_numeric(4, "old", prec), -1),
+        (lambda prec: univariate_bound(5, prec), -40),
     ],
-    ids=["extreme_roots", "paper_y", "bound_report", "univariate_bound", "optimize_y_numeric"],
+    ids=["extreme_roots", "paper_y", "bound_report", "univariate_bound", "optimize_y_numeric",
+         "bound_report-1", "bound_report_numeric-1", "univariate_bound-1",
+         "optimize_y_numeric-1", "univariate_bound-40"],
 )
 def test_negative_prec_is_refused(call, prec):
     # Every cell comes from spectra._refine_root, which names prec in its
-    # refusal instead of failing on a negative shift.
-    with pytest.raises(ValueError, match=r"prec must be >= 0, got -\d+$"):
+    # refusal instead of failing on a negative shift; univariate_bound and
+    # optimize_y_numeric add guard bits first, so they refuse the caller's
+    # prec themselves.
+    with pytest.raises(ValueError, match=r"prec must be >= 0, got -\d+$") as refused:
         call(prec)
+    assert str(refused.value) == f"prec must be >= 0, got {prec}"

@@ -975,12 +975,15 @@ def test_bound_reports_build_no_pencil(monkeypatch):
         ["bounds", "--n-min", "1", "--n-max", "20", "--kind", "both", "--y", "optimal"],
         ["diff", "--kind", "old"],
         ["diff", "--kind", "new"],
+        ["eigvec", "--n-max", "16"],
+        ["roots", "--n-max", "32"],
+        ["roots", "--n-min", "200", "--n-max", "200", "--allow-large"],
     ],
 )
-def test_desk_commands_never_isolate_by_continued_fractions(capsys, monkeypatch, argv):
+def test_desk_commands_never_reach_the_isolation_fallback(capsys, monkeypatch, argv):
     # The critical points split at their vertex, and un(n), x_min and the
-    # root cells come from the Descartes count search: the continued-fraction
-    # fallback is reached by none of them.
+    # root cells come from the Descartes count search: the fallback that
+    # isolates every root (_isolate) is reached by none of them.
     bounds_mod.eulerian_guess_quadratics.cache_clear()
     calls = _spy_on_every_binding(monkeypatch, spectra._isolate)
     code, out, _ = run_cli(capsys, argv)

@@ -9,8 +9,8 @@ import mpmath
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
-from sympy.polys.domains import ZZ
-from sympy.polys.rootisolation import dup_isolate_real_roots_sqf
+from sympy.polys.domains import QQ, ZZ
+from sympy.polys.rootisolation import dup_count_real_roots, dup_isolate_real_roots_sqf
 from sympy.polys.sqfreetools import dup_sqf_list, dup_sqf_part
 
 from eulerian_bounds import pencil, spectra
@@ -650,7 +650,7 @@ class TestBandedPencil:
     @pytest.mark.parametrize("n", range(4, 21))
     def test_eulerian_input_takes_one_search(self, monkeypatch, n):
         # A simple rightmost determinant root: neither the squarefree part
-        # nor the continued-fraction isolation runs.
+        # nor the bisection isolating every root runs.
         calls = {"_rightmost_interval": [], "_squarefree": [], "_positive_roots": []}
         for name, seen in calls.items():
             real = getattr(spectra, name)
@@ -949,13 +949,17 @@ class TestExtremeRoots:
             extreme_roots(polynomialize([2, 5, 4, 1]), 64)
 
     def test_cell_clipped_to_a_neighbouring_root_passes_the_self_check(self):
-        # (33x + 1)(232x + 7)^2 (x + 2): the repeated rightmost root fails
-        # the count; the isolation of the squarefree part puts -7/232 in
-        # (-1/33, -3/100), and its cell at prec 8 is clipped to the root
-        # -1/33, where f is 0; the re-check deflates that neighbour.
-        left, right = extreme_roots(polynomialize([98, 9779, 326881, 3713392, 1776192]), 8)
+        # (1024x + 1025)(2000x + 2001)^2 (x + 2): the repeated rightmost root
+        # fails the count; the bisection of the squarefree part meets the
+        # root -1025/1024 as a midpoint and puts -2001/2000 in (-1025/1024, -1).
+        # Its cell at prec 8, (-257/256, -1], is clipped to that neighbour,
+        # off the grid and where f is 0; the re-check deflates it.
+        f = poly_mul(poly_mul([1024, 1025], [1, 2]), poly_mul([2000, 2001], [2000, 2001]))
+        assert spectra._isolate(f)[1][1:] == [(Fraction(-1025, 1024),) * 2,
+                                              (Fraction(-1025, 1024), Fraction(-1))]
+        left, right = extreme_roots(polynomialize(f[::-1]), 8)
         assert left == AlgebraicBound.exact(-2)
-        assert right == AlgebraicBound(Fraction(-1, 33), Fraction(-3, 100))
+        assert right == AlgebraicBound(Fraction(-1025, 1024), Fraction(-1))
 
     def test_count_without_a_sign_change_falls_back(self):
         # (x - 1)(x + 1)^3: the one root above a = -1 is 1, so a count there
@@ -1037,7 +1041,7 @@ class TestExtremeRoots:
         for n in (32, 200):
             calls.clear()
             extreme_roots(univariate_eulerian(n), 128)
-            assert len(calls) <= 1  # 112 to isolate every root of A_32
+            assert len(calls) <= 1  # 194 to isolate every root of A_32
         monkeypatch.undo()
         for n in range(4, 41):
             assert_extremes_match_the_isolate_route(univariate_eulerian(n), 128)
@@ -1373,21 +1377,23 @@ class TestDyadicRefinement:
 
     @pytest.mark.parametrize("prec, most", [(128, 32), (1024, 38)])
     def test_wide_interval_starts_fast(self, monkeypatch, prec, most):
-        # The leftmost root of A_20 (about -2.09e6) is isolated in
+        # The leftmost root of A_20 (about -2.09e6) lies alone in
         # (-4198852, -4548), where the secant sticks to the steep right end.
         # A midpoint probe after each miss that leaves the step factor at 4
         # takes 31 and 37 exact evaluations (deflation tests included);
         # secant steps alone took 34 and 40.
         desc = [int(c) for c in reversed(univariate_eulerian(20).coeffs)]
-        sqf, intervals = spectra._isolate(desc)
-        lo, hi = intervals[0]
-        assert (lo, hi) == (-4198852, -4548)
+        lo, hi = Fraction(-4198852), Fraction(-4548)
+        # sympy counts one root in [lo, hi] and none left of lo: the leftmost.
+        zz = [ZZ(c) for c in desc]
+        assert dup_count_real_roots(zz, ZZ, inf=QQ(lo), sup=QQ(hi)) == 1
+        assert dup_count_real_roots(zz, ZZ, sup=QQ(lo)) == 0
         calls = []
         real = spectra._value
         monkeypatch.setattr(spectra, "_value", lambda *a: calls.append(1) or real(*a))
-        cell = spectra._refine_root(sqf, lo, hi, prec)
+        cell = spectra._refine_root(desc, lo, hi, prec)
         assert len(calls) <= most
-        assert cell == bisection_refine_root(sqf, lo, hi, prec)
+        assert cell == bisection_refine_root(desc, lo, hi, prec)
 
 
 @st.composite
@@ -1410,8 +1416,8 @@ class TestHalfDegreeRoute:
     @pytest.mark.parametrize("n", [4, 9, 16, 32])
     def test_eulerian_input_takes_one_count(self, monkeypatch, n):
         # One count isolates the rightmost root, and A_n, a palindrome, needs
-        # no second one; neither the squarefree part nor the
-        # continued-fraction isolation runs.
+        # no second one; neither the squarefree part nor the bisection
+        # isolating every root runs.
         calls = {"_rightmost_interval": [], "_squarefree": [], "_positive_roots": []}
         for name, seen in calls.items():
             real = getattr(spectra, name)
