@@ -18,11 +18,11 @@ certified root.  The new family reuses the optimum of the old family's
 quadratics with the opposite sign, the choice that makes its D and N positive.
 
 The univariate reference bound un(n) comes from the 2x2 pencil of the
-univariate Eulerian polynomial: its PSD endpoint is the root of an integer
-quadratic, checked by two 2x2 PSD tests.  ``bound_reports`` certifies it
-and the old family's root once per n for all kinds.  ``ratio_diagnostic``
-gives consecutive-ratio trend data of bound differences for the separation
-claims (old: differences decay like (3/4)^n; new: they grow like (9/8)^m).
+univariate Eulerian polynomial: its PSD endpoint, split like y from the
+other root of an integer quadratic, is checked by two 2x2 PSD tests.
+``bound_reports`` certifies it and the old family's root once per n for all
+kinds.  ``ratio_diagnostic`` gives consecutive-ratio trend data of bound
+differences for the separation claims (old: (3/4)^n decay; new: (9/8)^m growth).
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from ._record import Record
 from .enclosure import DEFAULT_PREC, AlgebraicBound, Rat
 from .eulerian import univariate_eulerian
 from .pencil import _integer_rows
-from .spectra import _is_psd_at, _isolate, _primitive, _refine_root, _rightmost_interval, _strip
+from .spectra import _is_psd_at, _primitive, _refine_root
 
 __all__ = [
     "GuessVector",
@@ -149,20 +149,17 @@ def _critical_coefficients(n: int, kind: str) -> tuple[Fraction, Fraction, Fract
     return a, b, c
 
 
-def _critical_points(a: Rat, b: Rat, c: Rat, prec: int, count: int = 2) -> list[AlgebraicBound]:
-    # The first ``count`` real roots of a y^2 + b y + c as dyadic cells of width
-    # <= 2**-prec: first the root where it falls (for N'D - ND', the local maximum
-    # of N/D), then the other, if any.  The primitive f = [a, b, c], a > 0, has one
-    # on each side of v = -b/2a, within 2^ceil(bitlen(disc)/2) / 2a > sqrt(disc)/2a.
+def _vertex_split(a: Rat, b: Rat, c: Rat) -> tuple[list[int], list[tuple[Fraction, Fraction]]]:
+    # The primitive f = [a, b, c], leading coefficient > 0, and isolating intervals
+    # of its real roots: first the root where a y^2 + b y + c falls (for N'D - ND',
+    # the local maximum of N/D), then the other; a double root is the point (v, v).
+    # f has one root on each side of v = -b/2a, within 2^ceil(bitlen(disc)/2) / 2a.
     if a == 0:
         raise ZeroDivisionError("degenerate optimizer: leading coefficient is 0")
     f = _primitive(_integer_rows([[a, b, c]])[0][0])
     v, disc = Fraction(-f[1], 2 * f[0]), f[1] * f[1] - 4 * f[0] * f[2]
-    if disc == 0:
-        return [AlgebraicBound.exact(v)]
     r = Fraction(1 << -(-disc.bit_length() // 2), 2 * f[0])
-    ends = [(v - r, v), (v, v + r)][:: 1 if a > 0 else -1]
-    return [_refine_root(f, lo, hi, prec) for lo, hi in ends[:count]]
+    return f, [(v, v)] if disc == 0 else [(v - r, v), (v, v + r)][:: 1 if a > 0 else -1]
 
 
 def paper_y(n: int, kind: str, prec: int = DEFAULT_PREC) -> AlgebraicBound:
@@ -175,7 +172,8 @@ def paper_y(n: int, kind: str, prec: int = DEFAULT_PREC) -> AlgebraicBound:
     takes the exact opposite value.
     """
     guess_vector(kind, n)  # the family must be defined at n
-    (root,) = _critical_points(*_critical_coefficients(n, "old"), prec, 1)
+    f, intervals = _vertex_split(*_critical_coefficients(n, "old"))
+    root = _refine_root(f, *intervals[0], prec)
     return root if kind == "old" else -root
 
 
@@ -184,9 +182,9 @@ def univariate_bound(n: int, prec: int = DEFAULT_PREC) -> AlgebraicBound:
 
     The 2x2 pencil of A_n is [[L0, L1], [L1, L2]] + x [[L1, L2], [L2, L3]]:
     L0 = n, L1 = a1, L2 = a1^2 - 2 a2 and L3 = 3 a3 - 3 a1 a2 + a1^3 for the
-    Eulerian numbers a_k.  Its endpoint is the root of an integer quadratic,
-    det(A0 + x A1), checked by two 2x2 PSD tests: not PSD at the cell's lo,
-    PSD at hi.  un(n) bounds |leftmost root| from below via palindromicity.
+    Eulerian numbers a_k.  Its endpoint, the larger root of det(A0 + x A1), is
+    split at the vertex like y and checked by two 2x2 PSD tests (not PSD at the
+    cell's lo, PSD at hi).  un(n) bounds |leftmost root| below by palindromicity.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -195,12 +193,12 @@ def univariate_bound(n: int, prec: int = DEFAULT_PREC) -> AlgebraicBound:
     a1, a2, a3 = (univariate_eulerian(n).coefficient(k) for k in (1, 2, 3))
     l0, l1, l2, l3 = n, a1, a1 * a1 - 2 * a2, 3 * a3 - 3 * a1 * a2 + a1**3
     det = [l1 * l3 - l2 * l2, l0 * l3 - l1 * l2, l0 * l2 - l1 * l1]
-    # det = 0 at n = 1, where the pencil is (1 + x) J: take J's 1x1 block L0 + x L1.
-    f = _primitive(_strip(det) if any(det) else [l1, l0])
-    one = _rightmost_interval(f)
-    f, intervals = (f, [one]) if one else _isolate(f, nonpositive=True)
+    if any(det):  # -det falls at det's larger root
+        f, intervals = _vertex_split(*(-c for c in det))
+    else:  # det = 0 at n = 1, where the pencil is (1 + x) J: J's 1x1 block L0 + x L1
+        f, intervals = [l1, l0], [(Fraction(-l0, l1),) * 2]
     # The endpoint is ~2^-(n+1): its reciprocal widens the cell ~2^(2n+2)-fold.
-    x = _refine_root(f, *intervals[-1], prec + 2 * n + 16, exact=False)
+    x = _refine_root(f, *intervals[0], prec + 2 * n + 16, exact=False)
     rows = [[l0, l1], [l1, l2], [l1, l2], [l2, l3]]
     if _is_psd_at(rows, x.lo) or not _is_psd_at(rows, x.hi):
         raise ArithmeticError(f"un({n}) endpoint cell ({x.lo}, {x.hi}] fails its PSD tests")
@@ -293,7 +291,8 @@ def optimize_y_numeric(
         raise ValueError(f"prec must be >= 0, got {prec}")
     d_q, n_q = eulerian_guess_quadratics(n, kind)
     best: tuple[AlgebraicBound, AlgebraicBound] | None = None
-    for y in _critical_points(*_critical_coefficients(n, kind), prec + 3 * n + 64):
+    f, intervals = _vertex_split(*_critical_coefficients(n, kind))
+    for y in [_refine_root(f, *ends, prec + 3 * n + 64) for ends in intervals]:
         d_val = d_q.at(y)
         n_val = n_q.at(y)
         if not (d_val.is_certainly_positive() and n_val.is_certainly_positive()):

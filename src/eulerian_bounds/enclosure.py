@@ -30,6 +30,8 @@ class AlgebraicBound(Record):
     hi: Fraction
 
     def __post_init__(self):
+        if isinstance(self.lo, float) or isinstance(self.hi, float):
+            raise TypeError(f"float end {self.lo!r}, {self.hi!r} cannot enter an exact enclosure")
         if self.lo > self.hi:
             raise ValueError(f"empty enclosure: {self.lo} > {self.hi}")
 

@@ -69,6 +69,10 @@ class DiagonalPencil(Record):
     a0: SymmetricRationalMatrix
     a_sum: SymmetricRationalMatrix
 
+    def __post_init__(self):
+        if self.a0.size != self.a_sum.size:
+            raise ValueError(f"a0 and a_sum differ in size: {self.a0.size} != {self.a_sum.size}")
+
     @property
     def size(self) -> int:
         return self.a0.size

@@ -392,6 +392,8 @@ def boundary_kernel_vector(p: DiagonalPencil, prec: int = DEFAULT_PREC) -> Kerne
     exactly when K is nonzero or x_min is also a root of f'.  For
     x_min = 0 the matrix is A0 itself, and its corank is counted.
     """
+    if prec < 16:  # as psd_boundary, before bits, which depends on the pencil, can hide it
+        raise ValueError("prec must be >= 16")
     target = Fraction(1, 2 ** (prec // 2))
     rows, den = _integer_rows(p.a0.entries + p.a_sum.entries)
     upper = [row[i % p.size:] for i, row in enumerate(rows)]
@@ -544,8 +546,9 @@ def _rightmost_interval(f: list[int]) -> tuple[Fraction, Fraction] | None:
         p, e = -a.numerator, a.denominator.bit_length() - 1
         g = flip(_shift1(flip([c * p ** (n - j) << e * j for j, c in enumerate(f)])))
         v = _variations(g)  # and g[-1] has the sign of f(a)
-        if v == 1 and g[-1]:
-            s = _value(f, b)
+        if v == 1 and g[-1]:  # the sign of f(b), b = -q / 2^k, at the integer -q
+            s = _value([c << (b.denominator.bit_length() - 1) * j for j, c in enumerate(f)],
+                       b.numerator)
             return (b, b) if not s else (a, b) if (s > 0) != (g[-1] > 0) else None
         if v == 0 and not g[-1]:  # a is a root, and no root lies above it
             return (a, a) if g[-2] else None

@@ -321,6 +321,13 @@ def integer_quadratics(draw) -> tuple[int, int, int]:
     return s * q1 * q2, -s * (p1 * q2 + p2 * q1), s * p1 * p2
 
 
+def critical_cells(a, b, c, prec: int, count: int = 2) -> list[AlgebraicBound]:
+    """The first ``count`` roots of a y^2 + b y + c as the callers of
+    ``_vertex_split`` take them: each isolating interval refined to its cell."""
+    f, intervals = bounds_mod._vertex_split(a, b, c)
+    return [spectra._refine_root(f, lo, hi, prec) for lo, hi in intervals[:count]]
+
+
 class TestCriticalPoints:
     @settings(max_examples=200, deadline=None)
     @given(integer_quadratics(), st.integers(2, 200))
@@ -329,8 +336,8 @@ class TestCriticalPoints:
         # then the other one: each a cell of width <= 2^-prec that nests in
         # its own cell at prec - 1.
         a, b, c = quadratic
-        cells = bounds_mod._critical_points(a, b, c, prec)
-        coarser = bounds_mod._critical_points(a, b, c, prec - 1)
+        cells = critical_cells(a, b, c, prec)
+        coarser = critical_cells(a, b, c, prec - 1)
         assert len(cells) == len(coarser) == (1 if b * b == 4 * a * c else 2)
         for cell, wider, branch in zip(cells, coarser, "-+"):
             assert overlaps(cell, quadratic_root_enclosure(a, b, c, branch, prec + 8))
@@ -351,7 +358,7 @@ class TestCriticalPoints:
         sqf, intervals = spectra._isolate([a, b, c])
         expect = [spectra._refine_root(sqf, lo, hi, prec)
                   for lo, hi in intervals[::1 if a > 0 else -1][:count]]
-        cells = bounds_mod._critical_points(a, b, c, prec, count)
+        cells = critical_cells(a, b, c, prec, count)
         assert len(cells) == len(expect) == count
         for cell, old in zip(cells, expect):
             if old.lo == old.hi or cell.lo == cell.hi:  # an exact rational root
@@ -371,7 +378,8 @@ class TestCriticalPoints:
         (Fraction(1, 4), 1, 1, Fraction(-2)),
     ])
     def test_double_root_is_the_exact_vertex(self, a, b, c, root, count):
-        assert bounds_mod._critical_points(a, b, c, 64, count) == [AlgebraicBound.exact(root)]
+        assert bounds_mod._vertex_split(a, b, c)[1] == [(root, root)]
+        assert critical_cells(a, b, c, 64, count) == [AlgebraicBound.exact(root)]
 
     @pytest.mark.parametrize("n", range(2, 29))
     def test_paper_y_is_the_minus_branch(self, n):
@@ -423,6 +431,22 @@ class TestUnivariateBound:
         # The same cell as psd_boundary on the molded 2x2 pencil, n = 1..64.
         for n in range(1, 65):
             assert univariate_bound(n, prec) == univariate_un(n, prec), n
+
+    def test_split_at_the_vertex_without_a_count_search(self, monkeypatch):
+        # un(n) takes the vertex split of the y's: no Descartes count search
+        # and no isolation of every root, which the x_min route on the same
+        # 2x2 pencil does reach.
+        calls = []
+        for name in ("_rightmost_interval", "_isolate"):
+            real = getattr(spectra, name)
+            monkeypatch.setattr(spectra, name,
+                                lambda *a, real=real, **k: calls.append(a) or real(*a, **k))
+        assert not {"_rightmost_interval", "_isolate", "_strip"} & set(vars(bounds_mod))
+        for n in range(1, 65):
+            univariate_bound(n, 64)
+        assert calls == []
+        psd_interval_left(univariate_diagonal(5), 64)
+        assert calls
 
     @pytest.mark.parametrize("n", [0, -1])
     def test_rejects_n_below_1(self, n):
@@ -484,7 +508,7 @@ class TestBoundReport:
 
     def test_both_kinds_share_one_paper_root(self, monkeypatch):
         # The new family's y is the old one's cell negated, refined once.
-        calls = spy(monkeypatch, "_critical_points")
+        calls = spy(monkeypatch, "_critical_coefficients")
         old, new = (r.y for r in bound_reports(10, ("old", "new"), "paper", 64))
         assert new == -old and len(calls) == 1
 

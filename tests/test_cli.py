@@ -981,7 +981,7 @@ def test_bound_reports_build_no_pencil(monkeypatch):
     ],
 )
 def test_desk_commands_never_reach_the_isolation_fallback(capsys, monkeypatch, argv):
-    # The critical points split at their vertex, and un(n), x_min and the
+    # The critical points and un(n) split at their vertex, and x_min and the
     # root cells come from the Descartes count search: the fallback that
     # isolates every root (_isolate) is reached by none of them.
     bounds_mod.eulerian_guess_quadratics.cache_clear()

@@ -42,6 +42,13 @@ def test_floats_cannot_enter_an_enclosure():
         AlgebraicBound.exact(0.5)
     with pytest.raises(TypeError):
         AlgebraicBound.exact(1) + 0.5
+    # A float end is refused at construction, not first met by QuadraticInY.at.
+    with pytest.raises(TypeError, match="float end"):
+        AlgebraicBound(0.5, 1.0)
+    with pytest.raises(TypeError, match="float end"):
+        AlgebraicBound(Fraction(0), 1.0)
+    with pytest.raises(TypeError, match="float end"):
+        AlgebraicBound(1, 2).reciprocal()  # int ends: 1 / 2 is the float 0.5
 
 
 def test_arithmetic_basics():

@@ -4,7 +4,7 @@ A guard is a ``raise ArithmeticError(...)``: the library refusing a
 result whose own check failed.  Deleting one leaves every other test
 green unless some test corrupts the step before it and expects its
 message, so each message must be matched by a ``match=`` regex in a
-file under ``tests/``.  The same holds for the ``ValueError``
+file under ``tests/`` (an f-string regex by its text up to the first field).  The same holds for the ``ValueError``
 preconditions, and for the ``CliError`` refusals, which a test may also
 match by asserting the one-line JSON error the CLI prints.
 
@@ -39,14 +39,14 @@ def raises(exc_name: str) -> list[tuple[Path, ast.Raise]]:
 
 def raise_sites(exc_name: str) -> dict[str, Parts]:
     """``file:line`` -> the message parts of each ``raise exc_name(...)``."""
-    out = {}
-    for path, node in raises(exc_name):
-        arg = node.exc.args[0]
-        values = arg.values if isinstance(arg, ast.JoinedStr) else [arg]
-        out[f"{path.name}:{node.lineno}"] = tuple(
-            v.value if isinstance(v, ast.Constant) else None for v in values
-        )
-    return out
+    return {f"{path.name}:{node.lineno}": parts_of(node.exc.args[0])
+            for path, node in raises(exc_name)}
+
+
+def parts_of(node: ast.expr) -> Parts:
+    """The literal parts and fields of a string or f-string node."""
+    values = node.values if isinstance(node, ast.JoinedStr) else [node]
+    return tuple(v.value if isinstance(v, ast.Constant) else None for v in values)
 
 
 def reads_as(text: str, parts: Parts) -> bool:
@@ -65,17 +65,23 @@ def literal_start(parts: Parts) -> str:
     return "".join(itertools.takewhile(lambda part: part is not None, parts))
 
 
-MATCH = re.compile(r"""\bmatch=(r?"(?:[^"\\\n]|\\.)*"|r?'(?:[^'\\\n]|\\.)*')""")
+MATCH = re.compile(r"""\bmatch=((?:rf|fr|r|f)?"(?:[^"\\\n]|\\.)*"|(?:rf|fr|r|f)?'(?:[^'\\\n]|\\.)*')""")
+
+
+def read_patterns(source: str) -> set[str]:
+    """The ``match=`` string literals of a source text, an f-string's by
+    its literal text up to the first field; one with none matches anything,
+    so it vouches for no message and is left out."""
+    starts = (literal_start(parts_of(ast.parse(literal, mode="eval").body))
+              for literal in MATCH.findall(source))
+    return {start for start in starts if start}
 
 
 def match_patterns() -> set[str]:
-    """Every literal ``match=`` string under ``tests/``, read off the
+    """Every literal ``match=`` pattern under ``tests/``, read off the
     source text (parsing every test file would cost several times more)."""
-    return {
-        ast.literal_eval(literal)
-        for path in (ROOT / "tests").rglob("*.py")
-        for literal in MATCH.findall(path.read_text())
-    }
+    return set().union(*(read_patterns(path.read_text())
+                         for path in (ROOT / "tests").rglob("*.py")))
 
 
 def cli_literals() -> set[str]:
@@ -126,3 +132,14 @@ def test_reads_as_anchors_the_message():
     cap = (None, None, " exceeds the ", None, "desk-scale cap ", None, None, "; pass")
     assert reads_as("n=21 exceeds the desk-scale cap 20", cap)
     assert not reads_as("n=21 exceeds", cap)
+
+
+def test_read_patterns_takes_f_strings_up_to_the_first_field():
+    source = r"""
+        pytest.raises(ValueError, match="plain")
+        pytest.raises(ValueError, match=r'raw \(1\)')
+        pytest.raises(ValueError, match=f"index-min {lo} > index-max {hi}")
+        pytest.raises(ValueError, match=rf"un\({n}\) endpoint")
+        pytest.raises(ValueError, match=f'{n} has no literal start')
+    """
+    assert read_patterns(source) == {"plain", r"raw \(1\)", "index-min ", r"un\("}

@@ -167,6 +167,11 @@ class TestMatrixType:
         with pytest.raises(ValueError, match="matrix is not square"):
             SymmetricRationalMatrix(((Fraction(1), Fraction(2)),))
 
+    def test_pencil_sizes_must_agree(self):
+        # A 2x2 A0 with a 3x3 A_sum is refused here, not deep in an elimination.
+        with pytest.raises(ValueError, match="a0 and a_sum differ in size: 2 != 3"):
+            DiagonalPencil(M([[1, 0], [0, 1]]), M([[1, 0, 0], [0, 1, 0], [0, 0, 1]]))
+
 
 # Rationals with zero entries and denominators up to 2^64, as at x_min.lo.
 WIDE_RATIONALS = st.just(Fraction(0)) | st.fractions(-8, 8, max_denominator=2**64)

@@ -314,6 +314,13 @@ class TestKernelVector:
         assert kv.degenerate
         assert sum(e * e for e in kv.entries) > 0
 
+    @pytest.mark.parametrize("prec", (-3, 0, 8, 15))
+    @pytest.mark.parametrize("n", (1, 3))
+    def test_min_precision(self, n, prec):
+        # Refused up front with psd_boundary's message, whatever the pencil.
+        with pytest.raises(ValueError, match="prec must be >= 16"):
+            boundary_kernel_vector(eulerian_diagonal_pencil(n), prec)
+
     def test_n10_structure(self):
         dp = eulerian_diagonal_pencil(10)
         kv = boundary_kernel_vector(dp, 128)
@@ -1012,8 +1019,8 @@ class TestExtremeRoots:
         # Over A_1..A_32 at prec 128 the route makes 686 exact evaluations:
         # an on-grid end's value is the loop's f(a) or f(b).  Each one in
         # _refine_root and in the re-check is at an integer of the 2^-prec
-        # grid; only _rightmost_interval's sign at its b, a dyadic Fraction,
-        # is not.
+        # grid, and _rightmost_interval's sign at its b = -q / 2^k is read
+        # at the integer -q, off coefficients scaled by powers of 2^k.
         calls = []
         real = spectra._value
 
@@ -1029,7 +1036,7 @@ class TestExtremeRoots:
             extreme_roots(univariate_eulerian(n), 128)
         assert len(calls) <= 690
         assert {name for name, _ in calls} == {"_refine_root", "extreme_roots", "_rightmost_interval"}
-        assert {name for name, integer in calls if not integer} == {"_rightmost_interval"}
+        assert {name for name, integer in calls if not integer} == set()
 
     def test_palindromic_input_is_isolated_below_1_only(self, monkeypatch):
         # A_n is palindromic, so one Descartes count, one Taylor shift,
