@@ -35,7 +35,7 @@ from ._record import Record
 from .enclosure import DEFAULT_PREC, AlgebraicBound, Rat
 from .eulerian import univariate_eulerian
 from .pencil import _integer_rows
-from .spectra import _is_psd_at, _primitive, _refine_root
+from .spectra import _is_psd_at, _refine_root, _vertex_split
 
 __all__ = [
     "GuessVector",
@@ -143,23 +143,7 @@ def _critical_coefficients(n: int, kind: str) -> tuple[Fraction, Fraction, Fract
     a = nq.c2 * d.c1 - nq.c1 * d.c2
     b = 2 * (nq.c2 * d.c0 - nq.c0 * d.c2)
     c = nq.c1 * d.c0 - nq.c0 * d.c1
-    disc = b * b - 4 * a * c
-    if disc < 0:
-        raise ArithmeticError(f"negative discriminant {disc} for n={n} kind={kind}")
     return a, b, c
-
-
-def _vertex_split(a: Rat, b: Rat, c: Rat) -> tuple[list[int], list[tuple[Fraction, Fraction]]]:
-    # The primitive f = [a, b, c], leading coefficient > 0, and isolating intervals
-    # of its real roots: first the root where a y^2 + b y + c falls (for N'D - ND',
-    # the local maximum of N/D), then the other; a double root is the point (v, v).
-    # f has one root on each side of v = -b/2a, within 2^ceil(bitlen(disc)/2) / 2a.
-    if a == 0:
-        raise ZeroDivisionError("degenerate optimizer: leading coefficient is 0")
-    f = _primitive(_integer_rows([[a, b, c]])[0][0])
-    v, disc = Fraction(-f[1], 2 * f[0]), f[1] * f[1] - 4 * f[0] * f[2]
-    r = Fraction(1 << -(-disc.bit_length() // 2), 2 * f[0])
-    return f, [(v, v)] if disc == 0 else [(v - r, v), (v, v + r)][:: 1 if a > 0 else -1]
 
 
 def paper_y(n: int, kind: str, prec: int = DEFAULT_PREC) -> AlgebraicBound:
@@ -237,20 +221,18 @@ def bound_reports(
     if y_policy not in ("paper", "numeric-optimal"):
         raise ValueError(f"unknown y policy {y_policy!r}")
     un = univariate_bound(n, prec)
-    root = None
+    if n == 1:
+        # D = N: N/D does not depend on y, so every y is optimal.
+        ys = [AlgebraicBound.exact(0)] * len(kinds)
+    elif y_policy == "paper":
+        # Guard bits: pencil entries grow like 8^n, so evaluating the
+        # quadratics at an interval y loses about 3n bits of width.
+        root = paper_y(n, "old", prec + 3 * n + 64)
+        ys = [root if kind == "old" else -root for kind in kinds]
+    else:
+        ys = [optimize_y_numeric(n, kind, prec)[0] for kind in kinds]
     reports = []
-    for kind, (d_q, n_q) in zip(kinds, quadratics):
-        if n == 1:
-            # D = N: N/D does not depend on y, so every y is optimal.
-            y = AlgebraicBound.exact(0)
-        elif y_policy == "paper":
-            if root is None:
-                # Guard bits: pencil entries grow like 8^n, so evaluating the
-                # quadratics at an interval y loses about 3n bits of width.
-                root = paper_y(n, "old", prec + 3 * n + 64)
-            y = root if kind == "old" else -root
-        else:
-            y, _ = optimize_y_numeric(n, kind, prec)
+    for kind, (d_q, n_q), y in zip(kinds, quadratics, ys):
         d_val = d_q.at(y)
         n_val = n_q.at(y)
         mult = n_val / d_val
@@ -302,12 +284,10 @@ def optimize_y_numeric(
             best = (y, ratio)
     if best is None:
         raise ArithmeticError(f"no admissible critical point for n={n} kind={kind}")
-    if d_q.c2 > 0 and n_q.c2 > 0:
-        at_infinity = Fraction(n_q.c2, d_q.c2)
-        if best[1].certainly_lt(AlgebraicBound.exact(at_infinity)):
-            raise ArithmeticError(
-                "ratio supremum escapes to infinity; no finite optimizer"
-            )
+    if d_q.c2 > 0 and n_q.c2 > 0 and best[1].certainly_lt(Fraction(n_q.c2, d_q.c2)):
+        raise ArithmeticError(
+            "ratio supremum escapes to infinity; no finite optimizer"
+        )
     return best
 
 

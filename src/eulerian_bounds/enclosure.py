@@ -30,17 +30,17 @@ class AlgebraicBound(Record):
     hi: Fraction
 
     def __post_init__(self):
-        if isinstance(self.lo, float) or isinstance(self.hi, float):
-            raise TypeError(f"float end {self.lo!r}, {self.hi!r} cannot enter an exact enclosure")
+        for name in self._fields:  # an int end becomes a Fraction, so 1 / end stays exact
+            if not isinstance(end := getattr(self, name), Fraction):
+                if not isinstance(end, int):
+                    raise TypeError(f"a {type(end).__name__} end {end!r} is not int or Fraction")
+                object.__setattr__(self, name, Fraction(end))
         if self.lo > self.hi:
             raise ValueError(f"empty enclosure: {self.lo} > {self.hi}")
 
     @staticmethod
     def exact(value: Rat) -> "AlgebraicBound":
-        if isinstance(value, float):
-            raise TypeError(f"float {value!r} cannot enter an exact enclosure")
-        v = Fraction(value)
-        return AlgebraicBound(v, v)
+        return AlgebraicBound(value, value)
 
     @property
     def midpoint(self) -> Fraction:

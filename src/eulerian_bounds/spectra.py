@@ -35,7 +35,9 @@ the reciprocal of the rightmost.  Any other input has every root isolated,
 over the integers: the squarefree part f / gcd(f, f') by a primitive-PRS
 gcd (skipped when a gcd modulo a prime already certifies the input
 squarefree), then a Descartes bisection of dyadic intervals below a
-power-of-two root bound, on the same counts and Taylor shifts by 1.
+power-of-two root bound, on the same counts and Taylor shifts by 1.  An
+integer quadratic (y, un(n)) is split at its vertex by ``_vertex_split``.
+All three routes give dyadic ends, and an exactly known root as a point.
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ import math
 from fractions import Fraction
 
 from ._record import Record
-from .enclosure import DEFAULT_PREC, AlgebraicBound
+from .enclosure import DEFAULT_PREC, AlgebraicBound, Rat
 from .eulerian import UnivariatePolynomial
 from .pencil import DiagonalPencil, PsdResult, SymmetricRationalMatrix, psd_certificate
 from .pencil import _back_substitute, _bareiss, _integer_form, _integer_rows, _ldl, _psd_upper
@@ -277,6 +279,24 @@ def _isolate(
     mirrored = _positive_roots([-c if (n - k) % 2 else c for k, c in enumerate(sqf)])
     positive = set() if nonpositive else _positive_roots(sqf)  # a root at 0: (0, 0) in both
     return sqf, sorted({(-b, -a) for a, b in mirrored} | positive)
+
+
+def _vertex_split(a: Rat, b: Rat, c: Rat) -> tuple[list[int], list[tuple[Fraction, Fraction]]]:
+    # The primitive f = [a, b, c], leading coefficient > 0, and isolating intervals
+    # of its real roots, dyadic ends: first the root where a y^2 + b y + c falls (for
+    # N'D - ND', the local maximum of N/D), then the other; a double root is the point
+    # (v, v).  Each root lies within R = 2^ceil(bitlen(disc)/2) / 2a of v = -b/2a and,
+    # 2a < 2^e, beyond 2^-e: split at floor(v 2^e) / 2^e, v -+ R rounded outward.
+    if a == 0:
+        raise ZeroDivisionError("degenerate optimizer: leading coefficient is 0")
+    f = _primitive(_integer_rows([[a, b, c]])[0][0])
+    q, disc = 2 * f[0], f[1] * f[1] - 4 * f[0] * f[2]
+    if disc < 0:
+        raise ArithmeticError(f"negative discriminant {disc} of {f}")
+    e, r = q.bit_length(), 1 << -(-disc.bit_length() // 2)
+    lo, s, hi = (Fraction(k, 1 << e) for k in
+                 ((-f[1] - r << e) // q, (-f[1] << e) // q, -((f[1] - r << e) // q)))
+    return f, [(lo, s), (s, hi)][:: 1 if a > 0 else -1] if disc else [(Fraction(-f[1], q),) * 2]
 
 
 def psd_interval_left(p: DiagonalPencil, prec: int = DEFAULT_PREC) -> AlgebraicBound:

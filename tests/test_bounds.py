@@ -23,7 +23,7 @@ from eulerian_bounds.bounds import (
     univariate_bound,
 )
 from eulerian_bounds.enclosure import AlgebraicBound
-from eulerian_bounds.eulerian import univariate_eulerian
+from eulerian_bounds.eulerian import UnivariatePolynomial, univariate_eulerian
 from eulerian_bounds.pencil import (
     DiagonalPencil,
     SymmetricRationalMatrix,
@@ -270,10 +270,11 @@ class TestOptimalY:
 
     def test_negative_discriminant_is_refused(self, monkeypatch):
         # Interlacing roots (1, 3 against 0, 2) make the resultant of N and D,
-        # a quarter of the discriminant of N'D - ND', negative.
+        # a quarter of the discriminant of N'D - ND', negative: N'D - ND' is
+        # 2 y^2 - 6 y + 6, whose primitive part y^2 - 3y + 3 has discriminant -3.
         quads = QuadraticInY(1, -4, 3), QuadraticInY(1, -2, 0)
         self.corrupt(monkeypatch, quads)
-        with pytest.raises(ArithmeticError, match="negative discriminant -12 for n=4 kind=old"):
+        with pytest.raises(ArithmeticError, match=r"negative discriminant -3 of \[1, -3, 3\]"):
             paper_y(4, "old", 64)
 
     def test_no_admissible_critical_point_is_refused(self, monkeypatch):
@@ -324,7 +325,7 @@ def integer_quadratics(draw) -> tuple[int, int, int]:
 def critical_cells(a, b, c, prec: int, count: int = 2) -> list[AlgebraicBound]:
     """The first ``count`` roots of a y^2 + b y + c as the callers of
     ``_vertex_split`` take them: each isolating interval refined to its cell."""
-    f, intervals = bounds_mod._vertex_split(a, b, c)
+    f, intervals = spectra._vertex_split(a, b, c)
     return [spectra._refine_root(f, lo, hi, prec) for lo, hi in intervals[:count]]
 
 
@@ -334,8 +335,17 @@ class TestCriticalPoints:
     def test_cells_match_the_surd_oracle(self, quadratic, prec):
         # First the root where the quadratic falls, the oracle's "-" branch,
         # then the other one: each a cell of width <= 2^-prec that nests in
-        # its own cell at prec - 1.
+        # its own cell at prec - 1.  The isolating intervals have dyadic
+        # ends, and f changes sign across each, so each holds one root of
+        # the quadratic; a double root is the exact point.
         a, b, c = quadratic
+        f, intervals = spectra._vertex_split(a, b, c)
+        for lo, hi in intervals:
+            if lo == hi:
+                assert b * b == 4 * a * c and spectra._sign_at(f, lo) == 0
+            else:
+                assert all(e.denominator & (e.denominator - 1) == 0 for e in (lo, hi))
+                assert spectra._sign_at(f, lo) * spectra._sign_at(f, hi) == -1
         cells = critical_cells(a, b, c, prec)
         coarser = critical_cells(a, b, c, prec - 1)
         assert len(cells) == len(coarser) == (1 if b * b == 4 * a * c else 2)
@@ -378,7 +388,7 @@ class TestCriticalPoints:
         (Fraction(1, 4), 1, 1, Fraction(-2)),
     ])
     def test_double_root_is_the_exact_vertex(self, a, b, c, root, count):
-        assert bounds_mod._vertex_split(a, b, c)[1] == [(root, root)]
+        assert spectra._vertex_split(a, b, c)[1] == [(root, root)]
         assert critical_cells(a, b, c, 64, count) == [AlgebraicBound.exact(root)]
 
     @pytest.mark.parametrize("n", range(2, 29))
@@ -387,6 +397,23 @@ class TestCriticalPoints:
         y = paper_y(n, "old", 96)
         assert overlaps(y, quadratic_root_enclosure(a, b, c, "-", 104))
         assert width(y) <= Fraction(1, 2**96)
+
+    def test_bound_reports_evaluate_at_grid_integers(self, monkeypatch):
+        # Over n = 4..20 under both policies, every exact evaluation of the
+        # quadratics' and un(n)'s roots is at an integer of the 2^-prec grid:
+        # _vertex_split's dyadic ends lie on it.
+        calls = []
+        real = spectra._value
+
+        def value(desc, point):
+            calls.append(point.denominator == 1)
+            return real(desc, point)
+
+        monkeypatch.setattr(spectra, "_value", value)
+        for policy in ("paper", "numeric-optimal"):
+            for n in range(4, 21):
+                bound_reports(n, ("old", "new") if n % 2 == 0 else ("old",), policy)
+        assert 0 < len(calls) <= 1616 and all(calls)
 
     @pytest.mark.parametrize("n, kind", [(5, "old"), (8, "new")])
     def test_paper_y_refines_only_the_root_it_returns(self, monkeypatch, n, kind):
@@ -447,6 +474,14 @@ class TestUnivariateBound:
         assert calls == []
         psd_interval_left(univariate_diagonal(5), 64)
         assert calls
+
+    def test_negative_discriminant_is_refused(self, monkeypatch):
+        # A_3 replaced by 1 - 2x + 2x^2 - x^3: -det(A0 + x A1) = 2 x^2 - 3 x + 4
+        # has no real root, so the pencil has no PSD endpoint to certify.
+        fake = UnivariatePolynomial((1, -2, 2, -1))
+        monkeypatch.setattr(bounds_mod, "univariate_eulerian", lambda n: fake)
+        with pytest.raises(ArithmeticError, match=r"negative discriminant -23 of \[2, -3, 4\]"):
+            univariate_bound(3)
 
     @pytest.mark.parametrize("n", [0, -1])
     def test_rejects_n_below_1(self, n):

@@ -47,8 +47,23 @@ def test_floats_cannot_enter_an_enclosure():
         AlgebraicBound(0.5, 1.0)
     with pytest.raises(TypeError, match="float end"):
         AlgebraicBound(Fraction(0), 1.0)
-    with pytest.raises(TypeError, match="float end"):
-        AlgebraicBound(1, 2).reciprocal()  # int ends: 1 / 2 is the float 0.5
+
+
+def test_int_ends_divide_exactly():
+    # An int end is stored as a Fraction, so 1 / 2 is not the float 0.5.
+    half = AlgebraicBound(Fraction(1, 2), Fraction(1))
+    assert AlgebraicBound(1, 2).reciprocal() == half
+    quotient = AlgebraicBound(Fraction(1, 4), Fraction(2, 3))
+    assert AlgebraicBound(1, 2) / AlgebraicBound(3, 4) == quotient
+    assert type(AlgebraicBound(1, 2).lo) is Fraction and AlgebraicBound.exact(3).hi == Fraction(3)
+
+
+def test_only_int_or_fraction_ends_are_accepted():
+    # A string or None end is refused at construction, not first met in arithmetic.
+    with pytest.raises(TypeError, match="a str end '1' is not int or Fraction"):
+        AlgebraicBound("1", "2")
+    with pytest.raises(TypeError, match="a NoneType end None is not int or Fraction"):
+        AlgebraicBound(Fraction(0), None)
 
 
 def test_arithmetic_basics():
@@ -65,7 +80,7 @@ def test_division_sign_checks():
     a = AlgebraicBound(Fraction(1), Fraction(2))
     z = AlgebraicBound(Fraction(-1), Fraction(1))
     assert rtruediv(1, a).lo == Fraction(1, 2)
-    with pytest.raises(ZeroDivisionError):
+    with pytest.raises(ZeroDivisionError, match="enclosure contains zero"):
         z.reciprocal()
 
 

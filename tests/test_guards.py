@@ -5,8 +5,10 @@ result whose own check failed.  Deleting one leaves every other test
 green unless some test corrupts the step before it and expects its
 message, so each message must be matched by a ``match=`` regex in a
 file under ``tests/`` (an f-string regex by its text up to the first field).  The same holds for the ``ValueError``
-preconditions, and for the ``CliError`` refusals, which a test may also
-match by asserting the one-line JSON error the CLI prints.
+preconditions, for the ``CliError`` refusals, which a test may also
+match by asserting the one-line JSON error the CLI prints, and for every
+other refusal: the ``TypeError``, ``ZeroDivisionError``, ``KeyError`` and
+``AttributeError`` raises.
 
 A message is a run of literal parts and f-string fields.  A ``match=``
 regex matches it when it matches the message's literal start (its text
@@ -20,6 +22,8 @@ import ast
 import itertools
 import re
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -110,6 +114,19 @@ def test_every_arithmetic_guard_is_matched_by_a_test():
 def test_every_value_error_is_matched_by_a_test():
     sites = raise_sites("ValueError")
     assert len(sites) >= 30 and all(map(literal_start, sites.values()))
+    assert unmatched(sites, match_patterns()) == {}
+
+
+@pytest.mark.parametrize("exc_name, least", [
+    ("TypeError", 2),  # Record's arguments, AlgebraicBound's ends
+    ("ZeroDivisionError", 3),  # _vertex_split, AlgebraicBound's two divisions
+    ("KeyError", 1),  # LFormTable.__call__
+    ("AttributeError", 1),  # Record.__setattr__
+])
+def test_every_other_refusal_is_matched_by_a_test(exc_name, least):
+    # Record's TypeError starts with a field, the class name: reads_as alone matches it.
+    sites = raise_sites(exc_name)
+    assert len(sites) >= least
     assert unmatched(sites, match_patterns()) == {}
 
 

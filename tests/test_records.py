@@ -81,22 +81,22 @@ class TestEveryRecord:
 
     def test_argument_errors(self, cls, names, values):
         required = names[:1] if cls is PsdResult else names
-        with pytest.raises(TypeError):  # a required field missing
-            cls(*values[:len(required) - 1])
-        with pytest.raises(TypeError):  # extra
-            cls(*values, None)
-        with pytest.raises(TypeError):  # unknown keyword
-            cls(*values, not_a_field=None)
-        with pytest.raises(TypeError):  # given twice
-            cls(*values, **{names[0]: values[0]})
+        with pytest.raises(TypeError, match=r" takes each of the fields \("):
+            cls(*values[:len(required) - 1])  # a required field missing
+        with pytest.raises(TypeError, match=r" takes each of the fields \("):
+            cls(*values, None)  # extra
+        with pytest.raises(TypeError, match=r" takes each of the fields \("):
+            cls(*values, not_a_field=None)  # unknown keyword
+        with pytest.raises(TypeError, match=r" takes each of the fields \("):
+            cls(*values, **{names[0]: values[0]})  # given twice
 
     def test_frozen(self, cls, names, values):
         r = cls(*values)
-        with pytest.raises(AttributeError):
+        with pytest.raises(AttributeError, match="cannot set or delete"):
             setattr(r, names[0], values[0])
-        with pytest.raises(AttributeError):
+        with pytest.raises(AttributeError, match="cannot set or delete"):
             r.not_a_field = 1
-        with pytest.raises(AttributeError):
+        with pytest.raises(AttributeError, match="cannot set or delete"):
             delattr(r, names[0])
         assert getattr(r, names[0]) is values[0] and list(vars(r)) == list(names)
 
@@ -122,7 +122,7 @@ class TestEveryRecord:
         r = cls(*values)
         back = pickle.loads(pickle.dumps(r))
         assert type(back) is cls and back == r
-        with pytest.raises(AttributeError):
+        with pytest.raises(AttributeError, match="cannot set or delete"):
             setattr(back, names[0], values[0])
 
 
